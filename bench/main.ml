@@ -9,8 +9,8 @@
      bench/main.exe table1 fig4 ...  selected experiments only
      bench/main.exe micro --json     also write BENCH_sim.json (a QoR record)
      bench/main.exe ilp --json       also write BENCH_ilp.json (a QoR record)
-     bench/main.exe simbig --json    domain-parallel kernel gate on the big
-                                     sbig circuit, writes BENCH_sim_big.json
+     bench/main.exe simbig --json    serial kernel determinism gate on the
+                                     big sbig circuit, writes BENCH_sim_big.json
                                      (explicit only: not part of the default
                                      everything-run)
      bench/main.exe --qor-dir qor    append QoR run records (suite variants,
@@ -137,8 +137,9 @@ let micro ~json ~qor_dir () =
       let cycles = max 1 (Sim.Kernel.cycles kernel) in
       (* Bechamel estimates are wall-clock and the skip counters depend
          on how many cycles Bechamel chose to run: both live in the
-         noisy [wall] section.  Only the lane count, the compile-time
-         fusion stats, and the won/lost verdict are deterministic. *)
+         noisy [wall] section, and so does any verdict drawn from them.
+         Only the lane count and the compile-time fusion stats are
+         deterministic. *)
       let wall =
         ("scalar_ns_per_cycle", scalar_ns)
         :: ("kernel_ns_per_cycle", kernel_ns)
@@ -163,11 +164,7 @@ let micro ~json ~qor_dir () =
             [ ("sim.lanes", float_of_int lanes);
               ("sim.kernel.units", float_of_int kstats.Sim.Kernel.units);
               ("sim.kernel.fused_ops",
-               float_of_int kstats.Sim.Kernel.fused_ops);
-              (* the hard perf gate: 1.0 iff one multi-lane kernel cycle
-                 is cheaper than one scalar engine cycle *)
-              ("sim.kernel_beats_scalar",
-               if kernel_ns < scalar_ns then 1.0 else 0.0) ]
+               float_of_int kstats.Sim.Kernel.fused_ops) ]
           ~headline:
             [ ("benchmark", Qor.Json.Str "s5378-3phase");
               ("scalar_ns_per_cycle", Qor.Json.Num scalar_ns);
@@ -407,27 +404,20 @@ let ilp ~quick ~json ~qor_dir () =
       qor_dir
   end
 
-(* --- Domain-parallel simulator benchmark ---------------------------- *)
+(* --- Big-circuit simulator benchmark -------------------------------- *)
 
-(* The big-circuit gate for the kernel's domain-parallel waves: on the
-   s38417-class [sbig] circuit (~10x s5378's registers, three very wide
-   levelized waves) a 4-domain kernel must beat the serial kernel by the
-   ratio in [speedup_goal] while producing byte-identical toggles.
+(* The serial kernel on the s38417-class [sbig] circuit (~10x s5378's
+   registers, three very wide levelized waves), in Monte-Carlo shape:
+   252 lanes = 4 bitplane words per net, each lane driven by its own
+   random stream, so nearly every cone is dirty at every clock event.
 
    Record layout follows the QoR determinism contract (docs/QOR.md):
-   everything in [metrics] is independent of timing AND of the domain
-   count — CI diffs two runs of this experiment under THREEPHASE_JOBS=1
-   and =4 and any metrics drift fails — while times, speedups and
-   per-domain work distribution live in [wall]/[headline]. *)
+   everything in [metrics] is independent of timing and of
+   THREEPHASE_JOBS — CI diffs two runs of this experiment under
+   THREEPHASE_JOBS=1 and =4 and any metrics drift fails — while the run
+   time lives in [wall]/[headline]. *)
 let simbig ~json ~qor_dir () =
-  let speedup_goal = 1.5 in
-  let profile_cycles = 12 and perf_cycles = 20 in
-  (* Monte-Carlo shape: 252 lanes = 4 bitplane words per net, each lane
-     driven by its own random stream, so nearly every cone is dirty at
-     every clock event — the workload the parallel waves exist for.  The
-     128-unit engage threshold is tuned for this class: one 128-unit
-     chunk of fused cones at 4 words dwarfs a pool barrier. *)
-  let lanes = 252 and par_threshold = 128 and jobs = 4 in
+  let lanes = 252 and perf_cycles = 20 and reps = 3 in
   let bench =
     match Circuits.Suite.find "sbig" with
     | Some b -> b
@@ -442,113 +432,52 @@ let simbig ~json ~qor_dir () =
   in
   let clocks = Phase3.Flow.clocks_of config in
   let inputs = Sim.Stimulus.inputs_of converted in
-  let streams_of ~seed ~cycles =
+  let stim =
     Array.init lanes (fun lane ->
-        Sim.Stimulus.random ~seed:(seed + lane) ~cycles
+        Sim.Stimulus.random ~seed:(9000 + lane) ~cycles:perf_cycles
           ~toggle_probability:0.35 inputs)
   in
-  (* Monte-Carlo profiling pass: the captured per-net toggle rates feed
-     the activity-predictive packer of the kernels timed below. *)
-  let profile =
-    let k = Sim.Kernel.create ~jobs:1 ~lanes converted ~clocks in
-    Sim.Kernel.run_streams k (streams_of ~seed:500 ~cycles:profile_cycles);
-    Sim.Activity.counts (Sim.Activity.capture_kernel k)
-  in
-  let stim = streams_of ~seed:9000 ~cycles:perf_cycles in
-  let time_best ~reps f =
-    f ();  (* warm-up: page in the bitplanes before measuring *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let t = Unix.gettimeofday () -. t0 in
-      if t < !best then best := t
-    done;
-    !best
-  in
   log "[simbig] timing serial kernel ...";
-  let serial =
-    Sim.Kernel.create ~jobs:1 ~lanes ~par_threshold ~activity:profile
-      converted ~clocks
-  in
-  let t_serial =
-    time_best ~reps:3 (fun () -> Sim.Kernel.run_streams serial stim)
-  in
-  log "[simbig] timing %d-domain kernel ..." jobs;
-  let par =
-    Sim.Kernel.create ~lanes ~par_threshold ~activity:profile converted ~clocks
-  in
-  Sim.Kernel.enable_parallel ~jobs par;
-  let t_par = time_best ~reps:3 (fun () -> Sim.Kernel.run_streams par stim) in
-  let kstats = Sim.Kernel.stats par in
-  Sim.Kernel.disable_parallel par;
-  let speedup = t_serial /. t_par in
-  let matches = Sim.Kernel.toggles serial = Sim.Kernel.toggles par in
-  (* the serial kernel's toggle counts, folded to one exact fingerprint:
-     identical for every THREEPHASE_JOBS and every domain count *)
-  let toggles = Sim.Kernel.toggles serial in
+  let kernel = Sim.Kernel.create ~lanes converted ~clocks in
+  (* a warm-up pass pages in the bitplanes; the metrics count all
+     [reps + 1] passes, the time is the best timed one *)
+  Sim.Kernel.run_streams kernel stim;
+  let t_serial = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    Sim.Kernel.run_streams kernel stim;
+    t_serial := Float.min !t_serial (Unix.gettimeofday () -. t0)
+  done;
+  let t_serial = !t_serial in
+  (* per-net toggle counts folded to one exact fingerprint *)
+  let toggles = Sim.Kernel.toggles kernel in
   let total = Array.fold_left ( + ) 0 toggles in
   let checksum =
     Array.fold_left (fun acc t -> (acc * 131 + t) land 0x3FFFFFFF) 0 toggles
   in
-  let sstats = Sim.Kernel.stats serial in
-  log "[simbig] serial %.3fs, %d-domain %.3fs: %.2fx (goal %.1fx), %s"
-    t_serial jobs t_par speedup speedup_goal
-    (if matches then "toggles identical" else "TOGGLE MISMATCH");
+  let kstats = Sim.Kernel.stats kernel in
+  log "[simbig] serial %.3fs per %d-lane x %d-cycle pass" t_serial lanes
+    perf_cycles;
   if json then begin
     let fl = float_of_int in
-    let par_units =
-      Array.to_list
-        (Array.mapi
-           (fun d u -> (Printf.sprintf "sim.parallel.units.d%d" d, fl u))
-           kstats.Sim.Kernel.stat_par_units)
-    in
     let record =
       Qor.Record.make
         ~config:
-          [ ("profile_cycles", Qor.Json.Num (fl profile_cycles));
-            ("perf_cycles", Qor.Json.Num (fl perf_cycles));
+          [ ("perf_cycles", Qor.Json.Num (fl perf_cycles));
             ("lanes", Qor.Json.Num (fl lanes));
-            ("par_threshold", Qor.Json.Num (fl par_threshold));
-            ("jobs_parallel", Qor.Json.Num (fl jobs));
-            ("speedup_goal", Qor.Json.Num speedup_goal) ]
+            ("timed_reps", Qor.Json.Num (fl reps)) ]
         ~metrics:
-          [ ("sim.lanes", fl (Sim.Kernel.lanes serial));
-            ("sim.kernel.units", fl sstats.Sim.Kernel.units);
-            ("sim.kernel.fused_ops", fl sstats.Sim.Kernel.fused_ops);
-            ("sim.kernel.waves_skipped", fl sstats.Sim.Kernel.stat_waves_skipped);
-            ("sim.kernel.cones_skipped", fl sstats.Sim.Kernel.stat_cones_skipped);
+          [ ("sim.lanes", fl (Sim.Kernel.lanes kernel));
+            ("sim.kernel.units", fl kstats.Sim.Kernel.units);
+            ("sim.kernel.fused_ops", fl kstats.Sim.Kernel.fused_ops);
+            ("sim.kernel.waves_skipped", fl kstats.Sim.Kernel.stat_waves_skipped);
+            ("sim.kernel.cones_skipped", fl kstats.Sim.Kernel.stat_cones_skipped);
             ("sim.toggles_total", fl total);
-            ("sim.toggles_checksum", fl checksum);
-            (* both gates: byte-identical results on every lane, and the
-               wall-clock verdict (the only timing-derived metric —
-               deterministic on any machine with >= 4 hardware threads) *)
-            ("sim.parallel_matches_serial", if matches then 1.0 else 0.0);
-            ("sim.parallel_beats_serial",
-             if speedup >= speedup_goal then 1.0 else 0.0) ]
+            ("sim.toggles_checksum", fl checksum) ]
         ~headline:
           [ ("benchmark", Qor.Json.Str "sbig-3phase");
-            ("serial_s", Qor.Json.Num t_serial);
-            ("parallel_s", Qor.Json.Num t_par);
-            ("speedup", Qor.Json.Num speedup);
-            ("domains", Qor.Json.Num (fl kstats.Sim.Kernel.stat_domains));
-            ("par_waves", Qor.Json.Num (fl kstats.Sim.Kernel.stat_par_waves));
-            ("load_balance",
-             Qor.Json.Num kstats.Sim.Kernel.stat_load_balance);
-            ("toggles_identical", Qor.Json.Bool matches);
-            ("note",
-             Qor.Json.Str
-               "activity-packed domain-parallel waves: each levelized \
-                wave splits into weight-balanced chunks, one barrier per \
-                level, wakes replayed in slot order — byte-identical to \
-                the serial kernel at any domain count") ]
-        ~wall:
-          (("serial_s", t_serial)
-           :: ("parallel_s", t_par)
-           :: ("speedup", speedup)
-           :: ("par_waves", fl kstats.Sim.Kernel.stat_par_waves)
-           :: ("load_balance", kstats.Sim.Kernel.stat_load_balance)
-           :: par_units)
+            ("serial_s", Qor.Json.Num t_serial) ]
+        ~wall:[ ("serial_s", t_serial) ]
         (Qor.Collect.provenance ~kind:"bench.sim_big" ~circuit:"sbig-3phase")
     in
     let oc = open_out "BENCH_sim_big.json" in

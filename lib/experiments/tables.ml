@@ -402,11 +402,7 @@ let runtime_stages (results : Runner.t list) =
        @ [ ("flow total", T.Right);
            (* kernel effectiveness on the 3-phase variant's activity run *)
            ("fused ops", T.Right); ("waves skip", T.Right);
-           ("cones skip", T.Right);
-           (* domain-parallel wave execution of that same run: domains
-              attached, waves run in parallel, heaviest/ideal chunk *)
-           ("domains", T.Right); ("par waves", T.Right);
-           ("balance", T.Right) ])
+           ("cones skip", T.Right) ])
   in
   List.iter
     (fun (r : Runner.t) ->
@@ -424,10 +420,7 @@ let runtime_stages (results : Runner.t list) =
          @ [ Printf.sprintf "%.3f" total;
              string_of_int k.Sim.Kernel.fused_ops;
              string_of_int k.Sim.Kernel.stat_waves_skipped;
-             string_of_int k.Sim.Kernel.stat_cones_skipped;
-             string_of_int k.Sim.Kernel.stat_domains;
-             string_of_int k.Sim.Kernel.stat_par_waves;
-             Printf.sprintf "%.2f" k.Sim.Kernel.stat_load_balance ]))
+             string_of_int k.Sim.Kernel.stat_cones_skipped ]))
     results;
   t
 

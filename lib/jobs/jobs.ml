@@ -1,25 +1,14 @@
-(* Bounded domain-level parallelism.
-
-   Two layers:
-
-   - [pool] — a persistent worker pool with a barrier-style [pool_run]:
-     domains are spawned once (per kernel run, per suite sweep, ...)
-     and reused for many short tasks, so per-task cost is a fence and a
-     wakeup rather than a [Domain.spawn].  Workers spin briefly between
-     tasks and park on a condition variable when the pool goes idle.
-
-   - [parallel_mapi_array] / [parallel_map] — order-preserving maps
-     built on top of a pool.  Results come back in input order and the
-     first exception (by input index) is re-raised with its backtrace,
-     so a parallel run is observationally identical to the serial one.
+(* Bounded domain-level parallelism: order-preserving maps that spawn
+   worker domains for the duration of one call and join them before
+   returning.  Workers claim items by index from a shared counter;
+   results come back in input order and the first exception (by input
+   index) is re-raised with its backtrace, so a parallel run is
+   observationally identical to the serial one.
 
    A global token budget bounds the number of live worker domains even
    when parallel sections nest (the suite loop in bench/ maps over
-   benchmarks whose runners themselves map over variants).  Pools
-   created with an explicit [~jobs] are exact — they spawn the
-   requested domains even when the budget is exhausted — because they
-   exist to make domain-count-dependent behaviour reproducible (tests,
-   cross-jobs determinism checks); defaulted pools are throttled. *)
+   benchmarks whose runners themselves map over variants): a map that
+   finds no tokens left runs serially on the calling domain. *)
 
 let default_jobs () =
   match Sys.getenv_opt "THREEPHASE_JOBS" with
@@ -50,180 +39,36 @@ let rec reserve want =
 
 let release n = if n > 0 then ignore (Atomic.fetch_and_add budget n)
 
-type pool = {
-  workers : int;  (* extra domains beyond the caller *)
-  reserved : int; (* budget tokens held until destroy *)
-  mutable fn : int -> unit;
-  epoch : int Atomic.t;   (* task generation, incremented per run *)
-  pending : int Atomic.t; (* workers still running the current task *)
-  stop : bool Atomic.t;
-  lock : Mutex.t;
-  cond : Condition.t;
-  mutable sleepers : int; (* workers parked on [cond]; guarded by [lock] *)
-  errors : (exn * Printexc.raw_backtrace) option array;
-  mutable domains : unit Domain.t array;
-}
-
-let pool_size p = p.workers + 1
-
-(* spins before parking (worker) or yielding (caller); tuned so that
-   back-to-back tasks — one bucket per level during a kernel settle —
-   stay on the fast path while idle pools release the CPU *)
-let spin_limit = 4096
-
-let worker_loop pool p =
-  let my = ref 1 in
-  let running = ref true in
-  while !running do
-    let ready () = Atomic.get pool.stop || Atomic.get pool.epoch >= !my in
-    let spins = ref 0 in
-    while (not (ready ())) && !spins < spin_limit do
-      incr spins;
-      Domain.cpu_relax ()
-    done;
-    if not (ready ()) then begin
-      Mutex.lock pool.lock;
-      pool.sleepers <- pool.sleepers + 1;
-      while not (ready ()) do
-        Condition.wait pool.cond pool.lock
-      done;
-      pool.sleepers <- pool.sleepers - 1;
-      Mutex.unlock pool.lock
-    end;
-    if Atomic.get pool.stop then running := false
-    else begin
-      (match pool.fn p with
-       | () -> ()
-       | exception e ->
-         pool.errors.(p) <- Some (e, Printexc.get_raw_backtrace ()));
-      ignore (Atomic.fetch_and_add pool.pending (-1));
-      incr my
-    end
-  done
-
-let pool_make ~exact ~want =
-  init_budget ();
-  let want = max 1 want in
-  let granted = reserve (want - 1) in
-  let workers = if exact then want - 1 else granted in
-  let pool =
-    { workers;
-      reserved = granted;
-      fn = ignore;
-      epoch = Atomic.make 0;
-      pending = Atomic.make 0;
-      stop = Atomic.make false;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      sleepers = 0;
-      errors = Array.make (workers + 1) None;
-      domains = [||] }
-  in
-  pool.domains <-
-    Array.init workers (fun w ->
-        Domain.spawn (fun () -> worker_loop pool (w + 1)));
-  pool
-
-let pool_create ?jobs () =
-  match jobs with
-  | Some j -> pool_make ~exact:true ~want:j
-  | None -> pool_make ~exact:false ~want:(default_jobs ())
-
-let pool_destroy pool =
-  if not (Atomic.get pool.stop) then begin
-    Atomic.set pool.stop true;
-    Mutex.lock pool.lock;
-    Condition.broadcast pool.cond;
-    Mutex.unlock pool.lock;
-    Array.iter Domain.join pool.domains;
-    release pool.reserved
-  end
-
-let pool_run pool f =
-  if pool.workers = 0 then f 0
-  else begin
-    Array.fill pool.errors 0 (Array.length pool.errors) None;
-    pool.fn <- f;
-    Atomic.set pool.pending pool.workers;
-    (* the atomic increment publishes [fn]: workers read the epoch
-       before touching the task closure *)
-    Atomic.incr pool.epoch;
-    Mutex.lock pool.lock;
-    if pool.sleepers > 0 then Condition.broadcast pool.cond;
-    Mutex.unlock pool.lock;
-    (match f 0 with
-     | () -> ()
-     | exception e -> pool.errors.(0) <- Some (e, Printexc.get_raw_backtrace ()));
-    let spins = ref 0 in
-    while Atomic.get pool.pending > 0 do
-      incr spins;
-      if !spins < spin_limit then Domain.cpu_relax ()
-      else begin
-        (* oversubscribed (more domains than cores): let workers run *)
-        spins := 0;
-        Unix.sleepf 5e-5
-      end
-    done;
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      pool.errors
-  end
-
-let with_pool ?jobs f =
-  let p = pool_create ?jobs () in
-  Fun.protect ~finally:(fun () -> pool_destroy p) (fun () -> f p)
-
-let parallel_mapi_array ?pool f items =
+let parallel_mapi_array f items =
   let n = Array.length items in
-  if n = 0 then [||]
-  else begin
-    let run p =
-      if pool_size p = 1 || n = 1 then Array.mapi f items
-      else begin
+  init_budget ();
+  let workers = if n <= 1 then 0 else reserve (min (default_jobs ()) n - 1) in
+  if workers = 0 then Array.mapi f items
+  else
+    Fun.protect ~finally:(fun () -> release workers) (fun () ->
         let results = Array.make n None in
         let next = Atomic.make 0 in
-        pool_run p (fun _ ->
-            let continue = ref true in
-            while !continue do
-              let i = Atomic.fetch_and_add next 1 in
-              if i >= n then continue := false
-              else
-                results.(i) <-
-                  Some
-                    (match f i items.(i) with
-                     | r -> Ok r
-                     | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-            done);
+        let rec claim () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            results.(i) <-
+              Some
+                (match f i items.(i) with
+                 | r -> Ok r
+                 | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+            claim ()
+          end
+        in
+        let domains = Array.init workers (fun _ -> Domain.spawn claim) in
+        claim ();
+        Array.iter Domain.join domains;
         (* surface the first failure in input order, like a serial run *)
-        Array.iter
-          (function
-            | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-            | Some (Ok _) | None -> ())
-          results;
         Array.map
           (function
             | Some (Ok r) -> r
-            | Some (Error _) | None -> assert false)
-          results
-      end
-    in
-    match pool with
-    | Some p -> run p
-    | None ->
-      if n = 1 then Array.mapi f items
-      else begin
-        init_budget ();
-        let p = pool_make ~exact:false ~want:(min (default_jobs ()) n) in
-        Fun.protect ~finally:(fun () -> pool_destroy p) (fun () -> run p)
-      end
-  end
+            | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+            | None -> assert false)
+          results)
 
 let parallel_map f items =
-  match items with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ ->
-    Array.to_list
-      (parallel_mapi_array (fun _ x -> f x) (Array.of_list items))
+  Array.to_list (parallel_mapi_array (fun _ x -> f x) (Array.of_list items))

@@ -5,72 +5,28 @@
     serial), otherwise from [Domain.recommended_domain_count].  A global
     token budget bounds the total number of live domains across nested
     parallel sections, so the suite loop mapping over benchmarks and
-    each runner mapping over variants cannot oversubscribe the machine.
+    each runner mapping over variants cannot oversubscribe the machine:
+    a map that finds the budget spent runs serially on its caller.
 
-    Determinism contract (shared by every entry point here): results
-    preserve input order, the first exception (by input index for the
-    maps, by participant index for [pool_run]) is re-raised with its
-    backtrace, and work distribution never leaks into results — a
-    parallel run is observationally identical to a serial one.  That
-    extends to observability: [Obs] events recorded inside tasks land
-    on per-domain buffers whose merged aggregates (summed counters,
-    max-merged gauges) are identical for any worker count.  Both
-    [pool_run] and the maps form a full barrier before returning, so
-    reading [Obs] afterwards (or between runs on an idle pool) is
-    race-free. *)
+    Each map reserves its tokens, spawns its worker domains, lets every
+    participant claim items by index, joins the workers and releases
+    the tokens before returning.  Determinism contract: results
+    preserve input order, the first exception by input index is
+    re-raised with its backtrace, and work distribution never leaks
+    into results — a parallel run is observationally identical to a
+    serial one.  That extends to observability: [Obs] events recorded
+    inside tasks land on per-domain buffers whose merged aggregates
+    (summed counters, max-merged gauges) are identical for any worker
+    count, and since the workers are joined before a map returns,
+    reading [Obs] afterwards is race-free. *)
 
 (** Effective worker count ([THREEPHASE_JOBS] or the domain count). *)
 val default_jobs : unit -> int
 
-(** {1 Persistent worker pools}
-
-    A [pool] owns its worker domains for its whole lifetime: spawn cost
-    is paid once at [pool_create], and each [pool_run] costs only a
-    wakeup and a barrier — cheap enough to call once per levelized wave
-    inside a simulation cycle.  Workers spin briefly between
-    back-to-back tasks and park on a condition variable when the pool
-    goes idle, so holding a pool open across a whole benchmark run is
-    free. *)
-
-type pool
-
-(** [pool_create ()] sizes the pool from [default_jobs], throttled by
-    the global budget (nested defaulted pools degrade to serial rather
-    than oversubscribe).  [pool_create ~jobs] is {e exact}: it spawns
-    [jobs - 1] worker domains even when the budget is exhausted,
-    because explicit job counts exist to reproduce domain-dependent
-    behaviour (tests, cross-jobs determinism checks).  Always destroy
-    with [pool_destroy] (or use [with_pool]); worker domains and budget
-    tokens are held until then. *)
-val pool_create : ?jobs:int -> unit -> pool
-
-(** Participants in [pool_run], including the caller (at least 1). *)
-val pool_size : pool -> int
-
-(** [pool_run p f] runs [f d] once per participant [d] in
-    [0 .. pool_size p - 1] — [f 0] on the calling domain — and returns
-    after all participants finish (a full barrier, establishing
-    happens-before between everything the tasks wrote and the caller's
-    subsequent reads).  [f] must confine shared-state writes to
-    participant-disjoint locations.  The first participant's exception
-    (by index) is re-raised after the barrier completes. *)
-val pool_run : pool -> (int -> unit) -> unit
-
-(** Stops and joins the workers and returns budget tokens.  Must only
-    be called when no [pool_run] is in flight; idempotent. *)
-val pool_destroy : pool -> unit
-
-(** [with_pool f] = [pool_create], [f], [pool_destroy] (on any exit). *)
-val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
-
-(** {1 Order-preserving parallel maps} *)
-
-(** [parallel_mapi_array f items] maps [f i items.(i)] over an array,
-    allocation-lean on the hot path (no list conversion, index-stealing
-    distribution).  Reuses [~pool] when given — pass the pool you
-    already hold instead of paying spawn cost per call — otherwise
-    creates a budget-throttled pool for the duration of the call. *)
-val parallel_mapi_array : ?pool:pool -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** [parallel_mapi_array f items] maps [f i items.(i)] over an array on
+    up to [default_jobs ()] domains (the caller included), as many as
+    the budget grants. *)
+val parallel_mapi_array : (int -> 'a -> 'b) -> 'a array -> 'b array
 
 (** [parallel_map f items] maps [f] over [items], possibly on multiple
     domains; thin wrapper over [parallel_mapi_array].  [f] must not

@@ -12,19 +12,15 @@
 
     {2 Threading model}
 
-    Each domain (the main one, every worker spawned by
-    {!Jobs.parallel_mapi_array}/{!Jobs.parallel_map}, and every
-    participant of a persistent {!Jobs.pool}) lazily owns a private
-    buffer registered in a global list, so the write path never takes
-    a lock.  Read-side functions ({!span_stats}, {!counters},
+    Each domain (the main one and every worker spawned by
+    {!Jobs.parallel_mapi_array}/{!Jobs.parallel_map}) lazily owns a
+    private buffer registered in a global list, so the write path never
+    takes a lock.  Read-side functions ({!span_stats}, {!counters},
     {!chrome_trace}, ...) merge all buffers; call them only while no
     worker domain is recording.  {!Jobs.parallel_mapi_array} joins its
-    workers before returning, and a pool's workers are quiescent
-    whenever {!Jobs.pool_run} is not executing (they park between
-    barriers and record nothing of their own), so ordinary sequential
-    code — the CLI after a flow run, the benchmark harness after a
-    suite, a kernel between [run_streams] calls — reads safely even
-    while a pool stays attached.
+    workers before returning, so ordinary sequential code — the CLI
+    after a flow run, the benchmark harness after a suite — reads
+    safely.
 
     Merging is deterministic by construction where it matters:
     counters are summed, gauges take the maximum, and histogram bucket
@@ -71,11 +67,10 @@ val gauge : string -> float -> unit
     — and every readout derived from it — is byte-identical for any
     [THREEPHASE_JOBS], {e provided the recorded values themselves are
     deterministic}.  For values that are shaped by the execution
-    (per-chunk work sizes, stage latencies) pass [~exec:true]: the
-    sample goes to a separate channel read by {!exec_histograms},
-    excluded from {!histograms} and from the determinism contract —
-    the same split as counters (deterministic) versus wall/gauges
-    (noisy) in run records. *)
+    (stage latencies) pass [~exec:true]: the sample goes to a separate
+    channel read by {!exec_histograms}, excluded from {!histograms}
+    and from the determinism contract — the same split as counters
+    (deterministic) versus wall/gauges (noisy) in run records. *)
 val hist : ?exec:bool -> string -> float -> unit
 
 (** Deterministically mergeable log-bucketed histogram.  Buckets are
@@ -203,9 +198,9 @@ val gauges : unit -> (string * float) list
 val histograms : unit -> (string * Histogram.t) list
 
 (** Bucket-merged execution-shaped histograms ([~exec:true] samples):
-    chunk sizes, stage latencies — honest distributions, but dependent
-    on the domain count and the machine.  Kept out of {!histograms} so
-    the determinism contract stays literal. *)
+    stage latencies — honest distributions, but dependent on the
+    machine.  Kept out of {!histograms} so the determinism contract
+    stays literal. *)
 val exec_histograms : unit -> (string * Histogram.t) list
 
 (** All deterministic histograms as ["name: " ^ ]{!Histogram.to_string}

@@ -47,10 +47,10 @@ let config_json (c : Phase3.Flow.config) =
     ("verify_cycles", Json.Num (float_of_int c.Phase3.Flow.verify_cycles));
     ("lint", Json.Bool c.Phase3.Flow.lint) ]
 
-(* Summarise execution-shaped histograms (chunk balance, stage
-   latencies) into the noisy gauge channel: they are machine-shaped,
-   so per-bucket gating would be meaningless, but their percentiles
-   are worth tracking under the noise band like any other gauge. *)
+(* Summarise execution-shaped histograms (stage latencies) into the
+   noisy gauge channel: they are machine-shaped, so per-bucket gating
+   would be meaningless, but their percentiles are worth tracking under
+   the noise band like any other gauge. *)
 let exec_hist_gauges () =
   List.concat_map
     (fun (name, h) ->

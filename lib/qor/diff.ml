@@ -67,7 +67,6 @@ let higher_is_better name =
   || contains name "speedup" || contains name ".ok"
   || contains name "optimal" || contains name "lanes"
   || contains name "fused" || contains name "skipped"
-  || contains name "beats"
 
 let classify_direction name delta =
   if delta = 0.0 then Unchanged

@@ -173,27 +173,6 @@ type t = {
   (* activity-gating effectiveness *)
   mutable waves_skipped : int;
   mutable cones_skipped : int;
-  (* domain-parallel wave execution: a bucket below [par_limit] whose
-     population reaches [par_threshold] is split into weight-balanced
-     contiguous chunks and evaluated by the attached pool, one barrier
-     per bucket; deferred wakes merge in slot order (see
-     [run_bucket_parallel]) *)
-  prog_depth : int;           (* micro-program stack need, for per-domain stacks *)
-  par_limit : int;            (* first order-sensitive bucket (cyclic or seq) *)
-  par_threshold : int;
-  par_auto : bool;            (* worth attaching a pool for a stream run *)
-  par_jobs : int option;      (* requested domain count for auto-attach *)
-  unit_weight : int array;    (* activity-predicted cost per unit *)
-  wake_slot : int array;      (* changed root net per bucket slot, -1 = none *)
-  mutable pool : Jobs.pool option;
-  mutable par_stacks : (int array * int array) array; (* per-participant *)
-  mutable par_snap : int array array; (* per-participant, 2*nw words *)
-  mutable par_bounds : int array;     (* chunk boundaries, pool size + 1 *)
-  mutable last_domains : int;
-  mutable par_waves : int;            (* parallel batches = barriers *)
-  mutable par_units : int array;      (* units evaluated per participant *)
-  mutable par_max_w : int;            (* Σ heaviest chunk weight per batch *)
-  mutable par_tot_w : int;            (* Σ batch weight *)
 }
 
 type stats = {
@@ -201,10 +180,6 @@ type stats = {
   fused_ops : int;
   stat_waves_skipped : int;
   stat_cones_skipped : int;
-  stat_domains : int;
-  stat_par_waves : int;
-  stat_par_units : int array;
-  stat_load_balance : float;
 }
 
 (* --- Compilation ----------------------------------------------------- *)
@@ -479,10 +454,8 @@ let not_v mask va xa = mask land lnot (va lor xa)
 (* comb/ICG instance [i]: evaluate against the current planes and commit
    the output net under [mode].  Each branch commits directly so the hot
    loop never allocates a result tuple.  ICGs also update their
-   enable-latch state (mirrors Engine.icg_output).  [sv]/[sx] are the
-   micro-program evaluation stacks — per-domain scratch, so parallel
-   chunks pass their own pair while serial paths pass [t.prog_sv/x]. *)
-let eval_comb1 t sv sx i op mode =
+   enable-latch state (mirrors Engine.icg_output). *)
+let eval_comb1 t i op mode =
   let off = t.ins_off.(i) in
   let out = t.out_net.(i) in
   if op = op_inv then
@@ -551,6 +524,7 @@ let eval_comb1 t sv sx i op mode =
     let n = t.ins.(off) in
     commit1 t out t.v.(n) t.x.(n) mode
   else if op = op_prog then begin
+    let sv = t.prog_sv and sx = t.prog_sx in
     let sp = ref 0 in
     for k = t.prog_off.(i) to t.prog_off.(i + 1) - 1 do
       let c = t.prog.(k) in
@@ -663,7 +637,7 @@ let latch_update1 t i op =
 (* word-sliced twin of [eval_comb1]: evaluates word [w] of instance [i]
    and commits it.  Runs once per word; correctness is identical because
    lanes never interact across words. *)
-let eval_combw t sv sx i op w mode =
+let eval_combw t i op w mode =
   let nw = t.nw in
   let wm = t.wmask.(w) in
   let off = t.ins_off.(i) in
@@ -671,6 +645,7 @@ let eval_combw t sv sx i op w mode =
   let vw n = t.v.((n * nw) + w) in
   let xw n = t.x.((n * nw) + w) in
   if op = op_prog then begin
+    let sv = t.prog_sv and sx = t.prog_sx in
     let sp = ref 0 in
     for k = t.prog_off.(i) to t.prog_off.(i + 1) - 1 do
       let c = t.prog.(k) in
@@ -789,9 +764,9 @@ let eval_combw t sv sx i op w mode =
       mode
   end
 
-let eval_combn t sv sx i op mode =
+let eval_combn t i op mode =
   for w = 0 to t.nw - 1 do
-    eval_combw t sv sx i op w mode
+    eval_combw t i op w mode
   done
 
 let ff_updaten t i =
@@ -887,13 +862,12 @@ let eval_unit1 t u =
     let i = t.u_mem.(first) in
     let op = t.opcode.(i) in
     if is_seq_op op then eval_inst_seq1 t i op
-    else eval_comb1 t t.prog_sv t.prog_sx i op cm_wake
+    else eval_comb1 t i op cm_wake
   end
   else
     for k = first to last do
       let i = t.u_mem.(k) in
-      eval_comb1 t t.prog_sv t.prog_sx i t.opcode.(i)
-        (if k = last then cm_wake else cm_fused)
+      eval_comb1 t i t.opcode.(i) (if k = last then cm_wake else cm_fused)
     done
 
 let eval_unitn t u =
@@ -902,129 +876,13 @@ let eval_unitn t u =
     let i = t.u_mem.(first) in
     let op = t.opcode.(i) in
     if is_seq_op op then eval_inst_seqn t i op
-    else eval_combn t t.prog_sv t.prog_sx i op cm_wake
+    else eval_combn t i op cm_wake
   end
   else
     for k = first to last do
       let i = t.u_mem.(k) in
-      eval_combn t t.prog_sv t.prog_sx i t.opcode.(i)
-        (if k = last then cm_wake else cm_fused)
+      eval_combn t i t.opcode.(i) (if k = last then cm_wake else cm_fused)
     done
-
-(* --- Domain-parallel bucket execution ----------------------------------
-
-   Buckets strictly below [par_limit] hold only combinational/ICG units,
-   and a settle wave visits such a bucket exactly once with all inputs
-   final: wakes out of comb units go strictly upward in level, so the
-   bucket's population is fixed the moment the cursor reaches it and its
-   evaluation is intra-bucket order-invariant — values AND toggle counts.
-   The only order-sensitive effect is the wake order into later buckets
-   (it decides FIFO order where latches feed latches).  So the batch
-   evaluates every queued unit with silent commits (each unit's sole
-   externally visible output is its root net), records the changed root
-   per bucket slot in a disjoint scratch cell, and after the barrier the
-   caller replays the wakes in slot order — exactly the order a serial
-   pop-by-pop drain would produce, for ANY chunk assignment and domain
-   count.  Shared-array writes are participant-disjoint (each net and
-   each instance state belongs to exactly one unit); reads of lower-level
-   nets are ordered by the pool barrier. *)
-
-let partition_bucket t data head count nd bounds =
-  let weight = t.unit_weight in
-  let total = ref 0 in
-  for s = 0 to count - 1 do
-    total := !total + weight.(data.(head + s))
-  done;
-  bounds.(0) <- 0;
-  let d = ref 1 and acc = ref 0 in
-  for s = 0 to count - 1 do
-    acc := !acc + weight.(data.(head + s));
-    while !d < nd && !acc * nd >= !total * !d do
-      bounds.(!d) <- s + 1;
-      incr d
-    done
-  done;
-  while !d < nd do
-    bounds.(!d) <- count;
-    incr d
-  done;
-  bounds.(nd) <- count;
-  !total
-
-let run_bucket_parallel t pool c =
-  let head = t.bq_head.(c) and tail = t.bq_tail.(c) in
-  let data = t.bq_data.(c) in
-  let count = tail - head in
-  let nd = Jobs.pool_size pool in
-  let bounds = t.par_bounds in
-  let total = partition_bucket t data head count nd bounds in
-  let w1 = t.nw = 1 in
-  let nw = t.nw in
-  Jobs.pool_run pool (fun d ->
-      let sv, sx = t.par_stacks.(d) in
-      let lo = bounds.(d) and hi = bounds.(d + 1) - 1 in
-      if w1 then
-        for s = lo to hi do
-          let u = data.(head + s) in
-          t.in_queue.(u) <- false;
-          let root = t.out_net.(t.u_mem.(t.u_off.(u + 1) - 1)) in
-          let ov = t.v.(root) and ox = t.x.(root) in
-          for k = t.u_off.(u) to t.u_off.(u + 1) - 1 do
-            let i = t.u_mem.(k) in
-            eval_comb1 t sv sx i t.opcode.(i) cm_fused
-          done;
-          t.wake_slot.(s) <-
-            (if t.v.(root) <> ov || t.x.(root) <> ox then root else -1)
-        done
-      else begin
-        let snap = t.par_snap.(d) in
-        for s = lo to hi do
-          let u = data.(head + s) in
-          t.in_queue.(u) <- false;
-          let root = t.out_net.(t.u_mem.(t.u_off.(u + 1) - 1)) in
-          let base = root * nw in
-          for w = 0 to nw - 1 do
-            snap.(w) <- t.v.(base + w);
-            snap.(nw + w) <- t.x.(base + w)
-          done;
-          for k = t.u_off.(u) to t.u_off.(u + 1) - 1 do
-            let i = t.u_mem.(k) in
-            eval_combn t sv sx i t.opcode.(i) cm_fused
-          done;
-          let changed = ref false in
-          for w = 0 to nw - 1 do
-            if t.v.(base + w) <> snap.(w) || t.x.(base + w) <> snap.(nw + w)
-            then changed := true
-          done;
-          t.wake_slot.(s) <- (if !changed then root else -1)
-        done
-      end);
-  t.bq_head.(c) <- 0;
-  t.bq_tail.(c) <- 0;
-  t.queued <- t.queued - count;
-  (* deterministic merge: replay the deferred wakes in slot order *)
-  for s = 0 to count - 1 do
-    let n = t.wake_slot.(s) in
-    if n >= 0 then wake_net_readers t n
-  done;
-  t.par_waves <- t.par_waves + 1;
-  t.par_tot_w <- t.par_tot_w + total;
-  let mx = ref 0 in
-  for d = 0 to nd - 1 do
-    t.par_units.(d) <- t.par_units.(d) + (bounds.(d + 1) - bounds.(d));
-    let wsum = ref 0 in
-    for s = bounds.(d) to bounds.(d + 1) - 1 do
-      wsum := !wsum + t.unit_weight.(data.(head + s))
-    done;
-    if !wsum > !mx then mx := !wsum
-  done;
-  t.par_max_w <- t.par_max_w + !mx;
-  (* execution-shaped distributions: the per-wave width and the balance
-     of the weight split (slowest chunk over the perfect share, 1.0 =
-     ideal) depend on the domain count, hence ~exec *)
-  Obs.hist ~exec:true "sim.kernel.par.wave_units" (float_of_int count);
-  Obs.hist ~exec:true "sim.kernel.par.wave_imbalance"
-    (float_of_int (!mx * nd) /. float_of_int (max 1 total))
 
 let settle t =
   if t.queued = 0 then
@@ -1035,14 +893,9 @@ let settle t =
     let budget = 64 * (Design.num_insts t.design + 16) in
     let steps = ref 0 in
     let w1 = t.nw = 1 in
-    (* last bucket sampled into the wave-size histogram: one sample per
-       cursor {e arrival} at a bucket.  Comb buckets receive wakes only
-       from strictly lower levels, so their occupancy is final when the
-       cursor reaches them whether the drain then proceeds pop-by-pop or
-       as one parallel batch; seq buckets are never parallel-drained and
-       cursor regressions come only from their (serial, identical)
-       wakes.  The sample sequence is therefore the same for any domain
-       count — this histogram is deterministic, not ~exec. *)
+    (* one wave-size histogram sample per cursor arrival at a bucket:
+       comb buckets receive wakes only from strictly lower levels, so
+       their occupancy is final when the cursor reaches them *)
     let c_prev = ref (-1) in
     while t.queued > 0 do
       while t.bq_head.(t.cursor) = t.bq_tail.(t.cursor) do
@@ -1054,17 +907,10 @@ let settle t =
         Obs.hist "sim.kernel.wave.units"
           (float_of_int (t.bq_tail.(c) - t.bq_head.(c)))
       end;
-      (match t.pool with
-       | Some pool
-         when c < t.par_limit
-              && t.bq_tail.(c) - t.bq_head.(c) >= t.par_threshold ->
-         steps := !steps + (t.bq_tail.(c) - t.bq_head.(c));
-         run_bucket_parallel t pool c
-       | _ ->
-         incr steps;
-         let u = pop t in
-         t.in_queue.(u) <- false;
-         if w1 then eval_unit1 t u else eval_unitn t u);
+      incr steps;
+      let u = pop t in
+      t.in_queue.(u) <- false;
+      if w1 then eval_unit1 t u else eval_unitn t u;
       if !steps > budget then
         raise (Oscillation
                  (Printf.sprintf "design %s failed to settle"
@@ -1095,8 +941,8 @@ let propagate_clock_network t ~gated insts =
            !hot)
         in
         if live then
-          if w1 then eval_comb1 t t.prog_sv t.prog_sx i op cm_clock
-          else eval_combn t t.prog_sv t.prog_sx i op cm_clock
+          if w1 then eval_comb1 t i op cm_clock
+          else eval_combn t i op cm_clock
       end)
     insts
 
@@ -1185,22 +1031,11 @@ let toggles t = t.toggles
 
 let toggles_lane0 t = t.toggles0
 
-let load_balance t =
-  if t.par_tot_w = 0 then 1.0
-  else
-    float_of_int t.par_max_w
-    *. float_of_int t.last_domains
-    /. float_of_int t.par_tot_w
-
 let stats t =
   { units = t.n_units;
     fused_ops = t.n_fused;
     stat_waves_skipped = t.waves_skipped;
-    stat_cones_skipped = t.cones_skipped;
-    stat_domains = t.last_domains;
-    stat_par_waves = t.par_waves;
-    stat_par_units = Array.copy t.par_units;
-    stat_load_balance = load_balance t }
+    stat_cones_skipped = t.cones_skipped }
 
 let net_value t ~lane n =
   if lane < 0 || lane >= t.lanes then invalid_arg "Kernel.net_value: bad lane";
@@ -1297,81 +1132,13 @@ let run_cycle_broadcast t inputs =
 let sum_toggles t = Array.fold_left ( + ) 0 t.toggles
 
 (* one batch of Obs metrics per stream run — cheap enough to stay on
-   unconditionally, coarse enough not to show up in profiles.  The
-   parallel wave stats are gauges, not counters: they depend on the
-   attached domain count, and QoR records gate counters byte-exactly
-   across THREEPHASE_JOBS values. *)
+   unconditionally, coarse enough not to show up in profiles *)
 let observe_run t ~cycles_run ~toggles_before ~waves_before ~cones_before =
   Obs.count "sim.kernel.cycles" cycles_run;
   Obs.count "sim.kernel.lane_cycles" (cycles_run * t.lanes);
   Obs.count "sim.kernel.toggles" (sum_toggles t - toggles_before);
   Obs.count "sim.kernel.waves_skipped" (t.waves_skipped - waves_before);
-  Obs.count "sim.kernel.cones_skipped" (t.cones_skipped - cones_before);
-  if t.par_waves > 0 then begin
-    Obs.gauge "sim.kernel.par.domains" (float_of_int t.last_domains);
-    Obs.gauge "sim.kernel.par.waves" (float_of_int t.par_waves);
-    Obs.gauge "sim.kernel.par.load_balance" (load_balance t);
-    Array.iteri
-      (fun d n ->
-        Obs.gauge
-          (Printf.sprintf "sim.kernel.par.units.d%d" d)
-          (float_of_int n))
-      t.par_units
-  end
-
-(* --- Parallel pool lifecycle -------------------------------------------
-
-   Worker domains are created once per kernel run (or explicitly via
-   [enable_parallel] to span many [run_cycle] calls, e.g. a benchmark
-   timing loop), never per level: [run_bucket_parallel] reuses the
-   attached pool's barrier.  Attaching a pool never changes results —
-   only which buckets are evaluated by how many domains. *)
-
-let enable_parallel ?jobs t =
-  match t.pool with
-  | Some _ -> ()
-  | None ->
-    let pool =
-      match jobs with
-      | Some j -> Jobs.pool_create ~jobs:j ()
-      | None -> Jobs.pool_create ()
-    in
-    let nd = Jobs.pool_size pool in
-    if nd = 1 then Jobs.pool_destroy pool
-    else begin
-      t.pool <- Some pool;
-      t.last_domains <- nd;
-      if Array.length t.par_units < nd then begin
-        let grown = Array.make nd 0 in
-        Array.blit t.par_units 0 grown 0 (Array.length t.par_units);
-        t.par_units <- grown
-      end;
-      t.par_bounds <- Array.make (nd + 1) 0;
-      t.par_stacks <-
-        Array.init nd (fun _ ->
-            (Array.make t.prog_depth 0, Array.make t.prog_depth 0));
-      t.par_snap <- Array.init nd (fun _ -> Array.make (2 * t.nw) 0)
-    end
-
-let disable_parallel t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    t.pool <- None;
-    Jobs.pool_destroy pool
-
-let parallel_domains t =
-  match t.pool with None -> 1 | Some p -> Jobs.pool_size p
-
-(* auto-attach for the duration of a stream run: only when the compiled
-   shape can amortize a barrier per wave (par_auto) and no pool is
-   already attached *)
-let with_run_pool t f =
-  if t.pool <> None || not t.par_auto then f ()
-  else begin
-    enable_parallel ?jobs:t.par_jobs t;
-    Fun.protect ~finally:(fun () -> disable_parallel t) f
-  end
+  Obs.count "sim.kernel.cones_skipped" (t.cones_skipped - cones_before)
 
 let run_streams t streams =
   if Array.length streams <> t.lanes then
@@ -1385,32 +1152,29 @@ let run_streams t streams =
     arrs;
   let toggles_before = sum_toggles t in
   let waves_before = t.waves_skipped and cones_before = t.cones_skipped in
-  with_run_pool t (fun () ->
-      Obs.span "sim.kernel.run" (fun () ->
-          let cycle_inputs = Array.make t.lanes [] in
-          for c = 0 to n_cycles - 1 do
-            for l = 0 to t.lanes - 1 do
-              cycle_inputs.(l) <- arrs.(l).(c)
-            done;
-            run_cycle t cycle_inputs
-          done));
+  Obs.span "sim.kernel.run" (fun () ->
+      let cycle_inputs = Array.make t.lanes [] in
+      for c = 0 to n_cycles - 1 do
+        for l = 0 to t.lanes - 1 do
+          cycle_inputs.(l) <- arrs.(l).(c)
+        done;
+        run_cycle t cycle_inputs
+      done);
   observe_run t ~cycles_run:n_cycles ~toggles_before ~waves_before ~cones_before
 
 let run_stream_broadcast t stream =
   let toggles_before = sum_toggles t in
   let waves_before = t.waves_skipped and cones_before = t.cones_skipped in
-  with_run_pool t (fun () ->
-      Obs.span "sim.kernel.run" (fun () ->
-          List.iter (run_cycle_broadcast t) stream));
+  Obs.span "sim.kernel.run" (fun () ->
+      List.iter (run_cycle_broadcast t) stream);
   observe_run t ~cycles_run:(List.length stream) ~toggles_before ~waves_before
     ~cones_before
 
 (* --- Creation --------------------------------------------------------- *)
 
 let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
-    ?jobs ?(par_threshold = 512) ?activity design ~clocks =
+    design ~clocks =
   if lanes < 1 then invalid_arg "Kernel.create: lanes must be positive";
-  let par_threshold = max 1 par_threshold in
   let n_nets = Design.num_nets design in
   let n_insts = Design.num_insts design in
   let nw = words_of_lanes lanes in
@@ -1604,48 +1368,6 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
         else None)
       period_events
   in
-  (* activity-predictive unit weights for chunk packing: structural cost
-     per member plus the expected wake cost of a hot root (toggle rate ×
-     fanout).  Packing only affects load balance, never results. *)
-  let unit_weight = Array.make (max 1 n_units) 1 in
-  for u = 0 to n_units - 1 do
-    let w = ref 0 in
-    for k = u_off.(u) to u_off.(u + 1) - 1 do
-      let i = u_mem.(k) in
-      w := !w + 4 + (ins_off.(i + 1) - ins_off.(i))
-    done;
-    (match activity with
-     | None -> ()
-     | Some (tg, lane_cycles) ->
-       let root = compiled.(u_mem.(u_off.(u + 1) - 1)).c_out in
-       if root < Array.length tg && lane_cycles > 0 then begin
-         let deg = fo_off.(root + 1) - fo_off.(root) in
-         let rate = float_of_int tg.(root) /. float_of_int lane_cycles in
-         w := !w + (int_of_float (rate *. 8.0) * (2 + deg))
-       end);
-    unit_weight.(u) <- !w
-  done;
-  let par_limit =
-    match lv.Levelize.cyclic_level with
-    | Some cl -> cl
-    | None -> lv.Levelize.seq_level
-  in
-  (* auto-parallel only when some comb bucket is wide enough to amortize
-     a barrier — small kernels (s5378-class) stay strictly serial *)
-  let par_auto =
-    (match jobs with Some j -> j > 1 | None -> Jobs.default_jobs () > 1)
-    && par_limit > 0
-    && (let width = Array.make par_limit 0 in
-        let mx = ref 0 in
-        for u = 0 to n_units - 1 do
-          let l = u_level.(u) in
-          if l < par_limit then begin
-            width.(l) <- width.(l) + 1;
-            if width.(l) > !mx then mx := width.(l)
-          end
-        done;
-        !mx >= par_threshold)
-  in
   let st_x_init k = match init with `Zero -> 0 | `X -> wmask.(k mod nw) in
   let t = {
     design;
@@ -1700,22 +1422,6 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
     cycle_count = 0;
     waves_skipped = 0;
     cones_skipped = 0;
-    prog_depth = !max_depth + 1;
-    par_limit;
-    par_threshold;
-    par_auto;
-    par_jobs = jobs;
-    unit_weight;
-    wake_slot = Array.make (max 1 n_units) (-1);
-    pool = None;
-    par_stacks = [||];
-    par_snap = [||];
-    par_bounds = [||];
-    last_domains = 1;
-    par_waves = 0;
-    par_units = [||];
-    par_max_w = 0;
-    par_tot_w = 0;
   } in
   let set_planes n nv nx =
     for w = 0 to nw - 1 do

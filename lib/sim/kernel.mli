@@ -21,7 +21,7 @@
     a separate scalar counter so it can be cross-checked against the
     engine.
 
-    Four compile-time/runtime optimisations keep the kernel faster than
+    Three compile-time/runtime optimisations keep the kernel faster than
     the scalar engine per full cycle, not just per lane-cycle:
 
     - {b gate fusion}: maximal single-fanout trees of combinational
@@ -34,12 +34,7 @@
       event additionally carries a statically planned reachable cone,
       so predicted-cold sequential cones are never even scanned;
     - {b broadcast staging}: identical stimulus on every lane is staged
-      per word instead of per lane;
-    - {b domain-parallel waves}: with a worker pool attached (see
-      {!enable_parallel}), each wide combinational wave is split into
-      weight-balanced contiguous chunks evaluated concurrently — one
-      barrier per level — with deferred wakes merged in slot order, so
-      results are byte-identical for any domain count.
+      per word instead of per lane.
 
     Lanes are fully independent: with identical stimulus, lane 0 is
     bit-exact against {!Engine} — same outputs and same per-net toggle
@@ -66,27 +61,12 @@ val word_masks : int -> int array
     the multi-word layout.  [init] as for the engine: [`Zero] resets all
     state and inputs to 0, [`X] starts everything unknown.  [fuse] and
     [gating] disable gate fusion and clock-event activity gating; both
-    exist for differential testing and default to on.
-
-    Parallelism: [jobs] requests a domain count for the pool that
-    {!run_streams}/{!run_stream_broadcast} auto-attach (defaulting to
-    {!Jobs.default_jobs}, i.e. [THREEPHASE_JOBS]); the pool only
-    engages on combinational waves at least [par_threshold] units wide
-    (default 512), so small kernels stay strictly serial.  [activity]
-    — per-net toggle counts and the lane-cycle count they were
-    collected over, e.g. from {!Activity.counts} of a profiling run —
-    feeds the activity-predictive scheduler: units are packed into
-    chunks by expected cost (structural size plus toggle-rate-weighted
-    fanout).  Neither option changes simulation results, only how work
-    is distributed. *)
+    exist for differential testing and default to on. *)
 val create :
   ?init:[ `Zero | `X ] ->
   ?lanes:int ->
   ?fuse:bool ->
   ?gating:bool ->
-  ?jobs:int ->
-  ?par_threshold:int ->
-  ?activity:int array * int ->
   Netlist.Design.t ->
   clocks:Clock_spec.t ->
   t
@@ -129,47 +109,15 @@ val toggles_lane0 : t -> int array
     after fusion, instances absorbed as fused members, settle waves that
     had nothing to evaluate, and sequential cones skipped at clock
     events because their clock net did not move (equivalently: did not
-    capture).  The [stat_*] parallel fields describe work distribution
-    only and depend on the attached domain count: participants of the
-    last attached pool, parallel wave batches executed (= barriers),
-    units evaluated per participant, and the load-balance ratio
-    (heaviest chunk over ideal chunk, 1.0 = perfect; deterministic for
-    a fixed domain count because packing is static). *)
+    capture). *)
 type stats = {
   units : int;
   fused_ops : int;
   stat_waves_skipped : int;
   stat_cones_skipped : int;
-  stat_domains : int;
-  stat_par_waves : int;
-  stat_par_units : int array;
-  stat_load_balance : float;
 }
 
 val stats : t -> stats
-
-(** {1 Domain-parallel execution}
-
-    [enable_parallel t] attaches a persistent {!Jobs.pool} (created
-    once, reused for every wave barrier) that stays attached across
-    [run_cycle] calls until {!disable_parallel} — the way to hold a
-    pool open over a benchmark timing loop.  [jobs] as in {!create}:
-    omitted means budget-throttled [THREEPHASE_JOBS], explicit means
-    exactly that many participants.  Without an explicit attach,
-    {!run_streams} and {!run_stream_broadcast} manage a pool themselves
-    for the duration of the run when the compiled shape can benefit.
-    Attaching a pool never changes simulation results — every lane
-    stays bit-exact and toggle counts byte-identical for any domain
-    count. *)
-
-val enable_parallel : ?jobs:int -> t -> unit
-
-(** Detaches and destroys the pool attached by {!enable_parallel} (or
-    nothing).  Idempotent. *)
-val disable_parallel : t -> unit
-
-(** Participants in the currently attached pool; 1 when serial. *)
-val parallel_domains : t -> int
 
 val net_value : t -> lane:int -> Netlist.Design.net -> Logic.t
 

@@ -5,6 +5,7 @@ let () =
       ("netlist_io", Test_netlist_io.suite);
       ("lp", Test_lp.suite);
       ("ilp", Test_ilp.suite);
+      ("jobs", Test_jobs.suite);
       ("sim", Test_sim.suite);
       ("kernel", Test_kernel.suite);
       ("sta", Test_sta.suite);

@@ -266,69 +266,10 @@ let test_popcount () =
   (* OCaml ints are 63-bit: -1 is 63 ones, the full-width lane mask *)
   check Alcotest.int "all ones" 63 (Sim.Kernel.popcount (-1))
 
-(* --- domain-parallel wave execution -------------------------------- *)
-
-(* Parallel settle must be invisible: for any domain count, outputs,
-   toggle counts (total and lane 0) and the jobs-independent stats all
-   byte-match a serial kernel — and lane 0 stays bit-exact against the
-   engine via the serial cross-checks above.  [par_threshold:1] forces
-   every wave through the pool, worst case for the barrier merge. *)
-let prop_parallel_matches_serial =
-  QCheck.Test.make ~name:"parallel kernel matches serial for any domain count"
-    ~count:5
-    QCheck.(pair (int_range 0 1000) (oneofl [1; 63; 126]))
-    (fun (seed, lanes) ->
-      let d = Circuits.Generator.synthesize (gen_spec seed) in
-      let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-      let streams =
-        Array.init lanes (fun l ->
-            Sim.Stimulus.random ~seed:(700 + seed + l) ~cycles:10
-              ~toggle_probability:0.4 (Sim.Stimulus.inputs_of d))
-      in
-      let serial = Sim.Kernel.create ~jobs:1 ~lanes d ~clocks in
-      Sim.Kernel.run_streams serial streams;
-      let sstats = Sim.Kernel.stats serial in
-      (* activity-predictive packing on one variant: re-packing by toggle
-         rates moves chunk boundaries, never results *)
-      let activity = (Sim.Kernel.toggles serial, Sim.Kernel.lane_cycles serial) in
-      List.iter
-        (fun jobs ->
-          let activity = if jobs = 4 then Some activity else None in
-          let k =
-            Sim.Kernel.create ?activity ~lanes ~par_threshold:1 d ~clocks
-          in
-          Sim.Kernel.enable_parallel ~jobs k;
-          Fun.protect ~finally:(fun () -> Sim.Kernel.disable_parallel k)
-            (fun () -> Sim.Kernel.run_streams k streams);
-          let label = Printf.sprintf "jobs=%d lanes=%d" jobs lanes in
-          for lane = 0 to lanes - 1 do
-            if Sim.Kernel.output_sample k ~lane
-               <> Sim.Kernel.output_sample serial ~lane then
-              Alcotest.failf "%s lane %d outputs diverge from serial" label lane
-          done;
-          if Sim.Kernel.toggles k <> Sim.Kernel.toggles serial then
-            Alcotest.failf "%s toggle totals diverge" label;
-          if Sim.Kernel.toggles_lane0 k <> Sim.Kernel.toggles_lane0 serial then
-            Alcotest.failf "%s lane-0 toggles diverge" label;
-          let kstats = Sim.Kernel.stats k in
-          if
-            (kstats.Sim.Kernel.units, kstats.Sim.Kernel.fused_ops,
-             kstats.Sim.Kernel.stat_waves_skipped,
-             kstats.Sim.Kernel.stat_cones_skipped)
-            <> (sstats.Sim.Kernel.units, sstats.Sim.Kernel.fused_ops,
-                sstats.Sim.Kernel.stat_waves_skipped,
-                sstats.Sim.Kernel.stat_cones_skipped)
-          then Alcotest.failf "%s jobs-independent stats diverge" label)
-        [1; 2; 4; 7];
-      true)
-
-(* Barrier-ordering regression: heavy net reuse plus feedback builds a
-   wide first wave whose units share fanout across any chunk boundary,
-   so a merge that replayed wakes in completion order instead of slot
-   order would reorder evaluations of the shared readers and corrupt
-   glitch toggle counts.  Cross-check against the scalar engine, which
-   also pins lane 0 end to end. *)
-let test_parallel_cross_chunk_fanout () =
+(* One wide first wave with shared fanout: heavy net reuse plus
+   feedback gives a level whose units share readers, so the wake order
+   into later buckets decides glitch toggle counts. *)
+let test_wide_wave_shared_fanout () =
   let spec =
     { Circuits.Generator.name = "xchunk"; seed = 41; inputs = 8; outputs = 6;
       layers = [|48|]; fanin = 5; cone_depth = 3; self_loop_fraction = 0.5;
@@ -337,116 +278,9 @@ let test_parallel_cross_chunk_fanout () =
   in
   let d = Circuits.Generator.synthesize spec in
   let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-  let stim =
-    Sim.Stimulus.random ~seed:42 ~cycles:20 ~toggle_probability:0.5
-      (Sim.Stimulus.inputs_of d)
-  in
-  let engine = Sim.Engine.create d ~clocks in
-  let k = Sim.Kernel.create ~par_threshold:1 d ~clocks in
-  Sim.Kernel.enable_parallel ~jobs:3 k;
-  Fun.protect ~finally:(fun () -> Sim.Kernel.disable_parallel k)
-    (fun () ->
-      check Alcotest.int "three domains" 3 (Sim.Kernel.parallel_domains k);
-      List.iteri
-        (fun c inputs ->
-          let eng_out = Sim.Engine.run_cycle engine inputs in
-          Sim.Kernel.run_cycle_broadcast k inputs;
-          if Sim.Kernel.output_sample k ~lane:0 <> eng_out then
-            Alcotest.failf "cycle %d: parallel kernel diverges from engine" c)
-        stim);
-  let et = Sim.Engine.toggles engine in
-  let kt0 = Sim.Kernel.toggles_lane0 k in
-  Array.iteri
-    (fun n e ->
-      if e <> kt0.(n) then
-        Alcotest.failf "net %s: engine %d toggles, parallel kernel lane0 %d"
-          (Netlist.Design.net_name d n) e kt0.(n))
-    et;
-  let kstats = Sim.Kernel.stats k in
-  if kstats.Sim.Kernel.stat_par_waves = 0 then
-    Alcotest.fail "pool attached but no wave ran in parallel";
-  check Alcotest.int "stats report the attached domain count" 3
-    kstats.Sim.Kernel.stat_domains;
-  if Array.fold_left ( + ) 0 kstats.Sim.Kernel.stat_par_units = 0 then
-    Alcotest.fail "parallel waves ran but per-domain unit counts are zero";
-  if kstats.Sim.Kernel.stat_load_balance < 1.0 then
-    Alcotest.failf "load balance %f below 1.0 (heaviest/ideal)"
-      kstats.Sim.Kernel.stat_load_balance
-
-(* run_streams manages a pool itself when [create ~jobs] allows it and
-   the compiled shape can benefit: the pool must exist only for the
-   duration of the run, and the run must match a serial kernel *)
-let test_parallel_auto_attach () =
-  let spec =
-    { Circuits.Generator.name = "xauto"; seed = 43; inputs = 8; outputs = 6;
-      layers = [|32|]; fanin = 4; cone_depth = 3; self_loop_fraction = 0.3;
-      cross_feedback = 0.3; reuse = 0.4; gated_fraction = 0.3; bank_size = 5;
-      po_cones = 4; frequency_mhz = 1000.0 }
-  in
-  let d = Circuits.Generator.synthesize spec in
-  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-  let streams =
-    Array.init 4 (fun l ->
-        Sim.Stimulus.random ~seed:(900 + l) ~cycles:12 ~toggle_probability:0.4
-          (Sim.Stimulus.inputs_of d))
-  in
-  let serial = Sim.Kernel.create ~jobs:1 ~lanes:4 d ~clocks in
-  Sim.Kernel.run_streams serial streams;
-  let auto = Sim.Kernel.create ~jobs:3 ~lanes:4 ~par_threshold:1 d ~clocks in
-  check Alcotest.int "no pool before the run" 1 (Sim.Kernel.parallel_domains auto);
-  Sim.Kernel.run_streams auto streams;
-  check Alcotest.int "pool detached after the run" 1
-    (Sim.Kernel.parallel_domains auto);
-  let kstats = Sim.Kernel.stats auto in
-  if kstats.Sim.Kernel.stat_par_waves = 0 then
-    Alcotest.fail "auto-attached pool ran no parallel wave";
-  check Alcotest.int "auto-attached pool had three domains" 3
-    kstats.Sim.Kernel.stat_domains;
-  if Sim.Kernel.toggles auto <> Sim.Kernel.toggles serial then
-    Alcotest.fail "auto-parallel run diverges from serial"
-
-(* The deterministic wave-size histogram must be byte-identical for
-   any THREEPHASE_JOBS: samples are taken at cursor arrival, before
-   the wave is split across domains, so serial and parallel drains see
-   the same occupancy sequence.  Heavy reuse + feedback (the xchunk
-   shape) makes wide multi-chunk waves, the case where a sample taken
-   inside the drain would diverge. *)
-let test_wave_histogram_jobs_invariant () =
-  let spec =
-    { Circuits.Generator.name = "xhist"; seed = 47; inputs = 8; outputs = 6;
-      layers = [|48|]; fanin = 5; cone_depth = 3; self_loop_fraction = 0.5;
-      cross_feedback = 0.5; reuse = 0.7; gated_fraction = 0.3; bank_size = 4;
-      po_cones = 6; frequency_mhz = 1000.0 }
-  in
-  let d = Circuits.Generator.synthesize spec in
-  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-  let streams =
-    Array.init 4 (fun l ->
-        Sim.Stimulus.random ~seed:(1100 + l) ~cycles:16
-          ~toggle_probability:0.4 (Sim.Stimulus.inputs_of d))
-  in
-  let run jobs =
-    Obs.reset ();
-    let k = Sim.Kernel.create ~lanes:4 ~par_threshold:1 d ~clocks in
-    if jobs > 1 then begin
-      Sim.Kernel.enable_parallel ~jobs k;
-      Fun.protect ~finally:(fun () -> Sim.Kernel.disable_parallel k)
-        (fun () -> Sim.Kernel.run_streams k streams);
-      if (Sim.Kernel.stats k).Sim.Kernel.stat_par_waves = 0 then
-        Alcotest.fail "parallel path never engaged"
-    end
-    else Sim.Kernel.run_streams k streams;
-    Obs.render_histograms ()
-  in
-  let serial = run 1 in
-  if not (Astring.String.is_infix ~affix:"sim.kernel.wave.units" serial) then
-    Alcotest.fail "wave histogram not populated";
-  List.iter
-    (fun jobs ->
-      check Alcotest.string
-        (Printf.sprintf "histograms byte-identical at jobs=%d" jobs)
-        serial (run jobs))
-    [2; 4]
+  cross_check ~label:"xchunk" d ~clocks
+    (Sim.Stimulus.random ~seed:42 ~cycles:20 ~toggle_probability:0.5
+       (Sim.Stimulus.inputs_of d))
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_kernel_matches_engine;
@@ -456,12 +290,8 @@ let suite =
     Alcotest.test_case "heterogeneous lanes multi-word" `Quick
       test_heterogeneous_lanes_multiword;
     Alcotest.test_case "suite variants lane-0 identity" `Slow test_suite_variants;
-    QCheck_alcotest.to_alcotest prop_parallel_matches_serial;
-    Alcotest.test_case "parallel cross-chunk fanout" `Quick
-      test_parallel_cross_chunk_fanout;
-    Alcotest.test_case "parallel auto attach" `Quick test_parallel_auto_attach;
-    Alcotest.test_case "wave histogram is jobs-invariant" `Quick
-      test_wave_histogram_jobs_invariant;
+    Alcotest.test_case "wide wave shared fanout vs engine" `Quick
+      test_wide_wave_shared_fanout;
     Alcotest.test_case "oscillation budget" `Quick test_oscillation_budget;
     Alcotest.test_case "popcount" `Quick test_popcount;
     Alcotest.test_case "word masks" `Quick test_word_masks ]
