@@ -1,8 +1,3 @@
-type issue = {
-  severity : [ `Error | `Warning ];
-  message : string;
-}
-
 module D = Lint_core.Diagnostic
 
 let err ~rule ~obj fmt = D.makef ~rule ~severity:D.Error ~loc:(D.Object obj) fmt
@@ -106,15 +101,6 @@ let diagnostics d =
   |> check_dangling d
   |> List.rev
 
-(* Compatibility layer over the unified diagnostics. *)
-
-let issue_of (dg : D.t) =
-  { severity =
-      (match dg.D.severity with D.Error -> `Error | D.Warning | D.Info -> `Warning);
-    message = dg.D.message }
-
-let run d = List.map issue_of (diagnostics d)
-
 let validate d =
   let errors =
     List.filter_map
@@ -122,8 +108,3 @@ let validate d =
       (diagnostics d)
   in
   if errors = [] then Ok () else Error errors
-
-let pp_issue ppf i =
-  Format.fprintf ppf "%s: %s"
-    (match i.severity with `Error -> "error" | `Warning -> "warning")
-    i.message

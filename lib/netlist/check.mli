@@ -16,17 +16,6 @@
     naming the offending instance, net or port). *)
 val diagnostics : Design.t -> Lint_core.Diagnostic.t list
 
-type issue = {
-  severity : [ `Error | `Warning ];
-  message : string;
-}
-
-(** [run d] is {!diagnostics} rendered as legacy issues (same order,
-    same messages). *)
-val run : Design.t -> issue list
-
 (** [validate d] returns [Ok ()] when {!diagnostics} finds no
     error-severity finding, otherwise [Error messages]. *)
 val validate : Design.t -> (unit, string list) result
-
-val pp_issue : Format.formatter -> issue -> unit

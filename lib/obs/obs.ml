@@ -453,6 +453,12 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* the shortest of [%.12g] and [%.17g] that reads back to [f]: gauges
+   such as GC word counts keep every digit, where [%g] keeps six *)
+let float_repr f =
+  let s = Printf.sprintf "%.12g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let chrome_trace () =
   let t0 = Atomic.get epoch in
   let us ts = (ts -. t0) *. 1e6 in
@@ -523,8 +529,8 @@ let chrome_trace () =
             emit
               (Printf.sprintf
                  "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\
-                  \"args\":{\"value\":%g}}"
-                 (json_escape name) tid (us ts) value)
+                  \"args\":{\"value\":%s}}"
+                 (json_escape name) tid (us ts) (float_repr value))
           | Hist _ ->
             (* histogram samples are timestamp-free aggregates; they
                have no sensible place on a timeline *)
@@ -589,6 +595,6 @@ let summary_table () =
   List.iter
     (fun (name, v) ->
       Report.Table.add_row t
-        [name; "gauge"; ""; ""; ""; ""; Printf.sprintf "%g" v])
+        [name; "gauge"; ""; ""; ""; ""; float_repr v])
     gs;
   t

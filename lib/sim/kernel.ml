@@ -6,28 +6,12 @@ let max_lanes = 63
 
 (* --- Lane words ------------------------------------------------------
 
-   A net's 3-valued state is two bitplanes packed into native ints: bit
-   [l] of [v] is lane [l]'s value, bit [l] of [x] marks lane [l]
-   unknown.  Canonical form: [v land x = 0] and both planes stay inside
-   the lane mask.  One bitwise pass evaluates 63 independent stimulus
-   lanes per word; a kernel compiled for more than 63 lanes carries
-   [nw = ceil(lanes/63)] words per net, laid out contiguously (net [n]
-   word [w] lives at index [n*nw + w]), with lane 0 in word 0 so the
-   scalar-oracle view stays a single-bit read.  The nw=1 layout is the
-   hot specialization: every per-word loop collapses to direct indexing
-   and the compiled fast path below avoids the multiply entirely. *)
-
-let mask_of lanes = if lanes >= 63 then -1 else (1 lsl lanes) - 1
-
-let words_of_lanes lanes = (lanes + 62) / 63
-
-(* per-word lane masks: full words are all-ones; the final word keeps
-   only the remaining lanes (exact at 63, 64, and non-multiples of 63,
-   e.g. 200 lanes -> [-1; -1; -1; mask_of 11]) *)
-let word_masks lanes =
-  let nw = words_of_lanes lanes in
-  Array.init nw (fun w ->
-      if w < nw - 1 then -1 else mask_of (lanes - (63 * (nw - 1))))
+   A net's 3-valued state is two bitplanes packed into one native int
+   each: bit [l] of [v] is lane [l]'s value, bit [l] of [x] marks lane
+   [l] unknown.  Canonical form: [v land x = 0].  One bitwise pass
+   evaluates all 63 independent stimulus lanes, and net [n]'s planes
+   are [v.(n)] and [x.(n)].  A caller that wants more lanes runs more
+   kernels and adds their toggle arrays: lanes never interact. *)
 
 (* popcount over the 63-bit pattern via a 16-bit table (lsr is logical,
    so the sign bit lands in the top chunk) *)
@@ -109,13 +93,11 @@ type clock_event = {
 type t = {
   design : Design.t;
   clocks : Clock_spec.t;
-  lanes : int;
-  nw : int;                   (* bitplane words per net *)
-  wmask : int array;          (* per-word lane masks, length nw *)
-  mask : int;                 (* wmask.(0) — the only mask when nw = 1 *)
+  lanes : int;                (* max_lanes *)
+  mask : int;                 (* every lane of the word: -1 *)
   gating : bool;
   (* nets: bitplanes and toggle counters *)
-  v : int array;              (* net n word w at n*nw + w *)
+  v : int array;
   x : int array;
   toggles : int array;        (* popcount-summed over all lanes *)
   toggles0 : int array;       (* lane 0 only — the scalar-oracle view *)
@@ -125,7 +107,7 @@ type t = {
   ins : int array;            (* operand nets *)
   out_net : int array;
   st_v : int array;           (* FF/latch state; ICG enable-latch state *)
-  st_x : int array;           (* inst i word w at i*nw + w *)
+  st_x : int array;
   pv_v : int array;           (* previous clock/enable pin planes *)
   pv_x : int array;
   prog_off : int array;       (* CSR into prog (op_prog instances only) *)
@@ -395,8 +377,7 @@ let clear_dirty t =
 
 (* --- Net commits ------------------------------------------------------ *)
 
-(* single-word commit (nw = 1): nets index the planes directly *)
-let commit1 t n nv nx mode =
+let commit t n nv nx mode =
   let ov = t.v.(n) and ox = t.x.(n) in
   if ov <> nv || ox <> nx then begin
     let d = (ov lxor nv) land lnot (ox lor nx) in
@@ -411,25 +392,6 @@ let commit1 t n nv nx mode =
     if mode = cm_wake then
       for k = t.fo_off.(n) to t.fo_off.(n + 1) - 1 do
         wake t t.fo.(k)
-      done
-    else if mode = cm_clock then mark_dirty t n
-  end
-
-(* word [w] of net [n] (general path); lane 0 lives in word 0 *)
-let commitw t n w nv nx mode =
-  let k = (n * t.nw) + w in
-  let ov = t.v.(k) and ox = t.x.(k) in
-  if ov <> nv || ox <> nx then begin
-    let d = (ov lxor nv) land lnot (ox lor nx) in
-    if d <> 0 then begin
-      t.toggles.(n) <- t.toggles.(n) + popcount d;
-      if w = 0 then t.toggles0.(n) <- t.toggles0.(n) + (d land 1)
-    end;
-    t.v.(k) <- nv;
-    t.x.(k) <- nx;
-    if mode = cm_wake then
-      for s = t.fo_off.(n) to t.fo_off.(n + 1) - 1 do
-        wake t t.fo.(s)
       done
     else if mode = cm_clock then mark_dirty t n
   end
@@ -449,18 +411,18 @@ let xor_v va xa vb xb = (va lxor vb) land lnot (xa lor xb)
 
 let not_v mask va xa = mask land lnot (va lor xa)
 
-(* --- Instance evaluation: nw = 1 fast path ---------------------------- *)
+(* --- Instance evaluation ----------------------------------------------- *)
 
 (* comb/ICG instance [i]: evaluate against the current planes and commit
    the output net under [mode].  Each branch commits directly so the hot
    loop never allocates a result tuple.  ICGs also update their
    enable-latch state (mirrors Engine.icg_output). *)
-let eval_comb1 t i op mode =
+let eval_comb t i op mode =
   let off = t.ins_off.(i) in
   let out = t.out_net.(i) in
   if op = op_inv then
     let n = t.ins.(off) in
-    commit1 t out (not_v t.mask t.v.(n) t.x.(n)) t.x.(n) mode
+    commit t out (not_v t.mask t.v.(n) t.x.(n)) t.x.(n) mode
   else if op = op_and || op = op_nand then begin
     let arity = t.ins_off.(i + 1) - off in
     let n0 = t.ins.(off) in
@@ -471,8 +433,8 @@ let eval_comb1 t i op mode =
       rx := and_x !rv !rx t.v.(n) t.x.(n);
       rv := nv
     done;
-    if op = op_nand then commit1 t out (not_v t.mask !rv !rx) !rx mode
-    else commit1 t out !rv !rx mode
+    if op = op_nand then commit t out (not_v t.mask !rv !rx) !rx mode
+    else commit t out !rv !rx mode
   end
   else if op = op_or || op = op_nor then begin
     let arity = t.ins_off.(i + 1) - off in
@@ -484,15 +446,15 @@ let eval_comb1 t i op mode =
       rx := or_x !rv !rx t.v.(n) t.x.(n);
       rv := nv
     done;
-    if op = op_nor then commit1 t out (not_v t.mask !rv !rx) !rx mode
-    else commit1 t out !rv !rx mode
+    if op = op_nor then commit t out (not_v t.mask !rv !rx) !rx mode
+    else commit t out !rv !rx mode
   end
   else if op = op_xor2 || op = op_xnor2 then begin
     let a = t.ins.(off) and b = t.ins.(off + 1) in
     let rv = xor_v t.v.(a) t.x.(a) t.v.(b) t.x.(b) in
     let rx = xor_x t.x.(a) t.x.(b) in
-    if op = op_xnor2 then commit1 t out (not_v t.mask rv rx) rx mode
-    else commit1 t out rv rx mode
+    if op = op_xnor2 then commit t out (not_v t.mask rv rx) rx mode
+    else commit t out rv rx mode
   end
   else if op = op_aoi21 then begin
     let a1 = t.ins.(off) and a2 = t.ins.(off + 1) and b = t.ins.(off + 2) in
@@ -500,7 +462,7 @@ let eval_comb1 t i op mode =
     let p_x = and_x t.v.(a1) t.x.(a1) t.v.(a2) t.x.(a2) in
     let s_v = or_v p_v t.v.(b) in
     let s_x = or_x p_v p_x t.v.(b) t.x.(b) in
-    commit1 t out (not_v t.mask s_v s_x) s_x mode
+    commit t out (not_v t.mask s_v s_x) s_x mode
   end
   else if op = op_oai21 then begin
     let a1 = t.ins.(off) and a2 = t.ins.(off + 1) and b = t.ins.(off + 2) in
@@ -508,7 +470,7 @@ let eval_comb1 t i op mode =
     let p_x = or_x t.v.(a1) t.x.(a1) t.v.(a2) t.x.(a2) in
     let s_v = and_v p_v t.v.(b) in
     let s_x = and_x p_v p_x t.v.(b) t.x.(b) in
-    commit1 t out (not_v t.mask s_v s_x) s_x mode
+    commit t out (not_v t.mask s_v s_x) s_x mode
   end
   else if op = op_mux then begin
     (* (s & b) | (!s & a) *)
@@ -518,11 +480,11 @@ let eval_comb1 t i op mode =
     let l_x = and_x t.v.(s) t.x.(s) t.v.(b) t.x.(b) in
     let r_v = and_v ns_v t.v.(a) in
     let r_x = and_x ns_v ns_x t.v.(a) t.x.(a) in
-    commit1 t out (or_v l_v r_v) (or_x l_v l_x r_v r_x) mode
+    commit t out (or_v l_v r_v) (or_x l_v l_x r_v r_x) mode
   end
   else if op = op_buf then
     let n = t.ins.(off) in
-    commit1 t out t.v.(n) t.x.(n) mode
+    commit t out t.v.(n) t.x.(n) mode
   else if op = op_prog then begin
     let sv = t.prog_sv and sx = t.prog_sx in
     let sp = ref 0 in
@@ -556,10 +518,10 @@ let eval_comb1 t i op mode =
         sv.(j) <- rv;
         decr sp
     done;
-    commit1 t out sv.(0) sx.(0) mode
+    commit t out sv.(0) sx.(0) mode
   end
-  else if op = op_const0 then commit1 t out 0 0 mode
-  else if op = op_const1 then commit1 t out t.mask 0 mode
+  else if op = op_const0 then commit t out 0 0 mode
+  else if op = op_const1 then commit t out t.mask 0 mode
   else begin
     (* ICG: update the enable latch, emit the gated clock.  The standard
        cell latches EN while CK is a known 0; M1 latches while P3 is a
@@ -575,14 +537,14 @@ let eval_comb1 t i op mode =
       t.st_v.(i) <- (t.st_v.(i) land lnot m) lor (t.v.(en) land m);
       t.st_x.(i) <- (t.st_x.(i) land lnot m) lor (t.x.(en) land m)
     end;
-    commit1 t out
+    commit t out
       (and_v t.v.(ck) t.st_v.(i))
       (and_x t.v.(ck) t.x.(ck) t.st_v.(i) t.st_x.(i))
       mode
   end
 
 (* per-lane mask of reset-asserted lanes (RN a known 0) *)
-let reset_mask1 t i =
+let reset_mask t i =
   let off = t.ins_off.(i) in
   if t.ins_off.(i + 1) - off > 2 then begin
     let rn = t.ins.(off + 2) in
@@ -592,11 +554,11 @@ let reset_mask1 t i =
 
 (* update FF state: capture data on lanes with a known 0->1 clock edge,
    clear lanes under reset; advance the previous-clock planes *)
-let ff_update1 t i =
+let ff_update t i =
   let off = t.ins_off.(i) in
   let clk = t.ins.(off) and dn = t.ins.(off + 1) in
   let cv = t.v.(clk) and cx = t.x.(clk) in
-  let r = reset_mask1 t i in
+  let r = reset_mask t i in
   (* canonical planes: cv already implies "known 1" *)
   let rise = lnot t.pv_v.(i) land lnot t.pv_x.(i) land cv in
   let cap = rise land lnot r land t.mask in
@@ -612,11 +574,11 @@ let ff_update1 t i =
   t.pv_x.(i) <- cx
 
 (* update latch state: follow data on transparent lanes *)
-let latch_update1 t i op =
+let latch_update t i op =
   let off = t.ins_off.(i) in
   let en = t.ins.(off) and dn = t.ins.(off + 1) in
   let ev = t.v.(en) and ex = t.x.(en) in
-  let r = reset_mask1 t i in
+  let r = reset_mask t i in
   let trans =
     if op = op_latch_h then ev else t.mask land lnot (ev lor ex)
   in
@@ -632,209 +594,8 @@ let latch_update1 t i op =
   t.pv_v.(i) <- ev;
   t.pv_x.(i) <- ex
 
-(* --- Instance evaluation: general multi-word path --------------------- *)
-
-(* word-sliced twin of [eval_comb1]: evaluates word [w] of instance [i]
-   and commits it.  Runs once per word; correctness is identical because
-   lanes never interact across words. *)
-let eval_combw t i op w mode =
-  let nw = t.nw in
-  let wm = t.wmask.(w) in
-  let off = t.ins_off.(i) in
-  let out = t.out_net.(i) in
-  let vw n = t.v.((n * nw) + w) in
-  let xw n = t.x.((n * nw) + w) in
-  if op = op_prog then begin
-    let sv = t.prog_sv and sx = t.prog_sx in
-    let sp = ref 0 in
-    for k = t.prog_off.(i) to t.prog_off.(i + 1) - 1 do
-      let c = t.prog.(k) in
-      match c land 7 with
-      | 0 (* p_pin *) ->
-        let n = t.ins.(off + (c lsr 3)) in
-        sv.(!sp) <- vw n; sx.(!sp) <- xw n; incr sp
-      | 1 (* p_c0 *) -> sv.(!sp) <- 0; sx.(!sp) <- 0; incr sp
-      | 2 (* p_c1 *) -> sv.(!sp) <- wm; sx.(!sp) <- 0; incr sp
-      | 3 (* p_not *) ->
-        let j = !sp - 1 in
-        sv.(j) <- not_v wm sv.(j) sx.(j)
-      | 4 (* p_and *) ->
-        let j = !sp - 2 in
-        let rv = and_v sv.(j) sv.(j + 1) in
-        sx.(j) <- and_x sv.(j) sx.(j) sv.(j + 1) sx.(j + 1);
-        sv.(j) <- rv;
-        decr sp
-      | 5 (* p_or *) ->
-        let j = !sp - 2 in
-        let rv = or_v sv.(j) sv.(j + 1) in
-        sx.(j) <- or_x sv.(j) sx.(j) sv.(j + 1) sx.(j + 1);
-        sv.(j) <- rv;
-        decr sp
-      | _ (* p_xor *) ->
-        let j = !sp - 2 in
-        let rv = xor_v sv.(j) sx.(j) sv.(j + 1) sx.(j + 1) in
-        sx.(j) <- xor_x sx.(j) sx.(j + 1);
-        sv.(j) <- rv;
-        decr sp
-    done;
-    commitw t out w sv.(0) sx.(0) mode
-  end
-  else if op = op_buf then
-    let n = t.ins.(off) in
-    commitw t out w (vw n) (xw n) mode
-  else if op = op_inv then
-    let n = t.ins.(off) in
-    commitw t out w (not_v wm (vw n) (xw n)) (xw n) mode
-  else if op = op_and || op = op_nand then begin
-    let arity = t.ins_off.(i + 1) - off in
-    let n0 = t.ins.(off) in
-    let rv = ref (vw n0) and rx = ref (xw n0) in
-    for k = off + 1 to off + arity - 1 do
-      let n = t.ins.(k) in
-      let nv = and_v !rv (vw n) in
-      rx := and_x !rv !rx (vw n) (xw n);
-      rv := nv
-    done;
-    if op = op_nand then commitw t out w (not_v wm !rv !rx) !rx mode
-    else commitw t out w !rv !rx mode
-  end
-  else if op = op_or || op = op_nor then begin
-    let arity = t.ins_off.(i + 1) - off in
-    let n0 = t.ins.(off) in
-    let rv = ref (vw n0) and rx = ref (xw n0) in
-    for k = off + 1 to off + arity - 1 do
-      let n = t.ins.(k) in
-      let nv = or_v !rv (vw n) in
-      rx := or_x !rv !rx (vw n) (xw n);
-      rv := nv
-    done;
-    if op = op_nor then commitw t out w (not_v wm !rv !rx) !rx mode
-    else commitw t out w !rv !rx mode
-  end
-  else if op = op_xor2 || op = op_xnor2 then begin
-    let a = t.ins.(off) and b = t.ins.(off + 1) in
-    let rv = xor_v (vw a) (xw a) (vw b) (xw b) in
-    let rx = xor_x (xw a) (xw b) in
-    if op = op_xnor2 then commitw t out w (not_v wm rv rx) rx mode
-    else commitw t out w rv rx mode
-  end
-  else if op = op_mux then begin
-    let s = t.ins.(off) and b = t.ins.(off + 1) and a = t.ins.(off + 2) in
-    let ns_v = not_v wm (vw s) (xw s) and ns_x = xw s in
-    let l_v = and_v (vw s) (vw b) in
-    let l_x = and_x (vw s) (xw s) (vw b) (xw b) in
-    let r_v = and_v ns_v (vw a) in
-    let r_x = and_x ns_v ns_x (vw a) (xw a) in
-    commitw t out w (or_v l_v r_v) (or_x l_v l_x r_v r_x) mode
-  end
-  else if op = op_aoi21 then begin
-    let a1 = t.ins.(off) and a2 = t.ins.(off + 1) and b = t.ins.(off + 2) in
-    let p_v = and_v (vw a1) (vw a2) in
-    let p_x = and_x (vw a1) (xw a1) (vw a2) (xw a2) in
-    let s_v = or_v p_v (vw b) in
-    let s_x = or_x p_v p_x (vw b) (xw b) in
-    commitw t out w (not_v wm s_v s_x) s_x mode
-  end
-  else if op = op_oai21 then begin
-    let a1 = t.ins.(off) and a2 = t.ins.(off + 1) and b = t.ins.(off + 2) in
-    let p_v = or_v (vw a1) (vw a2) in
-    let p_x = or_x (vw a1) (xw a1) (vw a2) (xw a2) in
-    let s_v = and_v p_v (vw b) in
-    let s_x = and_x p_v p_x (vw b) (xw b) in
-    commitw t out w (not_v wm s_v s_x) s_x mode
-  end
-  else if op = op_const0 then commitw t out w 0 0 mode
-  else if op = op_const1 then commitw t out w wm 0 mode
-  else begin
-    let ck = t.ins.(off) and en = t.ins.(off + 1) in
-    let m =
-      if op = op_icg_std then wm land lnot (vw ck lor xw ck)
-      else if op = op_icg_m1 then
-        (if t.ins_off.(i + 1) - off > 2 then vw t.ins.(off + 2) else wm)
-      else wm
-    in
-    let k = (i * nw) + w in
-    if m <> 0 then begin
-      t.st_v.(k) <- (t.st_v.(k) land lnot m) lor (vw en land m);
-      t.st_x.(k) <- (t.st_x.(k) land lnot m) lor (xw en land m)
-    end;
-    commitw t out w
-      (and_v (vw ck) t.st_v.(k))
-      (and_x (vw ck) (xw ck) t.st_v.(k) t.st_x.(k))
-      mode
-  end
-
-let eval_combn t i op mode =
-  for w = 0 to t.nw - 1 do
-    eval_combw t i op w mode
-  done
-
-let ff_updaten t i =
-  let nw = t.nw in
-  let off = t.ins_off.(i) in
-  let clk = t.ins.(off) and dn = t.ins.(off + 1) in
-  let has_rn = t.ins_off.(i + 1) - off > 2 in
-  let rn = if has_rn then t.ins.(off + 2) else 0 in
-  for w = 0 to nw - 1 do
-    let k = (i * nw) + w in
-    let cv = t.v.((clk * nw) + w) and cx = t.x.((clk * nw) + w) in
-    let r =
-      if has_rn then
-        t.wmask.(w) land lnot (t.v.((rn * nw) + w) lor t.x.((rn * nw) + w))
-      else 0
-    in
-    let rise = lnot t.pv_v.(k) land lnot t.pv_x.(k) land cv in
-    let cap = rise land lnot r land t.wmask.(w) in
-    if cap <> 0 then begin
-      t.st_v.(k) <- (t.st_v.(k) land lnot cap) lor (t.v.((dn * nw) + w) land cap);
-      t.st_x.(k) <- (t.st_x.(k) land lnot cap) lor (t.x.((dn * nw) + w) land cap)
-    end;
-    if r <> 0 then begin
-      t.st_v.(k) <- t.st_v.(k) land lnot r;
-      t.st_x.(k) <- t.st_x.(k) land lnot r
-    end;
-    t.pv_v.(k) <- cv;
-    t.pv_x.(k) <- cx
-  done
-
-let latch_updaten t i op =
-  let nw = t.nw in
-  let off = t.ins_off.(i) in
-  let en = t.ins.(off) and dn = t.ins.(off + 1) in
-  let has_rn = t.ins_off.(i + 1) - off > 2 in
-  let rn = if has_rn then t.ins.(off + 2) else 0 in
-  for w = 0 to nw - 1 do
-    let k = (i * nw) + w in
-    let ev = t.v.((en * nw) + w) and ex = t.x.((en * nw) + w) in
-    let r =
-      if has_rn then
-        t.wmask.(w) land lnot (t.v.((rn * nw) + w) lor t.x.((rn * nw) + w))
-      else 0
-    in
-    let trans =
-      if op = op_latch_h then ev else t.wmask.(w) land lnot (ev lor ex)
-    in
-    let cap = trans land lnot r land t.wmask.(w) in
-    if cap <> 0 then begin
-      t.st_v.(k) <- (t.st_v.(k) land lnot cap) lor (t.v.((dn * nw) + w) land cap);
-      t.st_x.(k) <- (t.st_x.(k) land lnot cap) lor (t.x.((dn * nw) + w) land cap)
-    end;
-    if r <> 0 then begin
-      t.st_v.(k) <- t.st_v.(k) land lnot r;
-      t.st_x.(k) <- t.st_x.(k) land lnot r
-    end;
-    t.pv_v.(k) <- ev;
-    t.pv_x.(k) <- ex
-  done
-
 (* release a sequential element's state onto its output net *)
-let release_seq t i mode =
-  if t.nw = 1 then commit1 t t.out_net.(i) t.st_v.(i) t.st_x.(i) mode
-  else
-    for w = 0 to t.nw - 1 do
-      commitw t t.out_net.(i) w t.st_v.((i * t.nw) + w) t.st_x.((i * t.nw) + w)
-        mode
-    done
+let release_seq t i mode = commit t t.out_net.(i) t.st_v.(i) t.st_x.(i) mode
 
 (* --- Unit evaluation and settle ---------------------------------------
 
@@ -848,40 +609,22 @@ let release_seq t i mode =
    feedback (through registers or cyclic-parked instances) re-enters
    only via later buckets. *)
 
-let eval_inst_seq1 t i op =
-  if op = op_ff then ff_update1 t i else latch_update1 t i op;
-  commit1 t t.out_net.(i) t.st_v.(i) t.st_x.(i) cm_wake
-
-let eval_inst_seqn t i op =
-  if op = op_ff then ff_updaten t i else latch_updaten t i op;
+let eval_inst_seq t i op =
+  if op = op_ff then ff_update t i else latch_update t i op;
   release_seq t i cm_wake
 
-let eval_unit1 t u =
+let eval_unit t u =
   let first = t.u_off.(u) and last = t.u_off.(u + 1) - 1 in
   if first = last then begin
     let i = t.u_mem.(first) in
     let op = t.opcode.(i) in
-    if is_seq_op op then eval_inst_seq1 t i op
-    else eval_comb1 t i op cm_wake
+    if is_seq_op op then eval_inst_seq t i op
+    else eval_comb t i op cm_wake
   end
   else
     for k = first to last do
       let i = t.u_mem.(k) in
-      eval_comb1 t i t.opcode.(i) (if k = last then cm_wake else cm_fused)
-    done
-
-let eval_unitn t u =
-  let first = t.u_off.(u) and last = t.u_off.(u + 1) - 1 in
-  if first = last then begin
-    let i = t.u_mem.(first) in
-    let op = t.opcode.(i) in
-    if is_seq_op op then eval_inst_seqn t i op
-    else eval_combn t i op cm_wake
-  end
-  else
-    for k = first to last do
-      let i = t.u_mem.(k) in
-      eval_combn t i t.opcode.(i) (if k = last then cm_wake else cm_fused)
+      eval_comb t i t.opcode.(i) (if k = last then cm_wake else cm_fused)
     done
 
 let settle t =
@@ -892,7 +635,6 @@ let settle t =
   else begin
     let budget = 64 * (Design.num_insts t.design + 16) in
     let steps = ref 0 in
-    let w1 = t.nw = 1 in
     (* one wave-size histogram sample per cursor arrival at a bucket:
        comb buckets receive wakes only from strictly lower levels, so
        their occupancy is final when the cursor reaches them *)
@@ -910,7 +652,7 @@ let settle t =
       incr steps;
       let u = pop t in
       t.in_queue.(u) <- false;
-      if w1 then eval_unit1 t u else eval_unitn t u;
+      eval_unit t u;
       if !steps > budget then
         raise (Oscillation
                  (Printf.sprintf "design %s failed to settle"
@@ -926,7 +668,6 @@ let settle t =
    are already consistent, because enable changes arriving between
    events re-evaluate it through the ordinary settle worklist. *)
 let propagate_clock_network t ~gated insts =
-  let w1 = t.nw = 1 in
   Array.iter
     (fun i ->
       let op = t.opcode.(i) in
@@ -940,18 +681,9 @@ let propagate_clock_network t ~gated insts =
            done;
            !hot)
         in
-        if live then
-          if w1 then eval_comb1 t i op cm_clock
-          else eval_combn t i op cm_clock
+        if live then eval_comb t i op cm_clock
       end)
     insts
-
-let set_port t net level =
-  if t.nw = 1 then commit1 t net (if level then t.mask else 0) 0 cm_clock
-  else
-    for w = 0 to t.nw - 1 do
-      commitw t net w (if level then t.wmask.(w) else 0) 0 cm_clock
-    done
 
 (* A scheduled clock event, activity-gated: sequential elements whose
    clock/enable net did not change this event are skipped, and readers
@@ -969,13 +701,14 @@ let set_port t net level =
 let apply_clock_event t ev =
   clear_dirty t;
   (* 1. apply clock port levels *)
-  Array.iter (fun (net, level) -> set_port t net level) ev.ev_changes;
+  Array.iter
+    (fun (net, level) -> commit t net (if level then t.mask else 0) 0 cm_clock)
+    ev.ev_changes;
   (* 2. propagate through the (reachable) clock network in BFS order *)
   propagate_clock_network t ~gated:t.gating
     (if t.gating then ev.ev_insts else t.clock_insts);
   (* 3. simultaneous FF captures + latch transparency transitions, only
      where the clock pin actually moved *)
-  let w1 = t.nw = 1 in
   let updated = ref 0 in
   Array.iter
     (fun i ->
@@ -983,9 +716,7 @@ let apply_clock_event t ev =
       if (not t.gating) || t.net_dirty.(cn) then begin
         incr updated;
         let op = t.opcode.(i) in
-        if op = op_ff then (if w1 then ff_update1 t i else ff_updaten t i)
-        else if w1 then latch_update1 t i op
-        else latch_updaten t i op
+        if op = op_ff then ff_update t i else latch_update t i op
       end)
     (if t.gating then ev.ev_seq else t.seq_insts);
   t.cones_skipped <-
@@ -1021,8 +752,6 @@ let design t = t.design
 
 let lanes t = t.lanes
 
-let words t = t.nw
-
 let cycles t = t.cycle_count
 
 let lane_cycles t = t.cycle_count * t.lanes
@@ -1039,10 +768,9 @@ let stats t =
 
 let net_value t ~lane n =
   if lane < 0 || lane >= t.lanes then invalid_arg "Kernel.net_value: bad lane";
-  let k = (n * t.nw) + (lane / 63) in
-  let bit = 1 lsl (lane mod 63) in
-  if t.x.(k) land bit <> 0 then Logic.LX
-  else if t.v.(k) land bit <> 0 then Logic.L1
+  let bit = 1 lsl lane in
+  if t.x.(n) land bit <> 0 then Logic.LX
+  else if t.v.(n) land bit <> 0 then Logic.L1
   else Logic.L0
 
 let output_sample t ~lane =
@@ -1056,56 +784,47 @@ let stage_touch t n =
   if not t.staged.(n) then begin
     t.staged.(n) <- true;
     t.touched <- n :: t.touched;
-    Array.blit t.v (n * t.nw) t.stage_v (n * t.nw) t.nw;
-    Array.blit t.x (n * t.nw) t.stage_x (n * t.nw) t.nw
+    t.stage_v.(n) <- t.v.(n);
+    t.stage_x.(n) <- t.x.(n)
   end
 
 let stage_input t lane (port, value) =
   match Hashtbl.find_opt t.input_index port with
-  | None -> invalid_arg (Printf.sprintf "Kernel.run_cycle: unknown input %s" port)
+  | None -> invalid_arg (Printf.sprintf "Kernel.run_streams: unknown input %s" port)
   | Some n ->
     stage_touch t n;
-    let k = (n * t.nw) + (lane / 63) in
-    let bit = 1 lsl (lane mod 63) in
+    let bit = 1 lsl lane in
     (match value with
      | Logic.L0 ->
-       t.stage_v.(k) <- t.stage_v.(k) land lnot bit;
-       t.stage_x.(k) <- t.stage_x.(k) land lnot bit
+       t.stage_v.(n) <- t.stage_v.(n) land lnot bit;
+       t.stage_x.(n) <- t.stage_x.(n) land lnot bit
      | Logic.L1 ->
-       t.stage_v.(k) <- t.stage_v.(k) lor bit;
-       t.stage_x.(k) <- t.stage_x.(k) land lnot bit
+       t.stage_v.(n) <- t.stage_v.(n) lor bit;
+       t.stage_x.(n) <- t.stage_x.(n) land lnot bit
      | Logic.LX ->
-       t.stage_v.(k) <- t.stage_v.(k) land lnot bit;
-       t.stage_x.(k) <- t.stage_x.(k) lor bit)
+       t.stage_v.(n) <- t.stage_v.(n) land lnot bit;
+       t.stage_x.(n) <- t.stage_x.(n) lor bit)
 
-(* broadcast staging sets every lane of the port in one pass per word,
-   instead of 63 separate read-modify-writes through the port Hashtbl *)
+(* broadcast staging sets every lane of the port in one write, instead
+   of 63 separate read-modify-writes through the port Hashtbl *)
 let stage_broadcast t (port, value) =
   match Hashtbl.find_opt t.input_index port with
-  | None -> invalid_arg (Printf.sprintf "Kernel.run_cycle: unknown input %s" port)
+  | None ->
+    invalid_arg (Printf.sprintf "Kernel.run_cycle_broadcast: unknown input %s" port)
   | Some n ->
     stage_touch t n;
-    for w = 0 to t.nw - 1 do
-      let k = (n * t.nw) + w in
-      (match value with
-       | Logic.L0 -> t.stage_v.(k) <- 0; t.stage_x.(k) <- 0
-       | Logic.L1 -> t.stage_v.(k) <- t.wmask.(w); t.stage_x.(k) <- 0
-       | Logic.LX -> t.stage_v.(k) <- 0; t.stage_x.(k) <- t.wmask.(w))
-    done
+    (match value with
+     | Logic.L0 -> t.stage_v.(n) <- 0; t.stage_x.(n) <- 0
+     | Logic.L1 -> t.stage_v.(n) <- t.mask; t.stage_x.(n) <- 0
+     | Logic.LX -> t.stage_v.(n) <- 0; t.stage_x.(n) <- t.mask)
 
 let commit_staged t =
   (* commit in first-touch order, i.e. the lane-0 stimulus port order —
      the same order the scalar engine applies its input list in *)
-  let w1 = t.nw = 1 in
   List.iter
     (fun n ->
       t.staged.(n) <- false;
-      if w1 then commit1 t n t.stage_v.(n) t.stage_x.(n) cm_wake
-      else
-        for w = 0 to t.nw - 1 do
-          let k = (n * t.nw) + w in
-          commitw t n w t.stage_v.(k) t.stage_x.(k) cm_wake
-        done)
+      commit t n t.stage_v.(n) t.stage_x.(n) cm_wake)
     (List.rev t.touched);
   t.touched <- []
 
@@ -1119,12 +838,6 @@ let run_cycle_apply t apply_inputs =
   settle t;
   List.iter (apply_clock_event t) t.ev_post;
   t.cycle_count <- t.cycle_count + 1
-
-let run_cycle t (inputs : (string * Logic.t) list array) =
-  if Array.length inputs <> t.lanes then
-    invalid_arg "Kernel.run_cycle: one input list per lane expected";
-  run_cycle_apply t (fun () ->
-      Array.iteri (fun lane l -> List.iter (stage_input t lane) l) inputs)
 
 let run_cycle_broadcast t inputs =
   run_cycle_apply t (fun () -> List.iter (stage_broadcast t) inputs)
@@ -1158,7 +871,10 @@ let run_streams t streams =
         for l = 0 to t.lanes - 1 do
           cycle_inputs.(l) <- arrs.(l).(c)
         done;
-        run_cycle t cycle_inputs
+        run_cycle_apply t (fun () ->
+            Array.iteri
+              (fun lane l -> List.iter (stage_input t lane) l)
+              cycle_inputs)
       done);
   observe_run t ~cycles_run:n_cycles ~toggles_before ~waves_before ~cones_before
 
@@ -1172,13 +888,10 @@ let run_stream_broadcast t stream =
 
 (* --- Creation --------------------------------------------------------- *)
 
-let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
-    design ~clocks =
-  if lanes < 1 then invalid_arg "Kernel.create: lanes must be positive";
+let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
   let n_nets = Design.num_nets design in
   let n_insts = Design.num_insts design in
-  let nw = words_of_lanes lanes in
-  let wmask = word_masks lanes in
+  let mask = -1 in
   let compiled = Array.init n_insts (compile_inst design) in
   (* CSR operand and program arrays *)
   let ins_off = Array.make (n_insts + 1) 0 in
@@ -1368,27 +1081,24 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
         else None)
       period_events
   in
-  let st_x_init k = match init with `Zero -> 0 | `X -> wmask.(k mod nw) in
   let t = {
     design;
     clocks;
-    lanes;
-    nw;
-    wmask;
-    mask = wmask.(0);
+    lanes = max_lanes;
+    mask;
     gating;
-    v = Array.make (n_nets * nw) 0;
-    x = Array.init (n_nets * nw) (fun k -> wmask.(k mod nw)); (* all X *)
+    v = Array.make n_nets 0;
+    x = Array.make n_nets mask; (* all X *)
     toggles = Array.make n_nets 0;
     toggles0 = Array.make n_nets 0;
     opcode;
     ins_off;
     ins;
     out_net;
-    st_v = Array.make (max 1 (n_insts * nw)) 0;
-    st_x = Array.init (max 1 (n_insts * nw)) st_x_init;
-    pv_v = Array.make (max 1 (n_insts * nw)) 0;
-    pv_x = Array.init (max 1 (n_insts * nw)) (fun k -> wmask.(k mod nw));
+    st_v = Array.make (max 1 n_insts) 0;
+    st_x = Array.make (max 1 n_insts) (match init with `Zero -> 0 | `X -> mask);
+    pv_v = Array.make (max 1 n_insts) 0;
+    pv_x = Array.make (max 1 n_insts) mask;
     prog_off;
     prog;
     prog_sv = Array.make (!max_depth + 1) 0;
@@ -1415,8 +1125,8 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
     dirty = [];
     input_nets;
     input_index;
-    stage_v = Array.make (n_nets * nw) 0;
-    stage_x = Array.make (n_nets * nw) 0;
+    stage_v = Array.make n_nets 0;
+    stage_x = Array.make n_nets 0;
     staged = Array.make n_nets false;
     touched = [];
     cycle_count = 0;
@@ -1424,16 +1134,14 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
     cones_skipped = 0;
   } in
   let set_planes n nv nx =
-    for w = 0 to nw - 1 do
-      t.v.((n * nw) + w) <- nv land wmask.(w);
-      t.x.((n * nw) + w) <- nx land wmask.(w)
-    done
+    t.v.(n) <- nv;
+    t.x.(n) <- nx
   in
   (* constants *)
   Array.iteri
     (fun n drv ->
       match drv with
-      | Design.Driven_const bv -> set_planes n (if bv then -1 else 0) 0
+      | Design.Driven_const bv -> set_planes n (if bv then mask else 0) 0
       | Design.Driven_by _ | Design.Driven_by_input _ | Design.Undriven -> ())
     design.Design.net_driver;
   (* establish the pre-time-0 state, mirroring Engine.create step for
@@ -1443,8 +1151,8 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
     (fun (port, _) ->
       match Design.find_input design port,
             Clock_spec.level_at clocks port just_before_zero with
-      | Some net, Some level -> set_planes net (if level then -1 else 0) 0
-      | Some net, None -> set_planes net 0 (-1)
+      | Some net, Some level -> set_planes net (if level then mask else 0) 0
+      | Some net, None -> set_planes net 0 mask
       | None, _ -> ())
     clocks.Clock_spec.ports;
   (match init with
@@ -1456,12 +1164,10 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
       if is_seq_op op then begin
         let clk = t.ins.(t.ins_off.(i)) in
         let q = t.out_net.(i) in
-        for w = 0 to nw - 1 do
-          t.pv_v.((i * nw) + w) <- t.v.((clk * nw) + w);
-          t.pv_x.((i * nw) + w) <- t.x.((clk * nw) + w);
-          t.v.((q * nw) + w) <- t.st_v.((i * nw) + w);
-          t.x.((q * nw) + w) <- t.st_x.((i * nw) + w)
-        done
+        t.pv_v.(i) <- t.v.(clk);
+        t.pv_x.(i) <- t.x.(clk);
+        t.v.(q) <- t.st_v.(i);
+        t.x.(q) <- t.st_x.(i)
       end)
     t.opcode;
   for u = 0 to n_units - 1 do
@@ -1476,10 +1182,8 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
         match init with
         | `Zero ->
           let en = t.ins.(t.ins_off.(i) + 1) in
-          for w = 0 to nw - 1 do
-            t.st_v.((i * nw) + w) <- t.v.((en * nw) + w);
-            t.st_x.((i * nw) + w) <- t.x.((en * nw) + w)
-          done
+          t.st_v.(i) <- t.v.(en);
+          t.st_x.(i) <- t.x.(en)
         | `X -> ()
       end)
     t.opcode;
@@ -1491,8 +1195,7 @@ let create ?(init = `Zero) ?(lanes = max_lanes) ?(fuse = true) ?(gating = true)
   clear_dirty t;
   t.waves_skipped <- 0;
   t.cones_skipped <- 0;
-  Obs.gauge "sim.kernel.lanes" (float_of_int lanes);
-  Obs.gauge "sim.kernel.words" (float_of_int nw);
+  Obs.gauge "sim.kernel.lanes" (float_of_int max_lanes);
   Obs.gauge "sim.kernel.instances" (float_of_int n_insts);
   Obs.gauge "sim.kernel.units" (float_of_int n_units);
   Obs.count "sim.kernel.fused_ops" n_fused;

@@ -10,16 +10,14 @@
 
     3-valued logic is packed as two bitplanes per net — [v] carries the
     value bit and [x] the unknown bit of each lane, with [v land x = 0].
-    One native word holds {!max_lanes} lanes; asking for more lanes
-    compiles the kernel with [ceil (lanes / 63)] words per net, laid out
-    contiguously, with lane 0 in word 0.  The single-word layout is kept
-    as a specialized fast path.  This is the classic word-parallel trick
-    from fault simulation, used here to run many independent random
-    workloads simultaneously for Monte-Carlo switching-activity
-    estimation.  Toggles are counted per net on every commit via
-    [popcount ((prev lxor next) land known)] in every word; lane 0 keeps
-    a separate scalar counter so it can be cross-checked against the
-    engine.
+    One native word per plane holds all {!max_lanes} lanes.  This is the
+    classic word-parallel trick from fault simulation, used here to run
+    many independent random workloads simultaneously for Monte-Carlo
+    switching-activity estimation.  Lanes never interact, so a caller
+    that wants more lanes runs more kernels and adds their {!toggles}
+    arrays.  Toggles are counted per net on every commit via
+    [popcount ((prev lxor next) land known)]; lane 0 keeps a separate
+    scalar counter so it can be cross-checked against the engine.
 
     Three compile-time/runtime optimisations keep the kernel faster than
     the scalar engine per full cycle, not just per lane-cycle:
@@ -34,7 +32,7 @@
       event additionally carries a statically planned reachable cone,
       so predicted-cold sequential cones are never even scanned;
     - {b broadcast staging}: identical stimulus on every lane is staged
-      per word instead of per lane.
+      in one write instead of per lane.
 
     Lanes are fully independent: with identical stimulus, lane 0 is
     bit-exact against {!Engine} — same outputs and same per-net toggle
@@ -46,52 +44,40 @@ exception Oscillation of string
 
 type t
 
-(** Number of lanes packed per word: 63, keeping every plane inside an
-    OCaml immediate int. *)
+(** Number of lanes a kernel simulates: 63, one bit of an OCaml
+    immediate int per lane. *)
 val max_lanes : int
 
-(** Per-word lane masks for a lane count: all-ones for full words, the
-    remaining lanes in the final word.  Exposed for tests of the
-    partial-final-word edge cases (63, 64, non-multiples of 63). *)
-val word_masks : int -> int array
-
-(** Compile [design] and establish the same pre-time-0 state as
-    {!Engine.create} on every lane.  [lanes] defaults to {!max_lanes};
-    any positive count is accepted — beyond 63 the kernel switches to
-    the multi-word layout.  [init] as for the engine: [`Zero] resets all
-    state and inputs to 0, [`X] starts everything unknown.  [fuse] and
-    [gating] disable gate fusion and clock-event activity gating; both
-    exist for differential testing and default to on. *)
+(** Compile [design] for {!max_lanes} lanes and establish the same
+    pre-time-0 state as {!Engine.create} on every lane.  [init] as for
+    the engine: [`Zero] resets all state and inputs to 0, [`X] starts
+    everything unknown.  [fuse] and [gating] disable gate fusion and
+    clock-event activity gating; both exist for differential testing
+    and default to on. *)
 val create :
   ?init:[ `Zero | `X ] ->
-  ?lanes:int ->
   ?fuse:bool ->
   ?gating:bool ->
   Netlist.Design.t ->
   clocks:Clock_spec.t ->
   t
 
-(** Simulate one full clock period, one input assignment per lane.
-    Inputs change right after the first rising clock event, as in
+(** Simulate one full clock period with the same inputs driven on every
+    lane.  Inputs change right after the first rising clock event, as in
     {!Engine.run_cycle}.  Raises {!Oscillation} if the design does not
     settle. *)
-val run_cycle : t -> (string * Logic.t) list array -> unit
-
-(** [run_cycle] with the same inputs driven on every lane. *)
 val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
 
-(** Run one stimulus stream per lane; all streams must have the same
-    length. *)
+(** Run one stimulus stream per lane, {!max_lanes} streams of the same
+    length; cycles are driven as in {!run_cycle_broadcast}. *)
 val run_streams : t -> (string * Logic.t) list list array -> unit
 
 val run_stream_broadcast : t -> (string * Logic.t) list list -> unit
 
 val design : t -> Netlist.Design.t
 
+(** Always {!max_lanes}. *)
 val lanes : t -> int
-
-(** Bitplane words per net: [ceil (lanes / 63)]. *)
-val words : t -> int
 
 (** Clock periods simulated so far. *)
 val cycles : t -> int

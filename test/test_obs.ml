@@ -271,6 +271,27 @@ let test_chrome_roundtrip () =
   let n = validate_chrome_trace (Obs.chrome_trace ()) in
   Alcotest.(check bool) "several events survive" true (n >= 8)
 
+(* a GC-sized gauge keeps every digit in the trace, where %g would
+   round 19326848 to 19326800 *)
+let test_chrome_gauge_exact () =
+  Obs.reset ();
+  Obs.gauge "gc.minor_words" 19326848.0;
+  let value =
+    List.find_map
+      (fun e ->
+        match Json.member "name" e, Json.member "args" e with
+        | Some (Json.Str "gc.minor_words"), Some args ->
+          (match Json.member "value" args with
+           | Some (Json.Num v) -> Some v
+           | _ -> None)
+        | _ -> None)
+      (match Json.member "traceEvents" (Json.parse (Obs.chrome_trace ())) with
+       | Some (Json.Arr evs) -> evs
+       | _ -> Alcotest.fail "no traceEvents array")
+  in
+  Alcotest.(check (option (float 0.0))) "gauge reads back exactly"
+    (Some 19326848.0) value
+
 let test_summary_table () =
   Obs.reset ();
   Obs.span "sum.span" (fun () -> Obs.count "sum.counter" 11);
@@ -510,6 +531,8 @@ let suite =
       test_gauge_max_merge;
     Alcotest.test_case "chrome trace round-trips a validator" `Quick
       test_chrome_roundtrip;
+    Alcotest.test_case "chrome trace gauge values read back exactly" `Quick
+      test_chrome_gauge_exact;
     Alcotest.test_case "summary table renders every metric kind" `Quick
       test_summary_table;
     Alcotest.test_case "histogram bucket boundaries are exact" `Quick
