@@ -212,41 +212,20 @@ let micro ~json ~qor_dir () =
 
 (* --- ILP solver benchmark ------------------------------------------- *)
 
-(* Phase-assignment ILPs, monolithic vs decomposed (1 job and N jobs).
-   The headline instance is the largest circuit where the monolithic
-   baseline still proves optimality — beyond that (s1423 up) it cannot
-   close the gap at any practical budget while the decomposed solver
-   proves the optimum outright, so wall-clock ratios there compare
-   different result qualities and are reported but not headlined. *)
+(* One timed decomposed solve of each circuit's phase-assignment ILP.
+   The model size, objective, optimality and search counters are
+   deterministic and go in [metrics]; the solve time goes in [wall]. *)
 let ilp ~quick ~json ~qor_dir () =
   let ilp_node_budget = 2000 in
-  let mono_cap_vars = 50 in
-  let time_best f =
-    (* one measured warm-up decides how many repetitions we can afford *)
-    let run () =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      (r, Unix.gettimeofday () -. t0)
-    in
-    let r, t0 = run () in
-    let reps = if t0 < 0.01 then 20 else if t0 < 0.5 then 5 else 1 in
-    let best = ref t0 in
-    for _ = 2 to reps do
-      let _, t = run () in
-      if t < !best then best := t
-    done;
-    (r, !best)
-  in
   let names = if quick then ["s1196"] else ["s1196"; "s1238"; "s1423"] in
   let t =
-    Report.Table.create ~title:"Phase-assignment ILP: monolithic vs decomposed"
+    Report.Table.create ~title:"Phase-assignment ILP (decomposed solve)"
       [ ("circuit", Report.Table.Left); ("vars", Report.Table.Right);
-        ("comps", Report.Table.Right); ("mono s", Report.Table.Right);
-        ("dec 1-job s", Report.Table.Right); ("dec N-job s", Report.Table.Right);
-        ("speedup", Report.Table.Right); ("mono obj", Report.Table.Right);
-        ("dec obj", Report.Table.Right); ("match", Report.Table.Left) ]
+        ("comps", Report.Table.Right); ("solve s", Report.Table.Right);
+        ("objective", Report.Table.Right); ("nodes", Report.Table.Right);
+        ("lp solves", Report.Table.Right);
+        ("propagations", Report.Table.Right) ]
   in
-  let headline = ref None in
   let rows =
     List.filter_map
       (fun name ->
@@ -254,109 +233,34 @@ let ilp ~quick ~json ~qor_dir () =
         | None -> None
         | Some b ->
           log "[ilp] %s ..." name;
-          let d = b.Circuits.Suite.build () in
-          let m = Phase3.Assignment.model_of d in
-          let n_vars = m.Ilp.Model.num_vars in
-          (* the monolithic baseline re-solves the full dense tableau at
-             every node: above [mono_cap_vars] variables it cannot prove
-             optimality, so cap its budget to keep the run honest about
-             time while it reports an incumbent *)
-          let mono_budget =
-            if n_vars <= mono_cap_vars then ilp_node_budget else 500
-          in
-          let mono, t_mono =
-            time_best (fun () ->
-                Ilp.Branch_bound.solve_monolithic ~node_budget:mono_budget m)
-          in
-          let dec1, t_dec1 =
-            time_best (fun () ->
-                Ilp.Branch_bound.solve ~parallel:false
-                  ~node_budget:ilp_node_budget m)
-          in
-          let decn, t_decn =
-            time_best (fun () ->
-                Ilp.Branch_bound.solve ~parallel:true
-                  ~node_budget:ilp_node_budget m)
-          in
-          (match mono, dec1, decn with
-           | Some (sm, stm), Some (s1, _), Some (sn, stn) ->
-             assert (s1.Ilp.Model.objective = sn.Ilp.Model.objective);
-             assert (s1.Ilp.Model.values = sn.Ilp.Model.values);
-             let matches =
-               Float.abs (sm.Ilp.Model.objective -. sn.Ilp.Model.objective)
-               < 1e-6
-             in
-             let speedup = t_mono /. t_decn in
+          let m = Phase3.Assignment.model_of (b.Circuits.Suite.build ()) in
+          let t0 = Unix.gettimeofday () in
+          let r = Ilp.Branch_bound.solve ~node_budget:ilp_node_budget m in
+          let solve_s = Unix.gettimeofday () -. t0 in
+          (match r with
+           | Some (s, st) ->
+             let n_vars = m.Ilp.Model.num_vars in
              Report.Table.add_row t
                [ name; string_of_int n_vars;
-                 string_of_int stn.Ilp.Branch_bound.components;
-                 Printf.sprintf "%.4f" t_mono;
-                 Printf.sprintf "%.4f" t_dec1;
-                 Printf.sprintf "%.4f" t_decn;
-                 Printf.sprintf "%.1fx" speedup;
-                 Printf.sprintf "%g%s" sm.Ilp.Model.objective
-                   (if sm.Ilp.Model.optimal then "" else "*");
-                 Printf.sprintf "%g%s" sn.Ilp.Model.objective
-                   (if sn.Ilp.Model.optimal then "" else "*");
-                 (if matches then "yes" else "no") ];
-             if matches && sm.Ilp.Model.optimal && sn.Ilp.Model.optimal then
-               headline := Some (name, n_vars, t_mono, t_decn, speedup,
-                                 sn.Ilp.Model.objective);
-             (* objectives/optimality are deterministic (gated exactly);
-                solve times and their ratio are wall-clock (noise band) *)
-             let metrics =
-               [ (name ^ ".num_vars", float_of_int n_vars);
-                 (name ^ ".components",
-                  float_of_int stn.Ilp.Branch_bound.components);
-                 (name ^ ".mono.objective", sm.Ilp.Model.objective);
-                 (name ^ ".mono.optimal",
-                  if sm.Ilp.Model.optimal then 1.0 else 0.0);
-                 (name ^ ".dec.objective", sn.Ilp.Model.objective);
-                 (name ^ ".dec.optimal",
-                  if sn.Ilp.Model.optimal then 1.0 else 0.0);
-                 (name ^ ".objectives_match", if matches then 1.0 else 0.0) ]
-             in
-             let wall =
-               [ (name ^ ".mono_s", t_mono);
-                 (name ^ ".dec_serial_s", t_dec1);
-                 (name ^ ".dec_parallel_s", t_decn);
-                 (name ^ ".speedup", speedup) ]
-             in
+                 string_of_int st.Ilp.Branch_bound.components;
+                 Printf.sprintf "%.4f" solve_s;
+                 Printf.sprintf "%g%s" s.Ilp.Model.objective
+                   (if s.Ilp.Model.optimal then "" else "*");
+                 string_of_int st.Ilp.Branch_bound.nodes_explored;
+                 string_of_int st.Ilp.Branch_bound.lp_solves;
+                 string_of_int st.Ilp.Branch_bound.propagations ];
              let fl = float_of_int in
-             let row_json =
-               Qor.Json.Obj
-                 [ ("circuit", Qor.Json.Str name);
-                   ("num_vars", Qor.Json.Num (fl n_vars));
-                   ("components",
-                    Qor.Json.Num (fl stn.Ilp.Branch_bound.components));
-                   ("mono",
-                    Qor.Json.Obj
-                      [ ("time_s", Qor.Json.Num t_mono);
-                        ("objective", Qor.Json.Num sm.Ilp.Model.objective);
-                        ("optimal", Qor.Json.Bool sm.Ilp.Model.optimal);
-                        ("nodes",
-                         Qor.Json.Num
-                           (fl stm.Ilp.Branch_bound.nodes_explored)) ]);
-                   ("dec_serial",
-                    Qor.Json.Obj [("time_s", Qor.Json.Num t_dec1)]);
-                   ("dec_parallel",
-                    Qor.Json.Obj
-                      [ ("time_s", Qor.Json.Num t_decn);
-                        ("objective", Qor.Json.Num sn.Ilp.Model.objective);
-                        ("optimal", Qor.Json.Bool sn.Ilp.Model.optimal);
-                        ("nodes",
-                         Qor.Json.Num
-                           (fl stn.Ilp.Branch_bound.nodes_explored));
-                        ("lp_solves",
-                         Qor.Json.Num (fl stn.Ilp.Branch_bound.lp_solves));
-                        ("propagations",
-                         Qor.Json.Num
-                           (fl stn.Ilp.Branch_bound.propagations)) ]);
-                   ("speedup", Qor.Json.Num speedup);
-                   ("objectives_match", Qor.Json.Bool matches) ]
+             let metrics =
+               [ (name ^ ".num_vars", fl n_vars);
+                 (name ^ ".components", fl st.Ilp.Branch_bound.components);
+                 (name ^ ".objective", s.Ilp.Model.objective);
+                 (name ^ ".optimal", if s.Ilp.Model.optimal then 1.0 else 0.0);
+                 (name ^ ".nodes", fl st.Ilp.Branch_bound.nodes_explored);
+                 (name ^ ".lp_solves", fl st.Ilp.Branch_bound.lp_solves);
+                 (name ^ ".propagations", fl st.Ilp.Branch_bound.propagations) ]
              in
-             Some (metrics, wall, row_json)
-           | _ ->
+             Some (metrics, (name ^ ".solve_s", solve_s))
+           | None ->
              log "[ilp] %s: infeasible model?!" name;
              None))
       names
@@ -364,41 +268,20 @@ let ilp ~quick ~json ~qor_dir () =
   Report.Table.print t;
   print_newline ();
   if json then begin
-    let headline_json =
-      ("benchmark", Qor.Json.Str "phase-assignment-ilp")
-      ::
-      (match !headline with
-       | None -> []
-       | Some (name, n_vars, t_mono, t_decn, speedup, obj) ->
-         [ ("circuit", Qor.Json.Str name);
-           ("num_vars", Qor.Json.Num (float_of_int n_vars));
-           ("mono_s", Qor.Json.Num t_mono);
-           ("dec_parallel_s", Qor.Json.Num t_decn);
-           ("speedup", Qor.Json.Num speedup);
-           ("objective", Qor.Json.Num obj);
-           ("objectives_match", Qor.Json.Bool true);
-           ("both_optimal", Qor.Json.Bool true) ])
-      @ [("rows", Qor.Json.Arr (List.map (fun (_, _, r) -> r) rows))]
-    in
     let record =
       Qor.Record.make
         ~config:
           [ ("node_budget", Qor.Json.Num (float_of_int ilp_node_budget));
-            ("mono_cap_vars", Qor.Json.Num (float_of_int mono_cap_vars));
             ("quick", Qor.Json.Bool quick) ]
-        ~metrics:(List.concat_map (fun (m, _, _) -> m) rows)
-        ~headline:headline_json
-        ~wall:(List.concat_map (fun (_, w, _) -> w) rows)
+        ~metrics:(List.concat_map fst rows)
+        ~wall:(List.map snd rows)
         (Qor.Collect.provenance ~kind:"bench.ilp"
            ~circuit:"phase-assignment-ilp")
     in
     let oc = open_out "BENCH_ilp.json" in
     output_string oc (Qor.Record.render record);
     close_out oc;
-    (match !headline with
-     | Some (name, _, _, _, speedup, _) ->
-       log "[ilp] wrote BENCH_ilp.json (headline %s: %.1fx)" name speedup
-     | None -> log "[ilp] wrote BENCH_ilp.json (no headline instance)");
+    log "[ilp] wrote BENCH_ilp.json";
     Option.iter
       (fun dir ->
         log "[ilp] appended QoR record to %s" (Qor.Store.append ~dir record))

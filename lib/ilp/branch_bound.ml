@@ -3,8 +3,6 @@ type stats = {
   lp_solves : int;
   propagations : int;
   components : int;
-  component_nodes : int array;
-  wall_time_s : float;
 }
 
 let integrality_eps = 1e-6
@@ -14,7 +12,7 @@ let is_integral x =
 
 (* Most fractional variable; ties break to the lowest index so the
    branching order — and with it the whole search tree — is stable
-   across refactors and job counts. *)
+   across refactors. *)
 let most_fractional x =
   let best = ref (-1) and best_frac = ref 0.0 in
   Array.iteri
@@ -26,8 +24,6 @@ let most_fractional x =
       end)
     x;
   if !best < 0 then None else Some !best
-
-let now () = Unix.gettimeofday ()
 
 (* --- binary heap keyed on (bound, insertion seq) ------------------- *)
 
@@ -548,12 +544,10 @@ let solve_component ~node_budget ~brute_max (t : Model.t) =
       co_depth = !max_depth }
   end
 
-(* --- decomposed, parallel top level -------------------------------- *)
+(* --- decomposed top level ------------------------------------------- *)
 
-let solve ?(node_budget = 200_000) ?(brute_max = 10) ?(parallel = true)
-    (t : Model.t) =
+let solve ?(node_budget = 200_000) ?(brute_max = 10) (t : Model.t) =
   Obs.span "ilp.solve" @@ fun () ->
-  let t0 = now () in
   match presolve t with
   | None -> None
   | Some (root_fixed, root_props) ->
@@ -573,26 +567,19 @@ let solve ?(node_budget = 200_000) ?(brute_max = 10) ?(parallel = true)
              { nodes_explored = 0;
                lp_solves = 0;
                propagations = root_props;
-               components = 0;
-               component_nodes = [||];
-               wall_time_s = now () -. t0 } )
+               components = 0 } )
        end
        else
          match Model.decompose rt with
          | None -> None
          | Some comps ->
-           let map = if parallel then Jobs.parallel_map else List.map in
            Obs.count "ilp.components" (List.length comps);
            Obs.count "ilp.propagations" root_props;
-           (* each component gets the full budget: a fixed split is the
-              only deterministic choice when components finish in any
-              order *)
+           (* each component gets the full budget, so a component's
+              search never depends on how its siblings went *)
            let outcomes =
-             map
+             List.map
                (fun (c : Model.component) ->
-                 (* counters and histogram samples land on the worker
-                    domain's buffer; counter sums and bucket-count sums
-                    are identical for any THREEPHASE_JOBS *)
                  let o =
                    solve_component ~node_budget ~brute_max c.Model.comp_model
                  in
@@ -634,10 +621,7 @@ let solve ?(node_budget = 200_000) ?(brute_max = 10) ?(parallel = true)
                  propagations =
                    root_props
                    + List.fold_left (fun acc o -> acc + o.co_props) 0 outcomes;
-                 components = List.length comps;
-                 component_nodes =
-                   Array.of_list (List.map (fun o -> o.co_nodes) outcomes);
-                 wall_time_s = now () -. t0 }
+                 components = List.length comps }
              in
              Some
                ( { Model.values;
@@ -646,98 +630,3 @@ let solve ?(node_budget = 200_000) ?(brute_max = 10) ?(parallel = true)
                    best_bound = !best_bound },
                  stats )
            end)
-
-(* --- the legacy monolithic solver ---------------------------------- *)
-
-(* The pre-decomposition algorithm, kept verbatim as the benchmark
-   baseline: depth-first, and every node re-solves the full relaxation
-   with appended [x_j = v] fixing rows instead of eliminating the fixed
-   variables. *)
-let solve_monolithic ?(node_budget = 200_000) (t : Model.t) =
-  let t0 = now () in
-  let relax = Model.relaxation t in
-  let better a b =
-    match t.Model.sense with
-    | Lp.Problem.Maximize -> a > b +. 1e-9
-    | Lp.Problem.Minimize -> a < b -. 1e-9
-  in
-  let bound_can_beat bound incumbent =
-    match t.Model.sense with
-    | Lp.Problem.Maximize -> bound > incumbent +. 1e-9
-    | Lp.Problem.Minimize -> bound < incumbent -. 1e-9
-  in
-  let incumbent = ref None in
-  let nodes = ref 0 and lps = ref 0 and exhausted = ref false in
-  let root_bound = ref None in
-  let fixed = Array.make t.Model.num_vars (-1) in
-  let try_update_incumbent values =
-    if Model.feasible t values then begin
-      let obj = Model.objective_value t values in
-      match !incumbent with
-      | None -> incumbent := Some (Array.copy values, obj)
-      | Some (_, cur) ->
-        if better obj cur then incumbent := Some (Array.copy values, obj)
-    end
-  in
-  let lp_with_fixing () =
-    let fixing = ref [] in
-    Array.iteri
-      (fun j f ->
-        if f >= 0 then
-          fixing :=
-            Lp.Problem.constr [(j, 1.0)] Lp.Problem.Eq (float_of_int f)
-            :: !fixing)
-      fixed;
-    { relax with Lp.Problem.constraints = !fixing @ relax.Lp.Problem.constraints }
-  in
-  let rec explore depth =
-    if !nodes >= node_budget then exhausted := true
-    else begin
-      incr nodes;
-      incr lps;
-      match Lp.Simplex.solve (lp_with_fixing ()) with
-      | Lp.Simplex.Infeasible -> ()
-      | Lp.Simplex.Unbounded -> assert false
-      | Lp.Simplex.Optimal { x; objective = bound } ->
-        if depth = 0 then root_bound := Some bound;
-        let prune =
-          match !incumbent with
-          | None -> false
-          | Some (_, cur) -> not (bound_can_beat bound cur)
-        in
-        if not prune then begin
-          if is_integral x then
-            try_update_incumbent (Array.map (fun v -> Float.round v >= 0.5) x)
-          else begin
-            if !incumbent = None then
-              try_update_incumbent (Array.map (fun v -> v >= 0.5) x);
-            match most_fractional x with
-            | None -> ()
-            | Some j ->
-              let first, second = if x.(j) >= 0.5 then 1, 0 else 0, 1 in
-              fixed.(j) <- first;
-              explore (depth + 1);
-              fixed.(j) <- second;
-              explore (depth + 1);
-              fixed.(j) <- -1
-          end
-        end
-    end
-  in
-  explore 0;
-  match !incumbent with
-  | None -> None
-  | Some (values, objective) ->
-    let optimal = not !exhausted in
-    let best_bound =
-      if optimal then objective
-      else Option.value ~default:objective !root_bound
-    in
-    Some
-      ({ Model.values; objective; optimal; best_bound },
-       { nodes_explored = !nodes;
-         lp_solves = !lps;
-         propagations = 0;
-         components = 1;
-         component_nodes = [| !nodes |];
-         wall_time_s = now () -. t0 })

@@ -4,9 +4,8 @@
     variable–constraint incidence graph ({!Model.decompose}) and solves
     each component as an independent sub-ILP — the objective is
     separable, so per-component optima compose into a global optimum.
-    Components run across {!Jobs} domains (bounded by [THREEPHASE_JOBS])
-    and merge in component order, so the returned assignment, objective
-    and [optimal] flag are identical for any job count.
+    Components are solved one after the other, in component order, on
+    the calling domain.
 
     Decomposition is preceded by a root presolve: unit propagation to
     fixpoint, then probing — each free variable is tentatively fixed
@@ -19,29 +18,27 @@
     priority queue, *plunging* from every popped node: it dives
     depth-first on the most fractional variable — ties break to the
     {e lowest variable index}, so the branching order, and with it the
-    whole search tree, is stable across refactors and job counts —
-    rounded to its LP value,
-    backtracks locally through a bounded sibling stack, and flushes
-    leftovers back to the queue.  Before every LP solve, unit
+    whole search tree, is stable across refactors — rounded to its LP
+    value, backtracks locally through a bounded sibling stack, and
+    flushes leftovers back to the queue.  Before every LP solve, unit
     propagation fixes implied variables (a constraint
     [x_i + x_j <= 1] with [x_i = 1] forces [x_j = 0]); the fixed
     variables are then eliminated from the relaxation
-    ({!Lp.Problem.eliminate}), so the simplex tableau shrinks as the
+    ({!Model.reduce}), so the simplex tableau shrinks as the
     search deepens instead of growing fixing rows.  Greedy rounding
     candidates seed the incumbent at the root.  Components of at most
     [brute_max] variables skip the LP machinery entirely and are
     enumerated by {!Brute_force}.
 
-    The [node_budget] applies per component (a fixed split is the only
-    deterministic choice when components are solved concurrently).  On
-    exhaustion the incumbent is returned with [optimal = false] and
-    [best_bound] set to the most optimistic *open* node bound — the
-    honest remaining gap, not the root relaxation.
+    The [node_budget] applies per component, so one component's search
+    never depends on how its siblings went.  On exhaustion the
+    incumbent is returned with [optimal = false] and [best_bound] set
+    to the most optimistic *open* node bound — the honest remaining
+    gap, not the root relaxation.
 
     [solve] also records {!Obs} metrics: an [ilp.solve] span plus the
     [ilp.components], [ilp.nodes], [ilp.lp_solves] and
-    [ilp.propagations] counters (emitted per component on whichever
-    domain solved it, so the merged sums are job-count independent). *)
+    [ilp.propagations] counters, emitted per component. *)
 
 (** Search statistics, also mirrored as [ilp.*] {!Obs} counters. *)
 type stats = {
@@ -49,8 +46,6 @@ type stats = {
   lp_solves : int;
   propagations : int;        (** implied fixings applied before LP solves *)
   components : int;
-  component_nodes : int array;  (** per component, in component order *)
-  wall_time_s : float;
 }
 
 (** The root presolve on its own: propagation + probing.  Returns the
@@ -59,16 +54,8 @@ type stats = {
     and benchmarks. *)
 val presolve : Model.t -> (int array * int) option
 
-(** [solve ?node_budget ?brute_max ?parallel t] returns [None] when the
-    model is infeasible.  [parallel] (default [true]) fans components
-    out over {!Jobs} domains; the result is identical either way. *)
+(** [solve ?node_budget ?brute_max t] returns [None] when the model is
+    infeasible. *)
 val solve :
-  ?node_budget:int -> ?brute_max:int -> ?parallel:bool -> Model.t ->
+  ?node_budget:int -> ?brute_max:int -> Model.t ->
   (Model.solution * stats) option
-
-(** The pre-decomposition algorithm, kept as the benchmark baseline:
-    depth-first search that re-solves the full dense relaxation at every
-    node with appended [x_j = v] fixing rows.  On budget exhaustion its
-    [best_bound] is the root relaxation (the legacy behaviour). *)
-val solve_monolithic :
-  ?node_budget:int -> Model.t -> (Model.solution * stats) option

@@ -395,7 +395,7 @@ let colour_class_set g members side_value =
 
 let exact_component_threshold = 400
 
-let solve ?(node_budget = 2_000_000) ?(parallel = true) g =
+let solve ?(node_budget = 2_000_000) g =
   let comp, n_comp = components g in
   let members = Array.make n_comp [] in
   for v = g.n - 1 downto 0 do
@@ -408,11 +408,9 @@ let solve ?(node_budget = 2_000_000) ?(parallel = true) g =
       (Array.to_list members)
     |> List.filter (fun mem -> mem <> [])
   in
-  (* Solves one component, touching only component-local state — [g],
-     [comp] and [warm] are read shared but never written, so components
-     fan out across domains.  Every component receives the full
-     [node_budget]: a fixed split is the only deterministic one when
-     completion order varies with the job count.
+  (* Solves one component; [g], [comp] and [warm] are read but never
+     written.  Every component receives the full [node_budget], so its
+     search never depends on how its siblings went.
      Returns (set, optimal, upper bound, nodes explored). *)
   let solve_component mem =
     let size = List.length mem in
@@ -473,16 +471,13 @@ let solve ?(node_budget = 2_000_000) ?(parallel = true) g =
           let ub = matching_bound s_dummy mem in
           (improved, List.length improved = ub, ub, 0)
     in
-    (* per-component search-shape distributions; recorded on whichever
-       domain solved the component, merged order-independently *)
+    (* per-component search-shape distributions *)
     let _, _, _, nodes = result in
     Obs.hist "mis.component_vars" (float_of_int size);
     Obs.hist "mis.component_nodes" (float_of_int nodes);
     result
   in
-  let outcomes =
-    (if parallel then Jobs.parallel_map else List.map) solve_component ordered
-  in
+  let outcomes = List.map solve_component ordered in
   let chosen = Array.make g.n false in
   let total = ref 0 and ub_total = ref 0 and explored = ref 0 in
   let all_optimal = ref true in

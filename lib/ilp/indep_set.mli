@@ -8,12 +8,10 @@
 
     The solver decomposes into connected components, applies degree-0/1
     reductions, and runs branch and bound with a greedy-matching upper
-    bound.  Components are independent, so they solve across {!Jobs}
-    domains, each with the full node budget (the only deterministic
-    split); the merge preserves component order, so the result is
-    identical for any job count.  The budget makes each component
-    anytime: when exhausted it contributes the greedy-plus-search
-    incumbent with [optimal = false]. *)
+    bound.  Components are independent and solved one after the other,
+    smallest first, each with the full node budget.  The budget makes
+    each component anytime: when exhausted it contributes the
+    greedy-plus-search incumbent with [optimal = false]. *)
 
 type graph = {
   n : int;
@@ -38,9 +36,7 @@ val graph_of_edges : n:int -> (int * int) list -> graph
 (** Greedy min-degree maximal independent set (the warm start). *)
 val greedy : graph -> bool array
 
-(** [parallel] (default [true]) fans components out over {!Jobs}
-    domains; the result is identical either way. *)
-val solve : ?node_budget:int -> ?parallel:bool -> graph -> result
+val solve : ?node_budget:int -> graph -> result
 
 (** {2 Component-level algorithms}
 

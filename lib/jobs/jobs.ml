@@ -69,6 +69,3 @@ let parallel_mapi_array f items =
             | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
             | None -> assert false)
           results)
-
-let parallel_map f items =
-  Array.to_list (parallel_mapi_array (fun _ x -> f x) (Array.of_list items))

@@ -25,13 +25,8 @@ val default_jobs : unit -> int
 
 (** [parallel_mapi_array f items] maps [f i items.(i)] over an array on
     up to [default_jobs ()] domains (the caller included), as many as
-    the budget grants. *)
+    the budget grants.  [f] must not depend on evaluation order and,
+    because it may run on a fresh domain, must not race on shared
+    mutable state — force any lazily-initialised shared structure
+    (e.g. the parsed cell library) before calling. *)
 val parallel_mapi_array : (int -> 'a -> 'b) -> 'a array -> 'b array
-
-(** [parallel_map f items] maps [f] over [items], possibly on multiple
-    domains; thin wrapper over [parallel_mapi_array].  [f] must not
-    depend on evaluation order and, because it may run on a fresh
-    domain, must not race on shared mutable state — force any
-    lazily-initialised shared structure (e.g. the parsed cell library)
-    before calling. *)
-val parallel_map : ('a -> 'b) -> 'a list -> 'b list

@@ -40,11 +40,38 @@ let comb_topo d =
   done;
   if !seen = total then Ok (List.rev !order)
   else begin
-    let stuck = ref [] in
-    for i = n - 1 downto 0 do
-      if comb.(i) && indegree.(i) > 0 then stuck := i :: !stuck
-    done;
-    Error !stuck
+    (* Every instance left behind has a left-behind combinational
+       driver, so walking drivers from the first of them must revisit
+       an instance; the walk from there back to itself is a cycle. *)
+    let stuck i = comb.(i) && indegree.(i) > 0 in
+    let driver i =
+      match
+        List.find_map
+          (fun net ->
+            match d.Design.net_driver.(net) with
+            | Design.Driven_by (j, _) when stuck j -> Some j
+            | Design.Driven_by _ | Design.Driven_by_input _
+            | Design.Driven_const _ | Design.Undriven -> None)
+          (Design.input_nets d i)
+      with
+      | Some j -> j
+      | None -> assert false
+    in
+    let visited = Array.make n false in
+    let rec walk i =
+      if visited.(i) then i
+      else begin
+        visited.(i) <- true;
+        walk (driver i)
+      end
+    in
+    let first = ref 0 in
+    while not (stuck !first) do incr first done;
+    let entry = walk !first in
+    (* walking drivers runs against the signal, so prepending each one
+       lists the rest of the cycle in signal order after [entry] *)
+    let rec back i acc = if i = entry then acc else back (driver i) (i :: acc) in
+    Error (entry :: back (driver entry) [])
   end
 
 let comb_topo_exn d =

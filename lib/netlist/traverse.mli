@@ -4,8 +4,9 @@
     clock-gating cells; only [Combinational] instances are ordered. *)
 
 (** [comb_topo d] returns combinational instances in dependency order
-    (drivers before readers), or [Error insts] listing instances caught in
-    a combinational cycle. *)
+    (drivers before readers), or [Error cycle]: the instances of one
+    combinational cycle, in signal order, each driving the next and the
+    last driving the first. *)
 val comb_topo : Design.t -> (Design.inst list, Design.inst list) result
 
 (** [comb_topo_exn d] raises [Invalid_argument] on a combinational cycle. *)

@@ -5,13 +5,13 @@
    Recording is always on and cheap — one allocation plus an array
    append per event — so the flow, the solvers and the simulators
    instrument themselves unconditionally.  Every domain (the main one
-   and every worker spawned by [Jobs.parallel_map]) lazily owns one
-   buffer, registered in a mutex-protected global list, so recording
-   never takes a lock and never contends.  Readers ([span_stats],
-   [counters], [chrome_trace], ...) merge the buffers; they must run
-   outside parallel sections — [Jobs.parallel_map] joins its workers
-   before returning, so calling them from ordinary top-level code is
-   safe. *)
+   and every worker spawned by [Jobs.parallel_mapi_array]) lazily owns
+   one buffer, registered in a mutex-protected global list, so
+   recording never takes a lock and never contends.  Readers
+   ([span_stats], [counters], [chrome_trace], ...) merge the buffers;
+   they must run outside parallel sections — [Jobs.parallel_mapi_array]
+   joins its workers before returning, so calling them from ordinary
+   top-level code is safe. *)
 
 type event =
   | Begin of { name : string; ts : float }

@@ -13,9 +13,8 @@
     {2 Threading model}
 
     Each domain (the main one and every worker spawned by
-    {!Jobs.parallel_mapi_array}/{!Jobs.parallel_map}) lazily owns a
-    private buffer registered in a global list, so the write path never
-    takes a lock.  Read-side functions ({!span_stats}, {!counters},
+    {!Jobs.parallel_mapi_array}) lazily owns a private buffer
+    registered in a global list, so the write path never takes a lock.  Read-side functions ({!span_stats}, {!counters},
     {!chrome_trace}, ...) merge all buffers; call them only while no
     worker domain is recording.  {!Jobs.parallel_mapi_array} joins its
     workers before returning, so ordinary sequential code — the CLI
@@ -178,10 +177,10 @@ type span_node = {
 (** The Begin/End nesting reconstructed as a call tree, merged across
     domains: spans with the same path aggregate into one node, children
     sorted by name.  A span recorded at a worker domain's top level
-    (e.g. an ILP component solve inside [Jobs.parallel_map]) has no
-    enclosing Begin in {e that} domain's buffer, so it appears as a
-    root — the per-domain nesting is real, the cross-domain parentage
-    is not recorded.  Self time is total minus the summed durations of
+    (e.g. a [flow.*] stage of a runner variant built inside
+    [Jobs.parallel_mapi_array]) has no enclosing Begin in {e that}
+    domain's buffer, so it appears as a root — the per-domain nesting
+    is real, the cross-domain parentage is not recorded.  Self time is total minus the summed durations of
     directly nested spans, clamped at zero against float rounding. *)
 val span_tree : unit -> span_node list
 

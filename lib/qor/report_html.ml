@@ -4,7 +4,88 @@
    not from the live Obs registry — so a report can be rebuilt from
    the store long after the run. *)
 
-module H = Report.Html
+(* --- fragment builders ---------------------------------------------- *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '"' -> Buffer.add_string buf "&quot;"
+      | '\'' -> Buffer.add_string buf "&#39;"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let num v =
+  if Float.is_nan v then "nan"
+  else if Float.is_integer v && Float.abs v < 1e15 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.4g" v
+
+(* Inline SVG polyline sparkline.  Non-finite values break the line.
+   Constant series draw a midline.  The viewBox is fixed so CSS can
+   size it; vector-effect keeps the stroke width stable. *)
+let spark_svg ?(width = 120) ?(height = 24) values =
+  let finite = List.filter Float.is_finite values in
+  let n = List.length values in
+  if n < 2 || finite = [] then ""
+  else begin
+    let lo = List.fold_left Float.min infinity finite in
+    let hi = List.fold_left Float.max neg_infinity finite in
+    let w = float_of_int width and h = float_of_int height in
+    let x i = float_of_int i /. float_of_int (n - 1) *. (w -. 4.0) +. 2.0 in
+    let y v =
+      if hi = lo then h /. 2.0
+      else h -. 3.0 -. ((v -. lo) /. (hi -. lo) *. (h -. 6.0))
+    in
+    let buf = Buffer.create 256 in
+    Printf.bprintf buf
+      "<svg class=\"spark\" viewBox=\"0 0 %d %d\" width=\"%d\" height=\"%d\" \
+       preserveAspectRatio=\"none\">"
+      width height width height;
+    let pending = Buffer.create 64 in
+    let flush_segment () =
+      if Buffer.length pending > 0 then begin
+        Printf.bprintf buf
+          "<polyline fill=\"none\" stroke=\"currentColor\" \
+           stroke-width=\"1.5\" vector-effect=\"non-scaling-stroke\" \
+           points=\"%s\"/>"
+          (Buffer.contents pending);
+        Buffer.clear pending
+      end
+    in
+    List.iteri
+      (fun i v ->
+        if Float.is_finite v then
+          Printf.bprintf pending "%s%.1f,%.1f"
+            (if Buffer.length pending = 0 then "" else " ")
+            (x i) (y v)
+        else flush_segment ())
+      values;
+    flush_segment ();
+    (* dot on the latest point *)
+    (match List.rev values with
+     | last :: _ when Float.is_finite last ->
+       Printf.bprintf buf
+         "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"2\" fill=\"currentColor\"/>"
+         (x (n - 1)) (y last)
+     | _ -> ());
+    Buffer.add_string buf "</svg>";
+    Buffer.contents buf
+  end
+
+(* A proportional horizontal bar: [frac] of the track filled, label
+   beside it.  Clamped; CSS class hooks for colouring. *)
+let bar ?(cls = "bar") ~frac label =
+  let pct = 100.0 *. Float.max 0.0 (Float.min 1.0 frac) in
+  Printf.sprintf
+    "<span class=\"track\"><span class=\"%s\" style=\"width:%.1f%%\"></span>\
+     </span><span class=\"barlabel\">%s</span>"
+    cls pct (escape label)
 
 let css =
   "body{font:14px/1.45 -apple-system,'Segoe UI',sans-serif;margin:2em auto;\
@@ -41,7 +122,7 @@ let bprintf = Printf.bprintf
 (* --- provenance + config -------------------------------------------- *)
 
 let kv_row buf k v =
-  bprintf buf "<tr><th>%s</th><td>%s</td></tr>" (H.escape k) (H.escape v)
+  bprintf buf "<tr><th>%s</th><td>%s</td></tr>" (escape k) (escape v)
 
 let provenance_section buf (r : Record.t) =
   let p = r.Record.prov in
@@ -97,8 +178,8 @@ let stage_section buf (r : Record.t) =
       total;
     List.iter
       (fun (name, v) ->
-        bprintf buf "<tr><td>%s</td><td>%s</td></tr>" (H.escape name)
-          (H.bar ~frac:(v /. Float.max longest 1e-9)
+        bprintf buf "<tr><td>%s</td><td>%s</td></tr>" (escape name)
+          (bar ~frac:(v /. Float.max longest 1e-9)
              (Printf.sprintf "%.1f ms" (1e3 *. v))))
       stages;
     bprintf buf "</table>"
@@ -109,10 +190,10 @@ let stage_section buf (r : Record.t) =
 let rec tree_node buf ~scale depth (n : Record.tree_node) =
   let label =
     Printf.sprintf "%s&nbsp;<span class=\"muted\">&times;%d</span> %s self %s"
-      (H.escape n.Record.t_name) n.Record.t_calls
-      (H.bar ~frac:(n.Record.t_total_s /. scale)
+      (escape n.Record.t_name) n.Record.t_calls
+      (bar ~frac:(n.Record.t_total_s /. scale)
          (Printf.sprintf "%.1f ms" (1e3 *. n.Record.t_total_s)))
-      (H.bar ~cls:"bar self" ~frac:(n.Record.t_self_s /. scale)
+      (bar ~cls:"bar self" ~frac:(n.Record.t_self_s /. scale)
          (Printf.sprintf "%.1f ms" (1e3 *. n.Record.t_self_s)))
   in
   if n.Record.t_children = [] then
@@ -164,8 +245,8 @@ let hist_section buf (r : Record.t) =
                margin-right:1px;position:relative\" title=\"[%s, %s): %d\">\
                <span class=\"bar hist\" style=\"position:absolute;bottom:0;\
                width:100%%;height:%.0f%%\"></span></span>"
-              (H.num (Obs.Histogram.bucket_lower i))
-              (H.num (Obs.Histogram.bucket_upper i))
+              (num (Obs.Histogram.bucket_lower i))
+              (num (Obs.Histogram.bucket_upper i))
               c
               (100.0 *. float_of_int c /. float_of_int peak))
           buckets;
@@ -173,11 +254,11 @@ let hist_section buf (r : Record.t) =
           "<tr><td><code>%s</code></td><td class=\"n\">%d</td>\
            <td class=\"n\">%s</td><td class=\"n\">%s</td>\
            <td class=\"n\">%s</td><td class=\"n\">%s</td><td>%s</td></tr>"
-          (H.escape name) (Obs.Histogram.count h)
-          (H.num (Obs.Histogram.percentile h 0.50))
-          (H.num (Obs.Histogram.percentile h 0.90))
-          (H.num (Obs.Histogram.percentile h 0.99))
-          (H.num
+          (escape name) (Obs.Histogram.count h)
+          (num (Obs.Histogram.percentile h 0.50))
+          (num (Obs.Histogram.percentile h 0.90))
+          (num (Obs.Histogram.percentile h 0.99))
+          (num
              (if Obs.Histogram.count h = 0 then 0.0
               else Obs.Histogram.max_value h))
           (Buffer.contents bars))
@@ -187,24 +268,24 @@ let hist_section buf (r : Record.t) =
 
 (* --- metrics (with optional baseline diff) ---------------------------- *)
 
-let opt_num = function None -> "&mdash;" | Some v -> H.num v
+let opt_num = function None -> "&mdash;" | Some v -> num v
 
 let diff_section buf (d : Diff.t) =
   (if d.Diff.gate_failures = [] then
      bprintf buf
        "<div class=\"verdict pass\"><strong>Gate: PASS</strong> &mdash; \
         deterministic QoR unchanged vs baseline <code>%s</code>.</div>"
-       (H.escape d.Diff.baseline_kind)
+       (escape d.Diff.baseline_kind)
    else
      bprintf buf
        "<div class=\"verdict fail\"><strong>Gate: FAIL</strong> &mdash; %d \
         deterministic metric(s) changed vs baseline <code>%s</code>.</div>"
        (List.length d.Diff.gate_failures)
-       (H.escape d.Diff.baseline_kind));
+       (escape d.Diff.baseline_kind));
   if d.Diff.attributions <> [] then begin
     bprintf buf "<h2>Suspects</h2><ul>";
     List.iter
-      (fun line -> bprintf buf "<li>%s</li>" (H.escape line))
+      (fun line -> bprintf buf "<li>%s</li>" (escape line))
       (Diff.attribution_lines d);
     bprintf buf "</ul>"
   end;
@@ -224,7 +305,7 @@ let diff_section buf (d : Diff.t) =
       bprintf buf
         "<tr%s><td><code>%s</code></td><td>%s</td><td class=\"n\">%s</td>\
          <td class=\"n\">%s</td><td>%s</td></tr>"
-        cls_attr (H.escape e.Diff.name)
+        cls_attr (escape e.Diff.name)
         (Diff.section_name e.Diff.section)
         (opt_num e.Diff.baseline) (opt_num e.Diff.current)
         (Diff.cls_name e.Diff.cls))
@@ -238,7 +319,7 @@ let metrics_section buf (r : Record.t) =
   let row kind (k, v) =
     bprintf buf
       "<tr><td><code>%s</code></td><td>%s</td><td class=\"n\">%s</td></tr>"
-      (H.escape k) kind (H.num v)
+      (escape k) kind (num v)
   in
   List.iter (row "metric") r.Record.metrics;
   List.iter
@@ -271,7 +352,7 @@ let trend_section buf ~history (r : Record.t) =
        the store (%d runs); constant series hidden.</p>\
        <table><tr><th>metric</th><th>class</th><th class=\"n\">runs</th>\
        <th class=\"n\">latest</th><th>trend</th><th>flag</th></tr>"
-      (H.escape circuit) (List.length history);
+      (escape circuit) (List.length history);
     List.iter
       (fun (s : Trend.series) ->
         let values = List.map snd s.Trend.sr_points in
@@ -282,10 +363,10 @@ let trend_section buf ~history (r : Record.t) =
           (if s.Trend.sr_anomaly && s.Trend.sr_deterministic then
              " class=\"regressed\""
            else "")
-          (H.escape s.Trend.sr_name)
+          (escape s.Trend.sr_name)
           (if s.Trend.sr_deterministic then "det" else "noisy")
-          (List.length values) (H.num latest)
-          (H.spark_svg values)
+          (List.length values) (num latest)
+          (spark_svg values)
           (if s.Trend.sr_anomaly then "ANOMALY" else ""))
       series;
     bprintf buf "</table>"
@@ -299,10 +380,10 @@ let page ?baseline ?(history = []) (r : Record.t) =
     "<!DOCTYPE html><html lang=\"en\"><head><meta charset=\"utf-8\">\
      <meta name=\"viewport\" content=\"width=device-width,initial-scale=1\">\
      <title>ff2latch &mdash; %s</title><style>%s</style></head><body>"
-    (H.escape r.Record.prov.Record.circuit)
+    (escape r.Record.prov.Record.circuit)
     css;
   bprintf buf "<h1>ff2latch flow report &mdash; <code>%s</code></h1>"
-    (H.escape r.Record.prov.Record.circuit);
+    (escape r.Record.prov.Record.circuit);
   (match baseline with
    | Some b -> diff_section buf (Diff.run ~baseline:b r)
    | None -> ());

@@ -13,10 +13,7 @@ let test_input_order () =
   let got = Jobs.parallel_mapi_array (fun i x -> (i, x * x)) (Array.init 100 Fun.id) in
   check Alcotest.(array (pair int int)) "mapi keeps input order"
     (Array.init 100 (fun i -> (i, i * i)))
-    got;
-  check Alcotest.(list int) "map keeps input order"
-    (List.init 100 (fun i -> 2 * i))
-    (Jobs.parallel_map (fun x -> 2 * x) (List.init 100 Fun.id))
+    got
 
 (* Items 3 and 7 both raise.  Where a second domain is available, item
    3 holds back (at most 50 ms) until item 7 has raised, so a map that
@@ -47,31 +44,28 @@ let test_first_failure_by_index () =
 let test_nested_past_budget () =
   let n = 6 in
   let got =
-    Jobs.parallel_map
-      (fun a ->
-        Jobs.parallel_map
-          (fun b ->
+    Jobs.parallel_mapi_array
+      (fun a () ->
+        Jobs.parallel_mapi_array
+          (fun b () ->
             Array.fold_left ( + ) 0
               (Jobs.parallel_mapi_array
                  (fun c () -> (100 * a) + (10 * b) + c)
                  (Array.make n ())))
-          (List.init n Fun.id))
-      (List.init n Fun.id)
+          (Array.make n ()))
+      (Array.make n ())
   in
   let expected =
-    List.init n (fun a ->
-        List.init n (fun b -> (n * ((100 * a) + (10 * b))) + (n * (n - 1) / 2)))
+    Array.init n (fun a ->
+        Array.init n (fun b -> (n * ((100 * a) + (10 * b))) + (n * (n - 1) / 2)))
   in
-  check Alcotest.(list (list int)) "nested results" expected got
+  check Alcotest.(array (array int)) "nested results" expected got
 
 let test_trivial_inputs () =
   check Alcotest.(array int) "empty array" [||]
     (Jobs.parallel_mapi_array (fun _ x -> x) [||]);
-  check Alcotest.(list int) "empty list" [] (Jobs.parallel_map Fun.id []);
   check Alcotest.(array int) "one item" [| 42 |]
     (Jobs.parallel_mapi_array (fun i x -> x + i + 1) [| 41 |]);
-  check Alcotest.(list int) "one-item list" [ 42 ]
-    (Jobs.parallel_map succ [ 41 ]);
   match Jobs.parallel_mapi_array (fun _ () -> raise (Item 0)) [| () |] with
   | _ -> Alcotest.fail "expected the lone item's exception"
   | exception Item k -> check Alcotest.int "lone item raises" 0 k

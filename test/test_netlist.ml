@@ -286,13 +286,6 @@ let test_stats () =
   check Alcotest.int "comb" 2 s.Netlist.Stats.comb_cells;
   check Alcotest.bool "area positive" true (s.Netlist.Stats.total_area > 0.0)
 
-let test_dot_export () =
-  let dot = Netlist.Dot.of_design (sample ()) in
-  check Alcotest.bool "mentions icg" true
-    (Astring.String.is_infix ~affix:"icg0" dot);
-  check Alcotest.bool "digraph" true
-    (Astring.String.is_prefix ~affix:"digraph" dot)
-
 let suite =
   [ Alcotest.test_case "builder basics" `Quick test_builder_basics;
     Alcotest.test_case "multiply driven rejected" `Quick test_multiply_driven_rejected;
@@ -312,8 +305,7 @@ let suite =
     Alcotest.test_case "gate trees all ops" `Quick test_gates_wide_ops;
     Alcotest.test_case "mux2" `Quick test_mux2;
     Alcotest.test_case "rewrite identity" `Quick test_rewrite_identity;
-    Alcotest.test_case "stats" `Quick test_stats;
-    Alcotest.test_case "dot export" `Quick test_dot_export ]
+    Alcotest.test_case "stats" `Quick test_stats ]
 
 (* --- Optimize --- *)
 

@@ -235,11 +235,13 @@ let test_span_exception () =
 
 let test_counter_merge_deterministic () =
   Obs.reset ();
-  let items = List.init 40 (fun i -> i + 1) in
-  let serial = List.map (fun i -> Obs.count "merge.serial" i; i) items in
-  let parallel = Jobs.parallel_map (fun i -> Obs.count "merge.parallel" i; i) items in
-  Alcotest.(check (list int)) "parallel_map order preserved" serial parallel;
-  let expected = List.fold_left ( + ) 0 items in
+  let items = Array.init 40 (fun i -> i + 1) in
+  let serial = Array.map (fun i -> Obs.count "merge.serial" i; i) items in
+  let parallel =
+    Jobs.parallel_mapi_array (fun _ i -> Obs.count "merge.parallel" i; i) items
+  in
+  Alcotest.(check (array int)) "parallel map order preserved" serial parallel;
+  let expected = Array.fold_left ( + ) 0 items in
   (* the parallel sum lands across several domain buffers, the serial
      one in a single buffer: the merged totals must be identical *)
   Alcotest.(check int) "serial total" expected (Obs.counter_of "merge.serial");
@@ -249,9 +251,9 @@ let test_counter_merge_deterministic () =
 let test_gauge_max_merge () =
   Obs.reset ();
   ignore
-    (Jobs.parallel_map
-       (fun v -> Obs.gauge "g.depth" (float_of_int v))
-       [3; 41; 7; 2]);
+    (Jobs.parallel_mapi_array
+       (fun _ v -> Obs.gauge "g.depth" (float_of_int v))
+       [| 3; 41; 7; 2 |]);
   Obs.gauge "g.depth" 5.0;
   match List.assoc_opt "g.depth" (Obs.gauges ()) with
   | Some v -> Alcotest.(check (float 1e-9)) "max wins" 41.0 v
@@ -265,9 +267,9 @@ let test_chrome_roundtrip () =
       Obs.count "events" 3;
       Obs.span "nested\n" (fun () -> Obs.gauge "depth" 2.0));
   ignore
-    (Jobs.parallel_map
-       (fun i -> Obs.span "worker" (fun () -> Obs.count "events" i))
-       [1; 2; 3]);
+    (Jobs.parallel_mapi_array
+       (fun _ i -> Obs.span "worker" (fun () -> Obs.count "events" i))
+       [| 1; 2; 3 |]);
   let n = validate_chrome_trace (Obs.chrome_trace ()) in
   Alcotest.(check bool) "several events survive" true (n >= 8)
 
@@ -409,7 +411,10 @@ let test_hist_cross_domain_merge () =
   Obs.reset ();
   let items = List.init 40 (fun i -> float_of_int (i + 1)) in
   List.iter (fun v -> Obs.hist "h.serial" v) items;
-  ignore (Jobs.parallel_map (fun v -> Obs.hist "h.parallel" v) items);
+  ignore
+    (Jobs.parallel_mapi_array
+       (fun _ v -> Obs.hist "h.parallel" v)
+       (Array.of_list items));
   let find name =
     match List.assoc_opt name (Obs.histograms ()) with
     | Some h -> h

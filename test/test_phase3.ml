@@ -328,6 +328,29 @@ let test_flow_rejects_invalid_input () =
     Alcotest.fail "expected Flow_error"
   with Phase3.Flow.Flow_error _ -> ()
 
+(* A loop g1 -> g2 -> g1 read from outside by d0, which sits before it
+   in instance order: the refusal must name the 2-instance loop, not
+   the instance hanging off it. *)
+let test_flow_reports_comb_cycle () =
+  let b = B.create ~name:"cyc" ~library:lib in
+  let a = B.add_input b "a" in
+  let n1 = B.fresh_net b "n1" in
+  let n2 = B.fresh_net b "n2" in
+  let y = B.fresh_net b "y" in
+  ignore (B.add_cell b "d0" "INV_X1" [("A", n1); ("ZN", y)]);
+  ignore (B.add_cell b "g1" "NAND2_X1" [("A1", a); ("A2", n2); ("ZN", n1)]);
+  ignore (B.add_cell b "g2" "INV_X1" [("A", n1); ("ZN", n2)]);
+  B.add_output b "y" y;
+  let d = B.freeze b in
+  match Phase3.Flow.run ~config:(Phase3.Flow.default_config ~period:1.0) d with
+  | _ -> Alcotest.fail "expected Flow_error"
+  | exception Phase3.Flow.Flow_error msg ->
+    let has affix = Astring.String.is_infix ~affix msg in
+    check Alcotest.bool ("cycle size in: " ^ msg) true (has "2 instances");
+    check Alcotest.bool ("loop instance named in: " ^ msg) true
+      (has "g1" || has "g2");
+    check Alcotest.bool ("d0 not named in: " ^ msg) false (has "d0")
+
 (* --- Pipeline closed form --- *)
 
 let test_pipeline_closed_form () =
@@ -360,6 +383,8 @@ let suite =
     Alcotest.test_case "clock gating structures" `Quick test_clock_gating_structures;
     Alcotest.test_case "flow end-to-end sweep" `Slow test_flow_end_to_end_sweep;
     Alcotest.test_case "flow rejects invalid input" `Quick test_flow_rejects_invalid_input;
+    Alcotest.test_case "flow names the combinational cycle" `Quick
+      test_flow_reports_comb_cycle;
     Alcotest.test_case "pipeline closed form" `Quick test_pipeline_closed_form;
     QCheck_alcotest.to_alcotest prop_pipeline_matches_solver ]
 
