@@ -322,22 +322,19 @@ let simbig ~json ~qor_dir () =
   let clocks = Phase3.Flow.clocks_of config in
   let inputs = Sim.Stimulus.inputs_of converted in
   let stim =
-    Array.init lanes (fun lane ->
-        Sim.Stimulus.random ~seed:(9000 + lane) ~cycles:perf_cycles
-          ~toggle_probability:0.35 inputs)
+    Array.init n_kernels (fun k ->
+        Sim.Stimulus.draw
+          ~seeds:
+            (Array.init Sim.Kernel.max_lanes (fun l ->
+                 9000 + (k * Sim.Kernel.max_lanes) + l))
+          ~cycles:perf_cycles (Sim.Stimulus.Uniform 0.35) inputs)
   in
   log "[simbig] timing serial kernels ...";
   let kernels =
     Array.init n_kernels (fun _ -> Sim.Kernel.create converted ~clocks)
   in
-  let slices =
-    Array.init n_kernels (fun k ->
-        Array.sub stim (k * Sim.Kernel.max_lanes) Sim.Kernel.max_lanes)
-  in
   let pass () =
-    Array.iteri
-      (fun k kernel -> Sim.Kernel.run_streams kernel slices.(k))
-      kernels
+    Array.iteri (fun k kernel -> Sim.Kernel.run kernel stim.(k)) kernels
   in
   let sum f = Array.fold_left (fun acc k -> acc + f k) 0 kernels in
   (* a warm-up pass pages in the bitplanes; the metrics count all

@@ -31,20 +31,22 @@ let has_prefix prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
-let stimulus t ~seed ~cycles design =
-  let inputs = Sim.Stimulus.inputs_of design in
-  match t with
-  | Uniform_random p ->
-    Sim.Stimulus.random ~seed ~cycles ~toggle_probability:p inputs
+let shape = function
+  | Uniform_random p -> Sim.Stimulus.Uniform p
   | Self_check ->
-    Sim.Stimulus.bursty ~seed ~cycles ~burst_len:48 ~idle_len:16
-      ~toggle_probability:0.35 inputs
+    Sim.Stimulus.Bursty
+      { burst_len = 48; idle_len = 16; toggle_probability = 0.35 }
   | Program p ->
     let imem, dmem, irq = program_rates p in
-    let profile input =
-      if has_prefix "imem" input then imem
-      else if has_prefix "dmem" input then dmem
-      else if has_prefix "irq" input then irq
-      else (imem +. dmem) /. 2.0
-    in
-    Sim.Stimulus.profiled ~seed ~cycles profile inputs
+    Sim.Stimulus.Profiled
+      (fun input ->
+        if has_prefix "imem" input then imem
+        else if has_prefix "dmem" input then dmem
+        else if has_prefix "irq" input then irq
+        else (imem +. dmem) /. 2.0)
+
+let draw t ~seeds ~cycles design =
+  Sim.Stimulus.draw ~seeds ~cycles (shape t) (Sim.Stimulus.inputs_of design)
+
+let stimulus t ~seed ~cycles design =
+  Sim.Stimulus.lane (draw t ~seeds:[| seed |] ~cycles design) 0

@@ -17,8 +17,15 @@ and program =
 
 val name : t -> string
 
-(** [stimulus t ~seed ~cycles design] builds the per-cycle input stream.
-    Program profiles give CPU interface ports (imem/dmem/irq) their own
-    activity levels. *)
+(** [draw t ~seeds ~cycles design] draws one lane per seed over the
+    design's non-clock inputs ({!Sim.Stimulus.draw}), for
+    {!Sim.Kernel.run}.  Program profiles give CPU interface ports
+    (imem/dmem/irq) their own activity levels. *)
+val draw :
+  t -> seeds:int array -> cycles:int -> Netlist.Design.t ->
+  Sim.Stimulus.packed
+
+(** [stimulus t ~seed ~cycles design] is the list stream of one seed:
+    lane 0 of [draw t ~seeds:[|seed|]], for {!Sim.Engine}. *)
 val stimulus :
   t -> seed:int -> cycles:int -> Netlist.Design.t -> Sim.Stimulus.t

@@ -31,11 +31,8 @@ let evaluate design ~clocks ~workload ~cycles ~seed =
   let design, hold = Sta.Hold_fix.run design ~clocks in
   let impl = Physical.Implement.run design in
   let kernel = Sim.Kernel.create design ~clocks in
-  let streams =
-    Array.init (Sim.Kernel.lanes kernel) (fun l ->
-        Circuits.Workload.stimulus workload ~seed:(seed + l) ~cycles design)
-  in
-  Sim.Kernel.run_streams kernel streams;
+  let seeds = Array.init (Sim.Kernel.lanes kernel) (fun l -> seed + l) in
+  Sim.Kernel.run kernel (Circuits.Workload.draw workload ~seeds ~cycles design);
   let activity = (Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel) in
   let detail =
     Power.Estimate.run impl ~activity ~period:clocks.Sim.Clock_spec.period

@@ -65,6 +65,11 @@ let reference_clocks d ~period =
     fail "design %s has several clock ports" d.Netlist.Design.design_name
 
 let run ~config d =
+  (* an equivalence check over too short a stream compares no cycle *)
+  if config.verify_equivalence
+     && config.verify_cycles < Sim.Equivalence.min_cycles () then
+    fail "equivalence stage: verify_cycles = %d, the check needs at least %d"
+      config.verify_cycles (Sim.Equivalence.min_cycles ());
   let times = ref [] in
   (* every enabled stage records exactly one "flow.<stage>" Obs span,
      allocation-pressure gauges at its boundary (gc_span samples
@@ -127,14 +132,15 @@ let run ~config d =
           let activity =
             Obs.span "flow.clock_gating.activity" (fun () ->
                 let kernel = Sim.Kernel.create retimed ~clocks in
-                let inputs = Sim.Stimulus.inputs_of retimed in
-                let streams =
-                  Array.init (Sim.Kernel.lanes kernel) (fun l ->
-                      Sim.Stimulus.random ~seed:(config.activity_seed + l)
-                        ~cycles:config.activity_cycles ~toggle_probability:0.25
-                        inputs)
+                let stimulus =
+                  Sim.Stimulus.draw
+                    ~seeds:
+                      (Array.init (Sim.Kernel.lanes kernel) (fun l ->
+                           config.activity_seed + l))
+                    ~cycles:config.activity_cycles (Sim.Stimulus.Uniform 0.25)
+                    (Sim.Stimulus.inputs_of retimed)
                 in
-                Sim.Kernel.run_streams kernel streams;
+                Sim.Kernel.run kernel stimulus;
                 (Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel))
           in
           let d', s =

@@ -27,6 +27,8 @@ type config = {
   activity_seed : int;
   verify_equivalence : bool;  (** stream-compare against the FF design *)
   verify_cycles : int;
+  (** equivalence stream length; with [verify_equivalence] the flow
+      refuses fewer than {!Sim.Equivalence.min_cycles} (11) *)
   lint : bool;
   (** run the {!Lint.Engine} audit on the final design; the flow fails
       when any error-severity finding survives — the conversion cannot
@@ -66,5 +68,6 @@ val reference_clocks : Netlist.Design.t -> period:float -> Sim.Clock_spec.t
 exception Flow_error of string
 
 (** [run ~config d] raises {!Flow_error} when the input design fails
-    validation or the result fails equivalence. *)
+    validation or the result fails equivalence, and before any stage
+    when [verify_cycles] is too short for the equivalence check. *)
 val run : config:config -> Netlist.Design.t -> result

@@ -85,13 +85,13 @@ let implement_and_power design ~clocks ~cycles ~seed =
   let design, hold = Sta.Hold_fix.run design ~clocks in
   let impl = Physical.Implement.run design in
   let kernel = Sim.Kernel.create design ~clocks in
-  let inputs = Sim.Stimulus.inputs_of design in
-  let streams =
-    Array.init (Sim.Kernel.lanes kernel) (fun l ->
-        Sim.Stimulus.random ~seed:(seed + l) ~cycles ~toggle_probability:0.3
-          inputs)
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init (Sim.Kernel.lanes kernel) (fun l -> seed + l))
+      ~cycles (Sim.Stimulus.Uniform 0.3)
+      (Sim.Stimulus.inputs_of design)
   in
-  Sim.Kernel.run_streams kernel streams;
+  Sim.Kernel.run kernel stimulus;
   let detail =
     Power.Estimate.run impl
       ~activity:(Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel)

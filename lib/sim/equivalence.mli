@@ -20,13 +20,28 @@ type verdict =
 
 val pp_mismatch : Format.formatter -> mismatch -> unit
 
-(** [compare_streams ~warmup ~max_shift ref_stream dut_stream] *)
+(** [compare_streams ~warmup ~max_shift ref_stream dut_stream] tries
+    shifts [0 .. max_shift] in order: at shift [s] it compares reference
+    cycle [c] with dut cycle [c + s] for every [c] from [warmup] while
+    both streams last.  The first shift with no difference is
+    [Equivalent]; a shift whose window holds no cycle fails.  When no
+    shift matches, [Mismatch] reports the first difference of the
+    lowest shift that had one.  Raises [Invalid_argument] when every
+    shift's window is empty. *)
 val compare_streams :
   warmup:int -> max_shift:int ->
   (string * Logic.t) list list -> (string * Logic.t) list list -> verdict
 
+(** [min_cycles ?warmup ?max_shift ()] is [warmup + max_shift + 1], the
+    fewest stimulus cycles {!check} accepts (defaults as in {!check}:
+    11). *)
+val min_cycles : ?warmup:int -> ?max_shift:int -> unit -> int
+
 (** [check ~reference ~dut ~reference_clocks ~dut_clocks ~stimulus] runs
-    both engines over the stimulus and compares. *)
+    both engines over the stimulus and compares ([warmup] defaults to 8,
+    [max_shift] to 2).  Raises [Invalid_argument] when the stimulus has
+    fewer than {!min_cycles} cycles, so that every shift compares at
+    least one cycle. *)
 val check :
   ?warmup:int -> ?max_shift:int ->
   reference:Netlist.Design.t -> dut:Netlist.Design.t ->

@@ -2,7 +2,7 @@ module Design = Netlist.Design
 
 exception Oscillation of string
 
-let max_lanes = 63
+let max_lanes = Stimulus.max_lanes
 
 (* --- Lane words ------------------------------------------------------
 
@@ -144,13 +144,9 @@ type t = {
   ev_post : clock_event list;
   net_dirty : bool array;
   mutable dirty : int list;
-  (* primary-input staging for per-lane application *)
+  (* non-clock primary inputs, in the design's order, and by name *)
   input_nets : (string * int) list;
   input_index : (string, int) Hashtbl.t;
-  stage_v : int array;
-  stage_x : int array;
-  staged : bool array;
-  mutable touched : int list;
   mutable cycle_count : int;
   (* activity-gating effectiveness *)
   mutable waves_skipped : int;
@@ -780,67 +776,37 @@ let output_sample t ~lane =
 
 (* --- Cycle driving ---------------------------------------------------- *)
 
-let stage_touch t n =
-  if not t.staged.(n) then begin
-    t.staged.(n) <- true;
-    t.touched <- n :: t.touched;
-    t.stage_v.(n) <- t.v.(n);
-    t.stage_x.(n) <- t.x.(n)
-  end
-
-let stage_input t lane (port, value) =
+let input_net t ~caller port =
   match Hashtbl.find_opt t.input_index port with
-  | None -> invalid_arg (Printf.sprintf "Kernel.run_streams: unknown input %s" port)
-  | Some n ->
-    stage_touch t n;
-    let bit = 1 lsl lane in
-    (match value with
-     | Logic.L0 ->
-       t.stage_v.(n) <- t.stage_v.(n) land lnot bit;
-       t.stage_x.(n) <- t.stage_x.(n) land lnot bit
-     | Logic.L1 ->
-       t.stage_v.(n) <- t.stage_v.(n) lor bit;
-       t.stage_x.(n) <- t.stage_x.(n) land lnot bit
-     | Logic.LX ->
-       t.stage_v.(n) <- t.stage_v.(n) land lnot bit;
-       t.stage_x.(n) <- t.stage_x.(n) lor bit)
-
-(* broadcast staging sets every lane of the port in one write, instead
-   of 63 separate read-modify-writes through the port Hashtbl *)
-let stage_broadcast t (port, value) =
-  match Hashtbl.find_opt t.input_index port with
-  | None ->
-    invalid_arg (Printf.sprintf "Kernel.run_cycle_broadcast: unknown input %s" port)
-  | Some n ->
-    stage_touch t n;
-    (match value with
-     | Logic.L0 -> t.stage_v.(n) <- 0; t.stage_x.(n) <- 0
-     | Logic.L1 -> t.stage_v.(n) <- t.mask; t.stage_x.(n) <- 0
-     | Logic.LX -> t.stage_v.(n) <- 0; t.stage_x.(n) <- t.mask)
-
-let commit_staged t =
-  (* commit in first-touch order, i.e. the lane-0 stimulus port order —
-     the same order the scalar engine applies its input list in *)
-  List.iter
-    (fun n ->
-      t.staged.(n) <- false;
-      commit t n t.stage_v.(n) t.stage_x.(n) cm_wake)
-    (List.rev t.touched);
-  t.touched <- []
+  | Some n -> n
+  | None -> invalid_arg (Printf.sprintf "%s: unknown input %s" caller port)
 
 (* Primary inputs change right after the first rising clock event of the
    cycle, exactly like Engine.run_cycle; the event lists are pre-split
-   around that edge at compile time. *)
-let run_cycle_apply t apply_inputs =
+   around that edge at compile time.  [commit_inputs] commits the
+   cycle's input words one net at a time, in the caller's input order:
+   the order the engine applies its input list in, so the worklist
+   order and the glitch toggle counts match it. *)
+let run_cycle t commit_inputs =
   List.iter (apply_clock_event t) t.ev_pre;
-  apply_inputs ();
-  commit_staged t;
+  commit_inputs ();
   settle t;
   List.iter (apply_clock_event t) t.ev_post;
   t.cycle_count <- t.cycle_count + 1
 
 let run_cycle_broadcast t inputs =
-  run_cycle_apply t (fun () -> List.iter (stage_broadcast t) inputs)
+  let planes =
+    List.map
+      (fun (port, value) ->
+        let n = input_net t ~caller:"Kernel.run_cycle_broadcast" port in
+        match value with
+        | Logic.L0 -> (n, 0, 0)
+        | Logic.L1 -> (n, t.mask, 0)
+        | Logic.LX -> (n, 0, t.mask))
+      inputs
+  in
+  run_cycle t (fun () ->
+      List.iter (fun (n, v, x) -> commit t n v x cm_wake) planes)
 
 let sum_toggles t = Array.fold_left ( + ) 0 t.toggles
 
@@ -853,42 +819,36 @@ let observe_run t ~cycles_run ~toggles_before ~waves_before ~cones_before =
   Obs.count "sim.kernel.waves_skipped" (t.waves_skipped - waves_before);
   Obs.count "sim.kernel.cones_skipped" (t.cones_skipped - cones_before)
 
-let run_streams t streams =
-  if Array.length streams <> t.lanes then
-    invalid_arg "Kernel.run_streams: one stream per lane expected";
-  let arrs = Array.map Array.of_list streams in
-  let n_cycles = Array.length arrs.(0) in
-  Array.iter
-    (fun a ->
-      if Array.length a <> n_cycles then
-        invalid_arg "Kernel.run_streams: lane streams of different lengths")
-    arrs;
+(* The one loop that drives lanes apart: the draw's input names resolve
+   to nets once, then each cycle commits each input's word as it is —
+   the word already holds every lane's value, and a draw never carries
+   X, so the unknown plane is 0. *)
+let run t (p : Stimulus.packed) =
+  if p.lanes <> t.lanes then
+    invalid_arg
+      (Printf.sprintf "Kernel.run: a draw of %d lanes, the kernel has %d"
+         p.lanes t.lanes);
+  let nets = Array.map (input_net t ~caller:"Kernel.run") p.inputs in
+  let n = Array.length nets in
   let toggles_before = sum_toggles t in
   let waves_before = t.waves_skipped and cones_before = t.cones_skipped in
   Obs.span "sim.kernel.run" (fun () ->
-      let cycle_inputs = Array.make t.lanes [] in
-      for c = 0 to n_cycles - 1 do
-        for l = 0 to t.lanes - 1 do
-          cycle_inputs.(l) <- arrs.(l).(c)
-        done;
-        run_cycle_apply t (fun () ->
-            Array.iteri
-              (fun lane l -> List.iter (stage_input t lane) l)
-              cycle_inputs)
+      for c = 0 to p.cycles - 1 do
+        let base = c * n in
+        run_cycle t (fun () ->
+            for k = 0 to n - 1 do
+              commit t nets.(k) p.words.(base + k) 0 cm_wake
+            done)
       done);
-  observe_run t ~cycles_run:n_cycles ~toggles_before ~waves_before ~cones_before
-
-let run_stream_broadcast t stream =
-  let toggles_before = sum_toggles t in
-  let waves_before = t.waves_skipped and cones_before = t.cones_skipped in
-  Obs.span "sim.kernel.run" (fun () ->
-      List.iter (run_cycle_broadcast t) stream);
-  observe_run t ~cycles_run:(List.length stream) ~toggles_before ~waves_before
+  observe_run t ~cycles_run:p.cycles ~toggles_before ~waves_before
     ~cones_before
+
+let run_streams t streams = run t (Stimulus.pack streams)
 
 (* --- Creation --------------------------------------------------------- *)
 
 let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
+  Obs.span "sim.kernel.create" @@ fun () ->
   let n_nets = Design.num_nets design in
   let n_insts = Design.num_insts design in
   let mask = -1 in
@@ -1125,10 +1085,6 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     dirty = [];
     input_nets;
     input_index;
-    stage_v = Array.make n_nets 0;
-    stage_x = Array.make n_nets 0;
-    staged = Array.make n_nets false;
-    touched = [];
     cycle_count = 0;
     waves_skipped = 0;
     cones_skipped = 0;

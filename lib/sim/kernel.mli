@@ -31,8 +31,10 @@
       elements and fanout cones hanging off idle clock branches; each
       event additionally carries a statically planned reachable cone,
       so predicted-cold sequential cones are never even scanned;
-    - {b broadcast staging}: identical stimulus on every lane is staged
-      in one write instead of per lane.
+    - {b packed stimulus}: a {!Stimulus.draw} already holds one word
+      per cycle and input with every lane's value, so a cycle commits
+      each input's word as it is, with the input names resolved to
+      nets once per run.
 
     Lanes are fully independent: with identical stimulus, lane 0 is
     bit-exact against {!Engine} — same outputs and same per-net toggle
@@ -53,7 +55,7 @@ val max_lanes : int
     the engine: [`Zero] resets all state and inputs to 0, [`X] starts
     everything unknown.  [fuse] and [gating] disable gate fusion and
     clock-event activity gating; both exist for differential testing
-    and default to on. *)
+    and default to on.  Records a [sim.kernel.create] span. *)
 val create :
   ?init:[ `Zero | `X ] ->
   ?fuse:bool ->
@@ -64,15 +66,27 @@ val create :
 
 (** Simulate one full clock period with the same inputs driven on every
     lane.  Inputs change right after the first rising clock event, as in
-    {!Engine.run_cycle}.  Raises {!Oscillation} if the design does not
-    settle. *)
+    {!Engine.run_cycle}, and are applied in list order.  Raises
+    [Invalid_argument] for an unknown input and {!Oscillation} if the
+    design does not settle. *)
 val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
 
-(** Run one stimulus stream per lane, {!max_lanes} streams of the same
-    length; cycles are driven as in {!run_cycle_broadcast}. *)
-val run_streams : t -> (string * Logic.t) list list array -> unit
+(** [run t p] drives one lane of [p] per kernel lane, one cycle per
+    cycle of [p] as in {!run_cycle_broadcast}.  [p.inputs] resolve to
+    nets once; each cycle then commits each input's word as it is, in
+    [p.inputs] order ({!Stimulus.inputs_of} gives the design's input
+    order).  Inputs [p] does not list keep their values.  Records a
+    [sim.kernel.run] span and the [sim.kernel.*] run counters.  Raises
+    [Invalid_argument] unless [p] has {!max_lanes} lanes, or when it
+    names an input the design does not have. *)
+val run : t -> Stimulus.packed -> unit
 
-val run_stream_broadcast : t -> (string * Logic.t) list list -> unit
+(** [run_streams t streams] is [run t (Stimulus.pack streams)]: one
+    list stream per lane, each lane-cycle listing the same ports in the
+    same order with values 0 or 1.  Raises [Invalid_argument] as
+    {!Stimulus.pack} and {!run} do.  An adapter for callers that hold
+    list streams; it packs first, so it costs more than {!run}. *)
+val run_streams : t -> (string * Logic.t) list list array -> unit
 
 val design : t -> Netlist.Design.t
 

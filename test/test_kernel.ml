@@ -154,6 +154,102 @@ let test_heterogeneous_lanes () =
           (Netlist.Design.net_name d n) total kt.(n))
     summed
 
+(* the packed path against the oracle: a draw's 63 lanes through one
+   kernel give, per net, the sum of the 63 engine toggle counts of the
+   lanes' list streams; lane 0 alone gives the engine's count, and every
+   lane ends on the engine's outputs *)
+let prop_packed_run_matches_engine =
+  QCheck.Test.make ~name:"packed run = per-lane engine runs" ~count:8
+    QCheck.(pair (int_range 0 1000) (int_range 0 16))
+    (fun (seed, cycles) ->
+      let d = Circuits.Generator.synthesize (gen_spec seed) in
+      let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+      let seeds = Array.init Sim.Kernel.max_lanes (fun l -> (100 * seed) + l) in
+      let stimulus =
+        Sim.Stimulus.draw ~seeds ~cycles (Sim.Stimulus.Uniform 0.4)
+          (Sim.Stimulus.inputs_of d)
+      in
+      let kernel = Sim.Kernel.create d ~clocks in
+      Sim.Kernel.run kernel stimulus;
+      let summed = Array.make (Netlist.Design.num_nets d) 0 in
+      Array.iteri
+        (fun l _ ->
+          let engine = Sim.Engine.create d ~clocks in
+          ignore (Sim.Engine.run_stream engine (Sim.Stimulus.lane stimulus l));
+          let outputs =
+            List.map
+              (fun (port, net) -> (port, Sim.Engine.net_value engine net))
+              d.Netlist.Design.primary_outputs
+          in
+          if Sim.Kernel.output_sample kernel ~lane:l <> outputs then
+            Alcotest.failf "seed %d lane %d: final outputs differ" seed l;
+          let et = Sim.Engine.toggles engine in
+          Array.iteri (fun n c -> summed.(n) <- summed.(n) + c) et;
+          if l = 0 && et <> Sim.Kernel.toggles_lane0 kernel then
+            Alcotest.failf "seed %d: lane-0 toggles differ from the engine's"
+              seed)
+        seeds;
+      Array.iteri
+        (fun n total ->
+          if total <> (Sim.Kernel.toggles kernel).(n) then
+            Alcotest.failf "seed %d net %s: engine lanes sum %d, kernel %d" seed
+              (Netlist.Design.net_name d n) total (Sim.Kernel.toggles kernel).(n))
+        summed;
+      Sim.Kernel.cycles kernel = cycles)
+
+(* run_streams packs its lists and runs the same loop *)
+let test_run_streams_adapter () =
+  let d = Circuits.Generator.synthesize (gen_spec 17) in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 500 + l))
+      ~cycles:16
+      (Sim.Stimulus.Bursty
+         { burst_len = 4; idle_len = 2; toggle_probability = 0.5 })
+      (Sim.Stimulus.inputs_of d)
+  in
+  let packed = Sim.Kernel.create d ~clocks in
+  Sim.Kernel.run packed stimulus;
+  let lists = Sim.Kernel.create d ~clocks in
+  Sim.Kernel.run_streams lists
+    (Array.init Sim.Kernel.max_lanes (Sim.Stimulus.lane stimulus));
+  check Alcotest.(array int) "toggles" (Sim.Kernel.toggles packed)
+    (Sim.Kernel.toggles lists);
+  check Alcotest.(array int) "lane-0 toggles" (Sim.Kernel.toggles_lane0 packed)
+    (Sim.Kernel.toggles_lane0 lists);
+  check Alcotest.bool "stats" true
+    (Sim.Kernel.stats packed = Sim.Kernel.stats lists);
+  check Alcotest.int "cycles" (Sim.Kernel.cycles packed) (Sim.Kernel.cycles lists)
+
+(* list streams the packed form cannot carry are refused, not guessed *)
+let test_run_streams_refusals () =
+  let d = Circuits.Generator.synthesize (gen_spec 3) in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let base =
+    Array.init Sim.Kernel.max_lanes (fun l ->
+        Sim.Stimulus.random ~seed:(40 + l) ~cycles:6 ~toggle_probability:0.5
+          (Sim.Stimulus.inputs_of d))
+  in
+  let edit lane f = Array.mapi (fun l s -> if l = lane then f s else s) base in
+  let on_cycle c f = List.mapi (fun i cycle -> if i = c then f cycle else cycle) in
+  let refused label streams =
+    match Sim.Kernel.run_streams (Sim.Kernel.create d ~clocks) streams with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refused "unknown input"
+    (Array.map
+       (List.map (fun cycle -> ("no_such_port", Sim.Logic.L0) :: cycle))
+       base);
+  refused "lanes of different lengths" (edit 5 List.tl);
+  refused "ports in another order" (edit 3 (on_cycle 2 List.rev));
+  refused "X value"
+    (edit 7 (on_cycle 1 (List.map (fun (port, _) -> (port, Sim.Logic.LX)))));
+  refused "62 lanes" (Array.sub base 0 (Sim.Kernel.max_lanes - 1));
+  (* the unedited streams run *)
+  Sim.Kernel.run_streams (Sim.Kernel.create d ~clocks) base
+
 (* the full quick suite, each design style with its own clocking *)
 let test_suite_variants () =
   List.iter
@@ -232,6 +328,10 @@ let suite =
   [ QCheck_alcotest.to_alcotest prop_kernel_matches_engine;
     QCheck_alcotest.to_alcotest prop_fusion_gating_equivalence;
     Alcotest.test_case "heterogeneous lanes" `Quick test_heterogeneous_lanes;
+    QCheck_alcotest.to_alcotest prop_packed_run_matches_engine;
+    Alcotest.test_case "run_streams adapter = packed run" `Quick
+      test_run_streams_adapter;
+    Alcotest.test_case "run_streams refusals" `Quick test_run_streams_refusals;
     Alcotest.test_case "suite variants lane-0 identity" `Slow test_suite_variants;
     Alcotest.test_case "wide wave shared fanout vs engine" `Quick
       test_wide_wave_shared_fanout;

@@ -351,6 +351,33 @@ let test_flow_reports_comb_cycle () =
       (has "g1" || has "g2");
     check Alcotest.bool ("d0 not named in: " ^ msg) false (has "d0")
 
+(* a verification stream too short to compare any cycle stops the flow
+   with a Flow_error naming the equivalence stage, before any work *)
+let test_flow_refuses_short_verification () =
+  let d = Circuits.Generator.synthesize (gen_spec 51) in
+  let config cycles =
+    { (Phase3.Flow.default_config ~period:1.0) with
+      Phase3.Flow.verify_cycles = cycles }
+  in
+  List.iter
+    (fun cycles ->
+      match Phase3.Flow.run ~config:(config cycles) d with
+      | _ -> Alcotest.failf "verify_cycles %d accepted" cycles
+      | exception Phase3.Flow.Flow_error msg ->
+        check Alcotest.bool ("stage named in: " ^ msg) true
+          (Astring.String.is_infix ~affix:"equivalence" msg))
+    [0; 8; 9; 10];
+  let r = Phase3.Flow.run ~config:(config 11) d in
+  check Alcotest.bool "11 cycles verify" true
+    (match r.Phase3.Flow.equivalence with
+     | Some (Sim.Equivalence.Equivalent _) -> true
+     | Some (Sim.Equivalence.Mismatch _) | None -> false);
+  (* without the check the stream length does not matter *)
+  ignore
+    (Phase3.Flow.run
+       ~config:{ (config 0) with Phase3.Flow.verify_equivalence = false }
+       d)
+
 (* --- Pipeline closed form --- *)
 
 let test_pipeline_closed_form () =
@@ -383,6 +410,8 @@ let suite =
     Alcotest.test_case "clock gating structures" `Quick test_clock_gating_structures;
     Alcotest.test_case "flow end-to-end sweep" `Slow test_flow_end_to_end_sweep;
     Alcotest.test_case "flow rejects invalid input" `Quick test_flow_rejects_invalid_input;
+    Alcotest.test_case "flow refuses a short verification stream" `Quick
+      test_flow_refuses_short_verification;
     Alcotest.test_case "flow names the combinational cycle" `Quick
       test_flow_reports_comb_cycle;
     Alcotest.test_case "pipeline closed form" `Quick test_pipeline_closed_form;

@@ -197,6 +197,84 @@ let test_stimulus_constant () =
     (fun cycle -> check Alcotest.char "held" '1' (L.to_char (List.assoc "x" cycle)))
     s
 
+(* the draw order pinned: each cycle one Logic.to_char per input, cycles
+   joined with newlines, MD5 in hex *)
+let stream_digest (s : Sim.Stimulus.t) =
+  let row cycle =
+    String.concat "" (List.map (fun (_, v) -> String.make 1 (L.to_char v)) cycle)
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map row s)))
+
+let test_stimulus_golden () =
+  let inputs = List.init 8 (Printf.sprintf "in%d") in
+  let digest name expected s =
+    check Alcotest.string name expected (stream_digest s)
+  in
+  digest "random seed 1" "2bb62d9f4c2e8b667603411282ad348d"
+    (Sim.Stimulus.random ~seed:1 ~cycles:512 ~toggle_probability:0.25 inputs);
+  digest "random seed 63" "1804961be0cd8332f8c06decd4ee304c"
+    (Sim.Stimulus.random ~seed:63 ~cycles:512 ~toggle_probability:0.25 inputs);
+  digest "bursty" "6fd808cfadb9b2c8ca806fc495f98596"
+    (Sim.Stimulus.bursty ~seed:2024 ~cycles:384 ~burst_len:48 ~idle_len:16
+       ~toggle_probability:0.35 inputs);
+  let profile name =
+    0.05 *. float_of_string (String.sub name 2 (String.length name - 2))
+  in
+  digest "profiled" "697f29bd2c27d07d2b53a894fbb91f9a"
+    (Sim.Stimulus.profiled ~seed:2024 ~cycles:384 profile inputs)
+
+(* lane l of a packed draw is the list stream of seeds.(l), for every
+   shape, including empty streams and designs without inputs *)
+let prop_packed_lanes_match_lists =
+  let gen =
+    QCheck.(
+      quad (int_range 0 40) (int_range 0 10) (int_range 0 2)
+        (pair (int_range 1 Sim.Stimulus.max_lanes) (int_range 0 100_000)))
+  in
+  QCheck.Test.make ~name:"packed draw lanes = list streams" ~count:60 gen
+    (fun (cycles, n_inputs, kind, (lanes, base)) ->
+      let inputs = List.init n_inputs (Printf.sprintf "i%d") in
+      let seeds = Array.init lanes (fun l -> base + (7 * l)) in
+      let profile name =
+        0.07 *. float_of_int (String.length name + (Hashtbl.hash name mod 9))
+      in
+      let shape, list_of =
+        match kind with
+        | 0 ->
+          ( Sim.Stimulus.Uniform 0.3,
+            fun seed ->
+              Sim.Stimulus.random ~seed ~cycles ~toggle_probability:0.3 inputs )
+        | 1 ->
+          ( Sim.Stimulus.Profiled profile,
+            fun seed -> Sim.Stimulus.profiled ~seed ~cycles profile inputs )
+        | _ ->
+          ( Sim.Stimulus.Bursty
+              { burst_len = 5; idle_len = 3; toggle_probability = 0.4 },
+            fun seed ->
+              Sim.Stimulus.bursty ~seed ~cycles ~burst_len:5 ~idle_len:3
+                ~toggle_probability:0.4 inputs )
+      in
+      let p = Sim.Stimulus.draw ~seeds ~cycles shape inputs in
+      Array.iteri
+        (fun l seed ->
+          let expected = list_of seed in
+          if List.length expected <> cycles then
+            Alcotest.failf "seed %d: %d cycles, asked for %d" seed
+              (List.length expected) cycles;
+          if Sim.Stimulus.lane p l <> expected then
+            Alcotest.failf "lane %d (seed %d) differs from its list stream" l seed)
+        seeds;
+      (* bits above the last lane stay clear *)
+      Array.iter
+        (fun w ->
+          if w lsr lanes <> 0 then
+            Alcotest.failf "word %x has bits above lane %d" w lanes)
+        p.Sim.Stimulus.words;
+      (* packing the lanes back gives the draw (an empty stream has no
+         cycle to take the port names from) *)
+      cycles = 0 || lanes = 0
+      || Sim.Stimulus.pack (Array.init lanes (Sim.Stimulus.lane p)) = p)
+
 (* --- Equivalence --- *)
 
 let test_equivalence_shift_detection () =
@@ -218,6 +296,69 @@ let test_equivalence_mismatch_reported () =
     check Alcotest.string "port" "y" m.Sim.Equivalence.port
   | Sim.Equivalence.Equivalent _ -> Alcotest.fail "must mismatch"
 
+(* a register of [a], or of [not a]: the two never agree once the first
+   captured value is out *)
+let dff_of ~invert =
+  let b = B.create ~name:(if invert then "dff_not_a" else "dff_a") ~library:lib in
+  let clk = B.add_input ~clock:true b "clk" in
+  let a = B.add_input b "a" in
+  let d =
+    if invert then begin
+      let na = B.fresh_net b "na" in
+      ignore (B.add_cell b "inv" "INV_X1" [("A", a); ("ZN", na)]);
+      na
+    end
+    else a
+  in
+  let q = B.fresh_net b "q" in
+  ignore (B.add_cell b "r" "DFF_X1" [("CK", clk); ("D", d); ("Q", q)]);
+  B.add_output b "y" q;
+  B.freeze b
+
+(* a shift whose window (cycles past the warmup that both streams
+   reach) is empty compares nothing and must not match: a register of
+   [a] and one of [not a] are never equivalent, however short the
+   stream *)
+let test_equivalence_short_streams () =
+  let reference = dff_of ~invert:false and dut = dff_of ~invert:true in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let stimulus cycles =
+    Sim.Stimulus.random ~seed:3 ~cycles ~toggle_probability:0.5 ["a"]
+  in
+  let run cycles =
+    Sim.Equivalence.check ~reference ~dut ~reference_clocks:clocks
+      ~dut_clocks:clocks ~stimulus:(stimulus cycles) ()
+  in
+  let mismatch_at label cycle = function
+    | Sim.Equivalence.Mismatch m ->
+      check Alcotest.int label cycle m.Sim.Equivalence.cycle
+    | Sim.Equivalence.Equivalent { shift } ->
+      Alcotest.failf "%s: Equivalent at shift %d" label shift
+  in
+  mismatch_at "64 cycles" 8 (run 64);
+  (* 11 cycles is the shortest stream with a cycle in every window *)
+  ignore (run 11 : Sim.Equivalence.verdict);
+  List.iter
+    (fun cycles ->
+      match run cycles with
+      | _ -> Alcotest.failf "check accepted %d cycles" cycles
+      | exception Invalid_argument _ -> ())
+    [8; 9; 10];
+  check Alcotest.int "min cycles" 11 (Sim.Equivalence.min_cycles ());
+  let outputs d cycles =
+    Sim.Engine.run_stream (Sim.Engine.create d ~clocks) (stimulus cycles)
+  in
+  let compare cycles =
+    Sim.Equivalence.compare_streams ~warmup:8 ~max_shift:2
+      (outputs reference cycles) (outputs dut cycles)
+  in
+  (* 9 cycles: only shift 0 has a window (cycle 8), and it differs *)
+  mismatch_at "compare 9 cycles" 8 (compare 9);
+  (* 8 cycles: no shift has a window *)
+  match compare 8 with
+  | _ -> Alcotest.fail "compare_streams gave a verdict on 8 cycles"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [ Alcotest.test_case "logic tables" `Quick test_logic_tables;
     Alcotest.test_case "clock events" `Quick test_clock_events;
@@ -231,8 +372,12 @@ let suite =
     Alcotest.test_case "toggle counting" `Quick test_toggle_counting;
     Alcotest.test_case "stimulus deterministic" `Quick test_stimulus_deterministic;
     Alcotest.test_case "stimulus constant" `Quick test_stimulus_constant;
+    Alcotest.test_case "stimulus golden draws" `Quick test_stimulus_golden;
+    QCheck_alcotest.to_alcotest prop_packed_lanes_match_lists;
     Alcotest.test_case "equivalence shift" `Quick test_equivalence_shift_detection;
-    Alcotest.test_case "equivalence mismatch" `Quick test_equivalence_mismatch_reported ]
+    Alcotest.test_case "equivalence mismatch" `Quick test_equivalence_mismatch_reported;
+    Alcotest.test_case "equivalence refuses empty windows" `Quick
+      test_equivalence_short_streams ]
 
 (* --- asynchronous reset cells --- *)
 
