@@ -389,6 +389,14 @@ let timing_cmd =
     match resolve_input input with
     | exception Failure msg -> `Error (false, msg)
     | d, suite_period ->
+    (* timing needs a valid design (an acyclic one), as convert does *)
+    match Netlist.Check.validate d with
+    | Error errors ->
+      `Error
+        (false,
+         Printf.sprintf "input design %s is invalid: %s"
+           d.Netlist.Design.design_name (String.concat "; " errors))
+    | Ok () ->
     let period = period_of period suite_period in
     let paths = Sta.Timing_report.worst_paths ~count:5 d in
     Format.printf "%a" (Sta.Timing_report.pp d) paths;

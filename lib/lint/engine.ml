@@ -18,23 +18,35 @@ type report = {
 
 let ok r = r.errors = 0
 
-let run ?(wire = Sta.Delay.no_wire) ?(config = default_config) ?(waivers = [])
-    ?(extra = []) d ~clocks =
+(* PHASE-006: a register's root port has no waveform *)
+let unclocked d (i, port) =
+  D.makef ~rule:"PHASE-006" ~severity:D.Error
+    ~loc:(D.Object (Netlist.Design.inst_name d i))
+    "register %s is clocked by port %s which has no waveform in the clock \
+     specification"
+    (Netlist.Design.inst_name d i) port
+
+let run ?(config = default_config) ?(waivers = []) ?(extra = []) d ~clocks =
   Obs.span "lint.run" @@ fun () ->
   let structural = Netlist.Check.diagnostics d in
   let clock = Clock_audit.run d ~clocks in
-  let views, view_diags = Seq_view.of_design ~wire d ~clocks in
-  let paths = Sta.Paths.compute ~wire d in
-  let phase =
-    Phase_audit.run ~setup_margin:config.setup_margin
-      ~input_delay:config.input_delay d ~clocks ~views ~paths
-  in
-  let hold =
-    Hold_audit.run ~hold_margin:config.hold_margin
-      ~input_delay:config.input_delay d ~clocks ~views ~paths
+  (* timing needs an acyclic network: on a loop NET-002 stands alone *)
+  let timing =
+    if List.exists (fun (dg : D.t) -> String.equal dg.D.rule "NET-002") structural
+    then []
+    else begin
+      let g = Sta.Graph.create d in
+      let views, no_waveform = Sta.Smo.views g ~clocks in
+      let paths = Sta.Paths.compute g in
+      List.map (unclocked d) no_waveform
+      @ Phase_audit.run ~setup_margin:config.setup_margin
+          ~input_delay:config.input_delay d ~clocks ~views ~paths
+      @ Hold_audit.run ~hold_margin:config.hold_margin
+          ~input_delay:config.input_delay d ~clocks ~views ~paths
+    end
   in
   let reset = Reset_audit.run d in
-  let all = structural @ clock @ view_diags @ phase @ hold @ reset @ extra in
+  let all = structural @ clock @ timing @ reset @ extra in
   let all = Lint_core.Waiver.apply waivers all in
   let diagnostics = List.stable_sort D.compare all in
   let errors, warnings, infos = D.counts diagnostics in

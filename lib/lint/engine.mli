@@ -5,8 +5,15 @@
     - structural netlist checks ([NET-*], {!Netlist.Check.diagnostics});
     - clock-network audit ([CLK-*], {!Clock_audit});
     - min-delay audit ([HOLD-*], {!Hold_audit});
-    - phase-legality audit ([PHASE-*], {!Phase_audit} + {!Seq_view});
+    - phase-legality audit ([PHASE-*], {!Phase_audit}, plus [PHASE-006]
+      for each register {!Sta.Smo.views} finds without a waveform).  Both
+      audits read the register views of {!Sta.Smo.views} and the arcs of
+      {!Sta.Paths}, and still share no code with [Phase3];
     - reset audit ([RST-*], {!Reset_audit}).
+
+    The phase and min-delay audits need an acyclic combinational network:
+    on a design with a combinational cycle they are skipped and [NET-002]
+    reports the cycle.
 
     RTL lints ([RTL-*]) are collected during elaboration and handed in
     through [extra].
@@ -32,11 +39,10 @@ type report = {
 
 val ok : report -> bool
 
-(** [run ?wire ?config ?waivers ?extra d ~clocks] runs all passes.
-    Records [lint.*] Obs counters (total, per severity, and
-    [lint.rule.<ID>] per rule that fired). *)
+(** [run ?config ?waivers ?extra d ~clocks] runs all passes, compiling
+    its own {!Sta.Graph}.  Records [lint.*] Obs counters (total, per
+    severity, and [lint.rule.<ID>] per rule that fired). *)
 val run :
-  ?wire:Sta.Delay.wire_model ->
   ?config:config ->
   ?waivers:Lint_core.Waiver.t ->
   ?extra:Lint_core.Diagnostic.t list ->

@@ -1,14 +1,12 @@
 module Design = Netlist.Design
 module D = Lint_core.Diagnostic
 
-let forward_shift = Phase_audit.forward_shift
-
-let run ?(hold_margin = 0.02) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
-    ~paths =
+let run ?(hold_margin = 0.02) ?(input_delay = (0.05, 0.10)) d ~clocks
+    ~(views : Sta.Smo.reg_view list) ~paths =
   let input_delay_min, _ = input_delay in
   let period = clocks.Sim.Clock_spec.period in
   let view_of = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace view_of v.Seq_view.inst v) views;
+  List.iter (fun v -> Hashtbl.replace view_of v.Sta.Smo.inst v) views;
   let diags = ref [] in
   List.iter
     (fun (p : Sta.Paths.path) ->
@@ -21,17 +19,15 @@ let run ?(hold_margin = 0.02) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
            let early =
              match p.src with
              | Sta.Paths.Port _ ->
-               let shift = forward_shift period 0.0 vd.Seq_view.close in
+               let shift = Sta.Smo.forward_shift period 0.0 vd.close in
                Some (input_delay_min +. p.min_delay -. shift +. period)
              | Sta.Paths.Reg js ->
                (match Hashtbl.find_opt view_of js with
                 | None -> None
                 | Some vs ->
-                  let shift =
-                    forward_shift period vs.Seq_view.close vd.Seq_view.close
-                  in
+                  let shift = Sta.Smo.forward_shift period vs.close vd.close in
                   Some
-                    (-.vs.Seq_view.width +. vs.Seq_view.clk2q_min
+                    (-.vs.width +. vs.clk2q_min
                      +. p.min_delay -. shift +. period))
            in
            (match early with
@@ -53,5 +49,5 @@ let run ?(hold_margin = 0.02) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
                     (Phase_audit.endpoint_name d p.src)
                     early hold_margin slack
                   :: !diags)))
-    (Sta.Paths.all paths);
+    paths;
   List.rev !diags

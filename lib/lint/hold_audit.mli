@@ -13,6 +13,6 @@ val run :
   ?input_delay:float * float ->
   Netlist.Design.t ->
   clocks:Sim.Clock_spec.t ->
-  views:Seq_view.t list ->
-  paths:Sta.Paths.t ->
+  views:Sta.Smo.reg_view list ->
+  paths:Sta.Paths.path list ->
   Lint_core.Diagnostic.t list

@@ -1,10 +1,6 @@
 module Design = Netlist.Design
 module D = Lint_core.Diagnostic
 
-let forward_shift period e_from e_to =
-  let diff = Float.rem (e_to -. e_from) period in
-  if diff <= 1e-12 then diff +. period else diff
-
 (* circular overlap of two half-open windows (s, s+len] within a period *)
 let windows_overlap period s1 len1 s2 len2 =
   let wrap x =
@@ -17,16 +13,15 @@ let endpoint_name d = function
   | Sta.Paths.Reg i -> Design.inst_name d i
   | Sta.Paths.Port p -> p
 
-let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
-    ~paths =
+let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks
+    ~(views : Sta.Smo.reg_view list) ~(paths : Sta.Paths.path list) =
   let _, input_delay_max = input_delay in
   let period = clocks.Sim.Clock_spec.period in
   let view_of = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace view_of v.Seq_view.inst v) views;
-  let arcs = Sta.Paths.all paths in
+  List.iter (fun v -> Hashtbl.replace view_of v.Sta.Smo.inst v) views;
   let diags = ref [] in
   let add dg = diags := dg :: !diags in
-  let arc_obj src (v : Seq_view.t) =
+  let arc_obj src (v : Sta.Smo.reg_view) =
     D.Object
       (Printf.sprintf "%s -> %s" (endpoint_name d src) (Design.inst_name d v.inst))
   in
@@ -54,47 +49,43 @@ let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
       match (p.src, p.dst) with
       | Sta.Paths.Reg js, Sta.Paths.Reg jd ->
         (match (Hashtbl.find_opt view_of js, Hashtbl.find_opt view_of jd) with
-         | Some vs, Some vd when vs.Seq_view.width > 0.0 && vd.Seq_view.width > 0.0
-           ->
+         | Some vs, Some vd when vs.width > 0.0 && vd.width > 0.0 ->
            let same_phase =
-             String.equal vs.Seq_view.port vd.Seq_view.port
-             && Float.abs (vs.Seq_view.close -. vd.Seq_view.close) <= 1e-9
+             String.equal vs.port vd.port
+             && Float.abs (vs.close -. vd.close) <= 1e-9
            in
            if
              (not same_phase)
-             && Some vs.Seq_view.port = last_phase
-             && Some vd.Seq_view.port = first_phase
+             && Some vs.port = last_phase
+             && Some vd.port = first_phase
            then
              add
                (D.makef ~rule:"PHASE-007" ~severity:D.Error ~loc:(arc_obj p.src vd)
                   "latch %s (%s, the last phase) feeds latch %s (%s, the \
                    first phase) directly: the cycle boundary must be \
                    crossed through the middle phase"
-                  (Design.inst_name d js) vs.Seq_view.port
-                  (Design.inst_name d jd) vd.Seq_view.port);
+                  (Design.inst_name d js) vs.port
+                  (Design.inst_name d jd) vd.port);
            if same_phase then
              add
                (D.makef ~rule:"PHASE-001" ~severity:D.Error ~loc:(arc_obj p.src vd)
                   "latch %s feeds latch %s on the same phase (%s closing at \
                    %.4f ns): data races through both transparent windows"
                   (Design.inst_name d js) (Design.inst_name d jd)
-                  vd.Seq_view.port vd.Seq_view.close)
+                  vd.port vd.close)
            else if
-             windows_overlap period
-               (vs.Seq_view.close -. vs.Seq_view.width)
-               vs.Seq_view.width
-               (vd.Seq_view.close -. vd.Seq_view.width)
-               vd.Seq_view.width
+             windows_overlap period (vs.close -. vs.width) vs.width
+               (vd.close -. vd.width) vd.width
            then
              add
                (D.makef ~rule:"PHASE-005" ~severity:D.Error ~loc:(arc_obj p.src vd)
                   "transparency windows of latch %s (%s) and latch %s (%s) \
                    overlap on a connecting path"
-                  (Design.inst_name d js) vs.Seq_view.port
-                  (Design.inst_name d jd) vd.Seq_view.port)
+                  (Design.inst_name d js) vs.port
+                  (Design.inst_name d jd) vd.port)
          | _ -> ())
       | _ -> ())
-    arcs;
+    paths;
   (* arcs into each viewed destination register *)
   let into = Hashtbl.create 64 in
   List.iter
@@ -110,33 +101,33 @@ let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
           Hashtbl.replace into jd
             (p :: (Option.value ~default:[] (Hashtbl.find_opt into jd)))
       | Sta.Paths.Reg _ | Sta.Paths.Port _ -> ())
-    arcs;
+    paths;
   (* departure-time fixed point, exactly the SMO recurrence but with one
      launch time per register instead of per class *)
   let departures = Hashtbl.create 64 in
   List.iter
-    (fun v -> Hashtbl.replace departures v.Seq_view.inst (-.v.Seq_view.width))
+    (fun (v : Sta.Smo.reg_view) -> Hashtbl.replace departures v.inst (-.v.width))
     views;
-  let arc_arrival (v : Seq_view.t) (p : Sta.Paths.path) =
+  let arc_arrival (v : Sta.Smo.reg_view) (p : Sta.Paths.path) =
     match p.src with
     | Sta.Paths.Port _ ->
-      let shift = forward_shift period 0.0 v.Seq_view.close in
+      let shift = Sta.Smo.forward_shift period 0.0 v.close in
       Some (input_delay_max +. p.max_delay -. shift)
     | Sta.Paths.Reg js ->
       (match Hashtbl.find_opt view_of js with
        | None -> None
        | Some vs ->
-         let shift = forward_shift period vs.Seq_view.close v.Seq_view.close in
+         let shift = Sta.Smo.forward_shift period vs.close v.close in
          Some
            (Hashtbl.find departures js
-            +. vs.Seq_view.clk2q_max +. p.max_delay -. shift))
+            +. vs.clk2q_max +. p.max_delay -. shift))
   in
-  let arrival_of v =
+  let arrival_of (v : Sta.Smo.reg_view) =
     List.fold_left
       (fun acc p ->
         match arc_arrival v p with None -> acc | Some a -> Float.max acc a)
       Float.neg_infinity
-      (Option.value ~default:[] (Hashtbl.find_opt into v.Seq_view.inst))
+      (Option.value ~default:[] (Hashtbl.find_opt into v.inst))
   in
   let iterations = ref 0 in
   let changed = ref true in
@@ -147,11 +138,11 @@ let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
     else begin
       changed := false;
       List.iter
-        (fun v ->
-          let dep = Float.max (-.v.Seq_view.width) (arrival_of v) in
-          let old = Hashtbl.find departures v.Seq_view.inst in
+        (fun (v : Sta.Smo.reg_view) ->
+          let dep = Float.max (-.v.width) (arrival_of v) in
+          let old = Hashtbl.find departures v.inst in
           if dep > old +. 1e-9 then begin
-            Hashtbl.replace departures v.Seq_view.inst dep;
+            Hashtbl.replace departures v.inst dep;
             changed := true
           end)
         views
@@ -166,7 +157,7 @@ let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
   else
     (* per-arc setup / borrow audit at the fixed point *)
     List.iter
-      (fun v ->
+      (fun (v : Sta.Smo.reg_view) ->
         List.iter
           (fun (p : Sta.Paths.path) ->
             match arc_arrival v p with
@@ -174,14 +165,14 @@ let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
             | Some arr ->
               let slack = -.arr -. setup_margin in
               if slack < -1e-9 then
-                if v.Seq_view.width <= 0.0 then
+                if v.width <= 0.0 then
                   add
                     (D.makef ~rule:"PHASE-002" ~severity:D.Error
                        ~loc:(arc_obj p.src v)
                        "setup violation at %s on the arc from %s: data \
                         arrives %.4f ns after the capturing edge allows \
                         (slack %.4f ns)"
-                       (Design.inst_name d v.Seq_view.inst)
+                       (Design.inst_name d v.inst)
                        (endpoint_name d p.src) arr slack)
                 else
                   add
@@ -189,9 +180,9 @@ let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks ~views
                        ~loc:(arc_obj p.src v)
                        "latch %s borrows %.4f ns on the arc from %s but its \
                         transparency window is only %.4f ns (slack %.4f ns)"
-                       (Design.inst_name d v.Seq_view.inst)
-                       (arr +. v.Seq_view.width)
-                       (endpoint_name d p.src) v.Seq_view.width slack))
-          (Option.value ~default:[] (Hashtbl.find_opt into v.Seq_view.inst)))
+                       (Design.inst_name d v.inst)
+                       (arr +. v.width)
+                       (endpoint_name d p.src) v.width slack))
+          (Option.value ~default:[] (Hashtbl.find_opt into v.inst)))
       views;
   List.rev !diags

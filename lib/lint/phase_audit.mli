@@ -23,10 +23,6 @@
     than the class-based checker, and sharing none of the phase
     assignment's solution construction. *)
 
-(** The SMO phase shift: time from closing edge [e_from] to the next
-    occurrence of closing edge [e_to], in (0, period]. *)
-val forward_shift : float -> float -> float -> float
-
 val endpoint_name : Netlist.Design.t -> Sta.Paths.endpoint -> string
 
 val run :
@@ -34,6 +30,6 @@ val run :
   ?input_delay:float * float ->
   Netlist.Design.t ->
   clocks:Sim.Clock_spec.t ->
-  views:Seq_view.t list ->
-  paths:Sta.Paths.t ->
+  views:Sta.Smo.reg_view list ->
+  paths:Sta.Paths.path list ->
   Lint_core.Diagnostic.t list

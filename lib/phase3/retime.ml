@@ -131,8 +131,9 @@ let gate_out d g =
   | [] | _ :: _ :: _ -> assert false
 
 (* Cost of the max-balanced halves before/after a candidate move. *)
-let improves d wire forward backward m =
-  let d_g = Sta.Delay.inst_delay_max d wire m.gate in
+let improves (graph : Sta.Graph.t) forward backward m =
+  let d = graph.design in
+  let d_g = graph.delay_max.(m.gate) in
   match m.direction with
   | Forward ->
     let din_max, cur_cost =
@@ -309,19 +310,24 @@ let preserves_reset init m d =
              zero net)
          (Design.input_nets d m.gate)
 
-let run ?(max_passes = 50) ?(wire = Sta.Delay.no_wire) d0 =
+let max_passes = 50
+
+let run d0 =
   let latches_before = count_latches d0 in
   let rec loop d pass moves_total =
     if pass >= max_passes then (d, pass, moves_total)
     else begin
-      let forward = Sta.Paths.forward_arrivals ~wire d in
-      let backward = Sta.Paths.backward_delays ~wire d in
+      let graph = Sta.Graph.create d in
+      let forward = Sta.Paths.forward_arrivals graph in
+      let backward =
+        Sta.Graph.backward graph (List.map snd (Sta.Paths.sinks d))
+      in
       let init = Sim.Init_state.create d in
       let fwd_moves =
         List.filter_map
           (fun g ->
             match move_candidate d g with
-            | Some m when improves d wire forward backward m
+            | Some m when improves graph forward backward m
                        && preserves_reset init m d -> Some m
             | Some _ | None -> None)
           (Design.insts d)
@@ -340,7 +346,7 @@ let run ?(max_passes = 50) ?(wire = Sta.Delay.no_wire) d0 =
               match backward_candidate d l with
               | Some m
                 when (not (Hashtbl.mem consumed m.gate))
-                  && improves d wire forward backward m
+                  && improves graph forward backward m
                   && preserves_reset init m d ->
                 Hashtbl.replace consumed m.gate ();
                 Some m

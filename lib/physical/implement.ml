@@ -2,7 +2,7 @@ type t = {
   design : Netlist.Design.t;
   placement : Placement.t;
   clock_tree : Clock_tree.t;
-  wire : Sta.Delay.wire_model;
+  wire : Netlist.Design.net -> float;
   total_wirelength : float;
   cell_area : float;
   total_area : float;

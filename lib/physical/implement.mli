@@ -5,7 +5,7 @@ type t = {
   design : Netlist.Design.t;
   placement : Placement.t;
   clock_tree : Clock_tree.t;
-  wire : Sta.Delay.wire_model;
+  wire : Netlist.Design.net -> float;  (** routed wire capacitance, fF *)
   total_wirelength : float;   (** um, signal nets *)
   cell_area : float;          (** um^2, netlist cells *)
   total_area : float;         (** cells + clock-tree buffers *)

@@ -16,10 +16,5 @@ val default_corners : corner list
 
 (** [check_all d ~clocks] — one report per corner. *)
 val check_all :
-  ?wire:Delay.wire_model -> ?corners:corner list ->
+  ?corners:corner list ->
   Netlist.Design.t -> clocks:Sim.Clock_spec.t -> (corner * Smo.report) list
-
-(** [ok_all] — true when every corner passes. *)
-val ok_all :
-  ?wire:Delay.wire_model -> ?corners:corner list ->
-  Netlist.Design.t -> clocks:Sim.Clock_spec.t -> bool

@@ -1,5 +1,7 @@
+module Design = Netlist.Design
+
 type endpoint =
-  | Reg of Netlist.Design.inst
+  | Reg of Design.inst
   | Port of string
 
 type path = {
@@ -9,171 +11,33 @@ type path = {
   min_delay : float;
 }
 
-type t = {
-  paths : path list;
-  by_dst : (Netlist.Design.inst, path list) Hashtbl.t;
-  by_src : (Netlist.Design.inst, path list) Hashtbl.t;
-}
+let sources d =
+  List.filter_map
+    (fun i -> Option.map (fun q -> (Reg i, q)) (Design.q_net_of d i))
+    (Design.sequential_insts d)
+  @ List.filter_map
+      (fun (p, net) -> if Design.is_clock_port d p then None else Some (Port p, net))
+      d.Design.primary_inputs
 
-(* Longest/shortest arrival at every net from one source net, by DAG
-   relaxation over the combinational topological order. *)
-let relax d wire order ~src_net =
-  let n = Netlist.Design.num_nets d in
-  let neg_inf = Float.neg_infinity and pos_inf = Float.infinity in
-  let amax = Array.make n neg_inf and amin = Array.make n pos_inf in
-  amax.(src_net) <- 0.0;
-  amin.(src_net) <- 0.0;
-  List.iter
-    (fun i ->
-      let in_max, in_min =
-        List.fold_left
-          (fun (mx, mn) net -> (Float.max mx amax.(net), Float.min mn amin.(net)))
-          (neg_inf, pos_inf)
-          (Netlist.Design.input_nets d i)
-      in
-      if in_max > neg_inf then begin
-        let dmax = Delay.inst_delay_max d wire i in
-        let dmin = Delay.inst_delay_min d wire i in
-        List.iter
-          (fun net ->
-            amax.(net) <- Float.max amax.(net) (in_max +. dmax);
-            amin.(net) <- Float.min amin.(net) (in_min +. dmin))
-          (Netlist.Design.output_nets d i)
-      end)
-    order;
-  (amax, amin)
+let sinks d =
+  List.filter_map
+    (fun i -> Option.map (fun dn -> (Reg i, dn)) (Design.data_net_of d i))
+    (Design.sequential_insts d)
+  @ List.map (fun (p, net) -> (Port p, net)) d.Design.primary_outputs
 
-let compute ?(wire = Delay.no_wire) d =
-  let order = Netlist.Traverse.comb_topo_exn d in
-  let seqs = Netlist.Design.sequential_insts d in
-  let sources =
-    List.filter_map
-      (fun i -> Option.map (fun q -> (Reg i, q)) (Netlist.Design.q_net_of d i))
-      seqs
-    @ List.filter_map
-        (fun (p, net) ->
-          if Netlist.Design.is_clock_port d p then None else Some (Port p, net))
-        d.Netlist.Design.primary_inputs
-  in
-  let dst_pins =
-    List.filter_map
-      (fun i -> Option.map (fun dn -> (Reg i, dn)) (Netlist.Design.data_net_of d i))
-      seqs
-    @ List.map (fun (p, net) -> (Port p, net)) d.Netlist.Design.primary_outputs
-  in
-  let paths = ref [] in
-  List.iter
-    (fun (src, src_net) ->
-      let amax, amin = relax d wire order ~src_net in
-      List.iter
-        (fun (dst, dst_net) ->
-          if amax.(dst_net) > Float.neg_infinity then
-            paths := { src; dst; max_delay = amax.(dst_net);
-                       min_delay = amin.(dst_net) } :: !paths)
-        dst_pins)
-    sources;
-  let by_dst = Hashtbl.create 256 and by_src = Hashtbl.create 256 in
-  List.iter
-    (fun p ->
-      (match p.dst with
-       | Reg i ->
-         Hashtbl.replace by_dst i (p :: Option.value ~default:[] (Hashtbl.find_opt by_dst i))
-       | Port _ -> ());
-      (match p.src with
-       | Reg i ->
-         Hashtbl.replace by_src i (p :: Option.value ~default:[] (Hashtbl.find_opt by_src i))
-       | Port _ -> ()))
-    !paths;
-  { paths = !paths; by_dst; by_src }
-
-let all t = t.paths
-
-let into t i = Option.value ~default:[] (Hashtbl.find_opt t.by_dst i)
-
-let out_of t i = Option.value ~default:[] (Hashtbl.find_opt t.by_src i)
-
-let critical t =
+let compute g =
+  let dst_pins = sinks g.Graph.design in
   List.fold_left
-    (fun acc p ->
-      match acc with
-      | None -> Some p
-      | Some best -> if p.max_delay > best.max_delay then Some p else acc)
-    None t.paths
+    (fun paths (src, src_net) ->
+      let amax, amin = Graph.forward g [src_net] in
+      List.fold_left
+        (fun paths (dst, dst_net) ->
+          if amax.(dst_net) > Float.neg_infinity then
+            { src; dst; max_delay = amax.(dst_net); min_delay = amin.(dst_net) }
+            :: paths
+          else paths)
+        paths dst_pins)
+    [] (sources g.Graph.design)
 
-let max_into t i =
-  List.fold_left (fun acc p -> Float.max acc p.max_delay) 0.0 (into t i)
-
-let max_out_of t i =
-  List.fold_left (fun acc p -> Float.max acc p.max_delay) 0.0 (out_of t i)
-
-let class_arrivals ?(wire = Delay.no_wire) d classes =
-  let order = Netlist.Traverse.comb_topo_exn d in
-  List.map
-    (fun (key, nets) ->
-      let n = Netlist.Design.num_nets d in
-      let amax = Array.make n Float.neg_infinity in
-      let amin = Array.make n Float.infinity in
-      List.iter (fun net -> amax.(net) <- 0.0; amin.(net) <- 0.0) nets;
-      List.iter
-        (fun i ->
-          let in_max, in_min =
-            List.fold_left
-              (fun (mx, mn) net -> (Float.max mx amax.(net), Float.min mn amin.(net)))
-              (Float.neg_infinity, Float.infinity)
-              (Netlist.Design.input_nets d i)
-          in
-          if in_max > Float.neg_infinity then begin
-            let dmax = Delay.inst_delay_max d wire i in
-            let dmin = Delay.inst_delay_min d wire i in
-            List.iter
-              (fun net ->
-                amax.(net) <- Float.max amax.(net) (in_max +. dmax);
-                amin.(net) <- Float.min amin.(net) (in_min +. dmin))
-              (Netlist.Design.output_nets d i)
-          end)
-        order;
-      (key, (amax, amin)))
-    classes
-
-let forward_arrivals ?(wire = Delay.no_wire) d =
-  let sources =
-    List.filter_map (fun i -> Netlist.Design.q_net_of d i)
-      (Netlist.Design.sequential_insts d)
-    @ List.filter_map
-        (fun (p, net) ->
-          if Netlist.Design.is_clock_port d p then None else Some net)
-        d.Netlist.Design.primary_inputs
-  in
-  match class_arrivals ~wire d [((), sources)] with
-  | [((), (amax, _))] -> amax
-  | _ -> assert false
-
-let backward_delays ?(wire = Delay.no_wire) d =
-  let order = List.rev (Netlist.Traverse.comb_topo_exn d) in
-  let n = Netlist.Design.num_nets d in
-  let dist = Array.make n Float.neg_infinity in
-  (* seed: nets read by a register data pin or driving a primary output *)
-  List.iter
-    (fun i ->
-      match Netlist.Design.data_net_of d i with
-      | Some net -> dist.(net) <- Float.max dist.(net) 0.0
-      | None -> ())
-    (Netlist.Design.sequential_insts d);
-  List.iter (fun (_, net) -> dist.(net) <- Float.max dist.(net) 0.0)
-    d.Netlist.Design.primary_outputs;
-  List.iter
-    (fun i ->
-      let out_best =
-        List.fold_left
-          (fun acc net -> Float.max acc dist.(net))
-          Float.neg_infinity
-          (Netlist.Design.output_nets d i)
-      in
-      if out_best > Float.neg_infinity then begin
-        let dmax = Delay.inst_delay_max d wire i in
-        List.iter
-          (fun net -> dist.(net) <- Float.max dist.(net) (out_best +. dmax))
-          (Netlist.Design.input_nets d i)
-      end)
-    order;
-  dist
+let forward_arrivals g =
+  fst (Graph.forward g (List.map snd (sources g.Graph.design)))

@@ -16,42 +16,12 @@ type path = {
   min_delay : float;
 }
 
-type t
+(** Where paths end: each register's data pin, then each output port. *)
+val sinks : Netlist.Design.t -> (endpoint * Netlist.Design.net) list
 
-(** [compute ?wire d] walks the combinational network once per source. *)
-val compute : ?wire:Delay.wire_model -> Netlist.Design.t -> t
+(** [compute g] sweeps the graph forward once per source: each
+    register's output, then each non-clock input port. *)
+val compute : Graph.t -> path list
 
-val all : t -> path list
-
-(** Paths into a given destination register. *)
-val into : t -> Netlist.Design.inst -> path list
-
-(** Paths out of a given source register. *)
-val out_of : t -> Netlist.Design.inst -> path list
-
-(** The longest combinational delay anywhere (for minimum-period estims). *)
-val critical : t -> path option
-
-(** Longest delay of the combinational cone feeding each register's data
-    pin, from any source (register or input port). *)
-val max_into : t -> Netlist.Design.inst -> float
-
-val max_out_of : t -> Netlist.Design.inst -> float
-
-(** Scalable variants: one relaxation per class / direction instead of one
-    per register, for large designs. *)
-
-(** [class_arrivals d classes] relaxes once per class; each class is a set
-    of source nets launched together.  Returns per class the arrays of
-    max/min arrival per net ([neg_infinity]/[infinity] when unreachable). *)
-val class_arrivals :
-  ?wire:Delay.wire_model -> Netlist.Design.t ->
-  ('k * Netlist.Design.net list) list -> ('k * (float array * float array)) list
-
-(** Longest combinational delay from any register output or input port to
-    each net. *)
-val forward_arrivals : ?wire:Delay.wire_model -> Netlist.Design.t -> float array
-
-(** Longest combinational delay from each net to any register data pin or
-    primary output. *)
-val backward_delays : ?wire:Delay.wire_model -> Netlist.Design.t -> float array
+(** Longest combinational delay from any source to each net. *)
+val forward_arrivals : Graph.t -> float array

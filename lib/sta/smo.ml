@@ -17,68 +17,65 @@ type report = {
 
 let ok r = r.worst_setup_slack >= 0.0 && r.worst_hold_slack >= 0.0
 
-(* Timing view of one sequential element. *)
 type reg_view = {
   inst : Design.inst;
-  port : string;        (* root clock port *)
-  close : float;        (* closing time within the period, ns *)
-  width : float;        (* transparency window, 0 for FFs *)
+  port : string;
+  close : float;
+  width : float;
   clk2q_max : float;
+  clk2q_min : float;
+}
+
+let views (g : Graph.t) ~(clocks : Sim.Clock_spec.t) =
+  let d = g.design in
+  let period = clocks.period in
+  let view i port (w : Sim.Clock_spec.waveform) =
+    let rise = w.rise_at *. period in
+    let fall = w.fall_at *. period in
+    let close, width =
+      match (Design.cell d i).Cell_lib.Cell.kind with
+      | Cell_lib.Cell.Flip_flop _ -> rise, 0.0
+      | Cell_lib.Cell.Latch { transparent = Cell_lib.Cell.Active_high; _ } ->
+        fall, fall -. rise
+      | Cell_lib.Cell.Latch { transparent = Cell_lib.Cell.Active_low; _ } ->
+        (* transparent while the port is low: closes at rise *)
+        rise, period -. (fall -. rise)
+      | Cell_lib.Cell.Combinational | Cell_lib.Cell.Clock_gate _ -> 0.0, 0.0
+    in
+    { inst = i; port; close; width;
+      clk2q_max = g.delay_max.(i); clk2q_min = g.delay_min.(i) }
+  in
+  Design.sequential_insts d
+  |> List.filter_map (fun i ->
+      Option.bind (Design.clock_net_of d i) (Netlist.Clocking.trace_to_root d)
+      |> Option.map (fun (t : Netlist.Clocking.trace) -> (i, t.root_port)))
+  |> List.partition_map (fun (i, port) ->
+      match List.assoc_opt port clocks.ports with
+      | Some w -> Either.Left (view i port w)
+      | None -> Either.Right (i, port))
+
+let forward_shift period e_from e_to =
+  let diff = Float.rem (e_to -. e_from) period in
+  if diff <= 1e-12 then diff +. period else diff
+
+(* A launch class: registers launching together, or the primary inputs
+   ([port = None]), with their path relaxation. *)
+type launch = {
+  name : string;
+  port : string option;
+  close : float;
+  amax : float array;
+  amin : float array;
+  mutable late : float;  (* max over members of departure + late clk->q *)
+  early : float;         (* min over members of the opening, -width *)
   clk2q_min : float;
 }
 
 let pi_class = "input"
 
-let reg_views d (clocks : Sim.Clock_spec.t) wire =
-  List.filter_map
-    (fun i ->
-      let c = Design.cell d i in
-      match Design.clock_net_of d i with
-      | None -> None
-      | Some cn ->
-        (match Netlist.Clocking.trace_to_root d cn with
-         | None -> None
-         | Some { Netlist.Clocking.root_port = port; _ } ->
-           let wf =
-             List.find_opt (fun (p, _) -> String.equal p port)
-               clocks.Sim.Clock_spec.ports
-           in
-           (match wf with
-            | None -> None
-            | Some (_, w) ->
-              let period = clocks.Sim.Clock_spec.period in
-              let rise = w.Sim.Clock_spec.rise_at *. period in
-              let fall = w.Sim.Clock_spec.fall_at *. period in
-              let close, width =
-                match c.Cell_lib.Cell.kind with
-                | Cell_lib.Cell.Flip_flop _ -> rise, 0.0
-                | Cell_lib.Cell.Latch { transparent = Cell_lib.Cell.Active_high; _ } ->
-                  fall, fall -. rise
-                | Cell_lib.Cell.Latch { transparent = Cell_lib.Cell.Active_low; _ } ->
-                  (* transparent while the port is low: closes at rise *)
-                  rise, period -. (fall -. rise)
-                | Cell_lib.Cell.Combinational | Cell_lib.Cell.Clock_gate _ ->
-                  0.0, 0.0
-              in
-              let load =
-                List.fold_left
-                  (fun acc n -> acc +. Delay.net_load d wire n)
-                  0.0 (Design.output_nets d i)
-              in
-              Some { inst = i; port; close; width;
-                     clk2q_max = Cell_lib.Cell.delay_through c ~load;
-                     clk2q_min = Cell_lib.Cell.min_delay_through c ~load })))
-    (Design.sequential_insts d)
-
-(* forward phase shift from a closing edge to the next closing edge *)
-let forward_shift period e_from e_to =
-  let diff = Float.rem (e_to -. e_from) period in
-  let diff = if diff <= 1e-12 then diff +. period else diff in
-  diff
-
-let check ?(wire = Delay.no_wire) ?(exact = false) ?(setup_margin = 0.03)
-    ?(hold_margin = 0.02) ?(input_delay = (0.05, 0.10)) ?(clock_skew = 0.0)
-    ?(derate = (1.0, 1.0)) d ~clocks =
+let check ?(exact = false) ?(setup_margin = 0.03) ?(hold_margin = 0.02)
+    ?(input_delay = (0.05, 0.10)) ?(clock_skew = 0.0) ?(derate = (1.0, 1.0))
+    d ~clocks =
   Obs.span "sta.smo.check" @@ fun () ->
   let derate_early, derate_late = derate in
   let input_delay_min, input_delay_max = input_delay in
@@ -86,111 +83,99 @@ let check ?(wire = Delay.no_wire) ?(exact = false) ?(setup_margin = 0.03)
   let setup_margin = setup_margin +. clock_skew in
   let hold_margin = hold_margin +. clock_skew in
   let period = clocks.Sim.Clock_spec.period in
-  let views = reg_views d clocks wire in
-  let view_of = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace view_of v.inst v) views;
+  let g = Graph.create d in
+  let views = Array.of_list (fst (views g ~clocks)) in
+  let data_nets = Array.map (fun v -> Design.data_net_of d v.inst) views in
   (* classes: one per (clock port, closing time) — a master-slave pair
      shares the port but launches from different edges — plus the
-     primary-input class *)
+     primary-input class.  [exact] puts every register in its own launch
+     class (one path relaxation per register): no worst-departure/
+     worst-path pairing pessimism, at O(registers) relaxations instead
+     of O(ports). *)
   let module SM = Map.Make (String) in
-  (* [exact] puts every register in its own launch class (one path
-     relaxation per register): no worst-departure/worst-path pairing
-     pessimism, at O(registers) relaxations instead of O(ports). *)
-  let view_key v =
+  let view_key (v : reg_view) =
     if exact then Printf.sprintf "%s#%d" v.port v.inst
     else Printf.sprintf "%s@%.4f" v.port v.close
   in
-  let class_members =
-    List.fold_left
-      (fun acc v ->
+  let members = ref SM.empty in
+  Array.iteri
+    (fun k v ->
+      members :=
         SM.update (view_key v)
-          (function None -> Some [v] | Some vs -> Some (v :: vs))
-          acc)
-      SM.empty views
+          (fun ks -> Some (k :: Option.value ~default:[] ks)) !members)
+    views;
+  let view_class = Array.make (Array.length views) 0 in
+  let reg_classes =
+    List.rev (SM.bindings !members)
+    |> List.mapi (fun c (name, ks) ->
+        List.iter (fun k -> view_class.(k) <- c) ks;
+        let vs = List.map (Array.get views) ks in
+        (* classes are homogeneous per port: FFs and latches on one port
+           share their closing time *)
+        let rep = List.hd vs in
+        let amax, amin =
+          Graph.forward g (List.filter_map (fun v -> Design.q_net_of d v.inst) vs)
+        in
+        let fold f init = List.fold_left f init vs in
+        { name; port = Some rep.port; close = rep.close; amax; amin;
+          late =
+            fold
+              (fun acc v ->
+                Float.max acc (-.v.width +. (v.clk2q_max *. derate_late)))
+              Float.neg_infinity;
+          early = fold (fun acc v -> Float.min acc (-.v.width)) Float.infinity;
+          clk2q_min =
+            fold (fun acc v -> Float.min acc v.clk2q_min) Float.infinity })
   in
-  (* port and closing time of a class, for skew exemptions *)
-  let class_port_close = Hashtbl.create 8 in
-  SM.iter
-    (fun key vs ->
-      match vs with
-      | v :: _ -> Hashtbl.replace class_port_close key (v.port, v.close)
-      | [] -> ())
-    class_members;
   let pi_nets =
     List.filter_map
       (fun (p, net) -> if Design.is_clock_port d p then None else Some net)
       d.Design.primary_inputs
   in
-  (* class timing: closing time and width representative (classes are
-     homogeneous per port; FFs and latches on one port share close). *)
-  let class_close key =
-    if String.equal key pi_class then 0.0
-    else
-      match Hashtbl.find_opt class_port_close key with
-      | Some (_, close) -> close
-      | None -> 0.0
-  in
-  (* Skew exemption: complementary latches on the same clock port (a
-     master-slave pair) share their clock leaf, so no inter-corner skew
-     applies between them. *)
-  let same_port_complementary key (v : reg_view) =
-    match Hashtbl.find_opt class_port_close key with
-    | Some (port, close) ->
-      String.equal port v.port && Float.abs (close -. v.close) > 1e-9
-    | None -> false
-  in
-  (* path delays per class *)
   let classes =
-    SM.fold
-      (fun key vs acc ->
-        let nets = List.filter_map (fun v -> Design.q_net_of d v.inst) vs in
-        (key, nets) :: acc)
-      class_members []
-    @ (if pi_nets = [] then [] else [(pi_class, pi_nets)])
+    Array.of_list
+      (if pi_nets = [] then reg_classes
+       else
+         let amax, amin = Graph.forward g pi_nets in
+         (* inputs depart at the external input delay *)
+         reg_classes
+         @ [ { name = pi_class; port = None; close = 0.0; amax; amin;
+               late = input_delay_max; early = input_delay_min;
+               clk2q_min = 0.0 } ])
   in
-  let arrivals = Paths.class_arrivals ~wire d classes in
-  (* departure iteration: D_j relative to class closing edge *)
-  let departures = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace departures v.inst (-.v.width)) views;
-  let class_departure name =
-    match SM.find_opt name class_members with
-    | None -> input_delay_max  (* PI class: external input delay *)
-    | Some vs ->
-      List.fold_left
-        (fun acc v ->
-          Float.max acc
-            (Hashtbl.find departures v.inst +. (v.clk2q_max *. derate_late)))
-        Float.neg_infinity vs
-  in
-  let arrival_of v =
-    match Design.data_net_of d v.inst with
+  (* the latest arrival at a register's data pin, relative to its
+     closing edge *)
+  let arrival_of k =
+    match data_nets.(k) with
     | None -> Float.neg_infinity
     | Some dn ->
-      List.fold_left
-        (fun acc (name, (amax, _)) ->
-          if amax.(dn) > Float.neg_infinity then
-            let e_c = class_close name in
-            let shift = forward_shift period e_c v.close in
-            Float.max acc
-              (class_departure name +. (amax.(dn) *. derate_late) -. shift)
+      Array.fold_left
+        (fun acc c ->
+          if c.amax.(dn) > Float.neg_infinity then
+            let shift = forward_shift period c.close views.(k).close in
+            Float.max acc (c.late +. (c.amax.(dn) *. derate_late) -. shift)
           else acc)
-        Float.neg_infinity arrivals
+        Float.neg_infinity classes
   in
+  (* departure iteration: D_j relative to the register's closing edge.
+     Departures only rise, so raising each class's [late] with them keeps
+     it equal to the maximum over its members. *)
+  let departures = Array.map (fun v -> -.v.width) views in
   let iterations = ref 0 in
   let changed = ref true in
   let failed_to_converge = ref false in
   while !changed && not !failed_to_converge do
     incr iterations;
-    if !iterations > List.length views + 8 then failed_to_converge := true
+    if !iterations > Array.length views + 8 then failed_to_converge := true
     else begin
       changed := false;
-      List.iter
-        (fun v ->
-          let a = arrival_of v in
-          let dep = Float.max (-.v.width) a in
-          let old = Hashtbl.find departures v.inst in
-          if dep > old +. 1e-9 then begin
-            Hashtbl.replace departures v.inst dep;
+      Array.iteri
+        (fun k (v : reg_view) ->
+          let dep = Float.max (-.v.width) (arrival_of k) in
+          if dep > departures.(k) +. 1e-9 then begin
+            departures.(k) <- dep;
+            let c = classes.(view_class.(k)) in
+            c.late <- Float.max c.late (dep +. (v.clk2q_max *. derate_late));
             changed := true
           end)
         views
@@ -200,55 +185,49 @@ let check ?(wire = Delay.no_wire) ?(exact = false) ?(setup_margin = 0.03)
   let violations = ref [] in
   let worst_setup = ref Float.infinity and worst_hold = ref Float.infinity in
   let max_borrow = ref 0.0 in
-  List.iter
-    (fun v ->
-      (match Design.data_net_of d v.inst with
+  Array.iteri
+    (fun k (v : reg_view) ->
+      (match data_nets.(k) with
        | None -> ()
        | Some dn ->
-         List.iter
-           (fun (name, (amax, amin)) ->
-             if amax.(dn) > Float.neg_infinity then begin
-               let e_c = class_close name in
-               let shift = forward_shift period e_c v.close in
+         Array.iter
+           (fun c ->
+             if c.amax.(dn) > Float.neg_infinity then begin
+               let shift = forward_shift period c.close v.close in
                (* setup: arrival relative to closing + margin <= 0 *)
-               let arr =
-                 class_departure name +. (amax.(dn) *. derate_late) -. shift
-               in
+               let arr = c.late +. (c.amax.(dn) *. derate_late) -. shift in
                let setup_slack = -.arr -. setup_margin in
                if setup_slack < !worst_setup then worst_setup := setup_slack;
                if setup_slack < 0.0 then
                  violations := { dst = v.inst; kind = `Setup;
-                                 slack = setup_slack; src_class = name } :: !violations;
+                                 slack = setup_slack; src_class = c.name } :: !violations;
                (* hold: earliest arrival after the previous closing edge.
                   Earliest departure of the class is at its opening. *)
-               let early_dep, clk2q_min =
-                 match SM.find_opt name class_members with
-                 | None -> input_delay_min, 0.0
-                 | Some vs ->
-                   List.fold_left
-                     (fun (ed, cq) v2 -> (Float.min ed (-.v2.width),
-                                          Float.min cq v2.clk2q_min))
-                     (Float.infinity, Float.infinity) vs
-               in
                let early_arrival =
-                 early_dep +. ((clk2q_min +. amin.(dn)) *. derate_early)
+                 c.early +. ((c.clk2q_min +. c.amin.(dn)) *. derate_early)
                  -. shift +. period
                in
+               (* complementary latches on the same clock port (a
+                  master-slave pair) share their clock leaf, so no
+                  inter-corner skew applies between them *)
                let margin =
-                 if same_port_complementary name v then base_hold_margin
-                 else hold_margin
+                 match c.port with
+                 | Some port
+                   when String.equal port v.port
+                        && Float.abs (c.close -. v.close) > 1e-9 ->
+                   base_hold_margin
+                 | Some _ | None -> hold_margin
                in
                let hold_slack = early_arrival -. margin in
                if hold_slack < !worst_hold then worst_hold := hold_slack;
                if hold_slack < 0.0 then
                  violations := { dst = v.inst; kind = `Hold;
-                                 slack = hold_slack; src_class = name } :: !violations
+                                 slack = hold_slack; src_class = c.name } :: !violations
              end)
-           arrivals);
+           classes);
       (* time borrowed: how far into the transparency window the data
          arrives (0 when it is ready before the latch opens) *)
-      let dep = Hashtbl.find departures v.inst in
-      let borrow = dep +. v.width in
+      let borrow = departures.(k) +. v.width in
       if v.width > 0.0 && borrow > !max_borrow then max_borrow := borrow)
     views;
   let worst_setup =
@@ -258,7 +237,7 @@ let check ?(wire = Delay.no_wire) ?(exact = false) ?(setup_margin = 0.03)
   in
   let worst_hold = if !worst_hold = Float.infinity then period else !worst_hold in
   Obs.count "sta.smo.iterations" !iterations;
-  Obs.count "sta.smo.registers_checked" (List.length views);
+  Obs.count "sta.smo.registers_checked" (Array.length views);
   { worst_setup_slack = worst_setup;
     worst_hold_slack = worst_hold;
     violations = List.rev !violations;

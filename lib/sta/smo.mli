@@ -35,15 +35,37 @@ type report = {
 
 val ok : report -> bool
 
+(** The timing view of one sequential element, derived from its cell
+    kind, the root port of its clock and that port's waveform. *)
+type reg_view = {
+  inst : Netlist.Design.inst;
+  port : string;      (** root clock port (after buffers and ICGs) *)
+  close : float;      (** closing-edge time within the period, ns *)
+  width : float;      (** transparency window, 0 for flip-flops, ns *)
+  clk2q_max : float;  (** ns, under the graph's load *)
+  clk2q_min : float;
+}
+
+(** [views g ~clocks] — the view of every register, in instance order,
+    and apart from them the registers (with their root port) whose root
+    port has no waveform in [clocks].  A register whose clock does not
+    trace to a port is in neither list ([NET-003] reports it). *)
+val views :
+  Graph.t -> clocks:Sim.Clock_spec.t ->
+  reg_view list * (Netlist.Design.inst * string) list
+
+(** The SMO phase shift: time from closing edge [e_from] to the next
+    occurrence of closing edge [e_to], in (0, period]. *)
+val forward_shift : float -> float -> float -> float
+
 (** [check d ~clocks] — [setup_margin]/[hold_margin] default to 0.03/0.02
     ns.  [input_delay] = (min, max) ns after the cycle start at which
     primary inputs change, the usual external timing constraint; defaults
     to (0.05, 0.10).  [clock_skew] (default 0) tightens both checks by
     the given uncertainty.  [derate] = (early, late) scales minimum and
     maximum path delays for process/voltage/temperature corner analysis
-    (e.g. [(0.8, 1.25)]). *)
+    (e.g. [(0.8, 1.25)]).  Compiles its own {!Graph}. *)
 val check :
-  ?wire:Delay.wire_model ->
   ?exact:bool ->
   ?setup_margin:float ->
   ?hold_margin:float ->

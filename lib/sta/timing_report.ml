@@ -8,42 +8,38 @@ type step = {
   arrival : float;
 }
 
-type endpoint =
-  | At_register of Design.inst
-  | At_output of string
-
 type path = {
   startpoint : string;
-  endpoint : endpoint;
+  endpoint : Paths.endpoint;
   total_delay : float;
   steps : step list;
 }
 
 (* Walk back from [net] through the instance whose output realises the
    worst arrival, collecting steps in reverse. *)
-let trace d wire arrivals net =
+let trace (g : Graph.t) arrivals net =
+  let d = g.design in
   let rec go net acc =
     match d.Design.net_driver.(net) with
     | Design.Driven_by (i, _) ->
       let c = Design.cell d i in
       (match c.Cell_lib.Cell.kind with
        | Cell_lib.Cell.Combinational ->
-         let delay = Delay.inst_delay_max d wire i in
          let step = {
            inst = i;
            cell = c.Cell_lib.Cell.name;
            through = Design.net_name d net;
-           delay;
+           delay = g.delay_max.(i);
            arrival = arrivals.(net);
          } in
          (* pick the input pin with the largest arrival *)
          let worst_in =
-           List.fold_left
+           Array.fold_left
              (fun best n ->
                match best with
                | None -> Some n
                | Some b -> if arrivals.(n) > arrivals.(b) then Some n else best)
-             None (Design.input_nets d i)
+             None g.inputs.(i)
          in
          (match worst_in with
           | Some n when arrivals.(n) > Float.neg_infinity -> go n (step :: acc)
@@ -56,40 +52,22 @@ let trace d wire arrivals net =
   in
   go net []
 
-let worst_paths ?(wire = Delay.no_wire) ?(count = 5) d =
-  let arrivals = Paths.forward_arrivals ~wire d in
-  let endpoints =
-    List.filter_map
-      (fun i ->
-        match Design.data_net_of d i with
-        | Some dn when arrivals.(dn) > Float.neg_infinity ->
-          Some (At_register i, dn, arrivals.(dn))
-        | Some _ | None -> None)
-      (Design.sequential_insts d)
-    @ List.filter_map
-        (fun (p, n) ->
-          if arrivals.(n) > Float.neg_infinity then Some (At_output p, n, arrivals.(n))
-          else None)
-        d.Design.primary_outputs
+let worst_paths ?(count = 5) d =
+  let g = Graph.create d in
+  let arrivals = Paths.forward_arrivals g in
+  let reached =
+    List.filter (fun (_, n) -> arrivals.(n) > Float.neg_infinity) (Paths.sinks d)
   in
-  let sorted =
-    List.sort (fun (_, _, a) (_, _, b) -> compare b a) endpoints
-  in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: rest -> x :: take (k - 1) rest
-  in
-  List.map
-    (fun (endpoint, net, total_delay) ->
-      let startpoint, steps = trace d wire arrivals net in
-      { startpoint; endpoint; total_delay; steps })
-    (take count sorted)
+  List.sort (fun (_, a) (_, b) -> compare arrivals.(b) arrivals.(a)) reached
+  |> List.filteri (fun k _ -> k < count)
+  |> List.map (fun (endpoint, net) ->
+      let startpoint, steps = trace g arrivals net in
+      { startpoint; endpoint; total_delay = arrivals.(net); steps })
 
 let pp_path d ppf p =
   let endpoint_name = match p.endpoint with
-    | At_register i -> Design.inst_name d i ^ "/D"
-    | At_output port -> "output " ^ port
+    | Paths.Reg i -> Design.inst_name d i ^ "/D"
+    | Paths.Port port -> "output " ^ port
   in
   Format.fprintf ppf "@[<v 2>path %s -> %s: %.4f ns@," p.startpoint endpoint_name
     p.total_delay;

@@ -11,21 +11,16 @@ type step = {
   arrival : float;          (** cumulative, ns *)
 }
 
-type endpoint =
-  | At_register of Netlist.Design.inst
-  | At_output of string
-
 type path = {
   startpoint : string;      (** launching register/port name *)
-  endpoint : endpoint;
+  endpoint : Paths.endpoint;  (** capturing register's data pin or output port *)
   total_delay : float;      (** combinational delay, excl. clk->q *)
   steps : step list;        (** launch to capture order *)
 }
 
-(** [worst_paths ?wire ?count d] — the [count] (default 5) endpoints with
-    the largest combinational arrival, each with its traced path. *)
-val worst_paths :
-  ?wire:Delay.wire_model -> ?count:int -> Netlist.Design.t -> path list
+(** [worst_paths ?count d] — the [count] (default 5) endpoints with the
+    largest combinational arrival, each with its traced path. *)
+val worst_paths : ?count:int -> Netlist.Design.t -> path list
 
 val pp_path : Netlist.Design.t -> Format.formatter -> path -> unit
 

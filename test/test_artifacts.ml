@@ -84,7 +84,7 @@ let test_timing_report () =
   (* worst path is the XOR cone into s0 *)
   check (Alcotest.float 1e-6) "worst delay is the xor cone"
     (let xor = Option.get (Netlist.Design.find_inst d "n1_g2") in
-     Sta.Delay.inst_delay_max d Sta.Delay.no_wire xor)
+     (Sta.Graph.create d).Sta.Graph.delay_max.(xor))
     worst.Sta.Timing_report.total_delay;
   (* arrivals increase monotonically along every path *)
   List.iter

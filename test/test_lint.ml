@@ -320,6 +320,58 @@ let test_undriven_mutation () =
   in
   check Alcotest.bool "NET-001 fires" true (has_rule report "NET-001")
 
+(* the loop n1 -> n2 -> n1 beside a register: NET-002 reports it, and
+   the passes that need an acyclic network (register views, the phase
+   and hold audits) stay silent instead of raising *)
+let test_comb_loop_reported () =
+  let b = B.create ~name:"loop" ~library:lib in
+  let clk = B.add_input ~clock:true b "clock" in
+  let a = B.add_input b "a" in
+  let q = B.fresh_net b "r" in
+  let n1 = B.fresh_net b "n1" in
+  let n2 = B.fresh_net b "n2" in
+  let y = B.fresh_net b "y" in
+  ignore (B.add_cell b "r" "DFF_X1" [("CK", clk); ("D", n2); ("Q", q)]);
+  ignore (B.add_cell b "g1" "NAND2_X1" [("A1", a); ("A2", n2); ("ZN", n1)]);
+  ignore (B.add_cell b "g2" "INV_X1" [("A", n1); ("ZN", n2)]);
+  ignore (B.add_cell b "g3" "AND2_X1" [("A1", q); ("A2", n1); ("Z", y)]);
+  B.add_output b "y" y;
+  let d = B.freeze b in
+  let report =
+    Lint.Engine.run d ~clocks:(Sim.Clock_spec.single ~period:1.0 ~port:"clock")
+  in
+  check (Alcotest.list Alcotest.string) "one NET-002 error" ["NET-002"]
+    (rules_of report);
+  List.iter
+    (fun dg ->
+      if Astring.String.is_prefix ~affix:"PHASE-" dg.Diag.rule
+         || Astring.String.is_prefix ~affix:"HOLD-" dg.Diag.rule
+      then Alcotest.failf "timing finding %s on a looping design" dg.Diag.rule)
+    report.Lint.Engine.diagnostics
+
+(* registers clocked by a port the clock specification has no waveform
+   for: one PHASE-006 error per register, naming the port *)
+let test_unknown_clock_port () =
+  let d = Circuits.Linear_pipeline.make ~width:3 ~stages:2 () in
+  let report =
+    Lint.Engine.run d ~clocks:(Sim.Clock_spec.single ~period:1.0 ~port:"other")
+  in
+  let phase6 =
+    List.filter (fun dg -> String.equal dg.Diag.rule "PHASE-006")
+      report.Lint.Engine.diagnostics
+  in
+  check (Alcotest.list Alcotest.string) "one per register"
+    (List.sort String.compare
+       (List.map (D.inst_name d) (D.sequential_insts d)))
+    (List.sort String.compare
+       (List.map (fun dg -> Diag.loc_string dg.Diag.loc) phase6));
+  List.iter
+    (fun dg ->
+      check Alcotest.bool "error" true (Diag.is_error dg);
+      check Alcotest.bool "names port clk" true
+        (is_infix dg.Diag.message "by port clk "))
+    phase6
+
 (* --- RTL lints collected during elaboration --- *)
 
 let elab_lints src =
@@ -461,6 +513,10 @@ let suite =
     Alcotest.test_case "gated-clock glitch caught" `Quick
       test_gated_clock_glitch_mutation;
     Alcotest.test_case "undriven net caught" `Quick test_undriven_mutation;
+    Alcotest.test_case "combinational loop reported, not raised" `Quick
+      test_comb_loop_reported;
+    Alcotest.test_case "unknown clock port per register" `Quick
+      test_unknown_clock_port;
     Alcotest.test_case "rtl lints fire and stay silent" `Quick test_rtl_lints;
     Alcotest.test_case "hold audit agrees with the fixer" `Quick
       test_hold_cross_check;

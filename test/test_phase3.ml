@@ -44,7 +44,10 @@ let check_phase_adjacency d =
         (phase, nets) :: acc)
       [] ["p1"; "p2"; "p3"]
   in
-  let arrivals = Sta.Paths.class_arrivals d classes in
+  let g = Sta.Graph.create d in
+  let arrivals =
+    List.map (fun (phase, nets) -> (phase, Sta.Graph.forward g nets)) classes
+  in
   List.iter
     (fun i ->
       match phase_of d i, D.data_net_of d i with

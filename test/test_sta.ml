@@ -24,30 +24,30 @@ let two_stage () =
   B.add_output b "y" q2;
   B.freeze b
 
-let inv_delay d wire inst_name =
-  let i = Option.get (D.find_inst d inst_name) in
-  Sta.Delay.inst_delay_max d wire i
+let inv_delay (g : Sta.Graph.t) inst_name =
+  g.Sta.Graph.delay_max.(Option.get (D.find_inst g.Sta.Graph.design inst_name))
 
 let test_path_delays_exact () =
   let d = two_stage () in
-  let paths = Sta.Paths.compute d in
+  let g = Sta.Graph.create d in
   let r1 = Option.get (D.find_inst d "r1") in
   let r2 = Option.get (D.find_inst d "r2") in
   let p =
     List.find
       (fun (p : Sta.Paths.path) ->
         p.Sta.Paths.src = Sta.Paths.Reg r1 && p.Sta.Paths.dst = Sta.Paths.Reg r2)
-      (Sta.Paths.all paths)
+      (Sta.Paths.compute g)
   in
-  let expect = inv_delay d Sta.Delay.no_wire "i1" +. inv_delay d Sta.Delay.no_wire "i2" in
+  let expect = inv_delay g "i1" +. inv_delay g "i2" in
   check (Alcotest.float 1e-9) "max = sum of inverter delays" expect
     p.Sta.Paths.max_delay;
   check Alcotest.bool "min <= max" true (p.Sta.Paths.min_delay <= p.Sta.Paths.max_delay)
 
 let test_forward_backward_consistent () =
   let d = two_stage () in
-  let fwd = Sta.Paths.forward_arrivals d in
-  let bwd = Sta.Paths.backward_delays d in
+  let g = Sta.Graph.create d in
+  let fwd = Sta.Paths.forward_arrivals g in
+  let bwd = Sta.Graph.backward g (List.map snd (Sta.Paths.sinks d)) in
   let r2 = Option.get (D.find_inst d "r2") in
   let dn = Option.get (D.data_net_of d r2) in
   let r1 = Option.get (D.find_inst d "r1") in
@@ -198,3 +198,59 @@ let test_smo_exact_vs_class () =
 
 let suite =
   suite @ [ Alcotest.test_case "smo exact vs class" `Quick test_smo_exact_vs_class ]
+
+(* Golden digests of the timing layer's output on three converted suite
+   circuits at a tight 0.35 ns period: the lint JSON (5, 2 and 107
+   PHASE-003 errors), every corner's SMO report with its violations (time
+   borrowing and hold violations; the class fixed point converges on
+   s1238 at the fast and typical corners and diverges on s1423), and the
+   five worst paths.  Any change to the timing arithmetic shows here. *)
+let timing_digests circuit =
+  let d = (Option.get (Circuits.Suite.find circuit)).Circuits.Suite.build () in
+  let d3 = Phase3.Convert.to_three_phase d (Phase3.Assignment.solve d) in
+  let clocks =
+    Sim.Clock_spec.three_phase ~period:0.35 ~p1:"p1" ~p2:"p2" ~p3:"p3" ()
+  in
+  let lint =
+    Format.asprintf "%a" Lint_core.Emit.json
+      (Lint.Engine.run d3 ~clocks).Lint.Engine.diagnostics
+  in
+  let smo = Buffer.create 4096 in
+  List.iter
+    (fun ((c : Sta.Corners.corner), (r : Sta.Smo.report)) ->
+      Buffer.add_string smo
+        (Printf.sprintf "%s %h %h %h %d\n" c.corner_name r.worst_setup_slack
+           r.worst_hold_slack r.max_borrow r.iterations);
+      List.iter
+        (fun (v : Sta.Smo.violation) ->
+          Buffer.add_string smo
+            (Printf.sprintf "  %s %s %h %s\n" (D.inst_name d3 v.dst)
+               (match v.kind with `Setup -> "setup" | `Hold -> "hold")
+               v.slack v.src_class))
+        r.violations)
+    (Sta.Corners.check_all d3 ~clocks);
+  let report =
+    Format.asprintf "%a" (Sta.Timing_report.pp d3)
+      (Sta.Timing_report.worst_paths ~count:5 d3)
+  in
+  List.map (fun s -> Digest.to_hex (Digest.string s))
+    [lint; Buffer.contents smo; report]
+
+let test_timing_golden_digests () =
+  List.iter
+    (fun (circuit, expect) ->
+      check (Alcotest.list Alcotest.string) (circuit ^ ": lint, smo, report")
+        expect (timing_digests circuit))
+    [ ("s1196", ["1b4931ffb225db98a92af2b38ff34b7a";
+                 "6c9927b80e525a3d3ac07fa13dd4aec2";
+                 "9a1f1f2b5c3a148288b09d0adb57086e"]);
+      ("s1238", ["11836c6ac18975613fdbd3f917696898";
+                 "3b0d4ffd405d79b83b62b613eec150a6";
+                 "6a4d07016e4e01022ec597e0e50d1c4f"]);
+      ("s1423", ["37cef407f2aa7145872c9a425989f3ec";
+                 "4b1e3594888d904f96ed2235f2088771";
+                 "0cf3981a69038dcd2ac5257efad69df0"]) ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "timing golden digests" `Quick test_timing_golden_digests ]
