@@ -159,33 +159,34 @@ let micro ~json ~qor_dir () =
       let record =
         Qor.Record.make
           ~config:
-            [ ("bechamel_limit", Qor.Json.Num 200.0);
-              ("bechamel_quota_s", Qor.Json.Num 1.5) ]
+            [ ("bechamel_limit", Report.Json.Num 200.0);
+              ("bechamel_quota_s", Report.Json.Num 1.5) ]
           ~metrics:
             [ ("sim.lanes", float_of_int lanes);
               ("sim.kernel.units", float_of_int kstats.Sim.Kernel.units);
               ("sim.kernel.fused_ops",
                float_of_int kstats.Sim.Kernel.fused_ops) ]
           ~headline:
-            [ ("benchmark", Qor.Json.Str "s5378-3phase");
-              ("scalar_ns_per_cycle", Qor.Json.Num scalar_ns);
-              ("kernel_ns_per_cycle", Qor.Json.Num kernel_ns);
-              ("lanes", Qor.Json.Num (float_of_int lanes));
-              ("kernel_ns_per_lane_cycle", Qor.Json.Num per_lane);
-              ("full_cycle_speedup", Qor.Json.Num (scalar_ns /. kernel_ns));
-              ("full_cycle_slowdown", Qor.Json.Num (kernel_ns /. scalar_ns));
-              ("speedup_per_lane_cycle", Qor.Json.Num (scalar_ns /. per_lane));
-              ("fused_ops", Qor.Json.Num (float_of_int kstats.Sim.Kernel.fused_ops));
+            [ ("benchmark", Report.Json.Str "s5378-3phase");
+              ("scalar_ns_per_cycle", Report.Json.Num scalar_ns);
+              ("kernel_ns_per_cycle", Report.Json.Num kernel_ns);
+              ("lanes", Report.Json.Num (float_of_int lanes));
+              ("kernel_ns_per_lane_cycle", Report.Json.Num per_lane);
+              ("full_cycle_speedup", Report.Json.Num (scalar_ns /. kernel_ns));
+              ("full_cycle_slowdown", Report.Json.Num (kernel_ns /. scalar_ns));
+              ("speedup_per_lane_cycle", Report.Json.Num (scalar_ns /. per_lane));
+              ("fused_ops",
+               Report.Json.Num (float_of_int kstats.Sim.Kernel.fused_ops));
               ("waves_skipped_per_cycle",
-               Qor.Json.Num
+               Report.Json.Num
                  (float_of_int kstats.Sim.Kernel.stat_waves_skipped
                   /. float_of_int cycles));
               ("cones_skipped_per_cycle",
-               Qor.Json.Num
+               Report.Json.Num
                  (float_of_int kstats.Sim.Kernel.stat_cones_skipped
                   /. float_of_int cycles));
               ("note",
-               Qor.Json.Str
+               Report.Json.Str
                  "gate fusion and activity-gated clock events make one \
                   63-lane kernel cycle cheaper than one scalar engine \
                   cycle, so the kernel wins outright — on top of the \
@@ -271,8 +272,8 @@ let ilp ~quick ~json ~qor_dir () =
     let record =
       Qor.Record.make
         ~config:
-          [ ("node_budget", Qor.Json.Num (float_of_int ilp_node_budget));
-            ("quick", Qor.Json.Bool quick) ]
+          [ ("node_budget", Report.Json.Num (float_of_int ilp_node_budget));
+            ("quick", Report.Json.Bool quick) ]
         ~metrics:(List.concat_map fst rows)
         ~wall:(List.map snd rows)
         (Qor.Collect.provenance ~kind:"bench.ilp"
@@ -366,9 +367,9 @@ let simbig ~json ~qor_dir () =
     let record =
       Qor.Record.make
         ~config:
-          [ ("perf_cycles", Qor.Json.Num (fl perf_cycles));
-            ("lanes", Qor.Json.Num (fl lanes));
-            ("timed_reps", Qor.Json.Num (fl reps)) ]
+          [ ("perf_cycles", Report.Json.Num (fl perf_cycles));
+            ("lanes", Report.Json.Num (fl lanes));
+            ("timed_reps", Report.Json.Num (fl reps)) ]
         ~metrics:
           [ ("sim.lanes", fl (sum Sim.Kernel.lanes));
             ("sim.kernel.units", fl kstats.Sim.Kernel.units);
@@ -380,8 +381,8 @@ let simbig ~json ~qor_dir () =
             ("sim.toggles_total", fl total);
             ("sim.toggles_checksum", fl checksum) ]
         ~headline:
-          [ ("benchmark", Qor.Json.Str "sbig-3phase");
-            ("serial_s", Qor.Json.Num t_serial) ]
+          [ ("benchmark", Report.Json.Str "sbig-3phase");
+            ("serial_s", Report.Json.Num t_serial) ]
         ~wall:[ ("serial_s", t_serial) ]
         (Qor.Collect.provenance ~kind:"bench.sim_big" ~circuit:"sbig-3phase")
     in

@@ -87,14 +87,39 @@ let output_arg =
 let period_arg =
   Arg.(value & opt (some float) None
        & info ["period"] ~docv:"NS"
-           ~doc:"Clock period in nanoseconds (default: the suite circuit's \
-                 published period, or 1.0).")
+           ~doc:"Clock period in nanoseconds, positive and finite \
+                 (default: the suite circuit's published period, or 1.0).")
 
-let period_of period suite_period =
-  match period, suite_period with
-  | Some p, _ -> p
-  | None, Some p -> p
-  | None, None -> 1.0
+let read_constraints path =
+  let ic = open_in path in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Netlist_io.Sdc.parse ~file:path src with
+  | cs -> cs
+  | exception Netlist_io.Sdc.Error (_, msg) -> failwith msg
+
+(* The clock period of a run: --period, else the first SDC clock's,
+   else the suite circuit's published one, else 1.0 ns.  Raises
+   [Failure] unless it is positive and finite. *)
+let resolve_period ~constraints period suite_period =
+  let sdc_period = Option.bind constraints Netlist_io.Sdc.period in
+  let p =
+    match period, sdc_period, suite_period with
+    | Some p, _, _ | None, Some p, _ | None, None, Some p -> p
+    | None, None, None -> 1.0
+  in
+  if Float.is_finite p && p > 0.0 then p
+  else failwith (Printf.sprintf "clock period %g ns must be positive and finite" p)
+
+(* [power], [timing] and [master-slave] need a well-formed, acyclic
+   design, as [convert] does; raises [Failure] otherwise *)
+let validate_input d =
+  match Netlist.Check.validate d with
+  | Ok () -> ()
+  | Error errors ->
+    failwith
+      (Printf.sprintf "input design %s is invalid: %s"
+         d.Netlist.Design.design_name (String.concat "; " errors))
 
 (* clock spec from a design's declared clock ports: three ports is a
    converted 3-phase design, one (or none) is a plain FF design *)
@@ -171,30 +196,12 @@ let convert_cmd =
   let run input output period solver no_retime no_cg no_verify optimize sdc vcd
       trace timings json qor_dir top constraints =
     match
-      let d = resolve_input ?top input in
-      let cs =
-        match constraints with
-        | None -> None
-        | Some path ->
-          let ic = open_in path in
-          let src = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          (match Netlist_io.Sdc.parse ~file:path src with
-           | cs -> Some cs
-           | exception Netlist_io.Sdc.Error (_, msg) -> failwith msg)
-      in
-      (d, cs)
+      let d, suite_period = resolve_input ?top input in
+      let cs = Option.map read_constraints constraints in
+      (d, cs, resolve_period ~constraints:cs period suite_period)
     with
     | exception Failure msg -> `Error (false, msg)
-    | (d, suite_period), cs ->
-    let sdc_period =
-      match cs with None -> None | Some cs -> Netlist_io.Sdc.period cs
-    in
-    let period =
-      match period with
-      | Some p -> p
-      | None -> period_of sdc_period suite_period
-    in
+    | d, cs, period ->
     (* under --json, stdout carries exactly one JSON document: the run
        record.  Everything human-facing goes to stderr. *)
     let out = if json then stderr else stdout in
@@ -322,9 +329,13 @@ let convert_cmd =
 
 let master_slave_cmd =
   let run input output =
-    match resolve_input input with
+    match
+      let d, _ = resolve_input input in
+      validate_input d;
+      d
+    with
     | exception Failure msg -> `Error (false, msg)
-    | d, _ ->
+    | d ->
     let ms = Phase3.Master_slave.convert d in
     (match output with
      | Some path -> write_design path ms; Printf.printf "wrote %s\n" path
@@ -355,10 +366,13 @@ let saif_arg =
 
 let power_cmd =
   let run input period saif =
-    match resolve_input input with
+    match
+      let d, suite_period = resolve_input input in
+      validate_input d;
+      (d, resolve_period ~constraints:None period suite_period)
+    with
     | exception Failure msg -> `Error (false, msg)
-    | d, suite_period ->
-    let period = period_of period suite_period in
+    | d, period ->
     let clocks = clocks_of_design d ~period in
     let impl = Physical.Implement.run d in
     let engine = Sim.Engine.create d ~clocks in
@@ -386,18 +400,13 @@ let power_cmd =
 
 let timing_cmd =
   let run input period =
-    match resolve_input input with
+    match
+      let d, suite_period = resolve_input input in
+      validate_input d;
+      (d, resolve_period ~constraints:None period suite_period)
+    with
     | exception Failure msg -> `Error (false, msg)
-    | d, suite_period ->
-    (* timing needs a valid design (an acyclic one), as convert does *)
-    match Netlist.Check.validate d with
-    | Error errors ->
-      `Error
-        (false,
-         Printf.sprintf "input design %s is invalid: %s"
-           d.Netlist.Design.design_name (String.concat "; " errors))
-    | Ok () ->
-    let period = period_of period suite_period in
+    | d, period ->
     let paths = Sta.Timing_report.worst_paths ~count:5 d in
     Format.printf "%a" (Sta.Timing_report.pp d) paths;
     let clocks = clocks_of_design d ~period in
@@ -439,27 +448,12 @@ let report_cmd =
   in
   let run input output baseline qor_dir period top constraints =
     match
-      let d = resolve_input ?top input in
-      let sdc_period =
-        match constraints with
-        | None -> None
-        | Some path ->
-          let ic = open_in path in
-          let src = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          (match Netlist_io.Sdc.parse ~file:path src with
-           | cs -> Netlist_io.Sdc.period cs
-           | exception Netlist_io.Sdc.Error (_, msg) -> failwith msg)
-      in
-      (d, sdc_period)
+      let d, suite_period = resolve_input ?top input in
+      let constraints = Option.map read_constraints constraints in
+      (d, resolve_period ~constraints period suite_period)
     with
     | exception Failure msg -> `Error (false, msg)
-    | (d, suite_period), sdc_period ->
-      let period =
-        match period with
-        | Some p -> p
-        | None -> period_of sdc_period suite_period
-      in
+    | d, period ->
       let config = Phase3.Flow.default_config ~period in
       (match Phase3.Flow.run ~config d with
        | exception Phase3.Flow.Flow_error msg -> `Error (false, msg)
@@ -538,23 +532,11 @@ let lint_cmd =
     | exception Failure msg -> `Error (false, msg)
     | (d, suite_period), rtl_findings ->
       match
-        match constraints with
-        | None -> None
-        | Some path ->
-          let ic = open_in path in
-          let src = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          (match Netlist_io.Sdc.parse ~file:path src with
-           | cs -> Netlist_io.Sdc.period cs
-           | exception Netlist_io.Sdc.Error (_, msg) -> failwith msg)
+        let constraints = Option.map read_constraints constraints in
+        resolve_period ~constraints period suite_period
       with
       | exception Failure msg -> `Error (false, msg)
-      | sdc_period ->
-      let period =
-        match period with
-        | Some p -> p
-        | None -> period_of sdc_period suite_period
-      in
+      | period ->
       (match clocks_of_design d ~period with
        | exception Failure msg -> `Error (false, msg)
        | clocks ->

@@ -109,33 +109,13 @@ let clock_buffer t =
   | c :: _ -> c
   | [] -> buffer t
 
-let binary_fn match_fn (c : Cell.t) =
-  c.Cell.kind = Cell.Combinational
-  && List.length (Cell.input_pins c) = 2
-  && (match output_function c with
-      | Some f -> match_fn f
-      | None -> false)
-
-let and2 t =
-  smallest ~what:"AND2" t (binary_fn (function
-    | Expr.And (Expr.Pin _, Expr.Pin _) -> true
-    | Expr.Const _ | Expr.Pin _ | Expr.Not _ | Expr.And _ | Expr.Or _ | Expr.Xor _ -> false))
-
-let or2 t =
-  smallest ~what:"OR2" t (binary_fn (function
-    | Expr.Or (Expr.Pin _, Expr.Pin _) -> true
-    | Expr.Const _ | Expr.Pin _ | Expr.Not _ | Expr.And _ | Expr.Or _ | Expr.Xor _ -> false))
-
 let xor2 t =
-  smallest ~what:"XOR2" t (binary_fn (function
-    | Expr.Xor (Expr.Pin _, Expr.Pin _) -> true
-    | Expr.Const _ | Expr.Pin _ | Expr.Not _ | Expr.And _ | Expr.Or _ | Expr.Xor _ -> false))
-
-let xnor2 t =
-  smallest ~what:"XNOR2" t (binary_fn (function
-    | Expr.Not (Expr.Xor (Expr.Pin _, Expr.Pin _)) -> true
-    | Expr.Xor (Expr.Not (Expr.Pin _), Expr.Pin _) -> true
-    | Expr.Const _ | Expr.Pin _ | Expr.Not _ | Expr.And _ | Expr.Or _ | Expr.Xor _ -> false))
+  smallest ~what:"XOR2" t (fun (c : Cell.t) ->
+    c.Cell.kind = Cell.Combinational
+    && List.length (Cell.input_pins c) = 2
+    && (match output_function c with
+        | Some (Expr.Xor (Expr.Pin _, Expr.Pin _)) -> true
+        | Some _ | None -> false))
 
 let of_liberty src =
   let name, tech, cells = Liberty.parse src in

@@ -37,14 +37,9 @@ val buffer : t -> Cell.t
 
 val clock_buffer : t -> Cell.t
 
-(** Two-input gate whose single output implements the requested function of
-    inputs named by the returned pin names: [gate2 lib f] returns
-    [(cell, in_a, in_b, out)]. [f] is matched structurally against AND, OR,
-    XOR and XNOR of two pins. *)
-val and2 : t -> Cell.t
-val or2 : t -> Cell.t
+(** The smallest combinational cell with two inputs whose output
+    function is the XOR of its two pins. *)
 val xor2 : t -> Cell.t
-val xnor2 : t -> Cell.t
 
 (** Parse a Liberty source into a library. *)
 val of_liberty : string -> t

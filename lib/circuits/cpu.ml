@@ -49,10 +49,8 @@ let arm_m0 = {
   frequency_mhz = 333.3;
 }
 
-let make ?library spec =
-  let library =
-    match library with Some l -> l | None -> Cell_lib.Default_library.library ()
-  in
+let make spec =
+  let library = Cell_lib.Default_library.library () in
   let rng = Rng.create spec.seed in
   let b = Builder.create ~name:spec.name ~library in
   let clk = Builder.add_input ~clock:true b "clk" in

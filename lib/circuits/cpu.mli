@@ -27,4 +27,5 @@ val riscv : spec
 
 val arm_m0 : spec
 
-val make : ?library:Cell_lib.Library.t -> spec -> Netlist.Design.t
+(** [make spec] builds the CPU over the default library. *)
+val make : spec -> Netlist.Design.t

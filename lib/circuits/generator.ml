@@ -52,10 +52,8 @@ let random_cone rng spec b pool prefix sources =
   in
   fresh_level sources 0
 
-let synthesize ?library spec =
-  let library =
-    match library with Some l -> l | None -> Cell_lib.Default_library.library ()
-  in
+let synthesize spec =
+  let library = Cell_lib.Default_library.library () in
   let rng = Rng.create spec.seed in
   let b = Builder.create ~name:spec.name ~library in
   let clk = Builder.add_input ~clock:true b "clk" in

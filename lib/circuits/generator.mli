@@ -33,7 +33,8 @@ type spec = {
 (** Sum of [layers]. *)
 val num_flip_flops : spec -> int
 
-val synthesize : ?library:Cell_lib.Library.t -> spec -> Netlist.Design.t
+(** [synthesize spec] builds the design over the default library. *)
+val synthesize : spec -> Netlist.Design.t
 
 (** [alternating_layers ~ffs ~n_layers ~ratio] splits [ffs] registers into
     alternating wide/narrow layers with the wide layers holding [ratio] of

@@ -2,21 +2,15 @@ module Builder = Netlist.Builder
 module Gates = Netlist.Gates
 
 (* Per-bit chains keep the FF graph a disjoint union of paths, so the
-   closed-form optimum of Section III-B applies exactly.  [cross_mix]
-   optionally XORs neighbouring bits between stages for a denser
-   datapath-like variant. *)
-let make ?library ?(seed = 1) ?(cross_mix = false) ?(logic_depth = 1) ~width
-    ~stages () =
-  let library =
-    match library with Some l -> l | None -> Cell_lib.Default_library.library ()
-  in
-  let rng = Rng.create seed in
+   closed-form optimum of Section III-B applies exactly. *)
+let make ?(logic_depth = 1) ~width ~stages () =
+  let library = Cell_lib.Default_library.library () in
   let b = Builder.create ~name:(Printf.sprintf "linpipe_w%d_s%d" width stages) ~library in
   let clk = Builder.add_input ~clock:true b "clk" in
   let ins = List.init width (fun k -> Builder.add_input b (Printf.sprintf "i%d" k)) in
   let stage s data =
-    let arr = Array.of_list data in
-    List.init width (fun k ->
+    List.mapi
+      (fun k src ->
         (* optional buffer chain models deeper per-stage logic; it sits
            right after the upstream register, where retiming can move the
            inserted latches forward without changing the reset state *)
@@ -28,20 +22,16 @@ let make ?library ?(seed = 1) ?(cross_mix = false) ?(logic_depth = 1) ~width
                  ~prefix:(Printf.sprintf "b_%d_%d_%d" s k j))
               (j - 1)
         in
-        let deep = deepen arr.(k) logic_depth in
         let d =
-          if cross_mix && Rng.chance rng 0.5 then
-            Gates.emit_fresh b Gates.Xor
-              [deep; arr.((k + 1) mod width)]
-              ~prefix:(Printf.sprintf "x_%d_%d" s k)
-          else
-            Gates.emit_fresh b Gates.Not [deep] ~prefix:(Printf.sprintf "n_%d_%d" s k)
+          Gates.emit_fresh b Gates.Not [deepen src logic_depth]
+            ~prefix:(Printf.sprintf "n_%d_%d" s k)
         in
         let q = Builder.fresh_net b (Printf.sprintf "q_%d_%d" s k) in
         ignore
           (Builder.add_cell b (Printf.sprintf "r_%d_%d" s k) "DFF_X1"
              [("CK", clk); ("D", d); ("Q", q)]);
         q)
+      data
   in
   let rec run s data = if s >= stages then data else run (s + 1) (stage s data) in
   let outs = run 0 ins in

@@ -24,7 +24,3 @@ let pick s l =
   match l with
   | [] -> invalid_arg "Rng.pick: empty list"
   | _ :: _ -> List.nth l (int s (List.length l))
-
-let shuffle s l =
-  let tagged = List.map (fun x -> (float s, x)) l in
-  List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) tagged)

@@ -18,5 +18,3 @@ val chance : t -> float -> bool
 
 val pick : t -> 'a list -> 'a
 (** uniform element of a non-empty list. *)
-
-val shuffle : t -> 'a list -> 'a list

@@ -16,10 +16,6 @@ let fail ?source ?loc fmt =
       raise (Error (loc, Netlist_io.Srcloc.message ?source ?loc msg)))
     fmt
 
-let message_of = function
-  | Error (_, msg) -> msg
-  | e -> Printexc.to_string e
-
 (* --- Lint collection ---------------------------------------------- *)
 
 (* Non-fatal findings (rules RTL-001..RTL-004) accumulate here while a [collect] is

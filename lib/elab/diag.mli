@@ -19,10 +19,6 @@ val fail :
   ?source:string -> ?loc:Netlist_io.Srcloc.t ->
   ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-(** The human-readable message of an {!Error} (already located), or
-    [Printexc.to_string] for any other exception. *)
-val message_of : exn -> string
-
 (** Record a lint finding at an (optional) source location.  A no-op
     unless a {!collect} is active. *)
 val lintf :

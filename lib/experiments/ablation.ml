@@ -5,7 +5,7 @@ let bench_exn name =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ablation: unknown benchmark %s" name)
 
-let solver ?(benches = ["s5378"; "s13207"; "des3"; "sha256"; "plasma"; "aes"]) () =
+let solver () =
   let t =
     T.create ~title:"Ablation: assignment solver (inserted p2 latches)"
       [ ("design", T.Left); ("exact", T.Right); ("greedy", T.Right);
@@ -24,11 +24,10 @@ let solver ?(benches = ["s5378"; "s13207"; "des3"; "sha256"; "plasma"; "aes"]) (
           T.f1 (100.0 *. float_of_int (g - e) /. Float.max 1.0 (float_of_int e));
           Printf.sprintf "%.3f" exact.Phase3.Assignment.solve_time_s;
           Printf.sprintf "%.3f" greedy.Phase3.Assignment.solve_time_s ])
-    benches;
+    ["s5378"; "s13207"; "des3"; "sha256"; "plasma"; "aes"];
   t
 
-let flow_power bench_name config =
-  let b = bench_exn bench_name in
+let flow_power b config =
   let d = b.Circuits.Suite.build () in
   let flow = Phase3.Flow.run ~config d in
   let power =
@@ -38,13 +37,13 @@ let flow_power bench_name config =
   in
   (flow, power)
 
-let clock_gating ?(bench = "s13207") () =
+let clock_gating () =
   let t =
-    T.create ~title:(Printf.sprintf "Ablation: clock gating of p2 latches (%s)" bench)
+    T.create ~title:"Ablation: clock gating of p2 latches (s13207)"
       [ ("configuration", T.Left); ("clock mW", T.Right); ("total mW", T.Right);
         ("CG cells", T.Right); ("gated latches", T.Right) ]
   in
-  let b = bench_exn bench in
+  let b = bench_exn "s13207" in
   (* experiment flows measure benchmarks at their published periods, where
      timing violations are table data, not sign-off failures *)
   let base =
@@ -67,7 +66,7 @@ let clock_gating ?(bench = "s13207") () =
     (fun (label, cg) ->
       let config = { base with Phase3.Flow.clock_gating = cg;
                      verify_equivalence = false } in
-      let flow, power = flow_power bench config in
+      let flow, power = flow_power b config in
       let cg_cells, gated =
         match flow.Phase3.Flow.cg_stats with
         | Some s ->
@@ -102,12 +101,11 @@ let min_period design ~lo ~hi =
   in
   if passes hi then bisect lo hi 12 else Float.infinity
 
-let retiming ?(bench = "deep-pipeline") () =
+let retiming () =
   (* retiming needs inserted latches sitting in front of deep private
      logic; the 8-bit 6-stage pipeline with 6 levels of logic per stage is
      the paper's Fig. 1 scenario, and the payoff shows as a shorter
      minimum cycle time (the paper's throughput constraint C3) *)
-  ignore bench;
   let t =
     T.create ~title:"Ablation: modified retiming (8-bit x6 deep pipeline)"
       [ ("configuration", T.Left); ("moves", T.Right);
@@ -133,14 +131,13 @@ let retiming ?(bench = "deep-pipeline") () =
     [false; true];
   t
 
-let ddcg_fanout ?(bench = "s35932") ?(fanouts = [4; 8; 16; 32; 64]) () =
+let ddcg_fanout () =
   let t =
-    T.create
-      ~title:(Printf.sprintf "Ablation: DDCG max fanout (%s; paper picks 32)" bench)
+    T.create ~title:"Ablation: DDCG max fanout (s35932; paper picks 32)"
       [ ("max fanout", T.Right); ("clock mW", T.Right); ("total mW", T.Right);
         ("CG cells", T.Right); ("ddcg latches", T.Right) ]
   in
-  let b = bench_exn bench in
+  let b = bench_exn "s35932" in
   List.iter
     (fun max_fanout ->
       let cg = { Phase3.Clock_gating.default_options with
@@ -150,7 +147,7 @@ let ddcg_fanout ?(bench = "s35932") ?(fanouts = [4; 8; 16; 32; 64]) () =
           Phase3.Flow.clock_gating = cg; verify_equivalence = false;
           lint = false }
       in
-      let flow, power = flow_power bench config in
+      let flow, power = flow_power b config in
       let cg_cells, ddcg =
         match flow.Phase3.Flow.cg_stats with
         | Some s -> (s.Phase3.Clock_gating.cg_cells_added, s.Phase3.Clock_gating.ddcg_gated)
@@ -162,18 +159,16 @@ let ddcg_fanout ?(bench = "s35932") ?(fanouts = [4; 8; 16; 32; 64]) () =
           T.f2 (Power.Estimate.total power);
           string_of_int cg_cells;
           string_of_int ddcg ])
-    fanouts;
+    [4; 8; 16; 32; 64];
   t
 
-let skew_tolerance ?(bench = "plasma") ?(skews = [0.02; 0.05; 0.08; 0.12]) () =
+let skew_tolerance () =
   let t =
-    T.create
-      ~title:(Printf.sprintf
-                "Ablation: hold-buffer demand vs clock skew (%s)" bench)
+    T.create ~title:"Ablation: hold-buffer demand vs clock skew (plasma)"
       [ ("skew ns", T.Right); ("FF buffers", T.Right); ("M-S buffers", T.Right);
         ("3-P buffers", T.Right) ]
   in
-  let b = bench_exn bench in
+  let b = bench_exn "plasma" in
   let period = b.Circuits.Suite.period_ns in
   let d = b.Circuits.Suite.build () in
   let ff_clocks = Phase3.Flow.reference_clocks d ~period in
@@ -193,17 +188,16 @@ let skew_tolerance ?(bench = "plasma") ?(skews = [0.02; 0.05; 0.08; 0.12]) () =
           string_of_int (buffers d ff_clocks);
           string_of_int (buffers ms ff_clocks);
           string_of_int (buffers flow.Phase3.Flow.final threep_clocks) ])
-    skews;
+    [0.02; 0.05; 0.08; 0.12];
   t
 
-let pvt ?(bench = "s13207") () =
+let pvt () =
   let t =
     T.create
-      ~title:(Printf.sprintf "Ablation: PVT corners (%s) — setup slack ns / hold buffers"
-                bench)
+      ~title:"Ablation: PVT corners (s13207) — setup slack ns / hold buffers"
       [ ("corner", T.Left); ("FF", T.Right); ("M-S", T.Right); ("3-P", T.Right) ]
   in
-  let b = bench_exn bench in
+  let b = bench_exn "s13207" in
   let period = b.Circuits.Suite.period_ns in
   let d = b.Circuits.Suite.build () in
   let ff_clocks = Phase3.Flow.reference_clocks d ~period in

@@ -62,7 +62,7 @@ type variant_result =
   | R_ms of variant
   | R_threep of variant * Phase3.Flow.result
 
-let run ?(cycles = 384) ?(verify = true) (bench : Circuits.Suite.benchmark) =
+let run ?(cycles = 384) (bench : Circuits.Suite.benchmark) =
   let total0 = now () in
   let period = bench.Circuits.Suite.period_ns in
   let workload = bench.Circuits.Suite.workload in
@@ -80,25 +80,23 @@ let run ?(cycles = 384) ?(verify = true) (bench : Circuits.Suite.benchmark) =
   let build_ms () =
     let t0 = now () in
     let ms_design = Phase3.Master_slave.convert original in
-    (if verify then
-       let stim = Circuits.Workload.stimulus workload ~seed:(seed + 1) ~cycles:128 original in
-       match
-         Sim.Equivalence.check ~reference:original ~dut:ms_design
-           ~reference_clocks:ff_clocks ~dut_clocks:ff_clocks ~stimulus:stim ()
-       with
-       | Sim.Equivalence.Equivalent _ -> ()
-       | Sim.Equivalence.Mismatch m ->
-         failwith
-           (Format.asprintf "master-slave conversion of %s not equivalent: %a"
-              bench.Circuits.Suite.bench_name Sim.Equivalence.pp_mismatch m));
+    let stim = Circuits.Workload.stimulus workload ~seed:(seed + 1) ~cycles:128 original in
+    (match
+       Sim.Equivalence.check ~reference:original ~dut:ms_design
+         ~reference_clocks:ff_clocks ~dut_clocks:ff_clocks ~stimulus:stim ()
+     with
+     | Sim.Equivalence.Equivalent _ -> ()
+     | Sim.Equivalence.Mismatch m ->
+       failwith
+         (Format.asprintf "master-slave conversion of %s not equivalent: %a"
+            bench.Circuits.Suite.bench_name Sim.Equivalence.pp_mismatch m));
     R_ms (variant_of ms_design ~clocks:ff_clocks ~workload ~cycles ~seed ~t0)
   in
   let build_threep () =
     let t0 = now () in
     let config =
       { (Phase3.Flow.default_config ~period) with
-        Phase3.Flow.verify_equivalence = verify;
-        activity_cycles = cycles;
+        Phase3.Flow.activity_cycles = cycles;
         (* benchmarks at their published periods can carry real setup
            violations (plasma does) — the harness reports them as data
            in the tables instead of refusing to measure *)
@@ -178,10 +176,10 @@ let variant_record (t : t) ~tag v =
   in
   Qor.Record.make
     ~config:
-      [ ("variant", Qor.Json.Str tag);
-        ("period_ns", Qor.Json.Num t.bench.Circuits.Suite.period_ns);
+      [ ("variant", Report.Json.Str tag);
+        ("period_ns", Report.Json.Num t.bench.Circuits.Suite.period_ns);
         ("family",
-         Qor.Json.Str (Circuits.Suite.family_name t.bench.Circuits.Suite.family)) ]
+         Report.Json.Str (Circuits.Suite.family_name t.bench.Circuits.Suite.family)) ]
     ~metrics:(metrics @ flow_metrics) ~wall
     (Qor.Collect.provenance ~kind:"experiment"
        ~circuit:(t.bench.Circuits.Suite.bench_name ^ "-" ^ tag))

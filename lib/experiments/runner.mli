@@ -28,10 +28,10 @@ type t = {
   total_time_s : float;
 }
 
-(** [run ?cycles ?verify bench] — [cycles] of workload simulation feed the
-    power model (default 384); [verify] (default true) stream-checks the
-    converted designs against the original. *)
-val run : ?cycles:int -> ?verify:bool -> Circuits.Suite.benchmark -> t
+(** [run ?cycles bench] — [cycles] of workload simulation feed the power
+    model (default 384); the converted designs are stream-checked against
+    the original. *)
+val run : ?cycles:int -> Circuits.Suite.benchmark -> t
 
 (** Power of an arbitrary design/clocks/workload combination (used by the
     Fig. 4 experiment which sweeps workloads). *)

@@ -304,7 +304,7 @@ let fig3 () =
 
 (* --- Fig. 4 -------------------------------------------------------- *)
 
-let fig4 ?(cycles = 384) () =
+let fig4 () =
   let t =
     T.create ~title:"Fig. 4: CPU power (mW) on Dhrystone and Coremark"
       [ ("cpu/workload", T.Left); ("style", T.Left);
@@ -327,12 +327,15 @@ let fig4 ?(cycles = 384) () =
         (fun program ->
           let workload = Circuits.Workload.Program program in
           let pf =
-            Runner.power_of original ~clocks:ff_clocks ~workload ~cycles ~seed:7
+            Runner.power_of original ~clocks:ff_clocks ~workload ~cycles:384
+              ~seed:7
           in
-          let pm = Runner.power_of ms ~clocks:ff_clocks ~workload ~cycles ~seed:7 in
+          let pm =
+            Runner.power_of ms ~clocks:ff_clocks ~workload ~cycles:384 ~seed:7
+          in
           let p3 =
             Runner.power_of flow.Phase3.Flow.final ~clocks:threep_clocks ~workload
-              ~cycles ~seed:7
+              ~cycles:384 ~seed:7
           in
           let label =
             Printf.sprintf "%s/%s" cpu_spec.Circuits.Cpu.name
@@ -426,12 +429,8 @@ let runtime_stages (results : Runner.t list) =
 
 (* --- register-style baseline comparison ---------------------------- *)
 
-let baselines ?(bench = "plasma") ?(skew = 0.05) () =
-  let b =
-    match Circuits.Suite.find bench with
-    | Some b -> b
-    | None -> invalid_arg (Printf.sprintf "Tables.baselines: unknown %s" bench)
-  in
+let baselines () =
+  let b = Option.get (Circuits.Suite.find "plasma") in
   let period = b.Circuits.Suite.period_ns in
   let d = b.Circuits.Suite.build () in
   let ff_clocks = Phase3.Flow.reference_clocks d ~period in
@@ -440,14 +439,13 @@ let baselines ?(bench = "plasma") ?(skew = 0.05) () =
   let flow = Phase3.Flow.run ~config d in
   let t =
     T.create
-      ~title:(Printf.sprintf
-                "Register styles on %s (%.0f ps skew): the pulsed-latch \
-                 trade-off of Section I" bench (skew *. 1000.0))
+      ~title:"Register styles on plasma (50 ps skew): the pulsed-latch \
+              trade-off of Section I"
       [ ("style", T.Left); ("regs", T.Right); ("hold buffers", T.Right);
         ("area", T.Right); ("clock mW", T.Right); ("total mW", T.Right) ]
   in
   let row label design clocks ~hold_margin =
-    let padded, hold = Sta.Hold_fix.run ~skew ~hold_margin design ~clocks in
+    let padded, hold = Sta.Hold_fix.run ~skew:0.05 ~hold_margin design ~clocks in
     let power =
       Runner.power_of padded ~clocks ~workload:b.Circuits.Suite.workload
         ~cycles:256 ~seed:21
@@ -463,7 +461,7 @@ let baselines ?(bench = "plasma") ?(skew = 0.05) () =
   in
   row "flip-flop" d ff_clocks ~hold_margin:0.02;
   row "pulsed latch" (Phase3.Pulsed_latch.convert d) ff_clocks
-    ~hold_margin:(Phase3.Pulsed_latch.hold_margin ~period ());
+    ~hold_margin:Phase3.Pulsed_latch.hold_margin;
   row "master-slave" (Phase3.Master_slave.convert d) ff_clocks ~hold_margin:0.02;
   row "3-phase" flow.Phase3.Flow.final (Phase3.Flow.clocks_of config)
     ~hold_margin:0.02;
@@ -471,17 +469,12 @@ let baselines ?(bench = "plasma") ?(skew = 0.05) () =
 
 (* --- frequency sweep ------------------------------------------------ *)
 
-let frequency_sweep ?(bench = "s15850") ?(periods = [0.4; 0.55; 0.8; 1.0; 1.5; 2.5]) () =
-  let b =
-    match Circuits.Suite.find bench with
-    | Some b -> b
-    | None -> invalid_arg (Printf.sprintf "Tables.frequency_sweep: unknown %s" bench)
-  in
+let frequency_sweep () =
+  let b = Option.get (Circuits.Suite.find "s15850") in
   let d = b.Circuits.Suite.build () in
   let t =
     T.create
-      ~title:(Printf.sprintf "Frequency sweep on %s: total power (mW) and saving"
-                bench)
+      ~title:"Frequency sweep on s15850: total power (mW) and saving"
       [ ("period ns", T.Right); ("freq MHz", T.Right);
         ("FF", T.Right); ("3-P", T.Right); ("save%", T.Right);
         ("FF clock share%", T.Right); ("FF timing", T.Right);
@@ -514,5 +507,5 @@ let frequency_sweep ?(bench = "s15850") ?(periods = [0.4; 0.55; 0.8; 1.0; 1.5; 2
           T.f1 (100.0 *. pf.Power.Estimate.clock /. ff_tot);
           verdict d ff_clocks;
           verdict flow.Phase3.Flow.final (Phase3.Flow.clocks_of config) ])
-    periods;
+    [0.4; 0.55; 0.8; 1.0; 1.5; 2.5];
   t

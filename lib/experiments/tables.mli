@@ -21,8 +21,9 @@ val fig2 : unit -> Report.Table.t
     was captured high and stays glitch-free. *)
 val fig3 : unit -> Report.Table.t
 
-(** Fig. 4: RISC-V and Arm-M0 power under Dhrystone and Coremark. *)
-val fig4 : ?cycles:int -> unit -> Report.Table.t
+(** Fig. 4: RISC-V and Arm-M0 power under Dhrystone and Coremark, 384
+    cycles each. *)
+val fig4 : unit -> Report.Table.t
 
 (** Run-time discussion of Section V: ILP time vs. flow time. *)
 val runtime : Runner.t list -> Report.Table.t
@@ -34,14 +35,13 @@ val runtime : Runner.t list -> Report.Table.t
 val runtime_stages : Runner.t list -> Report.Table.t
 
 (** Register-style comparison including the pulsed-latch alternative of
-    Section I: registers, area, power and hold-buffer demand under skew
-    for FF / pulsed-latch / master-slave / 3-phase. *)
-val baselines : ?bench:string -> ?skew:float -> unit -> Report.Table.t
+    Section I: registers, area, power and hold-buffer demand under 50 ps
+    of skew for FF / pulsed-latch / master-slave / 3-phase, on plasma. *)
+val baselines : unit -> Report.Table.t
 
-(** Frequency sweep: power and timing sign-off vs clock rate on one
-    benchmark.  Power savings are frequency-independent in a dynamic-power
+(** Frequency sweep: power and timing sign-off vs clock rate on s15850,
+    at periods from 0.4 to 2.5 ns.  Power savings are frequency-independent in a dynamic-power
     world; the crossover appears in timing — a phase only gets about two
     thirds of the cycle, so at the high end the converted design stops
     meeting the SMO constraints before the flip-flop original does. *)
-val frequency_sweep :
-  ?bench:string -> ?periods:float list -> unit -> Report.Table.t
+val frequency_sweep : unit -> Report.Table.t

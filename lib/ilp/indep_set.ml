@@ -282,8 +282,9 @@ let bipartite_mis g members side =
   (* complement of the cover: L vertices in Z, R vertices outside Z *)
   List.filter (fun v -> if side.(v) then not z.(v) else z.(v)) members
 
-(* (1,2)-swap local search.  tight.(v) = number of chosen neighbours. *)
-let local_search ?(rounds = 4) g set =
+(* (1,2)-swap local search, at most four rounds.  tight.(v) = number of
+   chosen neighbours. *)
+let local_search g set =
   let chosen = Array.make g.n false in
   List.iter (fun v -> chosen.(v) <- true) set;
   let tight = Array.make g.n 0 in
@@ -300,7 +301,7 @@ let local_search ?(rounds = 4) g set =
   let vertices = List.init g.n Fun.id in
   let changed = ref true in
   let round = ref 0 in
-  while !changed && !round < rounds do
+  while !changed && !round < 4 do
     incr round;
     changed := false;
     (* additions *)

@@ -57,6 +57,6 @@ val max_matching : graph -> int list -> int array
 (** Exact MIS of a bipartite component via Koenig's construction. *)
 val bipartite_mis : graph -> int list -> bool array -> int list
 
-(** Improve an independent set in place with additions and (1,2)-swaps.
-    Returns the improved set. *)
-val local_search : ?rounds:int -> graph -> int list -> int list
+(** Improve an independent set in place with up to four rounds of
+    additions and (1,2)-swaps.  Returns the improved set. *)
+val local_search : graph -> int list -> int list

@@ -8,27 +8,6 @@ let text ?(show_waived = false) ppf ds =
   let e, w, i = counts ds in
   Format.fprintf ppf "%d error(s), %d warning(s), %d info(s)@." e w i
 
-(* Hand-rolled JSON so the emitters stay dependency-free.  Only the
-   escapes JSON requires; diagnostics never carry control characters in
-   practice but we escape them anyway. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let sep_iter ppf f = function
   | [] -> ()
   | x :: rest ->
@@ -41,10 +20,11 @@ let sep_iter ppf f = function
 
 let json_loc ppf = function
   | Design_level -> Format.fprintf ppf {|{ "kind": "design" }|}
-  | Object o -> Format.fprintf ppf {|{ "kind": "object", "name": %s }|} (json_string o)
+  | Object o ->
+    Format.fprintf ppf {|{ "kind": "object", "name": %s }|} (Report.Json.quote o)
   | Src { file; line; col } ->
     Format.fprintf ppf {|{ "kind": "source", "file": %s, "line": %d, "col": %d }|}
-      (json_string file) line col
+      (Report.Json.quote file) line col
 
 let json ppf ds =
   let e, w, i = counts ds in
@@ -54,9 +34,9 @@ let json ppf ds =
     (fun d ->
       Format.fprintf ppf
         {|@[<h>{ "rule": %s, "severity": %s, "message": %s, "location": %a, "waived": %b }@]|}
-        (json_string d.rule)
-        (json_string (severity_name d.severity))
-        (json_string d.message) json_loc d.loc d.waived)
+        (Report.Json.quote d.rule)
+        (Report.Json.quote (severity_name d.severity))
+        (Report.Json.quote d.message) json_loc d.loc d.waived)
     ds;
   Format.fprintf ppf "@]@ ],@ ";
   Format.fprintf ppf
@@ -85,30 +65,32 @@ let sarif ?(tool_name = "ff2latch-lint") ppf ds =
   Format.fprintf ppf {|"version": "2.1.0",@ |};
   Format.fprintf ppf "@[<v 2>\"runs\": [@ @[<v 2>{@ ";
   Format.fprintf ppf "@[<v 2>\"tool\": { \"driver\": { \"name\": %s,@ "
-    (json_string tool_name);
+    (Report.Json.quote tool_name);
   Format.fprintf ppf "@[<v 2>\"rules\": [@ ";
   sep_iter ppf
-    (fun r -> Format.fprintf ppf {|@[<h>{ "id": %s }@]|} (json_string r))
+    (fun r -> Format.fprintf ppf {|@[<h>{ "id": %s }@]|} (Report.Json.quote r))
     rules;
   Format.fprintf ppf "@]@ ] } },@]@ ";
   Format.fprintf ppf "@[<v 2>\"results\": [@ ";
   sep_iter ppf
     (fun d ->
       Format.fprintf ppf "@[<v 2>{@ ";
-      Format.fprintf ppf {|"ruleId": %s,@ |} (json_string d.rule);
+      Format.fprintf ppf {|"ruleId": %s,@ |} (Report.Json.quote d.rule);
       Format.fprintf ppf {|"ruleIndex": %d,@ |} (rule_index d.rule);
-      Format.fprintf ppf {|"level": %s,@ |} (json_string (sarif_level d.severity));
-      Format.fprintf ppf {|"message": { "text": %s }|} (json_string d.message);
+      Format.fprintf ppf {|"level": %s,@ |}
+        (Report.Json.quote (sarif_level d.severity));
+      Format.fprintf ppf {|"message": { "text": %s }|}
+        (Report.Json.quote d.message);
       (match d.loc with
        | Design_level -> ()
        | Object o ->
          Format.fprintf ppf
            {|,@ "locations": [ { "logicalLocations": [ { "name": %s } ] } ]|}
-           (json_string o)
+           (Report.Json.quote o)
        | Src { file; line; col } ->
          Format.fprintf ppf
            {|,@ "locations": [ { "physicalLocation": { "artifactLocation": { "uri": %s }, "region": { "startLine": %d, "startColumn": %d } } } ]|}
-           (json_string file) line col);
+           (Report.Json.quote file) line col);
       if d.waived then
         Format.fprintf ppf {|,@ "suppressions": [ { "kind": "external" } ]|};
       Format.fprintf ppf "@]@ }")

@@ -25,67 +25,6 @@ let dot coeffs x =
 
 let objective_value t x = dot t.objective x
 
-(* Substitute fixed variables out of a problem.  The reduced problem is
-   over the retained variables only (re-indexed densely); each constraint
-   keeps its relation with the fixed contribution folded into the rhs.
-   Constraints whose coefficients vanish entirely are checked against
-   their rhs and dropped; a violated one makes the whole problem
-   infeasible and [eliminate] returns [None]. *)
-let eliminate ?(eps = 1e-9) t ~value =
-  let keep = Array.make t.num_vars (-1) in
-  let n' = ref 0 in
-  for j = 0 to t.num_vars - 1 do
-    match value j with
-    | None ->
-      keep.(j) <- !n';
-      incr n'
-    | Some _ -> ()
-  done;
-  let offset =
-    List.fold_left
-      (fun acc (j, a) ->
-        match value j with Some v -> acc +. (a *. v) | None -> acc)
-      0.0 t.objective
-  in
-  let objective =
-    List.filter_map
-      (fun (j, a) -> if keep.(j) >= 0 then Some (keep.(j), a) else None)
-      t.objective
-  in
-  let violated = ref false in
-  let constraints =
-    List.filter_map
-      (fun c ->
-        let fixed_lhs = ref 0.0 in
-        let coeffs =
-          List.filter_map
-            (fun (j, a) ->
-              match value j with
-              | Some v ->
-                fixed_lhs := !fixed_lhs +. (a *. v);
-                None
-              | None -> Some (keep.(j), a))
-            c.coeffs
-        in
-        let rhs = c.rhs -. !fixed_lhs in
-        match coeffs with
-        | [] ->
-          (match c.relation with
-           | Le -> if 0.0 > rhs +. eps then violated := true
-           | Ge -> if 0.0 < rhs -. eps then violated := true
-           | Eq -> if Float.abs rhs > eps then violated := true);
-          None
-        | _ :: _ -> Some { coeffs; relation = c.relation; rhs })
-      t.constraints
-  in
-  if !violated then None
-  else
-    let old_index = Array.make !n' (-1) in
-    Array.iteri (fun j k -> if k >= 0 then old_index.(k) <- j) keep;
-    Some
-      ({ num_vars = !n'; objective; sense = t.sense; constraints },
-       offset, old_index)
-
 let feasible ?(eps = 1e-6) t x =
   Array.for_all (fun v -> v >= -.eps) x
   && List.for_all

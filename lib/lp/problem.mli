@@ -27,17 +27,5 @@ val constr : (int * float) list -> relation -> float -> constr
 (** Evaluate the objective at a point. *)
 val objective_value : t -> float array -> float
 
-(** [eliminate t ~value] substitutes every variable [j] with
-    [value j = Some v] out of the problem: constraints fold the fixed
-    contribution into their rhs, the objective's fixed part is returned
-    as a constant offset, and the remaining variables are re-indexed
-    densely.  The third component maps new indices back to the original
-    ones.  Constraints left without coefficients are checked and
-    dropped; if one is violated the problem is infeasible and the result
-    is [None]. *)
-val eliminate :
-  ?eps:float -> t -> value:(int -> float option) ->
-  (t * float * int array) option
-
 (** [feasible ?eps t x] checks all constraints and non-negativity. *)
 val feasible : ?eps:float -> t -> float array -> bool

@@ -48,31 +48,3 @@ let size g = Array.length g.members
 
 let self_loop_count g =
   Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 g.self_loop
-
-let to_dot g d =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph ff_graph {\n";
-  Array.iteri
-    (fun pos i ->
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s\"%s];\n" pos (Design.inst_name d i)
-           (if g.self_loop.(pos) then ", style=filled, fillcolor=salmon" else "")))
-    g.members;
-  Array.iteri
-    (fun pos outs ->
-      List.iter
-        (fun v -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" pos v))
-        outs)
-    g.fanout;
-  Array.iteri
-    (fun k outs ->
-      if outs <> [] then begin
-        Buffer.add_string buf
-          (Printf.sprintf "  pi%d [label=\"%s\", shape=box];\n" k g.pi_names.(k));
-        List.iter
-          (fun v -> Buffer.add_string buf (Printf.sprintf "  pi%d -> n%d;\n" k v))
-          outs
-      end)
-    g.pi_fanout;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -21,6 +21,3 @@ val size : t -> int
 
 (** Positions of nodes with combinational feedback onto themselves. *)
 val self_loop_count : t -> int
-
-(** [to_dot g d] renders the graph for debugging. *)
-val to_dot : t -> Design.t -> string

@@ -12,8 +12,7 @@ let () =
 
 (* --- Writer --- *)
 
-let write ?(input_delay = 0.10) ?(output_delay = 0.10)
-    ?(clock_uncertainty = 0.05) d ~clocks =
+let write d ~clocks =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let period = clocks.Sim.Clock_spec.period in
@@ -41,20 +40,17 @@ let write ?(input_delay = 0.10) ?(output_delay = 0.10)
        (String.concat "} -group {" defined_clocks)
    | [] | [_] -> ());
   List.iter
-    (fun port -> add "set_clock_uncertainty %.4f [get_clocks %s]\n"
-        clock_uncertainty port)
+    (fun port -> add "set_clock_uncertainty 0.0500 [get_clocks %s]\n" port)
     defined_clocks;
   let launch_clock = match defined_clocks with c :: _ -> c | [] -> "clk" in
   List.iter
     (fun (port, _) ->
       if not (Netlist.Design.is_clock_port d port) then
-        add "set_input_delay %.4f -clock %s [get_ports %s]\n" input_delay
-          launch_clock port)
+        add "set_input_delay 0.1000 -clock %s [get_ports %s]\n" launch_clock port)
     d.Netlist.Design.primary_inputs;
   List.iter
     (fun (port, _) ->
-      add "set_output_delay %.4f -clock %s [get_ports %s]\n" output_delay
-        launch_clock port)
+      add "set_output_delay 0.1000 -clock %s [get_ports %s]\n" launch_clock port)
     d.Netlist.Design.primary_outputs;
   Buffer.contents buf
 

@@ -6,8 +6,9 @@
     {!write} describes the clocking of a design: one [create_clock] per
     clock port with the waveform taken from a {!Sim.Clock_spec.t} (the
     three-phase edges of the converted design, or the single clock of
-    the original), plus input/output delays and the
-    physically-exclusive clock grouping the three phases require.  This
+    the original), plus 0.1 ns input/output delays, a 0.05 ns clock
+    uncertainty and the physically-exclusive clock grouping the three
+    phases require.  This
     is the hand-off artifact a downstream place-and-route run would
     consume.
 
@@ -36,11 +37,7 @@
     message embeds a ["file:line:col:"] prefix and a one-line excerpt. *)
 exception Error of Srcloc.t option * string
 
-val write :
-  ?input_delay:float ->
-  ?output_delay:float ->
-  ?clock_uncertainty:float ->
-  Netlist.Design.t -> clocks:Sim.Clock_spec.t -> string
+val write : Netlist.Design.t -> clocks:Sim.Clock_spec.t -> string
 
 (** Object a delay constraint applies to. *)
 type target =

@@ -74,14 +74,6 @@ let gauge name value = push (buffer ()) (Gauge { name; ts = now (); value })
 let hist ?(exec = false) name value =
   push (buffer ()) (Hist { name; value; exec })
 
-let gc_sample ?(prefix = "gc") () =
-  let s = Gc.quick_stat () in
-  gauge (prefix ^ ".minor_words") s.Gc.minor_words;
-  gauge (prefix ^ ".major_words") s.Gc.major_words;
-  gauge (prefix ^ ".promoted_words") s.Gc.promoted_words;
-  gauge (prefix ^ ".heap_words") (float_of_int s.Gc.heap_words);
-  gauge (prefix ^ ".compactions") (float_of_int s.Gc.compactions)
-
 let gc_span name f =
   let before = Gc.quick_stat () in
   let record_delta () =
@@ -263,17 +255,6 @@ let histograms_of ~exec:want_exec () =
 let histograms () = histograms_of ~exec:false ()
 let exec_histograms () = histograms_of ~exec:true ()
 
-let render_histograms () =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (name, h) ->
-      Buffer.add_string b name;
-      Buffer.add_string b ": ";
-      Buffer.add_string b (Histogram.to_string h);
-      Buffer.add_char b '\n')
-    (histograms ());
-  Buffer.contents b
-
 (* --- aggregation ---------------------------------------------------- *)
 
 type span_stat = {
@@ -437,28 +418,6 @@ let counter_of name =
 
 (* --- Chrome trace_event exporter ------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* the shortest of [%.12g] and [%.17g] that reads back to [f]: gauges
-   such as GC word counts keep every digit, where [%g] keeps six *)
-let float_repr f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then s else Printf.sprintf "%.17g" f
-
 let chrome_trace () =
   let t0 = Atomic.get epoch in
   let us ts = (ts -. t0) *. 1e6 in
@@ -490,8 +449,8 @@ let chrome_trace () =
             stack := (name, ts, ref 0.0) :: !stack;
             emit
               (Printf.sprintf
-                 "{\"name\":\"%s\",\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.1f}"
-                 (json_escape name) tid (us ts))
+                 "{\"name\":%s,\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.1f}"
+                 (Report.Json.quote name) tid (us ts))
           | End { name; ts } ->
             let args =
               match !stack with
@@ -508,8 +467,8 @@ let chrome_trace () =
             in
             emit
               (Printf.sprintf
-                 "{\"name\":\"%s\",\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%.1f%s}"
-                 (json_escape name) tid (us ts) args)
+                 "{\"name\":%s,\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%.1f%s}"
+                 (Report.Json.quote name) tid (us ts) args)
           | Count { name; ts; incr } ->
             let r =
               match Hashtbl.find_opt totals name with
@@ -522,15 +481,16 @@ let chrome_trace () =
             r := !r + incr;
             emit
               (Printf.sprintf
-                 "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\
+                 "{\"name\":%s,\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\
                   \"args\":{\"value\":%d}}"
-                 (json_escape name) tid (us ts) !r)
+                 (Report.Json.quote name) tid (us ts) !r)
           | Gauge { name; ts; value } ->
             emit
               (Printf.sprintf
-                 "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\
+                 "{\"name\":%s,\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.1f,\
                   \"args\":{\"value\":%s}}"
-                 (json_escape name) tid (us ts) (float_repr value))
+                 (Report.Json.quote name) tid (us ts)
+                 (Report.Json.float_token value))
           | Hist _ ->
             (* histogram samples are timestamp-free aggregates; they
                have no sensible place on a timeline *)
@@ -595,6 +555,6 @@ let summary_table () =
   List.iter
     (fun (name, v) ->
       Report.Table.add_row t
-        [name; "gauge"; ""; ""; ""; ""; float_repr v])
+        [name; "gauge"; ""; ""; ""; ""; Report.Json.float_token v])
     gs;
   t

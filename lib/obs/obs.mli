@@ -129,13 +129,6 @@ module Histogram : sig
   val to_string : t -> string
 end
 
-(** Sample {!Gc.quick_stat} as gauges: [<prefix>.minor_words],
-    [<prefix>.major_words], [<prefix>.promoted_words],
-    [<prefix>.heap_words], [<prefix>.compactions] (default prefix
-    ["gc"]).  The words counters are cumulative for the calling
-    domain, so the max-merge reports the high-water mark. *)
-val gc_sample : ?prefix:string -> unit -> unit
-
 (** [gc_span name f] is {!span}[ name f] plus allocation-pressure
     gauges for [f] itself: the {!Gc.quick_stat} deltas across the call
     are recorded as [<name>.gc.minor_words], [<name>.gc.major_words]
@@ -201,10 +194,6 @@ val histograms : unit -> (string * Histogram.t) list
     machine.  Kept out of {!histograms} so the determinism contract
     stays literal. *)
 val exec_histograms : unit -> (string * Histogram.t) list
-
-(** All deterministic histograms as ["name: " ^ ]{!Histogram.to_string}
-    lines — the byte-comparable digest the determinism tests diff. *)
-val render_histograms : unit -> string
 
 (** Total seconds spent in spans named [name]; [0.0] if none. *)
 val time_of : string -> float

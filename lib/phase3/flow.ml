@@ -65,6 +65,8 @@ let reference_clocks d ~period =
     fail "design %s has several clock ports" d.Netlist.Design.design_name
 
 let run ~config d =
+  if not (Float.is_finite config.period && config.period > 0.0) then
+    fail "clock period %g ns must be positive and finite" config.period;
   (* an equivalence check over too short a stream compares no cycle *)
   if config.verify_equivalence
      && config.verify_cycles < Sim.Equivalence.min_cycles () then

@@ -69,5 +69,6 @@ exception Flow_error of string
 
 (** [run ~config d] raises {!Flow_error} when the input design fails
     validation or the result fails equivalence, and before any stage
-    when [verify_cycles] is too short for the equivalence check. *)
+    when [period] is not positive and finite or [verify_cycles] is too
+    short for the equivalence check. *)
 val run : config:config -> Netlist.Design.t -> result

@@ -1,11 +1,7 @@
 module Design = Netlist.Design
 module Builder = Netlist.Builder
 
-let default_pulse_width = 0.08
-
-let hold_margin ?(base = 0.02) ?(pulse_width = default_pulse_width) ~period () =
-  ignore period;
-  base +. pulse_width
+let hold_margin = 0.02 +. 0.08
 
 let convert d =
   let lib = d.Design.library in

@@ -14,14 +14,11 @@
     to the pulse width ({!hold_margin}), which the skew/hold ablations
     quantify. *)
 
-(** Pulse width in nanoseconds (default 0.08 ns, technology-bound rather
-    than period-bound). *)
-val default_pulse_width : float
-
-(** The hold margin a pulsed design must meet: the base margin plus the
-    full pulse width (data must not change until the pulse closes).
-    [period] is accepted for interface symmetry with the other styles. *)
-val hold_margin : ?base:float -> ?pulse_width:float -> period:float -> unit -> float
+(** The hold margin in ns a pulsed design must meet: the 0.02 ns base
+    margin plus the full 0.08 ns pulse width (data must not change until
+    the pulse closes).  The pulse width is technology-bound rather than
+    period-bound. *)
+val hold_margin : float
 
 (** [convert d] replaces each flip-flop with a pulsed-latch cell on the
     same (possibly gated) clock net. *)

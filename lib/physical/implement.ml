@@ -8,9 +8,9 @@ type t = {
   total_area : float;
 }
 
-let run ?(utilization = 0.7) d =
+let run d =
   Obs.span "physical.implement" @@ fun () ->
-  let placement = Obs.span "physical.place" (fun () -> Placement.place ~utilization d) in
+  let placement = Obs.span "physical.place" (fun () -> Placement.place d) in
   let clock_tree =
     Obs.span "physical.cts" (fun () -> Clock_tree.synthesize d placement)
   in

@@ -11,4 +11,6 @@ type t = {
   total_area : float;         (** cells + clock-tree buffers *)
 }
 
-val run : ?utilization:float -> Netlist.Design.t -> t
+(** [run d] places [d] at {!Placement.place}'s 0.7 utilization, then
+    estimates wires and synthesizes the clock trees. *)
+val run : Netlist.Design.t -> t

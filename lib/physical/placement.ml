@@ -6,7 +6,6 @@ type t = {
   die_width : float;
   die_height : float;
   rows : int;
-  utilization : float;
 }
 
 (* Positions of the cells on a net: driver first when placed. *)
@@ -38,7 +37,7 @@ let total_wirelength d pl =
   done;
   !sum
 
-let place ?(utilization = 0.7) ?(iterations = 4) d =
+let place d =
   let tech = Cell_lib.Library.tech d.Design.library in
   let n = Design.num_insts d in
   let total_area =
@@ -46,7 +45,8 @@ let place ?(utilization = 0.7) ?(iterations = 4) d =
       (fun i acc -> acc +. (Design.cell d i).Cell_lib.Cell.area)
       d 0.0
   in
-  let die_area = Float.max 1.0 (total_area /. utilization) in
+  (* cells fill 70% of the die *)
+  let die_area = Float.max 1.0 (total_area /. 0.7) in
   let die_width = Float.max tech.Cell_lib.Tech.row_height (sqrt die_area) in
   let rows =
     Stdlib.max 1 (int_of_float (die_width /. tech.Cell_lib.Tech.row_height))
@@ -95,7 +95,7 @@ let place ?(utilization = 0.7) ?(iterations = 4) d =
       ordering
   in
   assign_positions order;
-  let pl = { x; y; die_width; die_height; rows; utilization } in
+  let pl = { x; y; die_width; die_height; rows } in
   (* barycenter refinement: move each instance towards the centroid of its
      neighbours, then re-legalize by sorting *)
   let neighbours = Array.make n [] in
@@ -129,7 +129,7 @@ let place ?(utilization = 0.7) ?(iterations = 4) d =
             List.filter (fun j -> j <> i) insts @ neighbours.(i))
         insts
   done;
-  for _pass = 1 to iterations do
+  for _pass = 1 to 4 do
     let desired =
       Array.init n (fun i ->
           match neighbours.(i) with

@@ -9,12 +9,10 @@ type t = {
   die_width : float;
   die_height : float;
   rows : int;
-  utilization : float;
 }
 
-(** [place ?utilization ?iterations d] — default 0.7 utilization, 4
-    barycenter sweeps. *)
-val place : ?utilization:float -> ?iterations:int -> Netlist.Design.t -> t
+(** [place d] — 0.7 utilization, 4 barycenter sweeps. *)
+val place : Netlist.Design.t -> t
 
 (** Half-perimeter wire length of a net (driver + sink positions), um. *)
 val net_hpwl : Netlist.Design.t -> t -> Netlist.Design.net -> float

@@ -31,21 +31,22 @@ let solver_name = function
 
 let config_json (c : Phase3.Flow.config) =
   let cg = c.Phase3.Flow.clock_gating in
-  [ ("solver", Json.Str (solver_name c.Phase3.Flow.solver));
-    ("node_budget", Json.Num (float_of_int c.Phase3.Flow.node_budget));
-    ("retime", Json.Bool c.Phase3.Flow.retime);
-    ("optimize", Json.Bool c.Phase3.Flow.optimize);
-    ("cg_common_enable", Json.Bool cg.Phase3.Clock_gating.common_enable);
-    ("cg_m2_latch_removal", Json.Bool cg.Phase3.Clock_gating.m2_latch_removal);
-    ("cg_ddcg", Json.Bool cg.Phase3.Clock_gating.ddcg);
-    ("cg_ddcg_threshold", Json.Num cg.Phase3.Clock_gating.ddcg_threshold);
-    ("cg_max_fanout", Json.Num (float_of_int cg.Phase3.Clock_gating.max_fanout));
-    ("period_ns", Json.Num c.Phase3.Flow.period);
-    ("activity_cycles", Json.Num (float_of_int c.Phase3.Flow.activity_cycles));
-    ("activity_seed", Json.Num (float_of_int c.Phase3.Flow.activity_seed));
-    ("verify_equivalence", Json.Bool c.Phase3.Flow.verify_equivalence);
-    ("verify_cycles", Json.Num (float_of_int c.Phase3.Flow.verify_cycles));
-    ("lint", Json.Bool c.Phase3.Flow.lint) ]
+  [ ("solver", Report.Json.Str (solver_name c.Phase3.Flow.solver));
+    ("node_budget", Report.Json.Num (float_of_int c.Phase3.Flow.node_budget));
+    ("retime", Report.Json.Bool c.Phase3.Flow.retime);
+    ("optimize", Report.Json.Bool c.Phase3.Flow.optimize);
+    ("cg_common_enable", Report.Json.Bool cg.Phase3.Clock_gating.common_enable);
+    ("cg_m2_latch_removal", Report.Json.Bool cg.Phase3.Clock_gating.m2_latch_removal);
+    ("cg_ddcg", Report.Json.Bool cg.Phase3.Clock_gating.ddcg);
+    ("cg_ddcg_threshold", Report.Json.Num cg.Phase3.Clock_gating.ddcg_threshold);
+    ("cg_max_fanout",
+     Report.Json.Num (float_of_int cg.Phase3.Clock_gating.max_fanout));
+    ("period_ns", Report.Json.Num c.Phase3.Flow.period);
+    ("activity_cycles", Report.Json.Num (float_of_int c.Phase3.Flow.activity_cycles));
+    ("activity_seed", Report.Json.Num (float_of_int c.Phase3.Flow.activity_seed));
+    ("verify_equivalence", Report.Json.Bool c.Phase3.Flow.verify_equivalence);
+    ("verify_cycles", Report.Json.Num (float_of_int c.Phase3.Flow.verify_cycles));
+    ("lint", Report.Json.Bool c.Phase3.Flow.lint) ]
 
 (* Summarise execution-shaped histograms (stage latencies) into the
    noisy gauge channel: they are machine-shaped, so per-bucket gating
@@ -117,8 +118,7 @@ let inserted_p2_count d =
          && contains (Netlist.Design.inst_name d i) suffix)
        (Netlist.Design.insts d))
 
-let of_flow ?(with_obs = true) ?(measure_power = true) ?(power_cycles = 256)
-    ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
+let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
   let config = result.Phase3.Flow.config in
   let original = Netlist.Stats.compute result.Phase3.Flow.original in
   let final = Netlist.Stats.compute result.Phase3.Flow.final in
@@ -179,35 +179,32 @@ let of_flow ?(with_obs = true) ?(measure_power = true) ?(power_cycles = 256)
     | None -> []
   in
   let power_metrics =
-    if not measure_power then []
-    else begin
-      let clocks = Phase3.Flow.clocks_of config in
-      let impl, hold, detail, kstats =
-        Obs.span "qor.power" (fun () ->
-            implement_and_power result.Phase3.Flow.final ~clocks
-              ~cycles:power_cycles ~seed:config.Phase3.Flow.activity_seed)
-      in
-      let overall = detail.Power.Estimate.overall in
-      let leak = detail.Power.Estimate.leakage in
-      [ ("area.impl_um2", impl.Physical.Implement.total_area);
-        ("wirelength.um", impl.Physical.Implement.total_wirelength);
-        ("clock_tree.buffers",
-         f impl.Physical.Implement.clock_tree.Physical.Clock_tree.total_buffers);
-        ("hold.buffers", f hold.Sta.Hold_fix.buffers_added);
-        ("hold.fixed", if hold.Sta.Hold_fix.fixed then 1.0 else 0.0);
-        ("power.clock_mw", overall.Power.Estimate.clock);
-        ("power.seq_mw", overall.Power.Estimate.seq);
-        ("power.comb_mw", overall.Power.Estimate.comb);
-        ("power.total_mw", Power.Estimate.total overall);
-        ("power.leakage_mw", Power.Estimate.total leak);
-        (* kernel effectiveness on the activity run; deterministic for a
-           fixed circuit/seed/cycle count, so the QoR gate can ratchet
-           them like any other metric *)
-        ("kernel.units", f kstats.Sim.Kernel.units);
-        ("kernel.fused_ops", f kstats.Sim.Kernel.fused_ops);
-        ("kernel.waves_skipped", f kstats.Sim.Kernel.stat_waves_skipped);
-        ("kernel.cones_skipped", f kstats.Sim.Kernel.stat_cones_skipped) ]
-    end
+    let clocks = Phase3.Flow.clocks_of config in
+    let impl, hold, detail, kstats =
+      Obs.span "qor.power" (fun () ->
+          implement_and_power result.Phase3.Flow.final ~clocks ~cycles:256
+            ~seed:config.Phase3.Flow.activity_seed)
+    in
+    let overall = detail.Power.Estimate.overall in
+    let leak = detail.Power.Estimate.leakage in
+    [ ("area.impl_um2", impl.Physical.Implement.total_area);
+      ("wirelength.um", impl.Physical.Implement.total_wirelength);
+      ("clock_tree.buffers",
+       f impl.Physical.Implement.clock_tree.Physical.Clock_tree.total_buffers);
+      ("hold.buffers", f hold.Sta.Hold_fix.buffers_added);
+      ("hold.fixed", if hold.Sta.Hold_fix.fixed then 1.0 else 0.0);
+      ("power.clock_mw", overall.Power.Estimate.clock);
+      ("power.seq_mw", overall.Power.Estimate.seq);
+      ("power.comb_mw", overall.Power.Estimate.comb);
+      ("power.total_mw", Power.Estimate.total overall);
+      ("power.leakage_mw", Power.Estimate.total leak);
+      (* kernel effectiveness on the activity run; deterministic for a
+         fixed circuit/seed/cycle count, so the QoR gate can ratchet
+         them like any other metric *)
+      ("kernel.units", f kstats.Sim.Kernel.units);
+      ("kernel.fused_ops", f kstats.Sim.Kernel.fused_ops);
+      ("kernel.waves_skipped", f kstats.Sim.Kernel.stat_waves_skipped);
+      ("kernel.cones_skipped", f kstats.Sim.Kernel.stat_cones_skipped) ]
   in
   let wall =
     List.map
@@ -219,9 +216,7 @@ let of_flow ?(with_obs = true) ?(measure_power = true) ?(power_cycles = 256)
         ("assign.solve_s", assignment.Phase3.Assignment.solve_time_s) ]
     @ extra_wall
   in
-  let counters, gauges, spans, hists, tree =
-    if with_obs then obs_rollup () else ([], [], [], [], [])
-  in
+  let counters, gauges, spans, hists, tree = obs_rollup () in
   Record.make
     ~config:(config_json config)
     ~metrics:

@@ -14,7 +14,7 @@ val provenance : kind:string -> circuit:string -> Record.provenance
 
 (** A {!Phase3.Flow.config} as record [config] fields (all knobs that
     influence QoR; deterministic). *)
-val config_json : Phase3.Flow.config -> (string * Json.t) list
+val config_json : Phase3.Flow.config -> (string * Report.Json.t) list
 
 (** Snapshot of the global {!Obs} aggregates:
     [(counters, gauges, spans, hists, tree)].  [gauges] additionally
@@ -49,17 +49,11 @@ val implement_and_power :
 
 (** [of_flow ~circuit result] — the full flow record: register-count
     metrics, inserted-p2 before/after retiming, clock-gating coverage,
-    SMO slack, equivalence verdict, plus (unless
-    [measure_power:false]) area/power/hold-buffer metrics from
-    {!implement_and_power} over [power_cycles] cycles (default 256).
-    [with_obs] (default true) attaches the {!obs_rollup} — pass false
-    when several flows share the process and the global aggregates
-    would be commingled.  [extra_wall] appends caller-side wall-clock
-    entries. *)
+    SMO slack, equivalence verdict, area/power/hold-buffer metrics from
+    {!implement_and_power} over 256 cycles, and the {!obs_rollup} of
+    the process's recorded events.  [extra_wall] appends caller-side
+    wall-clock entries. *)
 val of_flow :
-  ?with_obs:bool ->
-  ?measure_power:bool ->
-  ?power_cycles:int ->
   ?extra_wall:(string * float) list ->
   circuit:string ->
   Phase3.Flow.result ->

@@ -30,11 +30,11 @@ type tree_node = {
 type t = {
   version : int;
   prov : provenance;
-  config : (string * Json.t) list;
+  config : (string * Report.Json.t) list;
   metrics : (string * float) list;
   counters : (string * int) list;
   hists : (string * Obs.Histogram.t) list;  (* deterministic section *)
-  headline : (string * Json.t) list;
+  headline : (string * Report.Json.t) list;
   wall : (string * float) list;
   gauges : (string * float) list;
   spans : span list;
@@ -76,74 +76,78 @@ let flatten_hists hists =
 (* --- writer ---------------------------------------------------------- *)
 
 let to_json r =
-  let num_map kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) kvs) in
-  let int_map kvs =
-    Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) kvs)
+  let num_map kvs =
+    Report.Json.Obj (List.map (fun (k, v) -> (k, Report.Json.Num v)) kvs)
   in
-  let opt_field name = function [] -> [] | kvs -> [(name, Json.Obj kvs)] in
+  let int_map kvs =
+    Report.Json.Obj
+      (List.map (fun (k, v) -> (k, Report.Json.Num (float_of_int v))) kvs)
+  in
+  let opt_field name = function [] -> [] | kvs -> [(name, Report.Json.Obj kvs)] in
   let hist_json h =
-    Json.Obj
-      [ ("count", Json.Num (float_of_int (Obs.Histogram.count h)));
-        ("underflow", Json.Num (float_of_int (Obs.Histogram.underflow h)));
+    Report.Json.Obj
+      [ ("count", Report.Json.Num (float_of_int (Obs.Histogram.count h)));
+        ("underflow", Report.Json.Num (float_of_int (Obs.Histogram.underflow h)));
         ("max",
-         Json.Num
+         Report.Json.Num
            (if Obs.Histogram.count h = 0 then 0.0
             else Obs.Histogram.max_value h));
         ("buckets",
-         Json.Arr
+         Report.Json.Arr
            (List.map
               (fun (i, c) ->
-                Json.Arr
-                  [Json.Num (float_of_int i); Json.Num (float_of_int c)])
+                Report.Json.Arr
+                  [ Report.Json.Num (float_of_int i);
+                    Report.Json.Num (float_of_int c) ])
               (Obs.Histogram.bucket_counts h))) ]
   in
   let rec tree_json n =
-    Json.Obj
-      ([ ("name", Json.Str n.t_name);
-         ("calls", Json.Num (float_of_int n.t_calls));
-         ("total_s", Json.Num n.t_total_s);
-         ("self_s", Json.Num n.t_self_s) ]
+    Report.Json.Obj
+      ([ ("name", Report.Json.Str n.t_name);
+         ("calls", Report.Json.Num (float_of_int n.t_calls));
+         ("total_s", Report.Json.Num n.t_total_s);
+         ("self_s", Report.Json.Num n.t_self_s) ]
        @
        if n.t_children = [] then []
-       else [("children", Json.Arr (List.map tree_json n.t_children))])
+       else [("children", Report.Json.Arr (List.map tree_json n.t_children))])
   in
-  Json.Obj
-    ([ ("schema_version", Json.Num (float_of_int r.version));
-       ("kind", Json.Str r.prov.kind);
-       ("circuit", Json.Str r.prov.circuit);
-       ("config", Json.Obj r.config);
+  Report.Json.Obj
+    ([ ("schema_version", Report.Json.Num (float_of_int r.version));
+       ("kind", Report.Json.Str r.prov.kind);
+       ("circuit", Report.Json.Str r.prov.circuit);
+       ("config", Report.Json.Obj r.config);
        ("metrics", num_map r.metrics);
        ("counters", int_map r.counters) ]
      @ opt_field "hists"
          (List.map (fun (name, h) -> (name, hist_json h)) r.hists)
      @ opt_field "headline" r.headline
      @ [ ("provenance",
-          Json.Obj
+          Report.Json.Obj
             [ ("git_rev",
                (match r.prov.git_rev with
-                | Some rev -> Json.Str rev
-                | None -> Json.Null));
-              ("jobs", Json.Num (float_of_int r.prov.jobs));
-              ("hostname", Json.Str r.prov.hostname);
-              ("timestamp", Json.Str r.prov.timestamp) ]);
+                | Some rev -> Report.Json.Str rev
+                | None -> Report.Json.Null));
+              ("jobs", Report.Json.Num (float_of_int r.prov.jobs));
+              ("hostname", Report.Json.Str r.prov.hostname);
+              ("timestamp", Report.Json.Str r.prov.timestamp) ]);
          ("wall", num_map r.wall);
          ("gauges", num_map r.gauges);
          ("spans",
-          Json.Arr
+          Report.Json.Arr
             (List.map
                (fun s ->
-                 Json.Obj
-                   [ ("name", Json.Str s.span_name);
-                     ("calls", Json.Num (float_of_int s.calls));
-                     ("total_s", Json.Num s.total_s) ])
+                 Report.Json.Obj
+                   [ ("name", Report.Json.Str s.span_name);
+                     ("calls", Report.Json.Num (float_of_int s.calls));
+                     ("total_s", Report.Json.Num s.total_s) ])
                r.spans)) ]
      @
      if r.tree = [] then []
-     else [("tree", Json.Arr (List.map tree_json r.tree))])
+     else [("tree", Report.Json.Arr (List.map tree_json r.tree))])
 
-let render r = Json.render (to_json r)
+let render r = Report.Json.render (to_json r)
 
-let render_compact r = Json.render_compact (to_json r)
+let render_compact r = Report.Json.render_compact (to_json r)
 
 (* --- reader ---------------------------------------------------------- *)
 
@@ -153,16 +157,18 @@ let require what = function
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "record: missing or ill-typed %s" what)
 
-let str_field doc k = require (k ^ ": string") (Option.bind (Json.member k doc) Json.to_string)
+let str_field doc k =
+  require (k ^ ": string")
+    (Option.bind (Report.Json.member k doc) Report.Json.to_string)
 
 let num_map_field doc k =
-  match Json.member k doc with
+  match Report.Json.member k doc with
   | None -> Ok []
-  | Some (Json.Obj kvs) ->
+  | Some (Report.Json.Obj kvs) ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (name, v) :: rest ->
-        (match Json.to_float v with
+        (match Report.Json.to_float v with
          | Some f -> go ((name, f) :: acc) rest
          | None ->
            Error (Printf.sprintf "record: %s.%s is not a number" k name))
@@ -173,7 +179,7 @@ let num_map_field doc k =
 let of_json doc =
   let* version =
     require "schema_version"
-      (Option.bind (Json.member "schema_version" doc) Json.to_int)
+      (Option.bind (Report.Json.member "schema_version" doc) Report.Json.to_int)
   in
   let* () =
     if version > schema_version then
@@ -186,7 +192,9 @@ let of_json doc =
   let* kind = str_field doc "kind" in
   let* circuit = str_field doc "circuit" in
   let config =
-    match Json.member "config" doc with Some (Json.Obj kvs) -> kvs | _ -> []
+    match Report.Json.member "config" doc with
+    | Some (Report.Json.Obj kvs) -> kvs
+    | _ -> []
   in
   let* metrics = num_map_field doc "metrics" in
   let* counters =
@@ -194,18 +202,18 @@ let of_json doc =
     Ok (List.map (fun (k, v) -> (k, int_of_float v)) m)
   in
   let* hists =
-    match Json.member "hists" doc with
+    match Report.Json.member "hists" doc with
     | None -> Ok []
-    | Some (Json.Obj kvs) ->
+    | Some (Report.Json.Obj kvs) ->
       let hist_of (name, v) =
-        let int_field k = Option.bind (Json.member k v) Json.to_int in
+        let int_field k = Option.bind (Report.Json.member k v) Report.Json.to_int in
         match int_field "count", int_field "underflow",
-              Option.bind (Json.member "max" v) Json.to_float,
-              Json.member "buckets" v with
-        | Some count, Some underflow, Some max_value, Some (Json.Arr bs) ->
+              Option.bind (Report.Json.member "max" v) Report.Json.to_float,
+              Report.Json.member "buckets" v with
+        | Some count, Some underflow, Some max_value, Some (Report.Json.Arr bs) ->
           let bucket = function
-            | Json.Arr [i; c] ->
-              (match Json.to_int i, Json.to_int c with
+            | Report.Json.Arr [i; c] ->
+              (match Report.Json.to_int i, Report.Json.to_int c with
                | Some i, Some c -> Some (i, c)
                | _ -> None)
             | _ -> None
@@ -232,28 +240,35 @@ let of_json doc =
     | Some _ -> Error "record: hists is not an object"
   in
   let headline =
-    match Json.member "headline" doc with Some (Json.Obj kvs) -> kvs | _ -> []
+    match Report.Json.member "headline" doc with
+    | Some (Report.Json.Obj kvs) -> kvs
+    | _ -> []
   in
   let prov_doc =
-    match Json.member "provenance" doc with
-    | Some (Json.Obj _ as p) -> p
-    | _ -> Json.Obj []
+    match Report.Json.member "provenance" doc with
+    | Some (Report.Json.Obj _ as p) -> p
+    | _ -> Report.Json.Obj []
   in
   let prov =
     { circuit;
       kind;
-      git_rev = Option.bind (Json.member "git_rev" prov_doc) Json.to_string;
+      git_rev =
+        Option.bind (Report.Json.member "git_rev" prov_doc) Report.Json.to_string;
       jobs =
-        (match Option.bind (Json.member "jobs" prov_doc) Json.to_int with
+        (match
+           Option.bind (Report.Json.member "jobs" prov_doc) Report.Json.to_int
+         with
          | Some j -> j
          | None -> 1);
       hostname =
-        (match Option.bind (Json.member "hostname" prov_doc) Json.to_string with
+        (match
+           Option.bind (Report.Json.member "hostname" prov_doc) Report.Json.to_string
+         with
          | Some h -> h
          | None -> "");
       timestamp =
         (match
-           Option.bind (Json.member "timestamp" prov_doc) Json.to_string
+           Option.bind (Report.Json.member "timestamp" prov_doc) Report.Json.to_string
          with
          | Some t -> t
          | None -> "") }
@@ -261,16 +276,16 @@ let of_json doc =
   let* wall = num_map_field doc "wall" in
   let* gauges = num_map_field doc "gauges" in
   let* spans =
-    match Json.member "spans" doc with
+    match Report.Json.member "spans" doc with
     | None -> Ok []
-    | Some (Json.Arr items) ->
+    | Some (Report.Json.Arr items) ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | item :: rest ->
           (match
-             ( Option.bind (Json.member "name" item) Json.to_string,
-               Option.bind (Json.member "calls" item) Json.to_int,
-               Option.bind (Json.member "total_s" item) Json.to_float )
+             ( Option.bind (Report.Json.member "name" item) Report.Json.to_string,
+               Option.bind (Report.Json.member "calls" item) Report.Json.to_int,
+               Option.bind (Report.Json.member "total_s" item) Report.Json.to_float )
            with
            | Some span_name, Some calls, Some total_s ->
              go ({ span_name; calls; total_s } :: acc) rest
@@ -282,16 +297,16 @@ let of_json doc =
   let* tree =
     let rec node item =
       match
-        ( Option.bind (Json.member "name" item) Json.to_string,
-          Option.bind (Json.member "calls" item) Json.to_int,
-          Option.bind (Json.member "total_s" item) Json.to_float,
-          Option.bind (Json.member "self_s" item) Json.to_float )
+        ( Option.bind (Report.Json.member "name" item) Report.Json.to_string,
+          Option.bind (Report.Json.member "calls" item) Report.Json.to_int,
+          Option.bind (Report.Json.member "total_s" item) Report.Json.to_float,
+          Option.bind (Report.Json.member "self_s" item) Report.Json.to_float )
       with
       | Some t_name, Some t_calls, Some t_total_s, Some t_self_s ->
         let* t_children =
-          match Json.member "children" item with
+          match Report.Json.member "children" item with
           | None -> Ok []
-          | Some (Json.Arr items) -> nodes [] items
+          | Some (Report.Json.Arr items) -> nodes [] items
           | Some _ -> Error "record: tree children is not an array"
         in
         Ok { t_name; t_calls; t_total_s; t_self_s; t_children }
@@ -302,9 +317,9 @@ let of_json doc =
         let* n = node item in
         nodes (n :: acc) rest
     in
-    match Json.member "tree" doc with
+    match Report.Json.member "tree" doc with
     | None -> Ok []
-    | Some (Json.Arr items) -> nodes [] items
+    | Some (Report.Json.Arr items) -> nodes [] items
     | Some _ -> Error "record: tree is not an array"
   in
   Ok
@@ -312,7 +327,7 @@ let of_json doc =
       gauges; spans; tree }
 
 let parse text =
-  let* doc = Json.parse text in
+  let* doc = Report.Json.parse text in
   of_json doc
 
 let metric r name =

@@ -26,7 +26,7 @@
       on [provenance], [spans] or [tree].
 
     {!render} is canonical — fixed key order, metric maps sorted by
-    name, one float format (see {!Json.float_token}) — so two records
+    name, one float format (see {!Report.Json.float_token}) — so two records
     agree on the deterministic sections iff their rendered bytes do.
 
     {2 Versioning}
@@ -65,12 +65,12 @@ type tree_node = {
 type t = {
   version : int;
   prov : provenance;
-  config : (string * Json.t) list;  (** flow/experiment knobs, as written *)
+  config : (string * Report.Json.t) list;  (** flow/experiment knobs, as written *)
   metrics : (string * float) list;  (** deterministic QoR, sorted by name *)
   counters : (string * int) list;   (** deterministic Obs counters, sorted *)
   hists : (string * Obs.Histogram.t) list;
   (** deterministic Obs histograms, sorted; gated through {!hist_stats} *)
-  headline : (string * Json.t) list;
+  headline : (string * Report.Json.t) list;
   (** free-form summary for humans and dashboards (the [BENCH_*.json]
       headline); informational, never gated *)
   wall : (string * float) list;     (** wall-clock seconds, sorted *)
@@ -82,11 +82,11 @@ type t = {
 (** Build a record; every metric map is sorted by name (canonical
     order), so callers need not pre-sort. *)
 val make :
-  ?config:(string * Json.t) list ->
+  ?config:(string * Report.Json.t) list ->
   ?metrics:(string * float) list ->
   ?counters:(string * int) list ->
   ?hists:(string * Obs.Histogram.t) list ->
-  ?headline:(string * Json.t) list ->
+  ?headline:(string * Report.Json.t) list ->
   ?wall:(string * float) list ->
   ?gauges:(string * float) list ->
   ?spans:span list ->
@@ -103,7 +103,7 @@ val hist_stats : string -> Obs.Histogram.t -> (string * float) list
 val flatten_hists :
   (string * Obs.Histogram.t) list -> (string * float) list
 
-val to_json : t -> Json.t
+val to_json : t -> Report.Json.t
 
 (** Canonical pretty rendering (the per-run file format), trailing
     newline included. *)
@@ -112,7 +112,7 @@ val render : t -> string
 (** Canonical one-line rendering (the [history.jsonl] format). *)
 val render_compact : t -> string
 
-val of_json : Json.t -> (t, string) result
+val of_json : Report.Json.t -> (t, string) result
 
 (** [parse text] — [render]/[parse] round-trip exactly. *)
 val parse : string -> (t, string) result

@@ -136,7 +136,7 @@ let provenance_section buf (r : Record.t) =
   kv_row buf "jobs" (string_of_int p.Record.jobs);
   if p.Record.hostname <> "" then kv_row buf "host" p.Record.hostname;
   List.iter
-    (fun (k, v) -> kv_row buf k (Json.render_compact v))
+    (fun (k, v) -> kv_row buf k (Report.Json.render_compact v))
     r.Record.config;
   bprintf buf "</table>"
 

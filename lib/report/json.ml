@@ -11,8 +11,9 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let escape s =
+let quote s =
   let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -25,6 +26,7 @@ let escape s =
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
 let float_token f =
@@ -47,10 +49,7 @@ let add_value buf ~compact v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> Buffer.add_string buf (float_token f)
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
+    | Str s -> Buffer.add_string buf (quote s)
     | Arr [] -> Buffer.add_string buf "[]"
     | Arr vs ->
       Buffer.add_char buf '[';
@@ -72,9 +71,8 @@ let add_value buf ~compact v =
           if i > 0 then Buffer.add_char buf ',';
           nl ();
           pad (indent + 2);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf (if compact then "\":" else "\": ");
+          Buffer.add_string buf (quote k);
+          Buffer.add_string buf (if compact then ":" else ": ");
           go (indent + 2) v)
         kvs;
       nl ();

@@ -1,6 +1,6 @@
-(** A small JSON value type with a parser and a canonical printer —
-    just enough for {!Record}'s run-record files, with no external
-    dependency.
+(** A small JSON value type with a parser and a canonical printer, with
+    no external dependency: the one JSON module behind QoR run records,
+    benchmark files, the Chrome trace and lint's JSON and SARIF.
 
     The printer is {e canonical}: given the same value it always
     produces the same bytes (fixed two-space indentation, object keys
@@ -26,6 +26,11 @@ val render : t -> string
 
 (** One-line canonical rendering (for [history.jsonl]), no newline. *)
 val render_compact : t -> string
+
+(** [quote s] is [s] as a JSON string literal, quotes included: ['"'],
+    ['\\'] and control characters are escaped, every other byte is
+    copied. *)
+val quote : string -> string
 
 (** Canonical float token: integers as ["42.0"], non-finite values as
     quoted strings, everything else as the shortest [%g] form that

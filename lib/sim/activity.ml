@@ -28,13 +28,6 @@ let capture engine =
     ~toggles:(Engine.toggles engine)
     ~cycles:(Engine.cycles engine)
 
-(* rates are per simulated lane-cycle, so a 63-lane Monte-Carlo run and a
-   scalar run of the same length are directly comparable *)
-let capture_kernel kernel =
-  of_counts (Kernel.design kernel)
-    ~toggles:(Kernel.toggles kernel)
-    ~cycles:(Kernel.lane_cycles kernel)
-
 (* entries cover every net exactly once (of_counts enumerates them all),
    so the dense array can be rebuilt from the sorted list *)
 let counts t =

@@ -19,11 +19,6 @@ type t = {
 (** Snapshot the engine's counters. *)
 val capture : Engine.t -> t
 
-(** Snapshot a bit-parallel kernel's counters, summed over all lanes;
-    [cycles] is {!Kernel.lane_cycles} so rates stay toggles per simulated
-    cycle. *)
-val capture_kernel : Kernel.t -> t
-
 (** Dense per-net toggle array plus the cycle denominator — the shape
     [Power.Estimate.run]'s [~activity] argument expects, so one captured
     activity snapshot can feed both the SAIF export and the power

@@ -394,11 +394,6 @@ let cycles t = t.cycle_count
 
 let toggles t = t.toggle_count
 
-let clock_pin_toggles t i =
-  match Design.clock_net_of t.design i with
-  | Some n -> t.toggle_count.(n)
-  | None -> 0
-
 let output_sample t =
   List.map
     (fun (port, net) -> (port, t.values.(net)))

@@ -43,6 +43,3 @@ val cycles : t -> int
 
 (** Committed 0<->1 transition count per net since creation. *)
 val toggles : t -> int array
-
-(** Toggle count of the net driving the given instance's clock pin. *)
-val clock_pin_toggles : t -> Netlist.Design.inst -> int

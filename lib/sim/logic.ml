@@ -4,8 +4,6 @@ let equal a b = a = b
 
 let of_bool b = if b then L1 else L0
 
-let to_bool = function L0 -> Some false | L1 -> Some true | LX -> None
-
 let lnot = function L0 -> L1 | L1 -> L0 | LX -> LX
 
 let land_ a b =
@@ -35,8 +33,6 @@ let rec eval_expr env = function
   | Cell_lib.Expr.Xor (a, b) -> lxor_ (eval_expr env a) (eval_expr env b)
 
 let rising ~from_ ~to_ = from_ = L0 && to_ = L1
-
-let falling ~from_ ~to_ = from_ = L1 && to_ = L0
 
 let to_char = function L0 -> '0' | L1 -> '1' | LX -> 'x'
 

@@ -6,9 +6,6 @@ val equal : t -> t -> bool
 
 val of_bool : bool -> t
 
-(** [to_bool v] is [None] for [LX]. *)
-val to_bool : t -> bool option
-
 val lnot : t -> t
 
 val land_ : t -> t -> t
@@ -20,10 +17,8 @@ val lxor_ : t -> t -> t
 (** Evaluate a cell function over logic values supplied per pin name. *)
 val eval_expr : (string -> t) -> Cell_lib.Expr.t -> t
 
-(** [is_edge ~from_ ~to_] — a clean 0 -> 1 transition. *)
+(** [rising ~from_ ~to_] — a clean 0 -> 1 transition. *)
 val rising : from_:t -> to_:t -> bool
-
-val falling : from_:t -> to_:t -> bool
 
 val to_char : t -> char
 

@@ -63,12 +63,12 @@ let sanitize name =
       else '_')
     name
 
-let render ?(timescale = "1ns") ?(period_ticks = 10) t =
+let render t =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "$date reproduction run $end\n";
   add "$version threephase simulator $end\n";
-  add "$timescale %s $end\n" timescale;
+  add "$timescale 1ns $end\n";
   add "$scope module %s $end\n"
     (sanitize (Engine.design t.engine).Netlist.Design.design_name);
   List.iteri
@@ -90,20 +90,20 @@ let render ?(timescale = "1ns") ?(period_ticks = 10) t =
         end
       done;
       if !changes <> [] then begin
-        add "#%d\n" (cycle * period_ticks);
+        add "#%d\n" (cycle * 10);
         List.iter
           (fun (k, v) -> add "%c%s\n" (Logic.to_char v) t.ids.(k))
           !changes
       end)
     samples;
-  add "#%d\n" (Array.length samples * period_ticks);
+  add "#%d\n" (Array.length samples * 10);
   Buffer.contents buf
 
-let run_and_dump ?timescale engine stimulus =
+let run_and_dump engine stimulus =
   let t = create_default engine in
   List.iter
     (fun cycle ->
       ignore (Engine.run_cycle engine cycle);
       sample t)
     stimulus;
-  render ?timescale t
+  render t

@@ -19,11 +19,9 @@ val create_default : Engine.t -> t
     {!Engine.run_cycle}). *)
 val sample : t -> unit
 
-(** Render the dump; [timescale] defaults to "1ns", one cycle per
-    [period_ticks] (default 10) timescale units. *)
-val render : ?timescale:string -> ?period_ticks:int -> t -> string
+(** Render the dump at a 1 ns timescale, one cycle per 10 units. *)
+val render : t -> string
 
 (** [run_and_dump engine stimulus] = run the stream, sampling each cycle,
     and render. *)
-val run_and_dump :
-  ?timescale:string -> Engine.t -> Stimulus.t -> string
+val run_and_dump : Engine.t -> Stimulus.t -> string

@@ -11,10 +11,10 @@ let default_corners = [
   { corner_name = "slow"; derate_early = 1.1; derate_late = 1.3; skew = 0.06 };
 ]
 
-let check_all ?(corners = default_corners) d ~clocks =
+let check_all d ~clocks =
   List.map
     (fun c ->
       (c,
        Smo.check ~clock_skew:c.skew
          ~derate:(c.derate_early, c.derate_late) d ~clocks))
-    corners
+    default_corners

@@ -14,7 +14,6 @@ type corner = {
     (setup-critical). *)
 val default_corners : corner list
 
-(** [check_all d ~clocks] — one report per corner. *)
+(** [check_all d ~clocks] — one report per {!default_corners} entry. *)
 val check_all :
-  ?corners:corner list ->
   Netlist.Design.t -> clocks:Sim.Clock_spec.t -> (corner * Smo.report) list

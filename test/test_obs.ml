@@ -2,140 +2,20 @@
    trace_event exporter, and the flow-level guarantee that every enabled
    stage emits exactly one span. *)
 
-(* --- a minimal JSON parser, just enough to validate our exporter ---- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-           | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-           | Some 't' -> Buffer.add_char buf '\t'; advance ()
-           | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-           | Some 'u' ->
-             advance ();
-             for _ = 1 to 4 do
-               (match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape")
-             done;
-             Buffer.add_char buf '?'
-           | Some c -> Buffer.add_char buf c; advance ()
-           | None -> fail "unterminated escape");
-          go ()
-        | Some c -> Buffer.add_char buf c; advance (); go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-        end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> pos := !pos + 4; Bool true
-      | Some 'f' -> pos := !pos + 5; Bool false
-      | Some 'n' -> pos := !pos + 4; Null
-      | Some _ -> parse_number ()
-      | None -> fail "unexpected end of input"
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-end
+let parse_json text =
+  match Report.Json.parse text with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "invalid JSON: %s" msg
 
 (* Validate a Chrome trace_event JSON document: top-level object with a
    traceEvents array; every event carries name/ph/pid (and tid/ts for
    B/E/C); B/E events balance like brackets per tid with matching
    names and non-decreasing timestamps. *)
 let validate_chrome_trace (text : string) =
-  let doc = Json.parse text in
+  let doc = parse_json text in
   let events =
-    match Json.member "traceEvents" doc with
-    | Some (Json.Arr evs) -> evs
+    match Report.Json.member "traceEvents" doc with
+    | Some (Report.Json.Arr evs) -> evs
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
@@ -148,13 +28,13 @@ let validate_chrome_trace (text : string) =
       r
   in
   let str k e =
-    match Json.member k e with
-    | Some (Json.Str s) -> s
+    match Report.Json.member k e with
+    | Some (Report.Json.Str s) -> s
     | _ -> Alcotest.fail (Printf.sprintf "event missing string %S" k)
   in
   let num k e =
-    match Json.member k e with
-    | Some (Json.Num f) -> f
+    match Report.Json.member k e with
+    | Some (Report.Json.Num f) -> f
     | _ -> Alcotest.fail (Printf.sprintf "event missing number %S" k)
   in
   List.iter
@@ -183,8 +63,8 @@ let validate_chrome_trace (text : string) =
                 (Printf.sprintf "E %S does not match open span %S" name top)
             | [] -> Alcotest.fail (Printf.sprintf "E %S with no open span" name))
          | _ ->
-           (match Json.member "args" e with
-            | Some (Json.Obj _) -> ()
+           (match Report.Json.member "args" e with
+            | Some (Report.Json.Obj _) -> ()
             | _ -> Alcotest.fail "C event without args"))
       | other -> Alcotest.fail (Printf.sprintf "unknown phase %S" other))
     events;
@@ -281,14 +161,16 @@ let test_chrome_gauge_exact () =
   let value =
     List.find_map
       (fun e ->
-        match Json.member "name" e, Json.member "args" e with
-        | Some (Json.Str "gc.minor_words"), Some args ->
-          (match Json.member "value" args with
-           | Some (Json.Num v) -> Some v
+        match Report.Json.member "name" e, Report.Json.member "args" e with
+        | Some (Report.Json.Str "gc.minor_words"), Some args ->
+          (match Report.Json.member "value" args with
+           | Some (Report.Json.Num v) -> Some v
            | _ -> None)
         | _ -> None)
-      (match Json.member "traceEvents" (Json.parse (Obs.chrome_trace ())) with
-       | Some (Json.Arr evs) -> evs
+      (match
+         Report.Json.member "traceEvents" (parse_json (Obs.chrome_trace ()))
+       with
+       | Some (Report.Json.Arr evs) -> evs
        | _ -> Alcotest.fail "no traceEvents array")
   in
   Alcotest.(check (option (float 0.0))) "gauge reads back exactly"

@@ -381,6 +381,19 @@ let test_flow_refuses_short_verification () =
        ~config:{ (config 0) with Phase3.Flow.verify_equivalence = false }
        d)
 
+(* a clock period that is not positive and finite stops the flow with a
+   Flow_error naming the period, before any stage runs *)
+let test_flow_refuses_bad_period () =
+  let d = Circuits.Linear_pipeline.make ~width:2 ~stages:3 () in
+  List.iter
+    (fun period ->
+      match Phase3.Flow.run ~config:(Phase3.Flow.default_config ~period) d with
+      | _ -> Alcotest.failf "period %g accepted" period
+      | exception Phase3.Flow.Flow_error msg ->
+        check Alcotest.bool ("period named in: " ^ msg) true
+          (Astring.String.is_infix ~affix:"period" msg))
+    [0.0; -1.0; Float.nan; Float.infinity]
+
 (* --- Pipeline closed form --- *)
 
 let test_pipeline_closed_form () =
@@ -415,6 +428,8 @@ let suite =
     Alcotest.test_case "flow rejects invalid input" `Quick test_flow_rejects_invalid_input;
     Alcotest.test_case "flow refuses a short verification stream" `Quick
       test_flow_refuses_short_verification;
+    Alcotest.test_case "flow refuses a non-positive period" `Quick
+      test_flow_refuses_bad_period;
     Alcotest.test_case "flow names the combinational cycle" `Quick
       test_flow_reports_comb_cycle;
     Alcotest.test_case "pipeline closed form" `Quick test_pipeline_closed_form;
@@ -504,7 +519,7 @@ let test_pulsed_latch () =
   let _, ff_hold = Sta.Hold_fix.run ~skew:0.05 d ~clocks in
   let _, pl_hold =
     Sta.Hold_fix.run ~skew:0.05
-      ~hold_margin:(Phase3.Pulsed_latch.hold_margin ~period:1.0 ()) pl ~clocks
+      ~hold_margin:Phase3.Pulsed_latch.hold_margin pl ~clocks
   in
   check Alcotest.bool "pulsed needs more hold padding" true
     (pl_hold.Sta.Hold_fix.buffers_added >= ff_hold.Sta.Hold_fix.buffers_added)
@@ -573,95 +588,6 @@ let test_flow_with_optimize () =
 
 let suite =
   suite @ [ Alcotest.test_case "flow with optimize" `Quick test_flow_with_optimize ]
-
-(* --- scan insertion --- *)
-
-let scan_base () =
-  let b = B.create ~name:"scn" ~library:lib in
-  let clk = B.add_input ~clock:true b "clk" in
-  let a = B.add_input b "a" in
-  let q0 = B.fresh_net b "q0" in
-  let q1 = B.fresh_net b "q1" in
-  let q2 = B.fresh_net b "q2" in
-  let d0 = Netlist.Gates.emit_fresh b Netlist.Gates.Xor [a; q2] ~prefix:"d0" in
-  ignore (B.add_cell b "r0" "DFF_X1" [("CK", clk); ("D", d0); ("Q", q0)]);
-  let d1 = Netlist.Gates.emit_fresh b Netlist.Gates.Not [q0] ~prefix:"d1" in
-  ignore (B.add_cell b "r1" "DFF_X1" [("CK", clk); ("D", d1); ("Q", q1)]);
-  let d2 = Netlist.Gates.emit_fresh b Netlist.Gates.Or [q1; a] ~prefix:"d2" in
-  ignore (B.add_cell b "r2" "DFF_X1" [("CK", clk); ("D", d2); ("Q", q2)]);
-  B.add_output b "y" q2;
-  B.freeze b
-
-let test_scan_functional_mode () =
-  (* with scan_en = 0 the scanned design behaves exactly like the original *)
-  let d = scan_base () in
-  let scanned, chain = Phase3.Scan.insert d in
-  check Alcotest.int "chain covers all registers" 3
-    (List.length chain.Phase3.Scan.order);
-  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-  let base_stim = Sim.Stimulus.random ~seed:3 ~cycles:80 ~toggle_probability:0.5 ["a"] in
-  let ref_out = Sim.Engine.run_stream (Sim.Engine.create d ~clocks) base_stim in
-  let scan_stim =
-    List.map
-      (fun cycle ->
-        (chain.Phase3.Scan.scan_en, Sim.Logic.L0)
-        :: (chain.Phase3.Scan.scan_in, Sim.Logic.L0) :: cycle)
-      base_stim
-  in
-  let dut_out = Sim.Engine.run_stream (Sim.Engine.create scanned ~clocks) scan_stim in
-  match Sim.Equivalence.compare_streams ~warmup:4 ~max_shift:0 ref_out dut_out with
-  | Sim.Equivalence.Equivalent _ -> ()
-  | Sim.Equivalence.Mismatch m ->
-    Alcotest.failf "scan broke functional mode: %s"
-      (Format.asprintf "%a" Sim.Equivalence.pp_mismatch m)
-
-let test_scan_shift () =
-  (* shifting a known pattern through the chain loads the registers *)
-  let d = scan_base () in
-  let scanned, chain = Phase3.Scan.insert d in
-  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-  let engine = Sim.Engine.create scanned ~clocks in
-  let pattern = [true; false; true] in
-  (* shift in MSB-first.  Inputs change just after each capture edge, so
-     a bit applied during cycle k is captured at the edge opening cycle
-     k+1: one extra shift cycle drains the pipeline. *)
-  List.iter
-    (fun bit ->
-      ignore
-        (Sim.Engine.run_cycle engine
-           [ (chain.Phase3.Scan.scan_en, Sim.Logic.L1);
-             (chain.Phase3.Scan.scan_in, Sim.Logic.of_bool bit);
-             ("a", Sim.Logic.L0) ]))
-    pattern;
-  ignore
-    (Sim.Engine.run_cycle engine
-       [ (chain.Phase3.Scan.scan_en, Sim.Logic.L1);
-         (chain.Phase3.Scan.scan_in, Sim.Logic.L0);
-         ("a", Sim.Logic.L0) ]);
-  let q_of name =
-    let i = Option.get (Netlist.Design.find_inst scanned name) in
-    Sim.Engine.net_value engine (Option.get (Netlist.Design.q_net_of scanned i))
-  in
-  (* chain order is r0 -> r1 -> r2; after 3 shifts the first-in bit has
-     reached r2 *)
-  check Alcotest.char "r2 holds first bit" '1' (Sim.Logic.to_char (q_of "r2"));
-  check Alcotest.char "r1 holds second bit" '0' (Sim.Logic.to_char (q_of "r1"));
-  check Alcotest.char "r0 holds third bit" '1' (Sim.Logic.to_char (q_of "r0"))
-
-let test_scan_survives_conversion () =
-  (* the 3-phase flow converts a scanned design and stays equivalent even
-     while scan_en toggles randomly (the flow's internal check drives all
-     primary inputs, scan ports included) *)
-  let d = scan_base () in
-  let scanned, _ = Phase3.Scan.insert d in
-  let r = Phase3.Flow.run ~config:(Phase3.Flow.default_config ~period:1.0) scanned in
-  check Alcotest.bool "timing ok" true (Sta.Smo.ok r.Phase3.Flow.timing)
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "scan functional mode" `Quick test_scan_functional_mode;
-      Alcotest.test_case "scan shift" `Quick test_scan_shift;
-      Alcotest.test_case "scan survives conversion" `Quick test_scan_survives_conversion ]
 
 (* --- input-port latches --- *)
 

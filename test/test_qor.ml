@@ -250,7 +250,7 @@ let test_trend_series () =
 let test_render_roundtrip () =
   let r =
     Qor.Record.make
-      ~config:[("solver", Qor.Json.Str "auto"); ("retime", Qor.Json.Bool true)]
+      ~config:[("solver", Report.Json.Str "auto"); ("retime", Report.Json.Bool true)]
       ~metrics:
         [ ("z.last", 1.0); ("a.first", 0.1); ("n.nan", Float.nan);
           ("i.inf", Float.infinity); ("m.neg_inf", Float.neg_infinity);
@@ -311,6 +311,34 @@ let test_render_roundtrip () =
        (List.length root.Qor.Record.t_children)
    | _ -> Alcotest.fail "tree lost")
 
+(* --- Report.Json: every byte string and every float round-trips --- *)
+
+let prop_json_bytes_roundtrip =
+  QCheck.Test.make ~name:"json string round-trip (any bytes)" ~count:1000
+    QCheck.(string_gen_of_size (Gen.int_range 0 40) Gen.char)
+    (fun s ->
+      let back text = Report.Json.parse text = Ok (Report.Json.Str s) in
+      back (Report.Json.render (Report.Json.Str s)) && back (Report.Json.quote s))
+
+let prop_json_float_roundtrip =
+  let corners =
+    [ 0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan;
+      4.9e-324 (* the smallest subnormal *); 1e15; -1e15 ]
+  in
+  QCheck.Test.make ~name:"json float round-trip keeps the bits" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       (QCheck.Gen.graft_corners
+          (QCheck.Gen.map Int64.float_of_bits QCheck.Gen.ui64) corners ()))
+    (fun f ->
+      match
+        Result.map Report.Json.to_float
+          (Report.Json.parse (Report.Json.render (Report.Json.Num f)))
+      with
+      | Ok (Some g) ->
+        if Float.is_nan f then Float.is_nan g
+        else Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+      | Ok None | Error _ -> false)
+
 let test_unknown_fields_tolerated () =
   let text = Qor.Record.render (mk ~metrics:[("ff.count", 5.0)] ()) in
   (* graft unknown fields at the top level and inside provenance; a
@@ -328,23 +356,23 @@ let test_reader_strictness () =
   let json = Qor.Record.to_json good in
   let without key =
     match json with
-    | Qor.Json.Obj kvs ->
-      Qor.Json.Obj (List.filter (fun (k, _) -> k <> key) kvs)
+    | Report.Json.Obj kvs ->
+      Report.Json.Obj (List.filter (fun (k, _) -> k <> key) kvs)
     | _ -> assert false
   in
   let replace key v =
     match json with
-    | Qor.Json.Obj kvs ->
-      Qor.Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) kvs)
+    | Report.Json.Obj kvs ->
+      Report.Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) kvs)
     | _ -> assert false
   in
   (match Qor.Record.of_json (without "circuit") with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "missing circuit accepted");
-  (match Qor.Record.of_json (replace "schema_version" (Qor.Json.Num 99.0)) with
+  (match Qor.Record.of_json (replace "schema_version" (Report.Json.Num 99.0)) with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "future schema version accepted");
-  (match Qor.Record.of_json (replace "metrics" (Qor.Json.Str "oops")) with
+  (match Qor.Record.of_json (replace "metrics" (Report.Json.Str "oops")) with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "ill-typed metrics accepted")
 
@@ -507,6 +535,8 @@ let suite =
       test_trend_series;
     Alcotest.test_case "render/parse round-trip incl. NaN and inf" `Quick
       test_render_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_bytes_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
     Alcotest.test_case "reader tolerates unknown fields" `Quick
       test_unknown_fields_tolerated;
     Alcotest.test_case "reader rejects missing/ill-typed/future" `Quick
