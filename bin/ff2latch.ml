@@ -10,6 +10,40 @@ open Cmdliner
 
 let library = Cell_lib.Default_library.library ()
 
+(* A file the command cannot open, read or write — a missing
+   directory, a directory where a file belongs, no permission — is
+   refused like any other bad input: [Failure] with a one-line message
+   naming the path, which each command turns into exit 124. *)
+let guard_io verb path f =
+  let refuse reason =
+    failwith (Printf.sprintf "cannot %s %s: %s" verb path reason)
+  in
+  match f () with
+  | x -> x
+  | exception Sys_error msg ->
+    (* a failed open already leads with the path *)
+    let prefix = path ^ ": " in
+    refuse
+      (if String.starts_with ~prefix msg then
+         String.sub msg (String.length prefix)
+           (String.length msg - String.length prefix)
+       else msg)
+  | exception Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)
+
+let read_file path =
+  guard_io "read" path (fun () ->
+      In_channel.with_open_text path In_channel.input_all)
+
+let write_file path text =
+  guard_io "write" path (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc text))
+
+(* the part of a command that writes its results: a refused write ends
+   it with exit 124 *)
+let refusing f =
+  match f () with r -> r | exception Failure msg -> `Error (false, msg)
+
 (* Extension dispatch: [.bench] is ISCAS89, [.sv] goes through the
    word-level elaborator (parameters, vectors, always_ff/always_comb,
    hierarchy — see docs/RTL.md), anything else is read as the flat
@@ -17,10 +51,7 @@ let library = Cell_lib.Default_library.library ()
    file:line:col positions; re-raise them as [Failure] so cmdliner
    prints them as clean one-liners. *)
 let read_design ?top path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+  let src = read_file path in
   let name = Filename.remove_extension (Filename.basename path) in
   try
     if Filename.check_suffix path ".bench" then
@@ -37,9 +68,7 @@ let write_design path d =
     if Filename.check_suffix path ".bench" then Netlist_io.Bench_format.write d
     else Netlist_io.Verilog.write d
   in
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc
+  write_file path text
 
 (* [suite:NAME] builds a benchmark from lib/circuits instead of reading
    a file — the CI QoR gate runs ISCAS circuits without shipping their
@@ -58,6 +87,8 @@ let resolve_input ?top spec =
   | false ->
     if not (Sys.file_exists spec) then
       failwith (Printf.sprintf "no such file: %s" spec);
+    if Sys.is_directory spec then
+      failwith (Printf.sprintf "%s is a directory, not a design file" spec);
     (read_design ?top spec, None)
 
 let input_arg =
@@ -91,10 +122,7 @@ let period_arg =
                  (default: the suite circuit's published period, or 1.0).")
 
 let read_constraints path =
-  let ic = open_in path in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Netlist_io.Sdc.parse ~file:path src with
+  match Netlist_io.Sdc.parse ~file:path (read_file path) with
   | cs -> cs
   | exception Netlist_io.Sdc.Error (_, msg) -> failwith msg
 
@@ -240,7 +268,9 @@ let convert_cmd =
     in
     let t0 = Unix.gettimeofday () in
     match Phase3.Flow.run ~config d with
+    | exception Phase3.Flow.Flow_error msg -> `Error (false, msg)
     | result ->
+      refusing @@ fun () ->
       let final = result.Phase3.Flow.final in
       say "%s: %d FFs -> %d latches (%d inserted p2, %s)"
         d.Netlist.Design.design_name
@@ -262,12 +292,8 @@ let convert_cmd =
          else print_string (Netlist_io.Verilog.write final));
       (match sdc with
        | Some path ->
-         let text =
-           Netlist_io.Sdc.write final ~clocks:(Phase3.Flow.clocks_of config)
-         in
-         let oc = open_out path in
-         output_string oc text;
-         close_out oc;
+         write_file path
+           (Netlist_io.Sdc.write final ~clocks:(Phase3.Flow.clocks_of config));
          say "wrote %s" path
        | None -> ());
       (match vcd with
@@ -279,10 +305,7 @@ let convert_cmd =
            Sim.Stimulus.random ~seed:42 ~cycles:64 ~toggle_probability:0.3
              (Sim.Stimulus.inputs_of final)
          in
-         let text = Sim.Vcd.run_and_dump engine stim in
-         let oc = open_out path in
-         output_string oc text;
-         close_out oc;
+         write_file path (Sim.Vcd.run_and_dump engine stim);
          say "wrote %s" path
        | None -> ());
       (match result.Phase3.Flow.stage_times with
@@ -307,19 +330,18 @@ let convert_cmd =
       in
       (match trace with
        | Some path ->
-         Obs.write_chrome_trace path;
+         guard_io "write" path (fun () -> Obs.write_chrome_trace path);
          say "wrote %s" path
        | None -> ());
       (match record, qor_dir with
        | Some r, Some dir ->
-         let path = Qor.Store.append ~dir r in
+         let path = guard_io "write" dir (fun () -> Qor.Store.append ~dir r) in
          say "wrote %s" path
        | _ -> ());
       (match record with
        | Some r when json -> print_string (Qor.Record.render r)
        | _ -> ());
       `Ok ()
-    | exception Phase3.Flow.Flow_error msg -> `Error (false, msg)
   in
   Cmd.v (Cmd.info "convert" ~doc:"Convert a FF netlist to 3-phase latches.")
     Term.(ret (const run $ input_arg $ output_arg $ period_arg $ solver_arg
@@ -337,6 +359,7 @@ let master_slave_cmd =
     | exception Failure msg -> `Error (false, msg)
     | d ->
     let ms = Phase3.Master_slave.convert d in
+    refusing @@ fun () ->
     (match output with
      | Some path -> write_design path ms; Printf.printf "wrote %s\n" path
      | None -> print_string (Netlist_io.Verilog.write ms));
@@ -386,11 +409,10 @@ let power_cmd =
       Power.Estimate.run impl ~activity:(Sim.Activity.counts activity) ~period
     in
     Format.printf "%a@." Power.Estimate.pp_breakdown detail.Power.Estimate.overall;
+    refusing @@ fun () ->
     (match saif with
      | Some path ->
-       let oc = open_out path in
-       output_string oc (Sim.Activity.render activity);
-       close_out oc;
+       write_file path (Sim.Activity.render activity);
        Printf.printf "wrote %s\n" path
      | None -> ());
     `Ok ()
@@ -469,19 +491,18 @@ let report_cmd =
          (match baseline with
           | Error msg -> `Error (false, msg)
           | Ok baseline ->
+            refusing @@ fun () ->
             (* append first so the trend section includes this run *)
             (match qor_dir with
-             | Some dir -> ignore (Qor.Store.append ~dir record)
+             | Some dir ->
+               ignore (guard_io "write" dir (fun () -> Qor.Store.append ~dir record))
              | None -> ());
             let history =
               match qor_dir with
               | Some dir -> Qor.Store.history ~dir
               | None -> []
             in
-            let html = Qor.Report_html.page ?baseline ~history record in
-            let oc = open_out output in
-            output_string oc html;
-            close_out oc;
+            write_file output (Qor.Report_html.page ?baseline ~history record);
             Printf.printf "wrote %s\n" output;
             `Ok ()))
   in
@@ -558,13 +579,10 @@ let lint_cmd =
               | `Json -> Lint_core.Emit.json ppf ds
               | `Sarif -> Lint_core.Emit.sarif ppf ds
             in
+            refusing @@ fun () ->
             (match output with
              | Some path ->
-               let oc = open_out path in
-               let ppf = Format.formatter_of_out_channel oc in
-               emit ppf;
-               Format.pp_print_flush ppf ();
-               close_out oc;
+               write_file path (Format.asprintf "%t" emit);
                Printf.printf "wrote %s\n" path
              | None ->
                emit Format.std_formatter;

@@ -51,6 +51,7 @@ let root_port_of_seq d i =
   | Some cn -> root_port d cn
 
 let run d ~clocks =
+  Obs.span "lint.clock_audit" @@ fun () ->
   let diags = ref [] in
   let add dg = diags := dg :: !diags in
   let network = network_set d in

@@ -40,7 +40,8 @@ type report = {
 val ok : report -> bool
 
 (** [run ?config ?waivers ?extra d ~clocks] runs all passes, compiling
-    its own {!Sta.Graph}.  Records [lint.*] Obs counters (total, per
+    its own {!Sta.Graph}, inside the Obs span [lint.run]; each pass
+    opens its own child span.  Records [lint.*] Obs counters (total, per
     severity, and [lint.rule.<ID>] per rule that fired). *)
 val run :
   ?config:config ->

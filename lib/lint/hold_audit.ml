@@ -3,6 +3,7 @@ module D = Lint_core.Diagnostic
 
 let run ?(hold_margin = 0.02) ?(input_delay = (0.05, 0.10)) d ~clocks
     ~(views : Sta.Smo.reg_view list) ~paths =
+  Obs.span "lint.hold_audit" @@ fun () ->
   let input_delay_min, _ = input_delay in
   let period = clocks.Sim.Clock_spec.period in
   let view_of = Hashtbl.create 64 in

@@ -15,6 +15,7 @@ let endpoint_name d = function
 
 let run ?(setup_margin = 0.03) ?(input_delay = (0.05, 0.10)) d ~clocks
     ~(views : Sta.Smo.reg_view list) ~(paths : Sta.Paths.path list) =
+  Obs.span "lint.phase_audit" @@ fun () ->
   let _, input_delay_max = input_delay in
   let period = clocks.Sim.Clock_spec.period in
   let view_of = Hashtbl.create 64 in

@@ -13,6 +13,7 @@ let has_reset d i =
   | Some pin -> Design.pin_net_opt d i pin <> None
 
 let run d =
+  Obs.span "lint.reset_audit" @@ fun () ->
   let seqs = Design.sequential_insts d in
   if seqs = [] then []
   else if not (List.exists (has_reset d) seqs) then

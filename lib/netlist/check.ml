@@ -93,6 +93,7 @@ let check_dangling d diags =
   !diags
 
 let diagnostics d =
+  Obs.span "lint.structural" @@ fun () ->
   []
   |> check_drivers d
   |> check_comb_cycles d

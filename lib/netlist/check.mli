@@ -13,7 +13,8 @@
 
 (** [diagnostics d] performs all checks, reporting through the unified
     diagnostic type (locations are {!Lint_core.Diagnostic.Object}s
-    naming the offending instance, net or port). *)
+    naming the offending instance, net or port), inside the Obs span
+    [lint.structural]. *)
 val diagnostics : Design.t -> Lint_core.Diagnostic.t list
 
 (** [validate d] returns [Ok ()] when {!diagnostics} finds no

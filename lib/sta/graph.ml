@@ -10,6 +10,7 @@ type t = {
 }
 
 let create d =
+  Obs.span "sta.graph.create" @@ fun () ->
   let order = Array.of_list (Netlist.Traverse.comb_topo_exn d) in
   let n = Design.num_insts d in
   let inputs = Array.init n (fun i -> Array.of_list (Design.input_nets d i)) in
@@ -29,29 +30,31 @@ let create d =
     delay_min = delay Cell_lib.Cell.min_delay_through;
     order }
 
+(* loops, not [Array.iter] closures, so the float refs stay unboxed *)
+let relax g amax amin i =
+  let ins = g.inputs.(i) in
+  let in_max = ref Float.neg_infinity and in_min = ref Float.infinity in
+  for k = 0 to Array.length ins - 1 do
+    in_max := Float.max !in_max amax.(ins.(k));
+    in_min := Float.min !in_min amin.(ins.(k))
+  done;
+  if !in_max > Float.neg_infinity then begin
+    let out_max = !in_max +. g.delay_max.(i) in
+    let out_min = !in_min +. g.delay_min.(i) in
+    let outs = g.outputs.(i) in
+    for k = 0 to Array.length outs - 1 do
+      let net = outs.(k) in
+      amax.(net) <- Float.max amax.(net) out_max;
+      amin.(net) <- Float.min amin.(net) out_min
+    done
+  end
+
 let forward g sources =
   let n = Design.num_nets g.design in
   let amax = Array.make n Float.neg_infinity in
   let amin = Array.make n Float.infinity in
   List.iter (fun net -> amax.(net) <- 0.0; amin.(net) <- 0.0) sources;
-  Array.iter
-    (fun i ->
-      let in_max = ref Float.neg_infinity and in_min = ref Float.infinity in
-      Array.iter
-        (fun net ->
-          in_max := Float.max !in_max amax.(net);
-          in_min := Float.min !in_min amin.(net))
-        g.inputs.(i);
-      if !in_max > Float.neg_infinity then begin
-        let out_max = !in_max +. g.delay_max.(i) in
-        let out_min = !in_min +. g.delay_min.(i) in
-        Array.iter
-          (fun net ->
-            amax.(net) <- Float.max amax.(net) out_max;
-            amin.(net) <- Float.min amin.(net) out_min)
-          g.outputs.(i)
-      end)
-    g.order;
+  Array.iter (relax g amax amin) g.order;
   (amax, amin)
 
 let backward g sinks =

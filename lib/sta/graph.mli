@@ -18,9 +18,17 @@ type t = private {
       (** combinational instances, drivers before readers *)
 }
 
-(** [create d] compiles [d].  Raises [Invalid_argument] on a
-    combinational cycle, which {!Netlist.Check} reports as [NET-002]. *)
+(** [create d] compiles [d], inside the Obs span [sta.graph.create].
+    Raises [Invalid_argument] on a combinational cycle, which
+    {!Netlist.Check} reports as [NET-002]. *)
 val create : Netlist.Design.t -> t
+
+(** [relax g amax amin i] propagates the arrivals at instance [i]'s
+    input nets through its delays to its output nets, when any input
+    has an arrival ([amax] above [neg_infinity]); otherwise it does
+    nothing.  Both {!forward} and {!Paths.compute} advance arrivals only
+    through this step. *)
+val relax : t -> float array -> float array -> Netlist.Design.inst -> unit
 
 (** [forward g sources] — the latest and earliest arrival at every net
     when the nets [sources] launch at 0 ([neg_infinity] / [infinity]

@@ -26,18 +26,82 @@ let sinks d =
   @ List.map (fun (p, net) -> (Port p, net)) d.Design.primary_outputs
 
 let compute g =
-  let dst_pins = sinks g.Graph.design in
-  List.fold_left
-    (fun paths (src, src_net) ->
-      let amax, amin = Graph.forward g [src_net] in
-      List.fold_left
-        (fun paths (dst, dst_net) ->
-          if amax.(dst_net) > Float.neg_infinity then
-            { src; dst; max_delay = amax.(dst_net); min_delay = amin.(dst_net) }
-            :: paths
-          else paths)
-        paths dst_pins)
-    [] (sources g.Graph.design)
+  Obs.span "sta.paths.compute" @@ fun () ->
+  let d = g.Graph.design in
+  let n_nets = Design.num_nets d and order = g.Graph.order in
+  (* a combinational instance's topological rank; -1 where a cone stops *)
+  let rank = Array.make (Design.num_insts d) (-1) in
+  Array.iteri (fun r i -> rank.(i) <- r) order;
+  let dst = Array.of_list (sinks d) in
+  let dst_at = Array.make n_nets [] in
+  Array.iteri (fun k (_, net) -> dst_at.(net) <- k :: dst_at.(net)) dst;
+  (* one pair of arrival arrays for every source: outside the current
+     cone they hold neg_infinity / infinity, as a fresh sweep's do *)
+  let amax = Array.make n_nets Float.neg_infinity in
+  let amin = Array.make n_nets Float.infinity in
+  (* per source: the nets reached (in reach order, which makes the array
+     the walk's queue too), the ranks of the instances entered and the
+     sinks met; [*_seen] holds the index of the last source to visit *)
+  let touched = Array.make n_nets 0 and n_touched = ref 0 in
+  let cone = Array.make (Array.length order) 0 and n_cone = ref 0 in
+  let hits = Array.make (Array.length dst) 0 and n_hits = ref 0 in
+  let net_seen = Array.make n_nets (-1) in
+  let inst_seen = Array.make (Design.num_insts d) (-1) in
+  let touch s net =
+    if net_seen.(net) <> s then begin
+      net_seen.(net) <- s;
+      touched.(!n_touched) <- net;
+      incr n_touched
+    end
+  in
+  let relaxations = ref 0 and paths = ref [] in
+  List.iteri
+    (fun s (src, src_net) ->
+      n_touched := 0;
+      n_cone := 0;
+      n_hits := 0;
+      touch s src_net;
+      let head = ref 0 in
+      while !head < !n_touched do
+        let net = touched.(!head) in
+        incr head;
+        List.iter
+          (fun (i, _) ->
+            if rank.(i) >= 0 && inst_seen.(i) <> s then begin
+              inst_seen.(i) <- s;
+              cone.(!n_cone) <- rank.(i);
+              incr n_cone;
+              Array.iter (touch s) g.Graph.outputs.(i)
+            end)
+          d.Design.net_sinks.(net);
+        List.iter (fun k -> hits.(!n_hits) <- k; incr n_hits) dst_at.(net)
+      done;
+      amax.(src_net) <- 0.0;
+      amin.(src_net) <- 0.0;
+      let ranks = Array.sub cone 0 !n_cone in
+      Array.sort Int.compare ranks;
+      Array.iter (fun r -> Graph.relax g amax amin order.(r)) ranks;
+      relaxations := !relaxations + !n_cone;
+      (* sinks in [sinks] order, each prepended: the list a sink scan
+         per source builds *)
+      let ks = Array.sub hits 0 !n_hits in
+      Array.sort Int.compare ks;
+      Array.iter
+        (fun k ->
+          let dst, net = dst.(k) in
+          if amax.(net) > Float.neg_infinity then
+            paths :=
+              { src; dst; max_delay = amax.(net); min_delay = amin.(net) }
+              :: !paths)
+        ks;
+      for t = 0 to !n_touched - 1 do
+        amax.(touched.(t)) <- Float.neg_infinity;
+        amin.(touched.(t)) <- Float.infinity
+      done)
+    (sources d);
+  Obs.count "sta.paths.relaxations" !relaxations;
+  Obs.count "sta.paths.arcs" (List.length !paths);
+  !paths
 
 let forward_arrivals g =
   fst (Graph.forward g (List.map snd (sources g.Graph.design)))

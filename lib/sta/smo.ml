@@ -27,6 +27,7 @@ type reg_view = {
 }
 
 let views (g : Graph.t) ~(clocks : Sim.Clock_spec.t) =
+  Obs.span "sta.smo.views" @@ fun () ->
   let d = g.design in
   let period = clocks.period in
   let view i port (w : Sim.Clock_spec.waveform) =

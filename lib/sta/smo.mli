@@ -49,7 +49,8 @@ type reg_view = {
 (** [views g ~clocks] — the view of every register, in instance order,
     and apart from them the registers (with their root port) whose root
     port has no waveform in [clocks].  A register whose clock does not
-    trace to a port is in neither list ([NET-003] reports it). *)
+    trace to a port is in neither list ([NET-003] reports it).  Runs
+    inside the Obs span [sta.smo.views]. *)
 val views :
   Graph.t -> clocks:Sim.Clock_spec.t ->
   reg_view list * (Netlist.Design.inst * string) list

@@ -43,6 +43,126 @@ let test_path_delays_exact () =
     p.Sta.Paths.max_delay;
   check Alcotest.bool "min <= max" true (p.Sta.Paths.min_delay <= p.Sta.Paths.max_delay)
 
+(* The arcs as the full sweep finds them: one whole-design
+   [Graph.forward] per source (each register's Q net in
+   [sequential_insts] order, then each non-clock input port), then a
+   scan of every sink.  [Paths.compute] walks only each source's cone
+   and must return this list exactly. *)
+let full_sweep_arcs g =
+  let d = g.Sta.Graph.design in
+  let sources =
+    List.filter_map
+      (fun i -> Option.map (fun q -> (Sta.Paths.Reg i, q)) (D.q_net_of d i))
+      (D.sequential_insts d)
+    @ List.filter_map
+        (fun (p, net) ->
+          if D.is_clock_port d p then None else Some (Sta.Paths.Port p, net))
+        d.D.primary_inputs
+  in
+  List.fold_left
+    (fun paths (src, src_net) ->
+      let amax, amin = Sta.Graph.forward g [src_net] in
+      List.fold_left
+        (fun paths (dst, dst_net) ->
+          if amax.(dst_net) > Float.neg_infinity then
+            { Sta.Paths.src; dst; max_delay = amax.(dst_net);
+              min_delay = amin.(dst_net) }
+            :: paths
+          else paths)
+        paths (Sta.Paths.sinks d))
+    [] sources
+
+(* same length, order and endpoints, and the same float bits *)
+let same_arcs (a : Sta.Paths.path list) (b : Sta.Paths.path list) =
+  let bits = Int64.bits_of_float in
+  List.length a = List.length b
+  && List.for_all2
+       (fun (p : Sta.Paths.path) (q : Sta.Paths.path) ->
+         p.src = q.src && p.dst = q.dst
+         && Int64.equal (bits p.max_delay) (bits q.max_delay)
+         && Int64.equal (bits p.min_delay) (bits q.min_delay))
+       a b
+
+(* Generated designs whose cones reconverge ([reuse]), stop at clock
+   gates ([gated_fraction]) and close on their own register
+   ([self_loop_fraction]), in flip-flop form and converted. *)
+let cone_spec_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, (layers, reuse), (gated, self_loop)) ->
+        { Circuits.Generator.name = Printf.sprintf "cone%d" seed; seed;
+          inputs = 5; outputs = 3; layers; fanin = 3; cone_depth = 4;
+          self_loop_fraction = self_loop; cross_feedback = 0.25; reuse;
+          gated_fraction = gated; bank_size = 3; po_cones = 3;
+          frequency_mhz = 1000.0 })
+      (triple (int_bound 1_000_000)
+         (pair (array_size (int_range 2 4) (int_range 2 8))
+            (float_range 0.1 0.6))
+         (pair (float_range 0.1 0.6) (float_range 0.1 0.5))))
+
+let prop_cone_arcs_equal_full_sweeps =
+  QCheck.Test.make ~name:"cone arcs equal full sweeps" ~count:40
+    (QCheck.make
+       ~print:(fun (s : Circuits.Generator.spec) ->
+         Printf.sprintf "seed %d, layers [%s], reuse %g, gated %g, self loops %g"
+           s.seed
+           (String.concat "; " (Array.to_list (Array.map string_of_int s.layers)))
+           s.reuse s.gated_fraction s.self_loop_fraction)
+       cone_spec_gen)
+    (fun spec ->
+      let d = Circuits.Generator.synthesize spec in
+      let d3 = Phase3.Convert.to_three_phase d (Phase3.Assignment.solve d) in
+      List.for_all
+        (fun d ->
+          let g = Sta.Graph.create d in
+          same_arcs (Sta.Paths.compute g) (full_sweep_arcs g))
+        [d; d3])
+
+(* The cone walk's bookkeeping: g1 reads q1 on both pins and is relaxed
+   once; input a is wired straight to output y and r1's Q straight to
+   r3's D, so both arcs have 0 delay. *)
+let test_cone_walk_corner_cases () =
+  let b = B.create ~name:"corners" ~library:lib in
+  let clk = B.add_input ~clock:true b "clk" in
+  let a = B.add_input b "a" in
+  let q1 = B.fresh_net b "q1" in
+  ignore (B.add_cell b "r1" "DFF_X1" [("CK", clk); ("D", a); ("Q", q1)]);
+  let n1 = B.fresh_net b "n1" in
+  ignore (B.add_cell b "g1" "AND2_X1" [("A1", q1); ("A2", q1); ("Z", n1)]);
+  let q2 = B.fresh_net b "q2" in
+  ignore (B.add_cell b "r2" "DFF_X1" [("CK", clk); ("D", n1); ("Q", q2)]);
+  let q3 = B.fresh_net b "q3" in
+  ignore (B.add_cell b "r3" "DFF_X1" [("CK", clk); ("D", q1); ("Q", q3)]);
+  B.add_output b "y" a;
+  B.add_output b "z" q2;
+  B.add_output b "w" q3;
+  let d = B.freeze b in
+  let g = Sta.Graph.create d in
+  Obs.reset ();
+  let paths = Sta.Paths.compute g in
+  check Alcotest.bool "equals the full sweeps" true
+    (same_arcs paths (full_sweep_arcs g));
+  check Alcotest.int "g1 relaxed once" 1
+    (Obs.counter_of "sta.paths.relaxations");
+  check Alcotest.int "arcs counted" (List.length paths)
+    (Obs.counter_of "sta.paths.arcs");
+  let arc src dst =
+    match
+      List.find_opt
+        (fun (p : Sta.Paths.path) -> p.src = src && p.dst = dst) paths
+    with
+    | Some p -> (p.max_delay, p.min_delay)
+    | None -> Alcotest.fail "arc missing"
+  in
+  let reg name = Sta.Paths.Reg (Option.get (D.find_inst d name)) in
+  check (Alcotest.pair (Alcotest.float 0.0) (Alcotest.float 0.0))
+    "input to output" (0.0, 0.0)
+    (arc (Sta.Paths.Port "a") (Sta.Paths.Port "y"));
+  check (Alcotest.pair (Alcotest.float 0.0) (Alcotest.float 0.0))
+    "Q to D" (0.0, 0.0) (arc (reg "r1") (reg "r3"));
+  check (Alcotest.float 1e-12) "through the doubly read net"
+    (inv_delay g "g1") (fst (arc (reg "r1") (reg "r2")))
+
 let test_forward_backward_consistent () =
   let d = two_stage () in
   let g = Sta.Graph.create d in
@@ -161,6 +281,8 @@ let test_hold_fix_three_phase_needs_fewer () =
 
 let suite =
   [ Alcotest.test_case "path delays exact" `Quick test_path_delays_exact;
+    QCheck_alcotest.to_alcotest prop_cone_arcs_equal_full_sweeps;
+    Alcotest.test_case "cone walk corner cases" `Quick test_cone_walk_corner_cases;
     Alcotest.test_case "forward/backward consistent" `Quick test_forward_backward_consistent;
     Alcotest.test_case "smo ok on ff design" `Quick test_smo_ff_design_ok;
     Alcotest.test_case "smo catches setup violation" `Quick test_smo_catches_setup_violation;
@@ -204,16 +326,23 @@ let suite =
    PHASE-003 errors), every corner's SMO report with its violations (time
    borrowing and hold violations; the class fixed point converges on
    s1238 at the fast and typical corners and diverges on s1423), and the
-   five worst paths.  Any change to the timing arithmetic shows here. *)
+   five worst paths; then the path enumeration's work counters during
+   lint.  Any change to the timing arithmetic shows here. *)
 let timing_digests circuit =
   let d = (Option.get (Circuits.Suite.find circuit)).Circuits.Suite.build () in
   let d3 = Phase3.Convert.to_three_phase d (Phase3.Assignment.solve d) in
   let clocks =
     Sim.Clock_spec.three_phase ~period:0.35 ~p1:"p1" ~p2:"p2" ~p3:"p3" ()
   in
+  Obs.reset ();
   let lint =
     Format.asprintf "%a" Lint_core.Emit.json
       (Lint.Engine.run d3 ~clocks).Lint.Engine.diagnostics
+  in
+  let work =
+    Printf.sprintf "%d relaxations, %d arcs"
+      (Obs.counter_of "sta.paths.relaxations")
+      (Obs.counter_of "sta.paths.arcs")
   in
   let smo = Buffer.create 4096 in
   List.iter
@@ -235,21 +364,26 @@ let timing_digests circuit =
   in
   List.map (fun s -> Digest.to_hex (Digest.string s))
     [lint; Buffer.contents smo; report]
+  @ [work]
 
 let test_timing_golden_digests () =
   List.iter
     (fun (circuit, expect) ->
-      check (Alcotest.list Alcotest.string) (circuit ^ ": lint, smo, report")
+      check (Alcotest.list Alcotest.string)
+        (circuit ^ ": lint, smo, report, path work")
         expect (timing_digests circuit))
     [ ("s1196", ["1b4931ffb225db98a92af2b38ff34b7a";
                  "6c9927b80e525a3d3ac07fa13dd4aec2";
-                 "9a1f1f2b5c3a148288b09d0adb57086e"]);
+                 "9a1f1f2b5c3a148288b09d0adb57086e";
+                 "388 relaxations, 109 arcs"]);
       ("s1238", ["11836c6ac18975613fdbd3f917696898";
                  "3b0d4ffd405d79b83b62b613eec150a6";
-                 "6a4d07016e4e01022ec597e0e50d1c4f"]);
+                 "6a4d07016e4e01022ec597e0e50d1c4f";
+                 "342 relaxations, 89 arcs"]);
       ("s1423", ["37cef407f2aa7145872c9a425989f3ec";
                  "4b1e3594888d904f96ed2235f2088771";
-                 "0cf3981a69038dcd2ac5257efad69df0"]) ]
+                 "0cf3981a69038dcd2ac5257efad69df0";
+                 "1061 relaxations, 454 arcs"]) ]
 
 let suite =
   suite
