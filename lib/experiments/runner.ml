@@ -80,10 +80,15 @@ let run ?(cycles = 384) (bench : Circuits.Suite.benchmark) =
   let build_ms () =
     let t0 = now () in
     let ms_design = Phase3.Master_slave.convert original in
-    let stim = Circuits.Workload.stimulus workload ~seed:(seed + 1) ~cycles:128 original in
+    (* 63 lanes; lane 0 is the seed [seed + 1] stream *)
+    let stimulus =
+      Circuits.Workload.draw workload
+        ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> seed + 1 + l))
+        ~cycles:128 original
+    in
     (match
-       Sim.Equivalence.check ~reference:original ~dut:ms_design
-         ~reference_clocks:ff_clocks ~dut_clocks:ff_clocks ~stimulus:stim ()
+       Sim.Equivalence.check_packed ~reference:original ~dut:ms_design
+         ~reference_clocks:ff_clocks ~dut_clocks:ff_clocks ~stimulus ()
      with
      | Sim.Equivalence.Equivalent _ -> ()
      | Sim.Equivalence.Mismatch m ->

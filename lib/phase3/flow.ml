@@ -64,6 +64,13 @@ let reference_clocks d ~period =
   | _ :: _ :: _ ->
     fail "design %s has several clock ports" d.Netlist.Design.design_name
 
+let equivalence_stimulus config d =
+  Sim.Stimulus.draw
+    ~seeds:
+      (Array.init Sim.Kernel.max_lanes (fun l -> config.activity_seed + 17 + l))
+    ~cycles:config.verify_cycles (Sim.Stimulus.Uniform 0.35)
+    (Sim.Stimulus.inputs_of d)
+
 let run ~config d =
   if not (Float.is_finite config.period && config.period > 0.0) then
     fail "clock period %g ns must be positive and finite" config.period;
@@ -72,6 +79,15 @@ let run ~config d =
      && config.verify_cycles < Sim.Equivalence.min_cycles () then
     fail "equivalence stage: verify_cycles = %d, the check needs at least %d"
       config.verify_cycles (Sim.Equivalence.min_cycles ());
+  let cg_on =
+    config.clock_gating.Clock_gating.common_enable
+    || config.clock_gating.Clock_gating.ddcg
+    || config.clock_gating.Clock_gating.m2_latch_removal
+  in
+  (* gating decisions read the activity of at least one simulated cycle *)
+  if cg_on && config.activity_cycles < 1 then
+    fail "clock_gating stage: activity_cycles = %d, the profile needs at \
+          least 1" config.activity_cycles;
   let times = ref [] in
   (* every enabled stage records exactly one "flow.<stage>" Obs span,
      allocation-pressure gauges at its boundary (gc_span samples
@@ -119,11 +135,6 @@ let run ~config d =
     else (converted, None)
   in
   let clocks = clocks_of config in
-  let cg_on =
-    config.clock_gating.Clock_gating.common_enable
-    || config.clock_gating.Clock_gating.ddcg
-    || config.clock_gating.Clock_gating.m2_latch_removal
-  in
   let final, cg_stats =
     if cg_on then
       stage "clock_gating" (fun () ->
@@ -185,15 +196,10 @@ let run ~config d =
   let equivalence =
     if config.verify_equivalence then
       stage "equivalence" (fun () ->
-          let stim =
-            Sim.Stimulus.random ~seed:(config.activity_seed + 17)
-              ~cycles:config.verify_cycles ~toggle_probability:0.35
-              (Sim.Stimulus.inputs_of d)
-          in
           let verdict =
-            Sim.Equivalence.check ~reference:d ~dut:final
+            Sim.Equivalence.check_packed ~reference:d ~dut:final
               ~reference_clocks:(reference_clocks d ~period:config.period)
-              ~dut_clocks:clocks ~stimulus:stim ()
+              ~dut_clocks:clocks ~stimulus:(equivalence_stimulus config d) ()
           in
           (match verdict with
            | Sim.Equivalence.Equivalent _ -> ()

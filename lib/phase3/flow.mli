@@ -23,12 +23,16 @@ type config = {
   clock_gating : Clock_gating.options;
   ports : Convert.clock_ports;
   period : float;             (** ns; drives timing checks and power *)
-  activity_cycles : int;      (** simulation length for toggle profiling *)
+  activity_cycles : int;
+  (** simulation length for toggle profiling; with any clock-gating
+      option on the flow refuses fewer than 1 *)
   activity_seed : int;
-  verify_equivalence : bool;  (** stream-compare against the FF design *)
+  verify_equivalence : bool;
+  (** stream-compare against the FF design on {!Sim.Kernel.max_lanes}
+      lanes ({!Sim.Equivalence.check_packed}) *)
   verify_cycles : int;
-  (** equivalence stream length; with [verify_equivalence] the flow
-      refuses fewer than {!Sim.Equivalence.min_cycles} (11) *)
+  (** equivalence stream length per lane; with [verify_equivalence] the
+      flow refuses fewer than {!Sim.Equivalence.min_cycles} (11) *)
   lint : bool;
   (** run the {!Lint.Engine} audit on the final design; the flow fails
       when any error-severity finding survives — the conversion cannot
@@ -65,10 +69,18 @@ val clocks_of : config -> Sim.Clock_spec.t
 (** Single-clock spec for the original design at the same period. *)
 val reference_clocks : Netlist.Design.t -> period:float -> Sim.Clock_spec.t
 
+(** The equivalence stage's stimulus for the input design [d]: a
+    {!Sim.Kernel.max_lanes}-lane {!Sim.Stimulus.draw} of
+    [verify_cycles] cycles over [d]'s non-clock inputs at toggle
+    probability 0.35, lane [l] seeded [activity_seed + 17 + l].  Lane 0
+    is [Sim.Stimulus.random ~seed:(activity_seed + 17)]. *)
+val equivalence_stimulus : config -> Netlist.Design.t -> Sim.Stimulus.packed
+
 exception Flow_error of string
 
 (** [run ~config d] raises {!Flow_error} when the input design fails
     validation or the result fails equivalence, and before any stage
-    when [period] is not positive and finite or [verify_cycles] is too
-    short for the equivalence check. *)
+    when [period] is not positive and finite, [verify_cycles] is too
+    short for the equivalence check, or a clock-gating option is on
+    with [activity_cycles < 1]. *)
 val run : config:config -> Netlist.Design.t -> result

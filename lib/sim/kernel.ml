@@ -822,14 +822,16 @@ let observe_run t ~cycles_run ~toggles_before ~waves_before ~cones_before =
 (* The one loop that drives lanes apart: the draw's input names resolve
    to nets once, then each cycle commits each input's word as it is —
    the word already holds every lane's value, and a draw never carries
-   X, so the unknown plane is 0. *)
-let run t (p : Stimulus.packed) =
+   X, so the unknown plane is 0.  After each cycle the planes of
+   [sampled] are copied out, cycle-major. *)
+let run_sampled t (p : Stimulus.packed) sampled =
   if p.lanes <> t.lanes then
     invalid_arg
       (Printf.sprintf "Kernel.run: a draw of %d lanes, the kernel has %d"
          p.lanes t.lanes);
   let nets = Array.map (input_net t ~caller:"Kernel.run") p.inputs in
-  let n = Array.length nets in
+  let n = Array.length nets and m = Array.length sampled in
+  let sv = Array.make (p.cycles * m) 0 and sx = Array.make (p.cycles * m) 0 in
   let toggles_before = sum_toggles t in
   let waves_before = t.waves_skipped and cones_before = t.cones_skipped in
   Obs.span "sim.kernel.run" (fun () ->
@@ -838,10 +840,18 @@ let run t (p : Stimulus.packed) =
         run_cycle t (fun () ->
             for k = 0 to n - 1 do
               commit t nets.(k) p.words.(base + k) 0 cm_wake
-            done)
+            done);
+        let at = c * m in
+        for j = 0 to m - 1 do
+          sv.(at + j) <- t.v.(sampled.(j));
+          sx.(at + j) <- t.x.(sampled.(j))
+        done
       done);
   observe_run t ~cycles_run:p.cycles ~toggles_before ~waves_before
-    ~cones_before
+    ~cones_before;
+  (sv, sx)
+
+let run t p = ignore (run_sampled t p [||] : int array * int array)
 
 let run_streams t streams = run t (Stimulus.pack streams)
 

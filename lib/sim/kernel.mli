@@ -12,8 +12,11 @@
     value bit and [x] the unknown bit of each lane, with [v land x = 0].
     One native word per plane holds all {!max_lanes} lanes.  This is the
     classic word-parallel trick from fault simulation, used here to run
-    many independent random workloads simultaneously for Monte-Carlo
-    switching-activity estimation.  Lanes never interact, so a caller
+    many independent random workloads simultaneously: for Monte-Carlo
+    switching-activity estimation ({!toggles}), and for the flow's
+    stream-equivalence check, which samples both designs' outputs on
+    every lane with {!run_sampled} ({!Equivalence.check_packed}).
+    Lanes never interact, so a caller
     that wants more lanes runs more kernels and adds their {!toggles}
     arrays.  Toggles are counted per net on every commit via
     [popcount ((prev lxor next) land known)]; lane 0 keeps a separate
@@ -80,6 +83,14 @@ val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
     [Invalid_argument] unless [p] has {!max_lanes} lanes, or when it
     names an input the design does not have. *)
 val run : t -> Stimulus.packed -> unit
+
+(** [run_sampled t p nets] runs exactly as [run t p] does and also
+    returns the value and unknown planes of [nets] at the end of every
+    cycle, cycle-major: element [c * Array.length nets + j] of each
+    array is net [nets.(j)] after cycle [c] of [p], bit [l] for lane
+    [l].  {!run} is this loop with no nets.  Raises as {!run} does. *)
+val run_sampled :
+  t -> Stimulus.packed -> Netlist.Design.net array -> int array * int array
 
 (** [run_streams t streams] is [run t (Stimulus.pack streams)]: one
     list stream per lane, each lane-cycle listing the same ports in the

@@ -15,20 +15,24 @@ type packed = {
 let max_lanes = Sys.int_size
 
 (* A small splitmix-style deterministic PRNG so streams do not depend on
-   the global Random state.  The 64-bit state lives unboxed in an 8-byte
-   buffer, so a draw allocates nothing. *)
+   the global Random state.  A generator is one 64-bit state at byte
+   offset [8 * g] of a buffer, so one buffer holds a generator per lane
+   unboxed and a draw allocates nothing. *)
 module Prng = struct
   external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
   external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-  let create seed =
-    let s = Bytes.create 8 in
-    set64 s 0 (Int64.of_int ((seed * 2654435769) + 1));
+  (* one generator per seed, generator [g] seeded by [seeds.(g)] *)
+  let create seeds =
+    let s = Bytes.create (8 * Array.length seeds) in
+    Array.iteri
+      (fun g seed -> set64 s (8 * g) (Int64.of_int ((seed * 2654435769) + 1)))
+      seeds;
     s
 
-  let[@inline] next s =
-    let z = Int64.add (get64 s 0) 0x9E3779B97F4A7C15L in
-    set64 s 0 z;
+  let[@inline] next s g =
+    let z = Int64.add (get64 s (8 * g)) 0x9E3779B97F4A7C15L in
+    set64 s (8 * g) z;
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
     Int64.logxor z (Int64.shift_right_logical z 31)
@@ -42,15 +46,20 @@ module Prng = struct
     else if p >= 1.0 then 1 lsl 53
     else int_of_float (Float.ceil (p *. 9007199254740992.0))
 
-  (* 1 when the next draw falls below [threshold], else 0: [u - threshold]
-     is negative exactly then, and [lsr 62] keeps an int's sign bit *)
-  let[@inline] below s threshold =
-    (Int64.to_int (Int64.shift_right_logical (next s) 11) - threshold) lsr 62
+  (* 1 when generator [g]'s next draw falls below [threshold], else 0:
+     [u - threshold] is negative exactly then, and [lsr 62] keeps an
+     int's sign bit *)
+  let[@inline] below s g threshold =
+    (Int64.to_int (Int64.shift_right_logical (next s g) 11) - threshold) lsr 62
 end
 
 (* Each lane draws from its own generator: every input's start value in
    input order, then for every later cycle one toggle draw per input in
-   input order.  This is the only place a stream's values come from. *)
+   input order.  This is the only place a stream's values come from.
+   The array fills cycle by cycle and input by input, each word built
+   from one draw of every lane, so each word is written once; a lane's
+   own draws keep their order, so its bits do not depend on how many
+   lanes are drawn beside it. *)
 let draw ~seeds ~cycles shape inputs =
   let lanes = Array.length seeds in
   if lanes > max_lanes then
@@ -74,24 +83,29 @@ let draw ~seeds ~cycles shape inputs =
   in
   let half = Prng.threshold 0.5 in
   let words = Array.make (cycles * n) 0 in
-  let current = Array.make n 0 in
   Obs.span "sim.stimulus.build" (fun () ->
-      Array.iteri
-        (fun lane seed ->
-          let rng = Prng.create seed in
+      let rng = Prng.create seeds in
+      (* bit [l] of the word: lane [l]'s next draw below [th] *)
+      let[@inline] hits th =
+        let w = ref 0 in
+        for l = 0 to lanes - 1 do
+          w := !w lor (Prng.below rng l th lsl l)
+        done;
+        !w
+      in
+      for cycle = 0 to cycles - 1 do
+        let base = cycle * n in
+        if cycle = 0 then
           for k = 0 to n - 1 do
-            current.(k) <- Prng.below rng half
-          done;
-          for cycle = 0 to cycles - 1 do
-            let th = if in_burst cycle then burst else idle in
-            let base = cycle * n in
-            for k = 0 to n - 1 do
-              if cycle > 0 then
-                current.(k) <- current.(k) lxor Prng.below rng th.(k);
-              words.(base + k) <- words.(base + k) lor (current.(k) lsl lane)
-            done
-          done)
-        seeds);
+            words.(k) <- hits half
+          done
+        else begin
+          let th = if in_burst cycle then burst else idle in
+          for k = 0 to n - 1 do
+            words.(base + k) <- words.(base - n + k) lxor hits th.(k)
+          done
+        end
+      done);
   Obs.count "sim.stimulus.words" (cycles * n);
   { inputs; lanes; cycles; words }
 

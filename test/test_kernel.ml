@@ -157,7 +157,9 @@ let test_heterogeneous_lanes () =
 (* the packed path against the oracle: a draw's 63 lanes through one
    kernel give, per net, the sum of the 63 engine toggle counts of the
    lanes' list streams; lane 0 alone gives the engine's count, and every
-   lane ends on the engine's outputs *)
+   lane ends on the engine's outputs.  A second kernel samples the
+   outputs with run_sampled: it counts what run counts, and each lane's
+   samples are that lane's engine output stream, cycle by cycle *)
 let prop_packed_run_matches_engine =
   QCheck.Test.make ~name:"packed run = per-lane engine runs" ~count:8
     QCheck.(pair (int_range 0 1000) (int_range 0 16))
@@ -171,11 +173,33 @@ let prop_packed_run_matches_engine =
       in
       let kernel = Sim.Kernel.create d ~clocks in
       Sim.Kernel.run kernel stimulus;
+      let sampler = Sim.Kernel.create d ~clocks in
+      let outs = Array.of_list d.Netlist.Design.primary_outputs in
+      let sv, sx = Sim.Kernel.run_sampled sampler stimulus (Array.map snd outs) in
+      if Sim.Kernel.toggles sampler <> Sim.Kernel.toggles kernel
+         || Sim.Kernel.stats sampler <> Sim.Kernel.stats kernel then
+        Alcotest.failf "seed %d: run_sampled counts differ from run" seed;
+      let m = Array.length outs in
       let summed = Array.make (Netlist.Design.num_nets d) 0 in
       Array.iteri
         (fun l _ ->
           let engine = Sim.Engine.create d ~clocks in
-          ignore (Sim.Engine.run_stream engine (Sim.Stimulus.lane stimulus l));
+          let stream = Sim.Engine.run_stream engine (Sim.Stimulus.lane stimulus l) in
+          List.iteri
+            (fun c sample ->
+              List.iteri
+                (fun j (port, value) ->
+                  let bit w = (w lsr l) land 1 = 1 in
+                  let sampled =
+                    if bit sx.((c * m) + j) then Sim.Logic.LX
+                    else Sim.Logic.of_bool (bit sv.((c * m) + j))
+                  in
+                  if sampled <> value then
+                    Alcotest.failf "seed %d lane %d cycle %d port %s: sampled %c, engine %c"
+                      seed l c port (Sim.Logic.to_char sampled)
+                      (Sim.Logic.to_char value))
+                sample)
+            stream;
           let outputs =
             List.map
               (fun (port, net) -> (port, Sim.Engine.net_value engine net))

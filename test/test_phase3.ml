@@ -694,3 +694,102 @@ let suite =
         test_pi_latch_materialised;
       Alcotest.test_case "ddcg stops quiet clocks" `Quick
         test_ddcg_stops_quiet_clocks ]
+
+(* --- the flow's equivalence check --- *)
+
+let no_clock_gating =
+  { Phase3.Clock_gating.default_options with
+    Phase3.Clock_gating.common_enable = false;
+    ddcg = false;
+    m2_latch_removal = false }
+
+(* activity_cycles < 1 with any clock-gating option on stops the flow
+   with a Flow_error naming the clock-gating stage, before any stage *)
+let test_flow_refuses_short_activity () =
+  let d = Circuits.Generator.synthesize (gen_spec 52) in
+  let config cycles =
+    { (Phase3.Flow.default_config ~period:1.0) with
+      Phase3.Flow.activity_cycles = cycles }
+  in
+  List.iter
+    (fun cycles ->
+      match Phase3.Flow.run ~config:(config cycles) d with
+      | _ -> Alcotest.failf "activity_cycles %d accepted" cycles
+      | exception Phase3.Flow.Flow_error msg ->
+        check Alcotest.bool ("stage named in: " ^ msg) true
+          (Astring.String.is_infix ~affix:"clock_gating" msg))
+    [0; -1];
+  (* without clock gating no activity is simulated *)
+  ignore
+    (Phase3.Flow.run
+       ~config:{ (config (-1)) with Phase3.Flow.clock_gating = no_clock_gating }
+       d)
+
+(* lane 0 of the stage's 63-lane draw is the list stream of seed
+   activity_seed + 17 *)
+let test_flow_equivalence_lane0 () =
+  let d = Circuits.Generator.synthesize (gen_spec 53) in
+  let config = Phase3.Flow.default_config ~period:1.0 in
+  let p = Phase3.Flow.equivalence_stimulus config d in
+  check Alcotest.int "lanes" Sim.Kernel.max_lanes p.Sim.Stimulus.lanes;
+  check Alcotest.int "cycles" config.Phase3.Flow.verify_cycles
+    p.Sim.Stimulus.cycles;
+  check Alcotest.bool "lane 0 is the seed activity_seed + 17 stream" true
+    (Sim.Stimulus.lane p 0
+     = Sim.Stimulus.random ~seed:(config.Phase3.Flow.activity_seed + 17)
+         ~cycles:config.Phase3.Flow.verify_cycles ~toggle_probability:0.35
+         (Sim.Stimulus.inputs_of d))
+
+(* A p1 -> p3 swap on s1423 that lane 0 alone misses: the engine check
+   on lane 0 calls it equivalent, the kernel check on the stage's
+   63-lane draw catches it on another lane.  The flow runs without
+   clock gating, lint or its own equivalence stage, so the mutant is
+   checked by hand. *)
+let test_packed_check_catches_more () =
+  let bench = Option.get (Circuits.Suite.find "s1423") in
+  let d = bench.Circuits.Suite.build () in
+  let config =
+    { (Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns) with
+      Phase3.Flow.clock_gating = no_clock_gating;
+      lint = false;
+      verify_equivalence = false }
+  in
+  let final = (Phase3.Flow.run ~config d).Phase3.Flow.final in
+  let victim = "r_1_21" in
+  let i = Option.get (D.find_inst final victim) in
+  check Alcotest.(option string) "victim latch on p1" (Some "p1")
+    (phase_of final i);
+  let mutant = Test_lint.retarget_enable final ~victim ~port:"p3" in
+  let reference_clocks =
+    Phase3.Flow.reference_clocks d ~period:config.Phase3.Flow.period
+  in
+  let dut_clocks = Phase3.Flow.clocks_of config in
+  let stimulus = Phase3.Flow.equivalence_stimulus config d in
+  (match
+     Sim.Equivalence.check ~reference:d ~dut:mutant ~reference_clocks
+       ~dut_clocks ~stimulus:(Sim.Stimulus.lane stimulus 0) ()
+   with
+   | Sim.Equivalence.Equivalent { shift } ->
+     check Alcotest.int "lane 0 alone: shift" 0 shift
+   | Sim.Equivalence.Mismatch m ->
+     Alcotest.failf "lane 0 alone now catches the mutant (%s): pin another"
+       (Format.asprintf "%a" Sim.Equivalence.pp_mismatch m));
+  match
+    Sim.Equivalence.check_packed ~reference:d ~dut:mutant ~reference_clocks
+      ~dut_clocks ~stimulus ()
+  with
+  | Sim.Equivalence.Equivalent { shift } ->
+    Alcotest.failf "63 lanes: equivalent at shift %d" shift
+  | Sim.Equivalence.Mismatch m ->
+    check Alcotest.string "first difference"
+      "cycle 8 port o2 lane 31: expected 0, got 1"
+      (Format.asprintf "%a" Sim.Equivalence.pp_mismatch m)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "flow refuses a short activity profile" `Quick
+        test_flow_refuses_short_activity;
+      Alcotest.test_case "flow equivalence lane 0 is the one-lane stream"
+        `Quick test_flow_equivalence_lane0;
+      Alcotest.test_case "packed check catches a mutant lane 0 misses" `Quick
+        test_packed_check_catches_more ]

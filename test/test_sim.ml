@@ -221,7 +221,25 @@ let test_stimulus_golden () =
     0.05 *. float_of_string (String.sub name 2 (String.length name - 2))
   in
   digest "profiled" "697f29bd2c27d07d2b53a894fbb91f9a"
-    (Sim.Stimulus.profiled ~seed:2024 ~cycles:384 profile inputs)
+    (Sim.Stimulus.profiled ~seed:2024 ~cycles:384 profile inputs);
+  (* the words of 63-lane draws, each as a decimal int, joined by
+     commas *)
+  let words_digest name expected p =
+    check Alcotest.string name expected
+      (Digest.to_hex
+         (Digest.string
+            (String.concat ","
+               (Array.to_list
+                  (Array.map string_of_int p.Sim.Stimulus.words)))))
+  in
+  words_digest "63 lanes uniform" "c44f4fd12467061fce0443458e921038"
+    (Sim.Stimulus.draw ~seeds:(Array.init 63 (fun l -> 1 + l)) ~cycles:512
+       (Sim.Stimulus.Uniform 0.25) inputs);
+  words_digest "63 lanes bursty" "53a9a0b995c52ab8acf59edf85def581"
+    (Sim.Stimulus.draw ~seeds:(Array.init 63 (fun l -> 2024 + l)) ~cycles:384
+       (Sim.Stimulus.Bursty
+          { burst_len = 48; idle_len = 16; toggle_probability = 0.35 })
+       inputs)
 
 (* lane l of a packed draw is the list stream of seeds.(l), for every
    shape, including empty streams and designs without inputs *)
@@ -277,25 +295,6 @@ let prop_packed_lanes_match_lists =
 
 (* --- Equivalence --- *)
 
-let test_equivalence_shift_detection () =
-  let mk k = [("y", if k land 1 = 1 then L.L1 else L.L0)] in
-  let ref_stream = List.init 20 mk in
-  let dut_stream = mk 1 :: List.init 20 mk in
-  (* dut has an extra leading sample: reference matches at shift 1 *)
-  (match Sim.Equivalence.compare_streams ~warmup:2 ~max_shift:2
-           ref_stream dut_stream with
-   | Sim.Equivalence.Equivalent { shift } -> check Alcotest.int "shift" 1 shift
-   | Sim.Equivalence.Mismatch _ -> Alcotest.fail "should align at shift 1")
-
-let test_equivalence_mismatch_reported () =
-  let a = List.init 10 (fun k -> [("y", if k = 7 then L.L1 else L.L0)]) in
-  let b = List.init 10 (fun _ -> [("y", L.L0)]) in
-  match Sim.Equivalence.compare_streams ~warmup:2 ~max_shift:0 a b with
-  | Sim.Equivalence.Mismatch m ->
-    check Alcotest.int "cycle" 7 m.Sim.Equivalence.cycle;
-    check Alcotest.string "port" "y" m.Sim.Equivalence.port
-  | Sim.Equivalence.Equivalent _ -> Alcotest.fail "must mismatch"
-
 (* a register of [a], or of [not a]: the two never agree once the first
    captured value is out *)
 let dff_of ~invert =
@@ -314,6 +313,76 @@ let dff_of ~invert =
   ignore (B.add_cell b "r" "DFF_X1" [("CK", clk); ("D", d); ("Q", q)]);
   B.add_output b "y" q;
   B.freeze b
+
+let verdict_string = function
+  | Sim.Equivalence.Equivalent { shift } -> Printf.sprintf "shift %d" shift
+  | Sim.Equivalence.Mismatch m ->
+    Format.asprintf "%a" Sim.Equivalence.pp_mismatch m
+
+let test_equivalence_shift_detection () =
+  let mk k = [("y", if k land 1 = 1 then L.L1 else L.L0)] in
+  let ref_stream = List.init 20 mk in
+  let dut_stream = mk 1 :: List.init 20 mk in
+  (* dut has an extra leading sample: reference matches at shift 1 *)
+  (match Sim.Equivalence.compare_streams ~warmup:2 ~max_shift:2
+           ref_stream dut_stream with
+   | Sim.Equivalence.Equivalent { shift } -> check Alcotest.int "shift" 1 shift
+   | Sim.Equivalence.Mismatch _ -> Alcotest.fail "should align at shift 1");
+  (* two registers of [a] in a row lag one register of [a] by a cycle *)
+  let b = B.create ~name:"dff2_a" ~library:lib in
+  let clk = B.add_input ~clock:true b "clk" in
+  let a = B.add_input b "a" in
+  let q1 = B.fresh_net b "q1" and q2 = B.fresh_net b "q2" in
+  ignore (B.add_cell b "r1" "DFF_X1" [("CK", clk); ("D", a); ("Q", q1)]);
+  ignore (B.add_cell b "r2" "DFF_X1" [("CK", clk); ("D", q1); ("Q", q2)]);
+  B.add_output b "y" q2;
+  let reference = dff_of ~invert:false and dut = B.freeze b in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 40 + l))
+      ~cycles:32 (Sim.Stimulus.Uniform 0.5) ["a"]
+  in
+  check Alcotest.string "check_packed shift" "shift 1"
+    (verdict_string
+       (Sim.Equivalence.check_packed ~reference ~dut ~reference_clocks:clocks
+          ~dut_clocks:clocks ~stimulus ()));
+  check Alcotest.string "check shift" "shift 1"
+    (verdict_string
+       (Sim.Equivalence.check ~reference ~dut ~reference_clocks:clocks
+          ~dut_clocks:clocks ~stimulus:(Sim.Stimulus.lane stimulus 0) ()))
+
+let test_equivalence_mismatch_reported () =
+  let a = List.init 10 (fun k -> [("y", if k = 7 then L.L1 else L.L0)]) in
+  let b = List.init 10 (fun _ -> [("y", L.L0)]) in
+  (match Sim.Equivalence.compare_streams ~warmup:2 ~max_shift:0 a b with
+   | Sim.Equivalence.Mismatch m ->
+     check Alcotest.int "cycle" 7 m.Sim.Equivalence.cycle;
+     check Alcotest.string "port" "y" m.Sim.Equivalence.port
+   | Sim.Equivalence.Equivalent _ -> Alcotest.fail "must mismatch");
+  (* an unknown output is not a 0: an undriven net against a tie-0 *)
+  let design name tie =
+    let b = B.create ~name ~library:lib in
+    ignore (B.add_input ~clock:true b "clk");
+    ignore (B.add_input b "a");
+    B.add_output b "y" (if tie then B.const b false else B.fresh_net b "floating");
+    B.freeze b
+  in
+  let reference = design "floating_y" false and dut = design "tied_y" true in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 60 + l))
+      ~cycles:16 (Sim.Stimulus.Uniform 0.5) ["a"]
+  in
+  check Alcotest.string "check_packed X" "cycle 8 port y lane 0: expected x, got 0"
+    (verdict_string
+       (Sim.Equivalence.check_packed ~reference ~dut ~reference_clocks:clocks
+          ~dut_clocks:clocks ~stimulus ()));
+  check Alcotest.string "check X" "cycle 8 port y lane 0: expected x, got 0"
+    (verdict_string
+       (Sim.Equivalence.check ~reference ~dut ~reference_clocks:clocks
+          ~dut_clocks:clocks ~stimulus:(Sim.Stimulus.lane stimulus 0) ()))
 
 (* a shift whose window (cycles past the warmup that both streams
    reach) is empty compares nothing and must not match: a register of
@@ -335,15 +404,28 @@ let test_equivalence_short_streams () =
     | Sim.Equivalence.Equivalent { shift } ->
       Alcotest.failf "%s: Equivalent at shift %d" label shift
   in
-  mismatch_at "64 cycles" 8 (run 64);
-  (* 11 cycles is the shortest stream with a cycle in every window *)
-  ignore (run 11 : Sim.Equivalence.verdict);
+  (* the kernel check on 63 lanes, lane 0 the stream above *)
+  let run_packed cycles =
+    Sim.Equivalence.check_packed ~reference ~dut ~reference_clocks:clocks
+      ~dut_clocks:clocks
+      ~stimulus:
+        (Sim.Stimulus.draw
+           ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 3 + l))
+           ~cycles (Sim.Stimulus.Uniform 0.5) ["a"])
+      ()
+  in
   List.iter
-    (fun cycles ->
-      match run cycles with
-      | _ -> Alcotest.failf "check accepted %d cycles" cycles
-      | exception Invalid_argument _ -> ())
-    [8; 9; 10];
+    (fun (name, run) ->
+      mismatch_at (name ^ " 64 cycles") 8 (run 64);
+      (* 11 cycles is the shortest stream with a cycle in every window *)
+      ignore (run 11 : Sim.Equivalence.verdict);
+      List.iter
+        (fun cycles ->
+          match run cycles with
+          | _ -> Alcotest.failf "%s accepted %d cycles" name cycles
+          | exception Invalid_argument _ -> ())
+        [8; 9; 10])
+    [("check", run); ("check_packed", run_packed)];
   check Alcotest.int "min cycles" 11 (Sim.Equivalence.min_cycles ());
   let outputs d cycles =
     Sim.Engine.run_stream (Sim.Engine.create d ~clocks) (stimulus cycles)
@@ -358,6 +440,143 @@ let test_equivalence_short_streams () =
   match compare 8 with
   | _ -> Alcotest.fail "compare_streams gave a verdict on 8 cycles"
   | exception Invalid_argument _ -> ()
+
+(* Generated designs of 22 flip-flops, each paired with its 3-phase
+   conversion and with a mutant of it: one latch's enable moved between
+   p1 and p3, or one output inverted. *)
+let packed_case_spec seed =
+  { Circuits.Generator.name = Printf.sprintf "pk%d" seed; seed; inputs = 6;
+    outputs = 5; layers = [|8; 8; 6|]; fanin = 3; cone_depth = 3;
+    self_loop_fraction = 0.25; cross_feedback = 0.25; reuse = 0.25;
+    gated_fraction = 0.25; bank_size = 4; po_cones = 3;
+    frequency_mhz = 1000.0 }
+
+(* move the enable of one latch clocked straight from p1 or p3 to the
+   other port *)
+let swap_enable d pick =
+  let port_net p = Option.get (Netlist.Design.find_input d p) in
+  let candidates =
+    List.filter_map
+      (fun i ->
+        match (Netlist.Design.cell d i).Cell_lib.Cell.kind with
+        | Cell_lib.Cell.Latch { enable_pin; _ } ->
+          let n = Netlist.Design.pin_net d i enable_pin in
+          if n = port_net "p1" then Some (i, "p3")
+          else if n = port_net "p3" then Some (i, "p1")
+          else None
+        | _ -> None)
+      (Netlist.Design.insts d)
+  in
+  let victim, port = List.nth candidates (pick mod List.length candidates) in
+  Test_lint.retarget_enable d ~victim:(Netlist.Design.inst_name d victim) ~port
+
+let invert_output d pick =
+  let outputs = d.Netlist.Design.primary_outputs in
+  let victim = fst (List.nth outputs (pick mod List.length outputs)) in
+  let rw = Netlist.Rewrite.start d in
+  List.iter (Netlist.Rewrite.copy_inst rw) (Netlist.Design.insts d);
+  let b = Netlist.Rewrite.builder rw in
+  List.iter
+    (fun (port, net) ->
+      let net = Netlist.Rewrite.map_net rw net in
+      if String.equal port victim then begin
+        let inv = B.fresh_net b "inv_out" in
+        ignore (B.add_cell b "mut_inv" "INV_X1" [("A", net); ("ZN", inv)]);
+        B.add_output b port inv
+      end
+      else B.add_output b port net)
+    outputs;
+  B.freeze b
+
+(* The verdict check_packed must give, built from one engine run per
+   lane and design: each shift alone on every lane through
+   compare_streams (the dut stream starting [shift] cycles later), then
+   the lowest shift where every lane matches, else the first (cycle,
+   port, lane) of the lowest shift. *)
+let per_lane_verdict ~ports ref_streams dut_streams =
+  let warmup = 8 and max_shift = 2 in
+  let port_index p =
+    let rec go k = function
+      | [] -> Alcotest.failf "unknown port %s" p
+      | q :: rest -> if String.equal p q then k else go (k + 1) rest
+    in
+    go 0 ports
+  in
+  let key m =
+    (m.Sim.Equivalence.cycle, port_index m.Sim.Equivalence.port,
+     m.Sim.Equivalence.lane)
+  in
+  let at_shift shift =
+    let firsts =
+      List.filter_map
+        (fun l ->
+          match
+            Sim.Equivalence.compare_streams ~warmup ~max_shift:0
+              ref_streams.(l)
+              (List.filteri (fun c _ -> c >= shift) dut_streams.(l))
+          with
+          | Sim.Equivalence.Equivalent _ -> None
+          | Sim.Equivalence.Mismatch m ->
+            Some { m with Sim.Equivalence.lane = l })
+        (List.init (Array.length ref_streams) Fun.id)
+    in
+    match List.sort (fun a b -> compare (key a) (key b)) firsts with
+    | [] -> None
+    | m :: _ -> Some m
+  in
+  let rec go shift first =
+    if shift > max_shift then Sim.Equivalence.Mismatch (Option.get first)
+    else
+      match at_shift shift with
+      | None -> Sim.Equivalence.Equivalent { shift }
+      | Some m -> go (shift + 1) (if first = None then Some m else first)
+  in
+  go 0 None
+
+let prop_packed_check_matches_lanes =
+  QCheck.Test.make ~name:"packed check = per-lane engine checks" ~count:10
+    QCheck.(triple (int_range 0 10_000) (int_range 0 2) (int_range 11 32))
+    (fun (seed, kind, cycles) ->
+      let d = Circuits.Generator.synthesize (packed_case_spec seed) in
+      let converted =
+        Phase3.Convert.to_three_phase d (Phase3.Assignment.solve d)
+      in
+      let dut =
+        match kind with
+        | 0 -> converted
+        | 1 -> swap_enable converted seed
+        | _ -> invert_output converted seed
+      in
+      let reference_clocks = Phase3.Flow.reference_clocks d ~period:1.0 in
+      let dut_clocks =
+        Sim.Clock_spec.three_phase ~period:1.0 ~p1:"p1" ~p2:"p2" ~p3:"p3" ()
+      in
+      let rng = Random.State.make [| seed; kind; cycles |] in
+      let seeds =
+        Array.init Sim.Kernel.max_lanes (fun _ -> Random.State.bits rng)
+      in
+      let stimulus =
+        Sim.Stimulus.draw ~seeds ~cycles (Sim.Stimulus.Uniform 0.35)
+          (Sim.Stimulus.inputs_of d)
+      in
+      let streams design clocks =
+        Array.init Sim.Kernel.max_lanes (fun l ->
+            Sim.Engine.run_stream (Sim.Engine.create design ~clocks)
+              (Sim.Stimulus.lane stimulus l))
+      in
+      let expected =
+        per_lane_verdict
+          ~ports:(List.map fst d.Netlist.Design.primary_outputs)
+          (streams d reference_clocks) (streams dut dut_clocks)
+      in
+      let got =
+        Sim.Equivalence.check_packed ~reference:d ~dut ~reference_clocks
+          ~dut_clocks ~stimulus ()
+      in
+      if got <> expected then
+        Alcotest.failf "seed %d kind %d cycles %d: packed %s, per lane %s"
+          seed kind cycles (verdict_string got) (verdict_string expected);
+      true)
 
 let suite =
   [ Alcotest.test_case "logic tables" `Quick test_logic_tables;
@@ -377,7 +596,8 @@ let suite =
     Alcotest.test_case "equivalence shift" `Quick test_equivalence_shift_detection;
     Alcotest.test_case "equivalence mismatch" `Quick test_equivalence_mismatch_reported;
     Alcotest.test_case "equivalence refuses empty windows" `Quick
-      test_equivalence_short_streams ]
+      test_equivalence_short_streams;
+    QCheck_alcotest.to_alcotest prop_packed_check_matches_lanes ]
 
 (* --- asynchronous reset cells --- *)
 
