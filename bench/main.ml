@@ -378,6 +378,8 @@ let simbig ~json ~qor_dir () =
              fl (sum_stat (fun s -> s.Sim.Kernel.stat_waves_skipped)));
             ("sim.kernel.cones_skipped",
              fl (sum_stat (fun s -> s.Sim.Kernel.stat_cones_skipped)));
+            ("sim.kernel.evals",
+             fl (sum_stat (fun s -> s.Sim.Kernel.stat_evals)));
             ("sim.toggles_total", fl total);
             ("sim.toggles_checksum", fl checksum) ]
         ~headline:

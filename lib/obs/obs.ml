@@ -18,7 +18,7 @@ type event =
   | End of { name : string; ts : float }
   | Count of { name : string; ts : float; incr : int }
   | Gauge of { name : string; ts : float; value : float }
-  | Hist of { name : string; value : float; exec : bool }
+  | Hist of { name : string; value : float; n : int; exec : bool }
 
 type buffer = {
   dom : int;
@@ -70,9 +70,11 @@ let gauge name value = push (buffer ()) (Gauge { name; ts = now (); value })
 
 (* Histogram samples carry no timestamp: they aggregate into a
    distribution, never into a time series, and skipping the clock read
-   keeps sampling cheap enough for simulator inner loops. *)
-let hist ?(exec = false) name value =
-  push (buffer ()) (Hist { name; value; exec })
+   keeps sampling cheap enough for simulator inner loops.  A weighted
+   sample stands for [n] equal ones. *)
+let hist ?(exec = false) ?(n = 1) name value =
+  if n < 0 then invalid_arg (Printf.sprintf "Obs.hist: weight %d" n);
+  if n > 0 then push (buffer ()) (Hist { name; value; n; exec })
 
 let gc_span name f =
   let before = Gc.quick_stat () in
@@ -142,23 +144,27 @@ module Histogram = struct
 
   let bucket_upper i = bucket_lower (i + 1)
 
-  let rec bump i = function
-    | [] -> [(i, 1)]
-    | (j, c) :: rest when j = i -> (j, c + 1) :: rest
-    | (j, _) :: _ as l when j > i -> (i, 1) :: l
-    | b :: rest -> b :: bump i rest
+  let rec bump i n = function
+    | [] -> [(i, n)]
+    | (j, c) :: rest when j = i -> (j, c + n) :: rest
+    | (j, _) :: _ as l when j > i -> (i, n) :: l
+    | b :: rest -> b :: bump i n rest
 
-  let add t v =
-    if v > 0.0 then
-      { count = t.count + 1;
+  let add_n t v n =
+    if n < 0 then invalid_arg (Printf.sprintf "Histogram.add_n: weight %d" n)
+    else if n = 0 then t
+    else if v > 0.0 then
+      { count = t.count + n;
         underflow = t.underflow;
         max_value = Float.max t.max_value v;
-        buckets = bump (bucket_index v) t.buckets }
+        buckets = bump (bucket_index v) n t.buckets }
     else
       { t with
-        count = t.count + 1;
-        underflow = t.underflow + 1;
+        count = t.count + n;
+        underflow = t.underflow + n;
         max_value = (if v = v then Float.max t.max_value v else t.max_value) }
+
+  let add t v = add_n t v 1
 
   let merge a b =
     let rec go xs ys =
@@ -242,10 +248,11 @@ let histograms_of ~exec:want_exec () =
     (fun (_, evs) ->
       List.iter
         (function
-          | Hist { name; value; exec } when exec = want_exec ->
+          | Hist { name; value; n; exec } when exec = want_exec ->
             (match Hashtbl.find_opt acc name with
-             | Some r -> r := Histogram.add !r value
-             | None -> Hashtbl.add acc name (ref (Histogram.add Histogram.empty value)))
+             | Some r -> r := Histogram.add_n !r value n
+             | None ->
+               Hashtbl.add acc name (ref (Histogram.add_n Histogram.empty value n)))
           | Hist _ | Begin _ | End _ | Count _ | Gauge _ -> ())
         evs)
     (events ());

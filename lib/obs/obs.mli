@@ -33,16 +33,16 @@
     properly within one domain because [span] is structured); [Count]
     carries a counter increment; [Gauge] a sampled value; [Hist] one
     histogram sample ([exec] marks execution-shaped distributions, see
-    {!hist}).  Timestamps are [Unix.gettimeofday] seconds; histogram
-    samples carry none — they aggregate into distributions, never into
-    time series, and skipping the clock read keeps them cheap enough
-    for simulator inner loops. *)
+    {!hist}; [n] is its weight).  Timestamps are [Unix.gettimeofday]
+    seconds; histogram samples carry none — they aggregate into
+    distributions, never into time series, and skipping the clock read
+    keeps them cheap enough for simulator inner loops. *)
 type event =
   | Begin of { name : string; ts : float }
   | End of { name : string; ts : float }
   | Count of { name : string; ts : float; incr : int }
   | Gauge of { name : string; ts : float; value : float }
-  | Hist of { name : string; value : float; exec : bool }
+  | Hist of { name : string; value : float; n : int; exec : bool }
 
 (** [span name f] runs [f ()] bracketed by [Begin]/[End] events on the
     calling domain's buffer.  The [End] event is recorded even when [f]
@@ -62,7 +62,10 @@ val count : string -> int -> unit
 val gauge : string -> float -> unit
 
 (** [hist name v] records one sample into the log-bucketed histogram
-    [name].  Bucket counts sum across domains, so the merged histogram
+    [name].  [~n] (default 1) weights it: one event standing for [n]
+    samples of [v], equal to [n] calls in every readout.  A weight of 0
+    records nothing; a negative one raises [Invalid_argument].  Bucket
+    counts sum across domains, so the merged histogram
     — and every readout derived from it — is byte-identical for any
     [THREEPHASE_JOBS], {e provided the recorded values themselves are
     deterministic}.  For values that are shaped by the execution
@@ -70,7 +73,7 @@ val gauge : string -> float -> unit
     channel read by {!exec_histograms}, excluded from {!histograms}
     and from the determinism contract — the same split as counters
     (deterministic) versus wall/gauges (noisy) in run records. *)
-val hist : ?exec:bool -> string -> float -> unit
+val hist : ?exec:bool -> ?n:int -> string -> float -> unit
 
 (** Deterministically mergeable log-bucketed histogram.  Buckets are
     quarter-octaves addressed through [Float.frexp]: bucket [4*o + s]
@@ -88,6 +91,12 @@ module Histogram : sig
 
   (** Add one sample; pure (returns a new histogram). *)
   val add : t -> float -> t
+
+  (** [add_n t v n] adds [n] samples of [v] at once: equal to [n]
+      applications of {!add} in every readout (count, underflow,
+      buckets, max, percentiles).  [n = 0] returns [t]; a negative [n]
+      raises [Invalid_argument]. *)
+  val add_n : t -> float -> int -> t
 
   (** Commutative, associative bucket-count merge. *)
   val merge : t -> t -> t

@@ -204,7 +204,8 @@ let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
       ("kernel.units", f kstats.Sim.Kernel.units);
       ("kernel.fused_ops", f kstats.Sim.Kernel.fused_ops);
       ("kernel.waves_skipped", f kstats.Sim.Kernel.stat_waves_skipped);
-      ("kernel.cones_skipped", f kstats.Sim.Kernel.stat_cones_skipped) ]
+      ("kernel.cones_skipped", f kstats.Sim.Kernel.stat_cones_skipped);
+      ("kernel.evals", f kstats.Sim.Kernel.stat_evals) ]
   in
   let wall =
     List.map

@@ -123,9 +123,13 @@ type t = {
   u_mem : int array;
   u_level : int array;        (* root level — worklist bucket of the unit *)
   n_fused : int;              (* instances absorbed as non-root members *)
-  (* graph: CSR fanout net -> sink units (duplicates preserved) *)
+  (* graph: CSR fanout net -> sink units (duplicates preserved), less
+     the entries the wake rules drop; [fo_en] holds each entry's wake
+     test: [-1] wakes always, anything else is a latch enable to test
+     (see [transparent]) *)
   fo_off : int array;
   fo : int array;
+  fo_en : int array;
   (* level-ordered worklist over units (same discipline as
      Engine.settle), buckets as growable int FIFOs — no per-wake
      allocation *)
@@ -144,6 +148,9 @@ type t = {
   ev_post : clock_event list;
   net_dirty : bool array;
   mutable dirty : int list;
+  (* registers whose state changed at the current event, ascending *)
+  changed : int array;
+  mutable n_changed : int;
   (* non-clock primary inputs, in the design's order, and by name *)
   input_nets : (string * int) list;
   input_index : (string, int) Hashtbl.t;
@@ -151,6 +158,10 @@ type t = {
   (* activity-gating effectiveness *)
   mutable waves_skipped : int;
   mutable cones_skipped : int;
+  mutable evals : int;        (* units the settle loop evaluated *)
+  (* settle waves by size since the last flush to Obs: entry [k] counts
+     the waves of [k] units *)
+  wave_sizes : int array;
 }
 
 type stats = {
@@ -158,6 +169,7 @@ type stats = {
   fused_ops : int;
   stat_waves_skipped : int;
   stat_cones_skipped : int;
+  stat_evals : int;
 }
 
 (* --- Compilation ----------------------------------------------------- *)
@@ -354,9 +366,18 @@ let pop t =
   t.queued <- t.queued - 1;
   u
 
+(* A latch wake test [g] names the latch's enable net [g lsr 1], with
+   bit 0 set when the latch is transparent low.  It passes when the
+   enable is transparent on some lane, by [latch_update]'s own test. *)
+let transparent t g =
+  let en = g lsr 1 in
+  if g land 1 = 0 then t.v.(en) <> 0
+  else t.mask land lnot (t.v.(en) lor t.x.(en)) <> 0
+
 let wake_net_readers t n =
   for k = t.fo_off.(n) to t.fo_off.(n + 1) - 1 do
-    wake t t.fo.(k)
+    let g = t.fo_en.(k) in
+    if g < 0 || transparent t g then wake t t.fo.(k)
   done
 
 (* --- Event dirty set -------------------------------------------------- *)
@@ -385,10 +406,7 @@ let commit t n nv nx mode =
     end;
     t.v.(n) <- nv;
     t.x.(n) <- nx;
-    if mode = cm_wake then
-      for k = t.fo_off.(n) to t.fo_off.(n + 1) - 1 do
-        wake t t.fo.(k)
-      done
+    if mode = cm_wake then wake_net_readers t n
     else if mode = cm_clock then mark_dirty t n
   end
 
@@ -631,9 +649,9 @@ let settle t =
   else begin
     let budget = 64 * (Design.num_insts t.design + 16) in
     let steps = ref 0 in
-    (* one wave-size histogram sample per cursor arrival at a bucket:
-       comb buckets receive wakes only from strictly lower levels, so
-       their occupancy is final when the cursor reaches them *)
+    (* one wave-size count per cursor arrival at a bucket: comb buckets
+       receive wakes only from strictly lower levels, so their occupancy
+       is final when the cursor reaches them *)
     let c_prev = ref (-1) in
     while t.queued > 0 do
       while t.bq_head.(t.cursor) = t.bq_tail.(t.cursor) do
@@ -642,8 +660,8 @@ let settle t =
       let c = t.cursor in
       if c <> !c_prev then begin
         c_prev := c;
-        Obs.hist "sim.kernel.wave.units"
-          (float_of_int (t.bq_tail.(c) - t.bq_head.(c)))
+        let size = t.bq_tail.(c) - t.bq_head.(c) in
+        t.wave_sizes.(size) <- t.wave_sizes.(size) + 1
       end;
       incr steps;
       let u = pop t in
@@ -653,8 +671,20 @@ let settle t =
         raise (Oscillation
                  (Printf.sprintf "design %s failed to settle"
                     t.design.Design.design_name))
-    done
+    done;
+    t.evals <- t.evals + !steps
   end
+
+(* one weighted histogram sample per wave size counted since the last
+   flush *)
+let flush_wave_sizes t =
+  Array.iteri
+    (fun size n ->
+      if n > 0 then begin
+        Obs.hist ~n "sim.kernel.wave.units" (float_of_int size);
+        t.wave_sizes.(size) <- 0
+      end)
+    t.wave_sizes
 
 (* --- Clock events ----------------------------------------------------- *)
 
@@ -704,15 +734,22 @@ let apply_clock_event t ev =
   propagate_clock_network t ~gated:t.gating
     (if t.gating then ev.ev_insts else t.clock_insts);
   (* 3. simultaneous FF captures + latch transparency transitions, only
-     where the clock pin actually moved *)
+     where the clock pin actually moved; record, in ascending order, the
+     elements whose state changed *)
   let updated = ref 0 in
+  t.n_changed <- 0;
   Array.iter
     (fun i ->
       let cn = t.ins.(t.ins_off.(i)) in
       if (not t.gating) || t.net_dirty.(cn) then begin
         incr updated;
+        let sv = t.st_v.(i) and sx = t.st_x.(i) in
         let op = t.opcode.(i) in
-        if op = op_ff then ff_update t i else latch_update t i op
+        if op = op_ff then ff_update t i else latch_update t i op;
+        if t.st_v.(i) <> sv || t.st_x.(i) <> sx then begin
+          t.changed.(t.n_changed) <- i;
+          t.n_changed <- t.n_changed + 1
+        end
       end)
     (if t.gating then ev.ev_seq else t.seq_insts);
   t.cones_skipped <-
@@ -721,17 +758,18 @@ let apply_clock_event t ev =
      wake the readers of every clock net that changed in steps 1-2.
      Descending instance order matches the engine's release order (it
      conses pending captures during an ascending scan), keeping worklist
-     order — and so glitch toggle counts — identical.  When no element
-     updated, every release is a no-op: outputs already match state.
-     Releasing only the planned cone is equally exact: an element
-     outside it cannot have captured this event, so its output already
-     matches its state. *)
-  if !updated > 0 then begin
-    let rel = if t.gating then ev.ev_seq else t.seq_insts in
-    for k = Array.length rel - 1 downto 0 do
-      release_seq t rel.(k) cm_wake
+     order — and so glitch toggle counts — identical.  A register's
+     output equals its state after its last evaluation, so releasing an
+     element whose state did not change is a no-op; with gating on only
+     the changed ones are released, in the same relative order. *)
+  if t.gating then
+    for k = t.n_changed - 1 downto 0 do
+      release_seq t t.changed.(k) cm_wake
     done
-  end;
+  else if !updated > 0 then
+    for k = Array.length t.seq_insts - 1 downto 0 do
+      release_seq t t.seq_insts.(k) cm_wake
+    done;
   Array.iter
     (fun (net, _) ->
       if (not t.gating) || t.net_dirty.(net) then wake_net_readers t net)
@@ -760,7 +798,8 @@ let stats t =
   { units = t.n_units;
     fused_ops = t.n_fused;
     stat_waves_skipped = t.waves_skipped;
-    stat_cones_skipped = t.cones_skipped }
+    stat_cones_skipped = t.cones_skipped;
+    stat_evals = t.evals }
 
 let net_value t ~lane n =
   if lane < 0 || lane >= t.lanes then invalid_arg "Kernel.net_value: bad lane";
@@ -806,18 +845,23 @@ let run_cycle_broadcast t inputs =
       inputs
   in
   run_cycle t (fun () ->
-      List.iter (fun (n, v, x) -> commit t n v x cm_wake) planes)
+      List.iter (fun (n, v, x) -> commit t n v x cm_wake) planes);
+  flush_wave_sizes t
 
 let sum_toggles t = Array.fold_left ( + ) 0 t.toggles
 
 (* one batch of Obs metrics per stream run — cheap enough to stay on
    unconditionally, coarse enough not to show up in profiles *)
-let observe_run t ~cycles_run ~toggles_before ~waves_before ~cones_before =
+let observe_run t ~cycles_run ~toggles_before (before : stats) =
   Obs.count "sim.kernel.cycles" cycles_run;
   Obs.count "sim.kernel.lane_cycles" (cycles_run * t.lanes);
   Obs.count "sim.kernel.toggles" (sum_toggles t - toggles_before);
-  Obs.count "sim.kernel.waves_skipped" (t.waves_skipped - waves_before);
-  Obs.count "sim.kernel.cones_skipped" (t.cones_skipped - cones_before)
+  Obs.count "sim.kernel.waves_skipped"
+    (t.waves_skipped - before.stat_waves_skipped);
+  Obs.count "sim.kernel.cones_skipped"
+    (t.cones_skipped - before.stat_cones_skipped);
+  Obs.count "sim.kernel.evals" (t.evals - before.stat_evals);
+  flush_wave_sizes t
 
 (* The one loop that drives lanes apart: the draw's input names resolve
    to nets once, then each cycle commits each input's word as it is —
@@ -832,8 +876,7 @@ let run_sampled t (p : Stimulus.packed) sampled =
   let nets = Array.map (input_net t ~caller:"Kernel.run") p.inputs in
   let n = Array.length nets and m = Array.length sampled in
   let sv = Array.make (p.cycles * m) 0 and sx = Array.make (p.cycles * m) 0 in
-  let toggles_before = sum_toggles t in
-  let waves_before = t.waves_skipped and cones_before = t.cones_skipped in
+  let toggles_before = sum_toggles t and before = stats t in
   Obs.span "sim.kernel.run" (fun () ->
       for c = 0 to p.cycles - 1 do
         let base = c * n in
@@ -847,8 +890,7 @@ let run_sampled t (p : Stimulus.packed) sampled =
           sx.(at + j) <- t.x.(sampled.(j))
         done
       done);
-  observe_run t ~cycles_run:p.cycles ~toggles_before ~waves_before
-    ~cones_before;
+  observe_run t ~cycles_run:p.cycles ~toggles_before before;
   (sv, sx)
 
 let run t p = ignore (run_sampled t p [||] : int array * int array)
@@ -965,19 +1007,75 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     u_level.(u) <- levels.(u_mem.(u_off.(u + 1) - 1))
   done;
   let n_fused = n_insts - n_units in
+  (* --- wake rules (on with [gating]).  Event-only nets change only at
+     a clock event's steps 1-2: the design's clock ports (a run commits
+     only non-clock inputs), the output of a clock-network buffer or
+     inverter whose input is event-only, and the GCK of a standard ICG
+     whose CK is event-only (its enable latch loads only on lanes where
+     CK is a known 0, where GCK is 0 before and after the load).
+     [clock_insts] is in BFS order, so each input is classified before
+     its reader.  A reader whose evaluation during a settle provably
+     writes nothing is woken less:
+     - a flip-flop without reset clocked by an event-only net never
+       (step 3 syncs its previous clock at every event that moves CK, so
+       a settle shows it no edge);
+     - a latch without reset enabled by an event-only net only while
+       that enable is transparent on some lane (the enable holds through
+       a settle, so the test at wake time is the test at evaluation);
+     - a clock-network buffer or inverter on an event-only net never
+       (step 2 evaluated it already).
+     A dropped wake's pins all share its fate through the settle, so no
+     later wake re-queues the element at another worklist position:
+     every evaluation that writes keeps its place.  Elements with a
+     reset pin keep every wake. *)
+  let event_only = Array.make (max 1 n_nets) false in
+  if gating then begin
+    List.iter
+      (fun p ->
+        match Design.find_input design p with
+        | Some n -> event_only.(n) <- true
+        | None -> ())
+      design.Design.clock_ports;
+    Array.iter
+      (fun i ->
+        let c = compiled.(i) in
+        if (c.c_op = op_buf || c.c_op = op_inv || c.c_op = op_icg_std)
+           && event_only.(List.hd c.c_ins)
+        then event_only.(c.c_out) <- true)
+      clock_insts
+  end;
+  (* per instance: [-2] never woken, [-1] always, else a latch's enable
+     test for [transparent] *)
+  let wake_rule i =
+    let c = compiled.(i) in
+    match c.c_ins with
+    | [ck; _] when c.c_op = op_ff && event_only.(ck) -> -2
+    | [en; _] when c.c_op = op_latch_h && event_only.(en) -> 2 * en
+    | [en; _] when c.c_op = op_latch_l && event_only.(en) -> (2 * en) + 1
+    | [a] when (c.c_op = op_buf || c.c_op = op_inv) && in_clock.(i)
+               && event_only.(a) -> -2
+    | _ -> -1
+  in
+  let rule = Array.init n_insts wake_rule in
   (* CSR fanout, net -> sink units (duplicates preserved, like Engine's
      fanout_insts; wake's in_queue check dedups) *)
+  let kept = List.filter (fun (i, _) -> rule.(i) <> -2) in
   let fo_off = Array.make (n_nets + 1) 0 in
   Array.iteri
-    (fun n sinks -> fo_off.(n + 1) <- List.length sinks)
+    (fun n sinks -> fo_off.(n + 1) <- List.length (kept sinks))
     design.Design.net_sinks;
   for n = 1 to n_nets do
     fo_off.(n) <- fo_off.(n) + fo_off.(n - 1)
   done;
   let fo = Array.make (max 1 fo_off.(n_nets)) 0 in
+  let fo_en = Array.make (max 1 fo_off.(n_nets)) (-1) in
   Array.iteri
     (fun n sinks ->
-      List.iteri (fun k (i, _) -> fo.(fo_off.(n) + k) <- unit_of.(i)) sinks)
+      List.iteri
+        (fun k (i, _) ->
+          fo.(fo_off.(n) + k) <- unit_of.(i);
+          fo_en.(fo_off.(n) + k) <- rule.(i))
+        (kept sinks))
     design.Design.net_sinks;
   let input_nets =
     List.filter_map
@@ -1080,6 +1178,7 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     n_fused;
     fo_off;
     fo;
+    fo_en;
     bq_data = Array.init lv.Levelize.n_buckets (fun _ -> Array.make 8 0);
     bq_head = Array.make lv.Levelize.n_buckets 0;
     bq_tail = Array.make lv.Levelize.n_buckets 0;
@@ -1093,11 +1192,15 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     ev_post;
     net_dirty = Array.make n_nets false;
     dirty = [];
+    changed = Array.make (max 1 (Array.length seq_insts)) 0;
+    n_changed = 0;
     input_nets;
     input_index;
     cycle_count = 0;
     waves_skipped = 0;
     cones_skipped = 0;
+    evals = 0;
+    wave_sizes = Array.make (n_units + 1) 0;
   } in
   let set_planes n nv nx =
     t.v.(n) <- nv;
@@ -1159,8 +1262,10 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
   done;
   settle t;
   clear_dirty t;
+  flush_wave_sizes t;
   t.waves_skipped <- 0;
   t.cones_skipped <- 0;
+  t.evals <- 0;
   Obs.gauge "sim.kernel.lanes" (float_of_int max_lanes);
   Obs.gauge "sim.kernel.instances" (float_of_int n_insts);
   Obs.gauge "sim.kernel.units" (float_of_int n_units);

@@ -22,7 +22,7 @@
     [popcount ((prev lxor next) land known)]; lane 0 keeps a separate
     scalar counter so it can be cross-checked against the engine.
 
-    Three compile-time/runtime optimisations keep the kernel faster than
+    Four compile-time/runtime optimisations keep the kernel faster than
     the scalar engine per full cycle, not just per lane-cycle:
 
     - {b gate fusion}: maximal single-fanout trees of combinational
@@ -37,13 +37,37 @@
     - {b packed stimulus}: a {!Stimulus.draw} already holds one word
       per cycle and input with every lane's value, so a cycle commits
       each input's word as it is, with the input names resolved to
-      nets once per run.
+      nets once per run;
+    - {b wake rules}: a register is not woken for a pin change it
+      cannot react to.  An event-only net changes only at a clock
+      event: a design clock port, the output of a clock buffer or
+      inverter on an event-only net, or the GCK of a standard ICG
+      whose CK is event-only (its enable loads only where CK is a known
+      0, where GCK is 0 either way).  A flip-flop without reset clocked
+      by one is never woken by its D or CK: the event that moved CK
+      synced its previous clock, so a settle shows it no edge.  A latch
+      without reset enabled by one is woken by its D or EN only while
+      EN is transparent on some lane, and EN holds through the settle.
+      A clock buffer or inverter on an event-only net is not woken
+      again after the event evaluated it.  At a clock event only the
+      registers whose state changed are released.  Each dropped
+      evaluation or release would have written nothing, and a dropped
+      register cannot be woken through another pin later in the same
+      settle, so no evaluation that writes moves in the worklist:
+      outputs, glitches and toggle counts are those of every wake.
+      Registers with a reset pin keep every wake, since a reset
+      asserted later in a settle would re-queue them at another
+      position.
 
-    Lanes are fully independent: with identical stimulus, lane 0 is
-    bit-exact against {!Engine} — same outputs and same per-net toggle
-    counts — because both simulators share {!Levelize} and drain their
-    worklists in the same level order, and every skip above is provably
-    idempotent. *)
+    Lane values are fully independent: with identical stimulus, lane 0
+    is bit-exact against {!Engine} — same outputs and same per-net
+    toggle counts — because both simulators share {!Levelize} and drain
+    their worklists in the same level order, and every skip above is
+    provably idempotent.  The lanes share one worklist, though: where a
+    glitch depends on the order in which registers re-evaluate within
+    one settle, a register woken for another lane's change can move it,
+    so with different stimulus on other lanes only lane 0's values stay
+    the engine's on every design. *)
 
 exception Oscillation of string
 
@@ -58,7 +82,11 @@ val max_lanes : int
     the engine: [`Zero] resets all state and inputs to 0, [`X] starts
     everything unknown.  [fuse] and [gating] disable gate fusion and
     clock-event activity gating; both exist for differential testing
-    and default to on.  Records a [sim.kernel.create] span. *)
+    and default to on.  [gating] also switches the wake rules and the
+    release of changed registers only, so [~gating:false] evaluates
+    every wake and releases every register.  Records a
+    [sim.kernel.create] span and the sizes of its settle waves in the
+    [sim.kernel.wave.units] histogram. *)
 val create :
   ?init:[ `Zero | `X ] ->
   ?fuse:bool ->
@@ -69,9 +97,10 @@ val create :
 
 (** Simulate one full clock period with the same inputs driven on every
     lane.  Inputs change right after the first rising clock event, as in
-    {!Engine.run_cycle}, and are applied in list order.  Raises
-    [Invalid_argument] for an unknown input and {!Oscillation} if the
-    design does not settle. *)
+    {!Engine.run_cycle}, and are applied in list order.  The cycle's
+    settle-wave sizes go to the [sim.kernel.wave.units] histogram at its
+    end.  Raises [Invalid_argument] for an unknown input and
+    {!Oscillation} if the design does not settle. *)
 val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
 
 (** [run t p] drives one lane of [p] per kernel lane, one cycle per
@@ -81,7 +110,11 @@ val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
     order).  Inputs [p] does not list keep their values.  Records a
     [sim.kernel.run] span and the [sim.kernel.*] run counters.  Raises
     [Invalid_argument] unless [p] has {!max_lanes} lanes, or when it
-    names an input the design does not have. *)
+    names an input the design does not have.  The counters are
+    [sim.kernel.cycles], [lane_cycles], [toggles], [waves_skipped],
+    [cones_skipped] and [evals]; the run's settle-wave sizes go to the
+    [sim.kernel.wave.units] histogram at its end, one weighted sample
+    per size. *)
 val run : t -> Stimulus.packed -> unit
 
 (** [run_sampled t p nets] runs exactly as [run t p] does and also
@@ -118,14 +151,16 @@ val toggles_lane0 : t -> int array
 
 (** Compile-time and runtime effectiveness counters: execution units
     after fusion, instances absorbed as fused members, settle waves that
-    had nothing to evaluate, and sequential cones skipped at clock
-    events because their clock net did not move (equivalently: did not
-    capture). *)
+    had nothing to evaluate (the wake rules empty some), sequential
+    cones skipped at clock events because their clock net did not move
+    (equivalently: did not capture), and units the settle loop
+    evaluated.  The runtime ones count from the end of {!create}. *)
 type stats = {
   units : int;
   fused_ops : int;
   stat_waves_skipped : int;
   stat_cones_skipped : int;
+  stat_evals : int;
 }
 
 val stats : t -> stats

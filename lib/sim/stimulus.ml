@@ -64,6 +64,8 @@ let draw ~seeds ~cycles shape inputs =
   let lanes = Array.length seeds in
   if lanes > max_lanes then
     invalid_arg (Printf.sprintf "Stimulus.draw: %d seeds, at most %d" lanes max_lanes);
+  if cycles < 0 then
+    invalid_arg (Printf.sprintf "Stimulus.draw: %d cycles, at least 0" cycles);
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
   (* toggle thresholds of a burst cycle and of an idle one *)

@@ -45,7 +45,8 @@ val max_lanes : int
     generator seeded by [seeds.(l)], in [inputs] order.  Deterministic in
     the seeds.  Records a [sim.stimulus.build] span and adds
     [cycles * List.length inputs] to the [sim.stimulus.words] counter.
-    Raises [Invalid_argument] for more than {!max_lanes} seeds. *)
+    Raises [Invalid_argument] for more than {!max_lanes} seeds or a
+    negative [cycles]; [cycles = 0] gives an empty draw. *)
 val draw : seeds:int array -> cycles:int -> shape -> string list -> packed
 
 (** [lane p l] is lane [l] of [p] as a list stream: every input of

@@ -70,46 +70,81 @@ let prop_kernel_matches_engine =
       cross_check d ~clocks stim;
       true)
 
-(* fusion and activity gating are pure optimisations: switching either
-   off must not change a single output or toggle count on any lane *)
+(* the nets an exactness check samples every cycle: the primary outputs
+   and every register output *)
+let observed d =
+  let regs =
+    List.filter_map
+      (fun i ->
+        if Cell_lib.Cell.is_sequential (Netlist.Design.cell d i) then
+          Netlist.Design.pin_net_opt d i "Q"
+        else None)
+      (Netlist.Design.insts d)
+  in
+  Array.of_list (List.map snd d.Netlist.Design.primary_outputs @ regs)
+
+let count_icgs d style =
+  List.length
+    (List.filter
+       (fun i ->
+         match (Netlist.Design.cell d i).Cell_lib.Cell.kind with
+         | Cell_lib.Cell.Clock_gate { style = s; _ } -> s = style
+         | _ -> false)
+       (Netlist.Design.insts d))
+
+(* fusion, activity gating and the wake rules (on with gating) are pure
+   optimisations: switching either off must not change a sampled value
+   or a toggle count on any lane.  Each seed checks a flip-flop design
+   with standard ICGs, its 3-phase conversion and the flow's
+   clock-gated result, which adds M1 and M2 ICGs, on 63 lanes of one
+   draw *)
 let prop_fusion_gating_equivalence =
   QCheck.Test.make ~name:"fusion/gating on-off equivalence" ~count:10
     QCheck.(int_range 0 1000)
     (fun seed ->
       let d = Circuits.Generator.synthesize (gen_spec seed) in
-      let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
-      let stim =
-        Sim.Stimulus.random ~seed:(seed + 2) ~cycles:20 ~toggle_probability:0.4
-          (Sim.Stimulus.inputs_of d)
+      let config =
+        { (Phase3.Flow.default_config ~period:1.0) with
+          Phase3.Flow.verify_equivalence = false;
+          activity_cycles = 64;
+          lint = false }
       in
-      let reference = Sim.Kernel.create d ~clocks in
-      let variants =
-        [ ("fuse-off", Sim.Kernel.create ~fuse:false d ~clocks);
-          ("gating-off", Sim.Kernel.create ~gating:false d ~clocks);
-          ("both-off", Sim.Kernel.create ~fuse:false ~gating:false d ~clocks) ]
+      let flow = Phase3.Flow.run ~config d in
+      let three_phase = Phase3.Flow.clocks_of config in
+      let designs =
+        [ ("ff", d, Phase3.Flow.reference_clocks d ~period:1.0);
+          ("3p", flow.Phase3.Flow.converted, three_phase);
+          ("gated", flow.Phase3.Flow.final, three_phase) ]
       in
-      List.iteri
-        (fun c inputs ->
-          Sim.Kernel.run_cycle_broadcast reference inputs;
-          let expected = Sim.Kernel.output_sample reference ~lane:0 in
+      List.iter
+        (fun (style, d, clocks) ->
+          let stimulus =
+            Sim.Stimulus.draw
+              ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> (1000 * seed) + l))
+              ~cycles:20 (Sim.Stimulus.Uniform 0.4) (Sim.Stimulus.inputs_of d)
+          in
+          let nets = observed d in
+          let run k =
+            let planes = Sim.Kernel.run_sampled k stimulus nets in
+            (planes, Sim.Kernel.toggles k, Sim.Kernel.toggles_lane0 k)
+          in
+          let expected = run (Sim.Kernel.create d ~clocks) in
+          let variants =
+            [ ("fuse-off", Sim.Kernel.create ~fuse:false d ~clocks);
+              ("gating-off", Sim.Kernel.create ~gating:false d ~clocks);
+              ("both-off", Sim.Kernel.create ~fuse:false ~gating:false d ~clocks) ]
+          in
           List.iter
             (fun (label, k) ->
-              Sim.Kernel.run_cycle_broadcast k inputs;
-              if Sim.Kernel.output_sample k ~lane:0 <> expected then
-                Alcotest.failf "%s cycle %d outputs diverge" label c)
-            variants)
-        stim;
-      List.iter
-        (fun (label, k) ->
-          if Sim.Kernel.toggles k <> Sim.Kernel.toggles reference
-             || Sim.Kernel.toggles_lane0 k
-                <> Sim.Kernel.toggles_lane0 reference then
-            Alcotest.failf "%s toggle counts diverge" label)
-        variants;
-      let off_stats = Sim.Kernel.stats (List.assoc "fuse-off" variants) in
-      if off_stats.Sim.Kernel.fused_ops <> 0 then
-        Alcotest.failf "fuse-off kernel reports %d fused ops"
-          off_stats.Sim.Kernel.fused_ops;
+              if run k <> expected then
+                Alcotest.failf "seed %d %s/%s: samples or toggles diverge" seed
+                  style label)
+            variants;
+          let off_stats = Sim.Kernel.stats (List.assoc "fuse-off" variants) in
+          if off_stats.Sim.Kernel.fused_ops <> 0 then
+            Alcotest.failf "fuse-off kernel reports %d fused ops"
+              off_stats.Sim.Kernel.fused_ops)
+        designs;
       true)
 
 (* different stimulus on every lane: each lane reproduces its dedicated
@@ -220,6 +255,251 @@ let prop_packed_run_matches_engine =
               (Netlist.Design.net_name d n) total (Sim.Kernel.toggles kernel).(n))
         summed;
       Sim.Kernel.cycles kernel = cycles)
+
+(* --- The wake rules, one hand-built design per exactness argument.
+
+   Each design runs 63 lanes of one draw.  Every lane's outputs and
+   register outputs, after every cycle, are its own engine run's; with
+   that lane's stream on every lane, a kernel counts the engine's
+   toggles; and the 63-lane run counts the same toggles on every lane
+   as with every wake ([~gating:false]).  Lanes share one worklist, so
+   on a design whose glitches depend on the order of register
+   evaluations a lane's toggle count can depend on what the other lanes
+   wake: only a run with every lane alike is held to the engine's
+   count. *)
+
+let three_phase_clocks =
+  Sim.Clock_spec.three_phase ~period:1.0 ~p1:"p1" ~p2:"p2" ~p3:"p3" ()
+
+let single_clock = Sim.Clock_spec.single ~period:1.0 ~port:"clk"
+
+let against_engine label ~clocks build =
+  let b = B.create ~name:label ~library:lib in
+  build b;
+  let d = B.freeze b in
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 700 + l))
+      ~cycles:24 (Sim.Stimulus.Uniform 0.5) (Sim.Stimulus.inputs_of d)
+  in
+  let nets = observed d in
+  let run k =
+    (Sim.Kernel.run_sampled k stimulus nets, Sim.Kernel.toggles k,
+     Sim.Kernel.toggles_lane0 k)
+  in
+  let ((sv, sx), _, _) as ruled = run (Sim.Kernel.create d ~clocks) in
+  if run (Sim.Kernel.create ~gating:false d ~clocks) <> ruled then
+    Alcotest.failf "%s: the wake rules change samples or toggles" label;
+  let m = Array.length nets in
+  for l = 0 to Sim.Kernel.max_lanes - 1 do
+    let engine = Sim.Engine.create d ~clocks in
+    let alone = Sim.Kernel.create d ~clocks in
+    List.iteri
+      (fun c inputs ->
+        ignore (Sim.Engine.run_cycle engine inputs);
+        Sim.Kernel.run_cycle_broadcast alone inputs;
+        Array.iteri
+          (fun j n ->
+            let bit w = (w lsr l) land 1 = 1 in
+            let sampled =
+              if bit sx.((c * m) + j) then Sim.Logic.LX
+              else Sim.Logic.of_bool (bit sv.((c * m) + j))
+            in
+            if sampled <> Sim.Engine.net_value engine n then
+              Alcotest.failf "%s lane %d cycle %d net %s: kernel %c, engine %c"
+                label l c (Netlist.Design.net_name d n)
+                (Sim.Logic.to_char sampled)
+                (Sim.Logic.to_char (Sim.Engine.net_value engine n)))
+          nets)
+      (Sim.Stimulus.lane stimulus l);
+    if Sim.Kernel.toggles_lane0 alone <> Sim.Engine.toggles engine then
+      Alcotest.failf "%s lane %d: toggles differ from the engine's" label l
+  done
+
+let phase_ports b =
+  (B.add_input ~clock:true b "p1", B.add_input ~clock:true b "p2",
+   B.add_input ~clock:true b "p3")
+
+let cell b name kind pins = ignore (B.add_cell b name kind pins)
+
+(* inputs change while p1 is open: a's edge races through two p1
+   latches and the logic between them in one settle, and latches on p2
+   (active low too) and p3 see their D move while closed *)
+let test_race_through () =
+  against_engine "race" ~clocks:three_phase_clocks (fun b ->
+      let p1, p2, p3 = phase_ports b in
+      let a = B.add_input b "a" and c = B.add_input b "c" in
+      let q1 = B.fresh_net b "q1" and n = B.fresh_net b "n" in
+      let q2 = B.fresh_net b "q2" and q3 = B.fresh_net b "q3" in
+      let q4 = B.fresh_net b "q4" in
+      cell b "l1" "LATH_X1" [("E", p1); ("D", a); ("Q", q1)];
+      cell b "x" "XOR2_X1" [("A1", q1); ("A2", c); ("Z", n)];
+      cell b "l2" "LATH_X1" [("E", p1); ("D", n); ("Q", q2)];
+      cell b "l3" "LATL_X1" [("E", p2); ("D", q2); ("Q", q3)];
+      cell b "l4" "LATH_X1" [("E", p3); ("D", n); ("Q", q4)];
+      B.add_output b "y2" q2;
+      B.add_output b "y3" q3;
+      B.add_output b "y4" q4)
+
+(* a reset latch keeps every wake: RN and D move in the same settle *)
+let test_latch_reset_and_data () =
+  against_engine "latch-reset" ~clocks:three_phase_clocks (fun b ->
+      let p1, p2, _ = phase_ports b in
+      let a = B.add_input b "a" and c = B.add_input b "c" in
+      let rn = B.fresh_net b "rn" and dn = B.fresh_net b "dn" in
+      let q = B.fresh_net b "q" and q2 = B.fresh_net b "q2" in
+      cell b "g" "NAND2_X1" [("A1", a); ("A2", c); ("ZN", rn)];
+      cell b "h" "XOR2_X1" [("A1", a); ("A2", c); ("Z", dn)];
+      cell b "l" "LATHR_X1" [("E", p2); ("D", dn); ("RN", rn); ("Q", q)];
+      cell b "m" "LATH_X1" [("E", p1); ("D", q); ("Q", q2)];
+      B.add_output b "y" q;
+      B.add_output b "y2" q2)
+
+(* a reset flip-flop keeps every wake: RN and D move in the same settle.
+   Behind a standard ICG that is off on some lanes, its clock does not
+   move again that cycle, so only the settle's wake applies the reset *)
+let test_ff_reset_and_data () =
+  against_engine "ff-reset" ~clocks:single_clock (fun b ->
+      let clk = B.add_input ~clock:true b "clk" in
+      let a = B.add_input b "a" and c = B.add_input b "c" in
+      let e = B.add_input b "e" in
+      let rn = B.fresh_net b "rn" and dn = B.fresh_net b "dn" in
+      let gck = B.fresh_net b "gck" in
+      let q = B.fresh_net b "q" and q2 = B.fresh_net b "q2" in
+      cell b "g" "OR2_X1" [("A1", a); ("A2", c); ("Z", rn)];
+      cell b "h" "XNOR2_X1" [("A1", a); ("A2", c); ("ZN", dn)];
+      cell b "cg" "ICG_X1" [("CK", clk); ("EN", e); ("GCK", gck)];
+      cell b "r" "DFFR_X1" [("CK", gck); ("D", dn); ("RN", rn); ("Q", q)];
+      cell b "s" "DFF_X1" [("CK", clk); ("D", q); ("Q", q2)];
+      B.add_output b "y" q;
+      B.add_output b "y2" q2)
+
+(* a standard ICG's enable moves while CK is high (inputs change right
+   after the rising edge): GCK must not move until the next edge; flip-
+   flops also hang off a clock buffer and an inverter *)
+let test_ff_behind_standard_icg () =
+  against_engine "icg-std" ~clocks:single_clock (fun b ->
+      let clk = B.add_input ~clock:true b "clk" in
+      let a = B.add_input b "a" and e = B.add_input b "e" in
+      let gck = B.fresh_net b "gck" and cb = B.fresh_net b "cb" in
+      let nclk = B.fresh_net b "nclk" in
+      let q1 = B.fresh_net b "q1" and q2 = B.fresh_net b "q2" in
+      let q3 = B.fresh_net b "q3" in
+      cell b "cg" "ICG_X1" [("CK", clk); ("EN", e); ("GCK", gck)];
+      cell b "cbuf" "CLKBUF_X4" [("A", gck); ("Z", cb)];
+      cell b "cinv" "INV_X1" [("A", clk); ("ZN", nclk)];
+      cell b "f1" "DFF_X1" [("CK", cb); ("D", a); ("Q", q1)];
+      cell b "f2" "DFF_X1" [("CK", gck); ("D", q1); ("Q", q2)];
+      cell b "f3" "DFF_X1" [("CK", nclk); ("D", q2); ("Q", q3)];
+      B.add_output b "y1" q1;
+      B.add_output b "y2" q2;
+      B.add_output b "y3" q3)
+
+(* an M2 ICG has no enable latch: its GCK follows EN while CK is high,
+   so the registers behind it are not ruled.  Inputs commit in the order
+   a, b, e: the latch behind the ICG must take its worklist slot from
+   a's change, ahead of the p1 latch b wakes, for the AND's glitches to
+   match; the flip-flop captures GCK's rise, through a clock buffer,
+   within the settle.  An M1 ICG loads on P3 *)
+let test_latch_behind_m2_icg () =
+  against_engine "icg-m2" ~clocks:three_phase_clocks (fun b ->
+      let p1, p2, p3 = phase_ports b in
+      let a = B.add_input b "a" and bb = B.add_input b "b" in
+      let e = B.add_input b "e" in
+      let g2 = B.fresh_net b "g2" and g1 = B.fresh_net b "g1" in
+      let q1 = B.fresh_net b "q1" and q2 = B.fresh_net b "q2" in
+      let q3 = B.fresh_net b "q3" and q4 = B.fresh_net b "q4" in
+      let y = B.fresh_net b "y" and g2b = B.fresh_net b "g2b" in
+      cell b "cg2" "ICGNL_X1" [("CK", p1); ("EN", e); ("GCK", g2)];
+      cell b "cb" "CLKBUF_X4" [("A", g2); ("Z", g2b)];
+      cell b "cg1" "ICGP3_X1" [("CK", p2); ("EN", e); ("P3", p3); ("GCK", g1)];
+      cell b "l1" "LATH_X1" [("E", g2); ("D", a); ("Q", q1)];
+      cell b "l3" "LATH_X1" [("E", p1); ("D", bb); ("Q", q3)];
+      cell b "and" "AND2_X1" [("A1", q1); ("A2", q3); ("Z", y)];
+      cell b "l2" "LATH_X1" [("E", g1); ("D", q1); ("Q", q2)];
+      cell b "f" "DFF_X1" [("CK", g2b); ("D", bb); ("Q", q4)];
+      B.add_output b "y" y;
+      B.add_output b "y2" q2;
+      B.add_output b "y4" q4)
+
+(* registers that change at one event are released in descending
+   instance order, as the engine does: the p2 latches a and b capture
+   the inputs' change at p2's rise, a before b in instance order, and
+   the active-low p3 latches behind them are open then, so the release
+   order is their worklist order and decides the AND's glitches *)
+let test_release_order () =
+  against_engine "release" ~clocks:three_phase_clocks (fun b ->
+      let _, p2, p3 = phase_ports b in
+      let da = B.add_input b "da" and db = B.add_input b "db" in
+      let qa = B.fresh_net b "qa" and qb = B.fresh_net b "qb" in
+      let la = B.fresh_net b "la" and lb = B.fresh_net b "lb" in
+      let y = B.fresh_net b "y" in
+      cell b "a" "LATH_X1" [("E", p2); ("D", da); ("Q", qa)];
+      cell b "b" "LATH_X1" [("E", p2); ("D", db); ("Q", qb)];
+      cell b "la" "LATL_X1" [("E", p3); ("D", qa); ("Q", la)];
+      cell b "lb" "LATL_X1" [("E", p3); ("D", qb); ("Q", lb)];
+      cell b "and" "AND2_X1" [("A1", la); ("A2", lb); ("Z", y)];
+      B.add_output b "y" y)
+
+(* a clock derived through logic changes during a data settle, so the
+   latch it enables keeps every wake *)
+let test_latch_on_logic_clock () =
+  against_engine "logic-clock" ~clocks:three_phase_clocks (fun b ->
+      let p1, _, _ = phase_ports b in
+      let a = B.add_input b "a" and e = B.add_input b "e" in
+      let g = B.fresh_net b "g" and q = B.fresh_net b "q" in
+      let q2 = B.fresh_net b "q2" in
+      cell b "and" "AND2_X1" [("A1", p1); ("A2", e); ("Z", g)];
+      cell b "l" "LATH_X1" [("E", g); ("D", a); ("Q", q)];
+      cell b "m" "LATL_X1" [("E", g); ("D", q); ("Q", q2)];
+      B.add_output b "y" q;
+      B.add_output b "y2" q2)
+
+(* the rules fire: the converted s5378 (standard, M1 and M2 ICGs) runs
+   the same lanes with fewer unit evaluations than with every wake *)
+let test_wake_rules_fire () =
+  let bench = Option.get (Circuits.Suite.find "s5378") in
+  let original = bench.Circuits.Suite.build () in
+  let config = Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns in
+  let d = (Phase3.Flow.run ~config original).Phase3.Flow.final in
+  List.iter
+    (fun style ->
+      if count_icgs d style = 0 then Alcotest.fail "an ICG style is missing")
+    Cell_lib.Cell.[ Icg_standard; Icg_m1_p3; Icg_m2_latchless ];
+  let clocks = Phase3.Flow.clocks_of config in
+  let stimulus = Phase3.Flow.equivalence_stimulus config original in
+  let run gating =
+    let k = Sim.Kernel.create ~gating d ~clocks in
+    let planes = Sim.Kernel.run_sampled k stimulus (observed d) in
+    ((planes, Sim.Kernel.toggles k), (Sim.Kernel.stats k).Sim.Kernel.stat_evals)
+  in
+  let ruled, evals = run true and every, all_evals = run false in
+  check Alcotest.bool "same samples and toggles" true (ruled = every);
+  if evals >= all_evals then
+    Alcotest.failf "%d evaluations with the rules, %d without" evals all_evals
+
+(* the settle-wave histogram is flushed at the end of create and of
+   each run: a run's waves are readable as soon as it returns, and no
+   wave holds more units than the kernel has *)
+let test_wave_histogram_flush () =
+  let d = Circuits.Generator.synthesize (gen_spec 5) in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let waves () = List.assoc_opt "sim.kernel.wave.units" (Obs.histograms ()) in
+  Obs.reset ();
+  let k = Sim.Kernel.create d ~clocks in
+  if waves () = None then Alcotest.fail "create recorded no waves";
+  Obs.reset ();
+  Sim.Kernel.run k
+    (Sim.Stimulus.draw
+       ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 60 + l))
+       ~cycles:8 (Sim.Stimulus.Uniform 0.5) (Sim.Stimulus.inputs_of d));
+  (match waves () with
+   | None -> Alcotest.fail "run recorded no waves"
+   | Some h ->
+     if Obs.Histogram.max_value h
+        > float_of_int (Sim.Kernel.stats k).Sim.Kernel.units then
+       Alcotest.fail "a wave holds more units than the kernel");
+  Obs.reset ()
 
 (* run_streams packs its lists and runs the same loop *)
 let test_run_streams_adapter () =
@@ -359,5 +639,22 @@ let suite =
     Alcotest.test_case "suite variants lane-0 identity" `Slow test_suite_variants;
     Alcotest.test_case "wide wave shared fanout vs engine" `Quick
       test_wide_wave_shared_fanout;
+    Alcotest.test_case "wake rules: same-phase race-through" `Quick
+      test_race_through;
+    Alcotest.test_case "wake rules: latch reset and data in one settle" `Quick
+      test_latch_reset_and_data;
+    Alcotest.test_case "wake rules: ff reset and data in one settle" `Quick
+      test_ff_reset_and_data;
+    Alcotest.test_case "wake rules: ffs behind a standard ICG" `Quick
+      test_ff_behind_standard_icg;
+    Alcotest.test_case "wake rules: latches behind M2 and M1 ICGs" `Quick
+      test_latch_behind_m2_icg;
+    Alcotest.test_case "wake rules: release order" `Quick test_release_order;
+    Alcotest.test_case "wake rules: latch on a logic clock" `Quick
+      test_latch_on_logic_clock;
+    Alcotest.test_case "wake rules fire on converted s5378" `Quick
+      test_wake_rules_fire;
+    Alcotest.test_case "settle histogram flushed per run" `Quick
+      test_wave_histogram_flush;
     Alcotest.test_case "oscillation budget" `Quick test_oscillation_budget;
     Alcotest.test_case "popcount" `Quick test_popcount ]

@@ -289,6 +289,44 @@ let prop_hist_merge_commutes =
            (s (Obs.Histogram.merge (Obs.Histogram.merge a b) c))
            (s (Obs.Histogram.merge a (Obs.Histogram.merge b c))))
 
+(* a weighted sample is n plain ones in every readout (to_string holds
+   count, underflow, max, p50/p90/p99 and the buckets; mean is derived
+   from the buckets but checked too), and a weight of 0 records nothing,
+   in the histogram and in the event log *)
+let prop_hist_add_n_is_repeated_add =
+  QCheck.Test.make ~name:"hist add_n == n adds" ~count:200
+    QCheck.(triple hist_arbitrary (float_range (-5.0) 1000.0) (int_range 0 40))
+    (fun (xs, v, n) ->
+      let h = List.fold_left Obs.Histogram.add Obs.Histogram.empty xs in
+      let weighted = Obs.Histogram.add_n h v n in
+      let repeated = List.fold_left Obs.Histogram.add h (List.init n (fun _ -> v)) in
+      let s = Obs.Histogram.to_string in
+      String.equal (s weighted) (s repeated)
+      && Obs.Histogram.mean weighted = Obs.Histogram.mean repeated
+      && Obs.Histogram.percentile weighted 0.25
+         = Obs.Histogram.percentile repeated 0.25
+      && String.equal (s (Obs.Histogram.add_n h v 0)) (s h))
+
+let test_hist_weighted_events () =
+  Obs.reset ();
+  Obs.hist ~n:0 "h.w" 3.0;
+  Alcotest.check Alcotest.bool "~n:0 records no event" true (Obs.events () = []);
+  Obs.hist ~n:5 "h.w" 3.0;
+  Obs.hist "h.w" 7.0;
+  Obs.hist ~n:2 "h.w" 0.0;
+  let plain =
+    List.fold_left Obs.Histogram.add Obs.Histogram.empty
+      [3.0; 3.0; 3.0; 3.0; 3.0; 7.0; 0.0; 0.0]
+  in
+  Alcotest.check Alcotest.string "weighted = plain"
+    (Obs.Histogram.to_string plain)
+    (Obs.Histogram.to_string (List.assoc "h.w" (Obs.histograms ())));
+  Alcotest.check Alcotest.bool "negative weight refused" true
+    (match Obs.hist ~n:(-1) "h.w" 1.0 with
+     | () -> false
+     | exception Invalid_argument _ -> true);
+  Obs.reset ()
+
 let test_hist_cross_domain_merge () =
   Obs.reset ();
   let items = List.init 40 (fun i -> float_of_int (i + 1)) in
@@ -428,6 +466,8 @@ let suite =
       test_hist_percentiles;
     QCheck_alcotest.to_alcotest prop_hist_merge_is_sequential_add;
     QCheck_alcotest.to_alcotest prop_hist_merge_commutes;
+    QCheck_alcotest.to_alcotest prop_hist_add_n_is_repeated_add;
+    Alcotest.test_case "weighted hist samples" `Quick test_hist_weighted_events;
     Alcotest.test_case "histogram merge is order-independent across domains"
       `Quick test_hist_cross_domain_merge;
     Alcotest.test_case "span tree reconstructs nesting with self time" `Quick

@@ -197,6 +197,30 @@ let test_stimulus_constant () =
     (fun cycle -> check Alcotest.char "held" '1' (L.to_char (List.assoc "x" cycle)))
     s
 
+(* a negative cycle count is refused by name, with or without inputs and
+   through the runner; zero cycles is an empty draw *)
+let test_stimulus_negative_cycles () =
+  let named label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument msg ->
+      check Alcotest.string label "Stimulus.draw: -1 cycles, at least 0" msg
+  in
+  let draw inputs () =
+    Sim.Stimulus.draw ~seeds:[| 1; 2 |] ~cycles:(-1) (Sim.Stimulus.Uniform 0.5)
+      inputs
+  in
+  named "one input" (draw ["a"]);
+  named "no inputs" (draw []);
+  named "runner" (fun () ->
+      Experiments.Runner.run ~cycles:(-1)
+        (Option.get (Circuits.Suite.find "s1196")));
+  let empty =
+    Sim.Stimulus.draw ~seeds:[| 1 |] ~cycles:0 (Sim.Stimulus.Uniform 0.5) ["a"]
+  in
+  check Alcotest.int "0 cycles" 0 empty.Sim.Stimulus.cycles;
+  check Alcotest.int "no words" 0 (Array.length empty.Sim.Stimulus.words)
+
 (* the draw order pinned: each cycle one Logic.to_char per input, cycles
    joined with newlines, MD5 in hex *)
 let stream_digest (s : Sim.Stimulus.t) =
@@ -592,6 +616,8 @@ let suite =
     Alcotest.test_case "stimulus deterministic" `Quick test_stimulus_deterministic;
     Alcotest.test_case "stimulus constant" `Quick test_stimulus_constant;
     Alcotest.test_case "stimulus golden draws" `Quick test_stimulus_golden;
+    Alcotest.test_case "stimulus refuses negative cycles" `Quick
+      test_stimulus_negative_cycles;
     QCheck_alcotest.to_alcotest prop_packed_lanes_match_lists;
     Alcotest.test_case "equivalence shift" `Quick test_equivalence_shift_detection;
     Alcotest.test_case "equivalence mismatch" `Quick test_equivalence_mismatch_reported;
