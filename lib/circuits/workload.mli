@@ -17,6 +17,11 @@ and program =
 
 val name : t -> string
 
+(** The stimulus shape of a profile: [Uniform p] for
+    [Uniform_random p], a bursty shape for [Self_check], per-port rates
+    for the program profiles. *)
+val shape : t -> Sim.Stimulus.shape
+
 (** [draw t ~seeds ~cycles design] draws one lane per seed over the
     design's non-clock inputs ({!Sim.Stimulus.draw}), for
     {!Sim.Kernel.run}.  Program profiles give CPU interface ports

@@ -28,16 +28,11 @@ let now () = Unix.gettimeofday ()
    normalised per lane-cycle, keeping the power model's rates comparable
    to a scalar run. *)
 let evaluate design ~clocks ~workload ~cycles ~seed =
-  let design, hold = Sta.Hold_fix.run design ~clocks in
-  let impl = Physical.Implement.run design in
-  let kernel = Sim.Kernel.create design ~clocks in
-  let seeds = Array.init (Sim.Kernel.lanes kernel) (fun l -> seed + l) in
-  Sim.Kernel.run kernel (Circuits.Workload.draw workload ~seeds ~cycles design);
-  let activity = (Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel) in
-  let detail =
-    Power.Estimate.run impl ~activity ~period:clocks.Sim.Clock_spec.period
+  let impl, hold, detail, kstats =
+    Qor.Collect.implement_and_power design ~clocks
+      ~shape:(Circuits.Workload.shape workload) ~cycles ~seed
   in
-  (impl, hold, detail.Power.Estimate.overall, Sim.Kernel.stats kernel)
+  (impl, hold, detail.Power.Estimate.overall, kstats)
 
 let power_of design ~clocks ~workload ~cycles ~seed =
   let _, _, power, _ = evaluate design ~clocks ~workload ~cycles ~seed in

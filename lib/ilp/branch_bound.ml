@@ -85,67 +85,6 @@ end
 
 (* --- unit propagation ---------------------------------------------- *)
 
-(* Fix implied values before paying for an LP solve: over binary
-   variables every constraint bounds its own achievable lhs, so a free
-   variable whose one value already busts the constraint is forced to
-   the other (e.g. [x_i + x_j <= 1] with [x_i = 1] forces [x_j = 0]).
-   Runs to fixpoint.  Returns the number of fixings or [None] on a
-   wipeout (some constraint cannot be satisfied at all). *)
-let propagate (t : Model.t) fixed =
-  let eps = 1e-9 in
-  let fixings = ref 0 in
-  let wiped = ref false in
-  let progress = ref true in
-  let fix j v =
-    fixed.(j) <- v;
-    incr fixings;
-    progress := true
-  in
-  while !progress && not !wiped do
-    progress := false;
-    List.iter
-      (fun (c : Lp.Problem.constr) ->
-        if not !wiped then begin
-          let min_lhs = ref 0.0 and max_lhs = ref 0.0 in
-          List.iter
-            (fun (j, a) ->
-              match fixed.(j) with
-              | -1 ->
-                if a < 0.0 then min_lhs := !min_lhs +. a
-                else max_lhs := !max_lhs +. a
-              | v ->
-                let contrib = a *. float_of_int v in
-                min_lhs := !min_lhs +. contrib;
-                max_lhs := !max_lhs +. contrib)
-            c.Lp.Problem.coeffs;
-          let rhs = c.Lp.Problem.rhs in
-          let le = c.Lp.Problem.relation <> Lp.Problem.Ge in
-          let ge = c.Lp.Problem.relation <> Lp.Problem.Le in
-          if le && !min_lhs > rhs +. eps then wiped := true
-          else if ge && !max_lhs < rhs -. eps then wiped := true
-          else
-            List.iter
-              (fun (j, a) ->
-                if fixed.(j) = -1 && Float.abs a > eps then begin
-                  (* forcing j to each value in turn: does the optimistic
-                     rest of the constraint still fit? *)
-                  if le then begin
-                    if a > 0.0 && !min_lhs +. a > rhs +. eps then fix j 0
-                    else if a < 0.0 && !min_lhs -. a > rhs +. eps then fix j 1
-                  end;
-                  if ge && fixed.(j) = -1 then begin
-                    if a > 0.0 && !max_lhs -. a < rhs -. eps then fix j 1
-                    else if a < 0.0 && !max_lhs +. a < rhs -. eps then fix j 0
-                  end
-                end)
-              c.Lp.Problem.coeffs
-        end)
-      t.Model.constraints
-  done;
-  if !wiped then None else Some !fixings
-
-(* --- root presolve: worklist propagation + probing ------------------ *)
-
 type index = {
   ix_constrs : Lp.Problem.constr array;
   ix_occurs : int array array;  (* var -> ids of constraints mentioning it *)
@@ -165,12 +104,16 @@ let build_index (t : Model.t) =
     ix_inqueue = Array.make (Array.length ix_constrs) false;
     ix_queue = Queue.create () }
 
-(* Same fixpoint as {!propagate}, but driven by a worklist seeded from
-   [seeds] ([None] = every constraint), so probing a single variable
-   only touches its propagation cone.  Mutates [fixed] and returns the
-   trail of fixed variables (undoing it restores [fixed]) plus the
-   wipeout flag. *)
-let propagate_idx idx fixed seeds =
+(* Fix implied values before paying for an LP solve: over binary
+   variables every constraint bounds its own achievable lhs, so a free
+   variable whose one value already busts the constraint is forced to
+   the other (e.g. [x_i + x_j <= 1] with [x_i = 1] forces [x_j = 0]).
+   Runs to fixpoint on a worklist seeded from [seeds] ([None] = every
+   constraint, as at a search node), so probing a single variable only
+   touches its propagation cone.  Mutates [fixed] and returns the
+   wipeout flag (some constraint cannot be satisfied at all) plus the
+   trail of fixed variables (undoing it restores [fixed]). *)
+let propagate idx fixed seeds =
   let eps = 1e-9 in
   let enqueue ci =
     if not idx.ix_inqueue.(ci) then begin
@@ -229,6 +172,8 @@ let propagate_idx idx fixed seeds =
   end;
   (!wiped, !trail)
 
+(* --- root presolve: propagation + probing --------------------------- *)
+
 exception Infeasible_model
 
 (* Root presolve: propagate to fixpoint, then *probe* — tentatively fix
@@ -246,14 +191,14 @@ let presolve (t : Model.t) =
     try
       let count = ref 0 in
       let run seeds =
-        let wiped, trail = propagate_idx idx fixed seeds in
+        let wiped, trail = propagate idx fixed seeds in
         if wiped then raise Infeasible_model;
         count := !count + List.length trail
       in
       run None;
       let blocked j v =
         fixed.(j) <- v;
-        let wiped, trail = propagate_idx idx fixed (Some [j]) in
+        let wiped, trail = propagate idx fixed (Some [j]) in
         List.iter (fun k -> fixed.(k) <- -1) trail;
         fixed.(j) <- -1;
         wiped
@@ -302,6 +247,7 @@ let solve_component ~node_budget ~brute_max (t : Model.t) =
     { co_solution = Brute_force.solve t; co_nodes = 0; co_lps = 0;
       co_props = 0; co_depth = 0 }
   else begin
+    let idx = build_index t in
     let minimize = t.Model.sense = Lp.Problem.Minimize in
     let better a b = if minimize then a < b -. 1e-9 else a > b +. 1e-9 in
     (* objective-integrality cutoff: with an all-integer objective every
@@ -433,10 +379,10 @@ let solve_component ~node_budget ~brute_max (t : Model.t) =
                            incr nodes;
                            incr plunged;
                            if !ddepth > !max_depth then max_depth := !ddepth;
-                           match propagate t fixed with
-                           | None -> diving := false  (* wipe-out *)
-                           | Some n_fixings ->
-                             props := !props + n_fixings;
+                           match propagate idx fixed None with
+                           | true, _ -> diving := false  (* wipe-out *)
+                           | false, trail ->
+                             props := !props + List.length trail;
                              (* genuine substitution: fixed variables
                                 leave the tableau entirely, and rows
                                 they satisfied leave with them *)

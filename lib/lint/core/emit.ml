@@ -48,7 +48,7 @@ let sarif_level = function
   | Warning -> "warning"
   | Info -> "note"
 
-let sarif ?(tool_name = "ff2latch-lint") ppf ds =
+let sarif ppf ds =
   let rules =
     List.sort_uniq String.compare (List.map (fun d -> d.rule) ds)
   in
@@ -65,7 +65,7 @@ let sarif ?(tool_name = "ff2latch-lint") ppf ds =
   Format.fprintf ppf {|"version": "2.1.0",@ |};
   Format.fprintf ppf "@[<v 2>\"runs\": [@ @[<v 2>{@ ";
   Format.fprintf ppf "@[<v 2>\"tool\": { \"driver\": { \"name\": %s,@ "
-    (Report.Json.quote tool_name);
+    (Report.Json.quote "ff2latch-lint");
   Format.fprintf ppf "@[<v 2>\"rules\": [@ ";
   sep_iter ppf
     (fun r -> Format.fprintf ppf {|@[<h>{ "id": %s }@]|} (Report.Json.quote r))

@@ -12,7 +12,8 @@ val text : ?show_waived:bool -> Format.formatter -> Diagnostic.t list -> unit
     [summary] object with the unwaived counts. *)
 val json : Format.formatter -> Diagnostic.t list -> unit
 
-(** Minimal SARIF 2.1.0 document (one run, one tool).  Severities map
-    error/warning/info to SARIF levels error/warning/note.  Waived
-    diagnostics are emitted with ["suppressions"]. *)
-val sarif : ?tool_name:string -> Format.formatter -> Diagnostic.t list -> unit
+(** Minimal SARIF 2.1.0 document (one run, tool ["ff2latch-lint"]).
+    Severities map error/warning/info to SARIF levels
+    error/warning/note.  Waived diagnostics are emitted with
+    ["suppressions"]. *)
+val sarif : Format.formatter -> Diagnostic.t list -> unit

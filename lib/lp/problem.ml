@@ -25,7 +25,8 @@ let dot coeffs x =
 
 let objective_value t x = dot t.objective x
 
-let feasible ?(eps = 1e-6) t x =
+let feasible t x =
+  let eps = 1e-6 in
   Array.for_all (fun v -> v >= -.eps) x
   && List.for_all
        (fun c ->

@@ -27,5 +27,6 @@ val constr : (int * float) list -> relation -> float -> constr
 (** Evaluate the objective at a point. *)
 val objective_value : t -> float array -> float
 
-(** [feasible ?eps t x] checks all constraints and non-negativity. *)
-val feasible : ?eps:float -> t -> float array -> bool
+(** [feasible t x] checks all constraints and non-negativity, each to
+    within 1e-6. *)
+val feasible : t -> float array -> bool

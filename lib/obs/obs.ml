@@ -8,7 +8,7 @@
    and every worker spawned by [Jobs.parallel_mapi_array]) lazily owns
    one buffer, registered in a mutex-protected global list, so
    recording never takes a lock and never contends.  Readers
-   ([span_stats], [counters], [chrome_trace], ...) merge the buffers;
+   ([span_tree], [counters], [chrome_trace], ...) merge the buffers;
    they must run outside parallel sections — [Jobs.parallel_mapi_array]
    joins its workers before returning, so calling them from ordinary
    top-level code is safe. *)
@@ -18,7 +18,7 @@ type event =
   | End of { name : string; ts : float }
   | Count of { name : string; ts : float; incr : int }
   | Gauge of { name : string; ts : float; value : float }
-  | Hist of { name : string; value : float; n : int; exec : bool }
+  | Hist of { name : string; value : float; n : int }
 
 type buffer = {
   dom : int;
@@ -72,9 +72,9 @@ let gauge name value = push (buffer ()) (Gauge { name; ts = now (); value })
    distribution, never into a time series, and skipping the clock read
    keeps sampling cheap enough for simulator inner loops.  A weighted
    sample stands for [n] equal ones. *)
-let hist ?(exec = false) ?(n = 1) name value =
+let hist ?(n = 1) name value =
   if n < 0 then invalid_arg (Printf.sprintf "Obs.hist: weight %d" n);
-  if n > 0 then push (buffer ()) (Hist { name; value; n; exec })
+  if n > 0 then push (buffer ()) (Hist { name; value; n })
 
 let gc_span name f =
   let before = Gc.quick_stat () in
@@ -242,70 +242,58 @@ module Histogram = struct
     Buffer.contents b
 end
 
-let histograms_of ~exec:want_exec () =
+let histograms () =
   let acc : (string, Histogram.t ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (_, evs) ->
       List.iter
         (function
-          | Hist { name; value; n; exec } when exec = want_exec ->
+          | Hist { name; value; n } ->
             (match Hashtbl.find_opt acc name with
              | Some r -> r := Histogram.add_n !r value n
              | None ->
                Hashtbl.add acc name (ref (Histogram.add_n Histogram.empty value n)))
-          | Hist _ | Begin _ | End _ | Count _ | Gauge _ -> ())
+          | Begin _ | End _ | Count _ | Gauge _ -> ())
         evs)
     (events ());
   Hashtbl.fold (fun name r l -> (name, !r) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let histograms () = histograms_of ~exec:false ()
-let exec_histograms () = histograms_of ~exec:true ()
+(* --- span pairing ---------------------------------------------------- *)
 
-(* --- aggregation ---------------------------------------------------- *)
-
-type span_stat = {
-  span_name : string;
-  calls : int;
-  total_s : float;
-}
-
-let span_stats () =
-  let acc : (string, int ref * float ref) Hashtbl.t = Hashtbl.create 32 in
-  let bump name dur =
-    let calls, total =
-      match Hashtbl.find_opt acc name with
-      | Some cell -> cell
-      | None ->
-        let cell = (ref 0, ref 0.0) in
-        Hashtbl.add acc name cell;
-        cell
-    in
-    incr calls;
-    total := !total +. dur
-  in
+(* The one Begin/End pairing, behind both [span_tree] and
+   [chrome_trace]: walks one domain's events in recording order and
+   calls [f ev closed] on each, where [closed] is [Some (path, dur,
+   self)] for an [End] that closes the innermost open span of its name.
+   [path] names the open spans, this one first; [self] is [dur] minus
+   the durations of the spans directly nested in it, clamped at zero
+   against float rounding.  [span] is structured, so pairs nest
+   properly within a domain; an unmatched [End] gets [None]: dropped
+   rather than guessed at. *)
+let walk_spans evs f =
+  let stack = ref [] in
   List.iter
-    (fun (_, evs) ->
-      (* spans are structured ([span] brackets a call), so Begin/End
-         pairs nest properly within one domain's buffer *)
-      let stack = ref [] in
-      List.iter
-        (function
-          | Begin { name; ts } -> stack := (name, ts) :: !stack
-          | End { name; ts } ->
-            (match !stack with
-             | (n, t0) :: rest when String.equal n name ->
-               stack := rest;
-               bump name (ts -. t0)
-             | _ -> () (* unmatched End: drop rather than guess *))
-          | Count _ | Gauge _ | Hist _ -> ())
-        evs)
-    (events ());
-  Hashtbl.fold
-    (fun span_name (calls, total) l ->
-      { span_name; calls = !calls; total_s = !total } :: l)
-    acc []
-  |> List.sort (fun a b -> String.compare a.span_name b.span_name)
+    (fun ev ->
+      let closed =
+        match ev with
+        | Begin { name; ts } ->
+          stack := (name, ts, ref 0.0) :: !stack;
+          None
+        | End { name; ts } ->
+          (match !stack with
+           | (n, t0, nested) :: rest when String.equal n name ->
+             stack := rest;
+             let dur = ts -. t0 in
+             (match rest with (_, _, p) :: _ -> p := !p +. dur | [] -> ());
+             Some
+               ( name :: List.map (fun (n, _, _) -> n) rest,
+                 dur,
+                 Float.max 0.0 (dur -. !nested) )
+           | _ -> None)
+        | Count _ | Gauge _ | Hist _ -> None
+      in
+      f ev closed)
+    evs
 
 (* --- span trees ------------------------------------------------------ *)
 
@@ -322,13 +310,13 @@ type span_node = {
 type trie = {
   mutable t_calls : int;
   mutable t_total : float;
-  mutable t_child : float;
+  mutable t_self : float;
   t_children : (string, trie) Hashtbl.t;
 }
 
 let span_tree () =
   let fresh () =
-    { t_calls = 0; t_total = 0.0; t_child = 0.0; t_children = Hashtbl.create 4 }
+    { t_calls = 0; t_total = 0.0; t_self = 0.0; t_children = Hashtbl.create 4 }
   in
   let root = fresh () in
   let child_of node name =
@@ -339,30 +327,21 @@ let span_tree () =
       Hashtbl.add node.t_children name c;
       c
   in
-  (* One stack walk per domain, all merging into the same trie: a
-     worker's "ilp.solve" at top level lands on the same root child as
-     the main domain's, so the tree is the union of the call shapes. *)
+  (* every domain's walk merges into the same trie: a worker's
+     "ilp.solve" at top level lands on the same root child as the main
+     domain's, so the tree is the union of the call shapes *)
   List.iter
     (fun (_, evs) ->
-      let stack = ref [] in
-      List.iter
-        (function
-          | Begin { name; ts } ->
-            let parent = match !stack with [] -> root | (_, _, n) :: _ -> n in
-            stack := (name, ts, child_of parent name) :: !stack
-          | End { name; ts } ->
-            (match !stack with
-             | (n, t0, node) :: rest when String.equal n name ->
-               stack := rest;
-               let dur = ts -. t0 in
-               node.t_calls <- node.t_calls + 1;
-               node.t_total <- node.t_total +. dur;
-               (match rest with
-                | (_, _, parent) :: _ -> parent.t_child <- parent.t_child +. dur
-                | [] -> ())
-             | _ -> () (* unmatched End: drop, as in span_stats *))
-          | Count _ | Gauge _ | Hist _ -> ())
-        evs)
+      walk_spans evs (fun _ closed ->
+          match closed with
+          | Some (path, dur, self) ->
+            let node =
+              List.fold_right (fun name node -> child_of node name) path root
+            in
+            node.t_calls <- node.t_calls + 1;
+            node.t_total <- node.t_total +. dur;
+            node.t_self <- node.t_self +. self
+          | None -> ()))
     (events ());
   let rec freeze path node =
     Hashtbl.fold (fun name c l -> (name, c) :: l) node.t_children []
@@ -373,7 +352,7 @@ let span_tree () =
              path = p;
              n_calls = c.t_calls;
              n_total_s = c.t_total;
-             n_self_s = Float.max 0.0 (c.t_total -. c.t_child);
+             n_self_s = c.t_self;
              n_children = freeze p c })
   in
   freeze "" root
@@ -410,16 +389,6 @@ let gauges () =
   Hashtbl.fold (fun name r l -> (name, !r) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let time_of name =
-  match List.find_opt (fun s -> String.equal s.span_name name) (span_stats ()) with
-  | Some s -> s.total_s
-  | None -> 0.0
-
-let calls_of name =
-  match List.find_opt (fun s -> String.equal s.span_name name) (span_stats ()) with
-  | Some s -> s.calls
-  | None -> 0
-
 let counter_of name =
   match List.assoc_opt name (counters ()) with Some v -> v | None -> 0
 
@@ -446,31 +415,21 @@ let chrome_trace () =
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
             \"args\":{\"name\":\"domain %d\"}}"
            tid tid);
-      (* the same stack walk as [span_tree], so every E event can carry
-         its duration and self time (duration minus nested spans) *)
-      let stack = ref [] in
-      List.iter
-        (fun ev ->
+      (* an E event that closes its span carries duration and self time *)
+      walk_spans evs (fun ev closed ->
           match ev with
           | Begin { name; ts } ->
-            stack := (name, ts, ref 0.0) :: !stack;
             emit
               (Printf.sprintf
                  "{\"name\":%s,\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.1f}"
                  (Report.Json.quote name) tid (us ts))
           | End { name; ts } ->
             let args =
-              match !stack with
-              | (n, t0, child) :: rest when String.equal n name ->
-                stack := rest;
-                let dur = ts -. t0 in
-                (match rest with
-                 | (_, _, pchild) :: _ -> pchild := !pchild +. dur
-                 | [] -> ());
+              match closed with
+              | Some (_, dur, self) ->
                 Printf.sprintf ",\"args\":{\"dur_us\":%.1f,\"self_us\":%.1f}"
-                  (dur *. 1e6)
-                  (Float.max 0.0 (dur -. !child) *. 1e6)
-              | _ -> ""
+                  (dur *. 1e6) (self *. 1e6)
+              | None -> ""
             in
             emit
               (Printf.sprintf
@@ -501,8 +460,7 @@ let chrome_trace () =
           | Hist _ ->
             (* histogram samples are timestamp-free aggregates; they
                have no sensible place on a timeline *)
-            ())
-        evs)
+            ()))
     (events ());
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
@@ -543,21 +501,18 @@ let summary_table () =
     (fun (name, v) ->
       Report.Table.add_row t [name; "counter"; ""; ""; ""; ""; string_of_int v])
     cs;
-  let hist_row kind (name, h) =
-    Report.Table.add_row t
-      [ name; kind; string_of_int (Histogram.count h); ""; ""; "";
-        Printf.sprintf "p50=%g p99=%g max=%g"
-          (Histogram.percentile h 0.50) (Histogram.percentile h 0.99)
-          (if Histogram.count h = 0 then 0.0 else Histogram.max_value h) ]
-  in
-  let hs = histograms () and xhs = exec_histograms () in
-  if tree <> [] || cs <> [] then
-    if hs <> [] || xhs <> [] then Report.Table.add_rule t;
-  List.iter (hist_row "hist") hs;
-  (* "hist~": execution-shaped distributions, noisy by nature *)
-  List.iter (hist_row "hist~") xhs;
+  let hs = histograms () in
+  if (tree <> [] || cs <> []) && hs <> [] then Report.Table.add_rule t;
+  List.iter
+    (fun (name, h) ->
+      Report.Table.add_row t
+        [ name; "hist"; string_of_int (Histogram.count h); ""; ""; "";
+          Printf.sprintf "p50=%g p99=%g max=%g"
+            (Histogram.percentile h 0.50) (Histogram.percentile h 0.99)
+            (if Histogram.count h = 0 then 0.0 else Histogram.max_value h) ])
+    hs;
   let gs = gauges () in
-  if (tree <> [] || cs <> [] || hs <> [] || xhs <> []) && gs <> [] then
+  if (tree <> [] || cs <> [] || hs <> []) && gs <> [] then
     Report.Table.add_rule t;
   List.iter
     (fun (name, v) ->

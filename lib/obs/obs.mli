@@ -14,9 +14,10 @@
 
     Each domain (the main one and every worker spawned by
     {!Jobs.parallel_mapi_array}) lazily owns a private buffer
-    registered in a global list, so the write path never takes a lock.  Read-side functions ({!span_stats}, {!counters},
-    {!chrome_trace}, ...) merge all buffers; call them only while no
-    worker domain is recording.  {!Jobs.parallel_mapi_array} joins its
+    registered in a global list, so the write path never takes a lock.
+    Read-side functions ({!span_tree}, {!counters}, {!chrome_trace},
+    ...) merge all buffers; call them only while no worker domain is
+    recording.  {!Jobs.parallel_mapi_array} joins its
     workers before returning, so ordinary sequential code — the CLI
     after a flow run, the benchmark harness after a suite — reads
     safely.
@@ -25,15 +26,15 @@
     counters are summed, gauges take the maximum, and histogram bucket
     counts are summed — all order-independent reductions — so the
     aggregate values are identical for any [THREEPHASE_JOBS] setting.
-    Span statistics sum durations per name, also order-independent;
-    only the raw event interleaving across domains varies run to run.
+    The span tree sums durations per call path, also
+    order-independent; only the raw event interleaving across domains
+    varies run to run.
     See docs/OBS.md for the full event model. *)
 
 (** One recorded event.  [Begin]/[End] bracket a {!span} (they nest
     properly within one domain because [span] is structured); [Count]
     carries a counter increment; [Gauge] a sampled value; [Hist] one
-    histogram sample ([exec] marks execution-shaped distributions, see
-    {!hist}; [n] is its weight).  Timestamps are [Unix.gettimeofday]
+    histogram sample of weight [n].  Timestamps are [Unix.gettimeofday]
     seconds; histogram samples carry none — they aggregate into
     distributions, never into time series, and skipping the clock read
     keeps them cheap enough for simulator inner loops. *)
@@ -42,7 +43,7 @@ type event =
   | End of { name : string; ts : float }
   | Count of { name : string; ts : float; incr : int }
   | Gauge of { name : string; ts : float; value : float }
-  | Hist of { name : string; value : float; n : int; exec : bool }
+  | Hist of { name : string; value : float; n : int }
 
 (** [span name f] runs [f ()] bracketed by [Begin]/[End] events on the
     calling domain's buffer.  The [End] event is recorded even when [f]
@@ -68,12 +69,8 @@ val gauge : string -> float -> unit
     counts sum across domains, so the merged histogram
     — and every readout derived from it — is byte-identical for any
     [THREEPHASE_JOBS], {e provided the recorded values themselves are
-    deterministic}.  For values that are shaped by the execution
-    (stage latencies) pass [~exec:true]: the sample goes to a separate
-    channel read by {!exec_histograms}, excluded from {!histograms}
-    and from the determinism contract — the same split as counters
-    (deterministic) versus wall/gauges (noisy) in run records. *)
-val hist : ?exec:bool -> ?n:int -> string -> float -> unit
+    deterministic}.  Wall-clock durations belong in spans, not here. *)
+val hist : ?n:int -> string -> float -> unit
 
 (** Deterministically mergeable log-bucketed histogram.  Buckets are
     quarter-octaves addressed through [Float.frexp]: bucket [4*o + s]
@@ -156,21 +153,11 @@ val reset : unit -> unit
     in recording order.  Exposed for tests and custom exporters. *)
 val events : unit -> (int * event list) list
 
-(** Aggregated view of all spans with one name. *)
-type span_stat = {
-  span_name : string;
-  calls : int;    (** completed [Begin]/[End] pairs *)
-  total_s : float;  (** summed wall-clock duration, seconds *)
-}
-
-(** Per-name span statistics, merged across domains, sorted by name. *)
-val span_stats : unit -> span_stat list
-
 (** One node of the reconstructed span call tree. *)
 type span_node = {
   node_name : string;       (** the span name as recorded *)
   path : string;            (** ["/"]-joined names from the root *)
-  n_calls : int;
+  n_calls : int;            (** completed [Begin]/[End] pairs *)
   n_total_s : float;        (** summed duration of this node's calls *)
   n_self_s : float;         (** total minus nested children (>= 0) *)
   n_children : span_node list;  (** sorted by name *)
@@ -182,8 +169,11 @@ type span_node = {
     (e.g. a [flow.*] stage of a runner variant built inside
     [Jobs.parallel_mapi_array]) has no enclosing Begin in {e that}
     domain's buffer, so it appears as a root — the per-domain nesting
-    is real, the cross-domain parentage is not recorded.  Self time is total minus the summed durations of
-    directly nested spans, clamped at zero against float rounding. *)
+    is real, the cross-domain parentage is not recorded.  Self time is
+    each call's duration minus the durations of the spans directly
+    nested in it, clamped at zero against float rounding, summed over
+    calls.  This is the one rollup of spans; a per-name total is a
+    lookup in it. *)
 val span_tree : unit -> span_node list
 
 (** Summed counters, sorted by name.  Deterministic across
@@ -193,22 +183,9 @@ val counters : unit -> (string * int) list
 (** Max-merged gauges, sorted by name. *)
 val gauges : unit -> (string * float) list
 
-(** Bucket-merged {e deterministic} histograms (samples recorded
-    without [~exec:true]), sorted by name.  Byte-identical readouts for
-    any [THREEPHASE_JOBS]. *)
+(** Bucket-merged histograms, sorted by name.  Byte-identical
+    readouts for any [THREEPHASE_JOBS]. *)
 val histograms : unit -> (string * Histogram.t) list
-
-(** Bucket-merged execution-shaped histograms ([~exec:true] samples):
-    stage latencies — honest distributions, but dependent on the
-    machine.  Kept out of {!histograms} so the determinism contract
-    stays literal. *)
-val exec_histograms : unit -> (string * Histogram.t) list
-
-(** Total seconds spent in spans named [name]; [0.0] if none. *)
-val time_of : string -> float
-
-(** Completed spans named [name]; [0] if none. *)
-val calls_of : string -> int
 
 (** Value of counter [name]; [0] if never incremented. *)
 val counter_of : string -> int
@@ -216,8 +193,8 @@ val counter_of : string -> int
 (** The whole event log as Chrome [trace_event] JSON — load it in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.  Spans
     become [ph:"B"]/[ph:"E"] duration events (one track per domain; the
-    [E] event's args carry [dur_us] and [self_us] from the same
-    reconstruction as {!span_tree}), counters and gauges become
+    [E] event's args carry [dur_us] and [self_us], paired by the same
+    walk as {!span_tree}), counters and gauges become
     [ph:"C"] counter tracks; histogram samples are timestamp-free and
     do not appear.  Timestamps are microseconds since the last
     {!reset} (or process start). *)
@@ -227,7 +204,6 @@ val chrome_trace : unit -> string
 val write_chrome_trace : string -> unit
 
 (** Everything recorded so far — the span tree (indented, with self
-    time), then counters, then histograms (deterministic, then
-    execution-shaped marked [hist~]), then gauges — as a
+    time), then counters, then histograms, then gauges — as a
     {!Report.Table} ready to print. *)
 val summary_table : unit -> Report.Table.t

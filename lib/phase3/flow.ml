@@ -92,15 +92,11 @@ let run ~config d =
   (* every enabled stage records exactly one "flow.<stage>" Obs span,
      allocation-pressure gauges at its boundary (gc_span samples
      Gc.quick_stat around the call), and one entry of [stage_times],
-     in execution order *)
+     in execution order; all of the flow's work runs inside a stage *)
   let stage name f =
     let t0 = Unix.gettimeofday () in
     let r = Obs.gc_span ("flow." ^ name) f in
-    let dt = Unix.gettimeofday () -. t0 in
-    times := (name, dt) :: !times;
-    (* per-stage latency distribution across every flow run in the
-       process — wall clock, hence execution-shaped *)
-    Obs.hist ~exec:true "flow.stage_ms" (1e3 *. dt);
+    times := (name, Unix.gettimeofday () -. t0) :: !times;
     r
   in
   stage "validate" (fun () ->
@@ -168,10 +164,15 @@ let run ~config d =
       stage "optimize" (fun () -> fst (Netlist.Optimize.run final))
     else final
   in
-  (match Netlist.Check.validate final with
-   | Ok () -> ()
-   | Error errors -> fail "final design invalid: %s" (String.concat "; " errors));
-  let timing = stage "smo" (fun () -> Sta.Smo.check final ~clocks) in
+  let timing =
+    stage "smo" (fun () ->
+        (* timing reads the final design: check its structure first *)
+        (match Netlist.Check.validate final with
+         | Ok () -> ()
+         | Error errors ->
+           fail "final design invalid: %s" (String.concat "; " errors));
+        Sta.Smo.check final ~clocks)
+  in
   let lint_report =
     if config.lint then
       stage "lint" (fun () ->

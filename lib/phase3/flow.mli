@@ -13,7 +13,9 @@
     ([flow.<stage>.gc.minor_words] etc. via {!Obs.gc_span}) and one
     entry in {!result.stage_times}, so traces, per-stage tables and
     QoR run records come for free — see docs/FLOW.md for the stage
-    catalogue and docs/QOR.md for the record schema. *)
+    catalogue and docs/QOR.md for the record schema.  All of the
+    flow's work runs inside a stage span: the final design's
+    structural check runs in [smo]. *)
 
 type config = {
   solver : Assignment.solver;

@@ -48,20 +48,6 @@ let config_json (c : Phase3.Flow.config) =
     ("verify_cycles", Report.Json.Num (float_of_int c.Phase3.Flow.verify_cycles));
     ("lint", Report.Json.Bool c.Phase3.Flow.lint) ]
 
-(* Summarise execution-shaped histograms (stage latencies) into the
-   noisy gauge channel: they are machine-shaped, so per-bucket gating
-   would be meaningless, but their percentiles are worth tracking under
-   the noise band like any other gauge. *)
-let exec_hist_gauges () =
-  List.concat_map
-    (fun (name, h) ->
-      if Obs.Histogram.count h = 0 then []
-      else
-        [ (name ^ ".p50", Obs.Histogram.percentile h 0.50);
-          (name ^ ".p99", Obs.Histogram.percentile h 0.99);
-          (name ^ ".max", Obs.Histogram.max_value h) ])
-    (Obs.exec_histograms ())
-
 let rec tree_of_span_node (n : Obs.span_node) =
   { Record.t_name = n.Obs.node_name;
     t_calls = n.Obs.n_calls;
@@ -69,28 +55,14 @@ let rec tree_of_span_node (n : Obs.span_node) =
     t_self_s = n.Obs.n_self_s;
     t_children = List.map tree_of_span_node n.Obs.n_children }
 
-let obs_rollup () =
-  let spans =
-    List.map
-      (fun (s : Obs.span_stat) ->
-        { Record.span_name = s.Obs.span_name;
-          calls = s.Obs.calls;
-          total_s = s.Obs.total_s })
-      (Obs.span_stats ())
-  in
-  let gauges = Obs.gauges () @ exec_hist_gauges () in
-  let tree = List.map tree_of_span_node (Obs.span_tree ()) in
-  (Obs.counters (), gauges, spans, Obs.histograms (), tree)
-
-let implement_and_power design ~clocks ~cycles ~seed =
+let implement_and_power design ~clocks ~shape ~cycles ~seed =
   let design, hold = Sta.Hold_fix.run design ~clocks in
   let impl = Physical.Implement.run design in
   let kernel = Sim.Kernel.create design ~clocks in
   let stimulus =
     Sim.Stimulus.draw
       ~seeds:(Array.init (Sim.Kernel.lanes kernel) (fun l -> seed + l))
-      ~cycles (Sim.Stimulus.Uniform 0.3)
-      (Sim.Stimulus.inputs_of design)
+      ~cycles shape (Sim.Stimulus.inputs_of design)
   in
   Sim.Kernel.run kernel stimulus;
   let detail =
@@ -182,7 +154,8 @@ let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
     let clocks = Phase3.Flow.clocks_of config in
     let impl, hold, detail, kstats =
       Obs.span "qor.power" (fun () ->
-          implement_and_power result.Phase3.Flow.final ~clocks ~cycles:256
+          implement_and_power result.Phase3.Flow.final ~clocks
+            ~shape:(Sim.Stimulus.Uniform 0.3) ~cycles:256
             ~seed:config.Phase3.Flow.activity_seed)
     in
     let overall = detail.Power.Estimate.overall in
@@ -217,11 +190,12 @@ let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
         ("assign.solve_s", assignment.Phase3.Assignment.solve_time_s) ]
     @ extra_wall
   in
-  let counters, gauges, spans, hists, tree = obs_rollup () in
   Record.make
     ~config:(config_json config)
     ~metrics:
       (base_metrics @ retime_metrics @ cg_metrics @ lint_metrics
        @ equivalence_metrics @ power_metrics)
-    ~counters ~hists ~wall ~gauges ~spans ~tree
+    ~counters:(Obs.counters ()) ~hists:(Obs.histograms ()) ~wall
+    ~gauges:(Obs.gauges ())
+    ~tree:(List.map tree_of_span_node (Obs.span_tree ()))
     (provenance ~kind:"flow" ~circuit)

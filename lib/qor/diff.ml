@@ -216,16 +216,30 @@ let run ?(noise_band = 0.30) ?(abs_floor = 0.01) ~baseline current =
     in
     { name; section; baseline = b; current = c; cls }
   in
+  (* Obs records a counter only once an increment is nonzero and a
+     histogram only from its first sample, so one that a record lacks
+     reads as 0 (an empty histogram): 0 -> N is a change, not a new
+     entry *)
   let ints kvs = List.map (fun (k, v) -> (k, float_of_int v)) kvs in
+  let counter name b c =
+    let zero v = Some (Option.value v ~default:0.0) in
+    exact Counter name (zero b) (zero c)
+  in
+  let hist name b c =
+    let stats h =
+      Record.hist_stats name (Option.value h ~default:Obs.Histogram.empty)
+    in
+    List.map2
+      (fun (k, bv) (_, cv) -> exact Hist k (Some bv) (Some cv))
+      (stats b) (stats c)
+  in
   let entries =
     merge_sorted baseline.Record.metrics current.Record.metrics
       (exact Metric)
     @ merge_sorted (ints baseline.Record.counters)
-        (ints current.Record.counters) (exact Counter)
-    @ merge_sorted
-        (Record.flatten_hists baseline.Record.hists)
-        (Record.flatten_hists current.Record.hists)
-        (exact Hist)
+        (ints current.Record.counters) counter
+    @ List.concat
+        (merge_sorted baseline.Record.hists current.Record.hists hist)
     @ merge_sorted baseline.Record.wall current.Record.wall (noisy Wall)
     @ merge_sorted baseline.Record.gauges current.Record.gauges (noisy Gauge)
   in

@@ -12,7 +12,12 @@
       numeric difference is a change.  [NaN = NaN] counts as
       unchanged (a power model that produced NaN yesterday and NaN
       today has not regressed); NaN against a finite value is always
-      a regression, whichever side it is on.
+      a regression, whichever side it is on.  A counter or histogram
+      that one record lacks reads as 0 (an empty histogram): {!Obs}
+      records a counter only once an increment is nonzero and a
+      histogram only from its first sample, so a counter going from
+      absent to N, or a histogram appearing, is a change like any
+      other.  A [metrics] entry that the baseline lacks is new.
     - {b Noisy} ([wall] and [gauges] sections): wall-clock and
       sampled values.  A difference within
       [max (noise_band * |baseline|, abs_floor)] — boundary
@@ -48,8 +53,10 @@ type cls =
   | Improved
   | Regressed
   | Unchanged
-  | Missing_current   (** in the baseline, absent from the new record *)
-  | Missing_baseline  (** new metric, absent from the baseline *)
+  | Missing_current
+  (** in the baseline, absent from the new record ([metrics], [wall]
+      and [gauges] only: an absent counter or histogram reads as 0) *)
+  | Missing_baseline  (** new metric, absent from the baseline (ditto) *)
 
 type section = Metric | Counter | Hist | Wall | Gauge
 

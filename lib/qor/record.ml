@@ -15,8 +15,6 @@ type provenance = {
   timestamp : string;
 }
 
-type span = { span_name : string; calls : int; total_s : float }
-
 (* One node of the recorded span call tree (Obs.span_tree, flattened
    into the record so reports can be built from records alone). *)
 type tree_node = {
@@ -37,15 +35,13 @@ type t = {
   headline : (string * Report.Json.t) list;
   wall : (string * float) list;
   gauges : (string * float) list;
-  spans : span list;
   tree : tree_node list;
 }
 
 let by_name (a, _) (b, _) = String.compare a b
 
 let make ?(config = []) ?(metrics = []) ?(counters = []) ?(hists = [])
-    ?(headline = []) ?(wall = []) ?(gauges = []) ?(spans = []) ?(tree = [])
-    prov =
+    ?(headline = []) ?(wall = []) ?(gauges = []) ?(tree = []) prov =
   { version = schema_version;
     prov;
     config;
@@ -55,8 +51,6 @@ let make ?(config = []) ?(metrics = []) ?(counters = []) ?(hists = [])
     headline;
     wall = List.sort by_name wall;
     gauges = List.sort by_name gauges;
-    spans =
-      List.sort (fun a b -> String.compare a.span_name b.span_name) spans;
     tree }
 
 (* Deterministic scalar readouts of a histogram, the per-hist entries
@@ -131,16 +125,7 @@ let to_json r =
               ("hostname", Report.Json.Str r.prov.hostname);
               ("timestamp", Report.Json.Str r.prov.timestamp) ]);
          ("wall", num_map r.wall);
-         ("gauges", num_map r.gauges);
-         ("spans",
-          Report.Json.Arr
-            (List.map
-               (fun s ->
-                 Report.Json.Obj
-                   [ ("name", Report.Json.Str s.span_name);
-                     ("calls", Report.Json.Num (float_of_int s.calls));
-                     ("total_s", Report.Json.Num s.total_s) ])
-               r.spans)) ]
+         ("gauges", num_map r.gauges) ]
      @
      if r.tree = [] then []
      else [("tree", Report.Json.Arr (List.map tree_json r.tree))])
@@ -275,25 +260,6 @@ let of_json doc =
   in
   let* wall = num_map_field doc "wall" in
   let* gauges = num_map_field doc "gauges" in
-  let* spans =
-    match Report.Json.member "spans" doc with
-    | None -> Ok []
-    | Some (Report.Json.Arr items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-          (match
-             ( Option.bind (Report.Json.member "name" item) Report.Json.to_string,
-               Option.bind (Report.Json.member "calls" item) Report.Json.to_int,
-               Option.bind (Report.Json.member "total_s" item) Report.Json.to_float )
-           with
-           | Some span_name, Some calls, Some total_s ->
-             go ({ span_name; calls; total_s } :: acc) rest
-           | _ -> Error "record: ill-formed span entry")
-      in
-      go [] items
-    | Some _ -> Error "record: spans is not an array"
-  in
   let* tree =
     let rec node item =
       match
@@ -324,7 +290,7 @@ let of_json doc =
   in
   Ok
     { version; prov; config; metrics; counters; hists; headline; wall;
-      gauges; spans; tree }
+      gauges; tree }
 
 let parse text =
   let* doc = Report.Json.parse text in

@@ -6,7 +6,7 @@
     (register counts, objectives, area, power groups, timing slack,
     equivalence), the deterministic {!Obs} counters, and the
     wall-clock/sampled observability that is {e not} expected to
-    reproduce (stage times, span durations, gauges such as the GC
+    reproduce (stage times, the span tree, gauges such as the GC
     pressure samples).
 
     {2 Determinism contract}
@@ -19,11 +19,11 @@
       rendered bytes are identical for any [THREEPHASE_JOBS] setting
       and any machine.  {!Diff} compares them exactly (histograms
       through their {!hist_stats} readouts).
-    - [provenance], [wall], [gauges], [spans], [tree] (and the
-      free-form [headline]) are the {b wall sections}: timestamps,
-      hostnames, durations and sampled values.  {!Diff} compares
-      [wall] and [gauges] under a relative noise band and never gates
-      on [provenance], [spans] or [tree].
+    - [provenance], [wall], [gauges], [tree] (and the free-form
+      [headline]) are the {b wall sections}: timestamps, hostnames,
+      durations and sampled values.  {!Diff} compares [wall] and
+      [gauges] under a relative noise band and never gates on
+      [provenance] or [tree].
 
     {!render} is canonical — fixed key order, metric maps sorted by
     name, one float format (see {!Report.Json.float_token}) — so two records
@@ -49,9 +49,6 @@ type provenance = {
   timestamp : string;      (** UTC ISO-8601 *)
 }
 
-(** One aggregated {!Obs} span: name, completed calls, summed seconds. *)
-type span = { span_name : string; calls : int; total_s : float }
-
 (** One node of the recorded span call tree ({!Obs.span_tree} with the
     path dropped — it is recomputable from the nesting). *)
 type tree_node = {
@@ -75,8 +72,9 @@ type t = {
       headline); informational, never gated *)
   wall : (string * float) list;     (** wall-clock seconds, sorted *)
   gauges : (string * float) list;   (** max-merged Obs gauges, sorted *)
-  spans : span list;                (** Obs span rollup, sorted by name *)
-  tree : tree_node list;            (** span call tree; wall section *)
+  tree : tree_node list;
+  (** span call tree: every span's calls, total and self seconds;
+      wall section *)
 }
 
 (** Build a record; every metric map is sorted by name (canonical
@@ -89,7 +87,6 @@ val make :
   ?headline:(string * Report.Json.t) list ->
   ?wall:(string * float) list ->
   ?gauges:(string * float) list ->
-  ?spans:span list ->
   ?tree:tree_node list ->
   provenance -> t
 

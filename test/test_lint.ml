@@ -112,7 +112,7 @@ let test_emitters () =
   check Alcotest.bool "json escapes quotes" true
     (is_infix json "same-phase \\\"arc\\\"");
   check Alcotest.bool "json summary errors" true (is_infix json "\"errors\": 1");
-  let sarif = Format.asprintf "%a" (Lint_core.Emit.sarif ?tool_name:None) ds in
+  let sarif = Format.asprintf "%a" Lint_core.Emit.sarif ds in
   check Alcotest.bool "sarif schema" true (is_infix sarif "sarif-schema-2.1.0");
   check Alcotest.bool "sarif suppressions" true (is_infix sarif "suppressions");
   check Alcotest.bool "sarif physical location" true

@@ -10,7 +10,8 @@ let parse_json text =
 (* Validate a Chrome trace_event JSON document: top-level object with a
    traceEvents array; every event carries name/ph/pid (and tid/ts for
    B/E/C); B/E events balance like brackets per tid with matching
-   names and non-decreasing timestamps. *)
+   names and non-decreasing timestamps, and every E carries its
+   duration and self time. *)
 let validate_chrome_trace (text : string) =
   let doc = parse_json text in
   let events =
@@ -56,6 +57,11 @@ let validate_chrome_trace (text : string) =
         (match ph with
          | "B" -> stack := (name, ts) :: !stack
          | "E" ->
+           (match Report.Json.member "args" e with
+            | Some args ->
+              ignore (num "dur_us" args);
+              ignore (num "self_us" args)
+            | None -> Alcotest.failf "E %S without args" name);
            (match !stack with
             | (top, _) :: rest when String.equal top name -> stack := rest
             | (top, _) :: _ ->
@@ -75,6 +81,19 @@ let validate_chrome_trace (text : string) =
                          (List.length !stack)))
     stacks;
   List.length events
+
+(* every node of a span tree, parents before their children *)
+let rec flatten nodes =
+  List.concat_map (fun n -> n :: flatten n.Obs.n_children) nodes
+
+(* completed calls of every span named [name], wherever it sits in
+   [Obs.span_tree ()]; 0 when there is none *)
+let calls name =
+  List.fold_left
+    (fun acc n ->
+      if String.equal n.Obs.node_name name then acc + n.Obs.n_calls else acc)
+    0
+    (flatten (Obs.span_tree ()))
 
 (* --- span structure -------------------------------------------------- *)
 
@@ -98,17 +117,26 @@ let test_span_nesting () =
   Alcotest.(check (list string)) "B/E order"
     [ "B:outer"; "B:inner_a"; "E:inner_a"; "B:inner_b"; "E:inner_b"; "E:outer" ]
     names;
-  let stats = Obs.span_stats () in
-  Alcotest.(check int) "three names" 3 (List.length stats);
-  Alcotest.(check int) "outer calls" 1 (Obs.calls_of "outer");
-  let outer = Obs.time_of "outer" in
-  let inner = Obs.time_of "inner_a" +. Obs.time_of "inner_b" in
-  Alcotest.(check bool) "outer covers inners" true (outer >= inner)
+  match Obs.span_tree () with
+  | [outer] ->
+    Alcotest.(check string) "root" "outer" outer.Obs.node_name;
+    Alcotest.(check int) "outer calls" 1 outer.Obs.n_calls;
+    Alcotest.(check (list string)) "inners nest in outer"
+      ["inner_a"; "inner_b"]
+      (List.map (fun n -> n.Obs.node_name) outer.Obs.n_children);
+    let inner =
+      List.fold_left
+        (fun acc n -> acc +. n.Obs.n_total_s)
+        0.0 outer.Obs.n_children
+    in
+    Alcotest.(check bool) "outer covers inners" true
+      (outer.Obs.n_total_s >= inner)
+  | roots -> Alcotest.failf "%d roots, expected one" (List.length roots)
 
 let test_span_exception () =
   Obs.reset ();
   (try Obs.span "boom" (fun () -> failwith "expected") with Failure _ -> ());
-  Alcotest.(check int) "End recorded despite raise" 1 (Obs.calls_of "boom");
+  Alcotest.(check int) "End recorded despite raise" 1 (calls "boom");
   ignore (validate_chrome_trace (Obs.chrome_trace ()))
 
 (* --- counters and gauges --------------------------------------------- *)
@@ -344,13 +372,7 @@ let test_hist_cross_domain_merge () =
      bytes as the single-buffer serial run *)
   Alcotest.(check string) "order-independent merge"
     (Obs.Histogram.to_string (find "h.serial"))
-    (Obs.Histogram.to_string (find "h.parallel"));
-  (* exec-shaped histograms live in a separate channel *)
-  Obs.hist ~exec:true "h.exec" 5.0;
-  Alcotest.(check bool) "exec hist not in deterministic set" true
-    (List.assoc_opt "h.exec" (Obs.histograms ()) = None);
-  Alcotest.(check bool) "exec hist in exec set" true
-    (List.assoc_opt "h.exec" (Obs.exec_histograms ()) <> None)
+    (Obs.Histogram.to_string (find "h.parallel"))
 
 (* --- span tree -------------------------------------------------------- *)
 
@@ -385,16 +407,64 @@ let test_span_tree () =
     (Float.abs (outer.Obs.n_self_s +. child_total -. outer.Obs.n_total_s)
      < 1e-6)
 
+(* one walk pairs Begin/End for both readouts: per span name, the E
+   events' dur_us and self_us sum to the tree's total and self seconds
+   (each E rounds to 0.1 us) *)
+let test_chrome_matches_tree () =
+  Obs.reset ();
+  let work () = ignore (Sys.opaque_identity (List.init 1000 Fun.id)) in
+  for _ = 1 to 3 do
+    Obs.span "outer" (fun () ->
+        Obs.span "inner" work;
+        work ())
+  done;
+  let events =
+    match
+      Report.Json.member "traceEvents" (parse_json (Obs.chrome_trace ()))
+    with
+    | Some (Report.Json.Arr evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let sum name key =
+    List.fold_left
+      (fun acc e ->
+        match
+          Report.Json.member "ph" e, Report.Json.member "name" e,
+          Report.Json.member "args" e
+        with
+        | Some (Report.Json.Str "E"), Some (Report.Json.Str n), Some args
+          when String.equal n name ->
+          (match Report.Json.member key args with
+           | Some (Report.Json.Num v) -> acc +. v
+           | _ -> Alcotest.failf "E %s without %s" n key)
+        | _ -> acc)
+      0.0 events
+  in
+  let all = flatten (Obs.span_tree ()) in
+  Alcotest.(check (list string)) "tree nodes" ["outer"; "inner"]
+    (List.map (fun n -> n.Obs.node_name) all);
+  List.iter
+    (fun n ->
+      let close what tree_s trace_us =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: tree %.1f us, trace %.1f us" n.Obs.node_name
+             what (tree_s *. 1e6) trace_us)
+          true
+          (Float.abs ((tree_s *. 1e6) -. trace_us) <= 0.05 *. 3.0 +. 1e-6)
+      in
+      close "total" n.Obs.n_total_s (sum n.Obs.node_name "dur_us");
+      close "self" n.Obs.n_self_s (sum n.Obs.node_name "self_us"))
+    all
+
 let test_summary_table_hists () =
   Obs.reset ();
-  Obs.hist "sum.hist" 4.0;
-  Obs.hist ~exec:true "sum.exec_hist" 2.0;
+  Obs.hist ~n:3 "sum.hist" 4.0;
   let text = Report.Table.render (Obs.summary_table ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (needle ^ " in summary") true
         (Astring.String.is_infix ~affix:needle text))
-    ["sum.hist"; "sum.exec_hist"]
+    ["sum.hist"; "p50=4 p99=4 max=4"]
 
 (* --- flow-level guarantee -------------------------------------------- *)
 
@@ -415,7 +485,7 @@ let test_flow_stage_spans () =
   List.iter
     (fun stage ->
       Alcotest.(check int) ("one span for " ^ stage) 1
-        (Obs.calls_of ("flow." ^ stage)))
+        (calls ("flow." ^ stage)))
     Phase3.Flow.stage_names;
   Alcotest.(check (list string)) "stage_times order"
     Phase3.Flow.stage_names
@@ -439,11 +509,36 @@ let test_flow_disabled_stages () =
       verify_equivalence = false }
   in
   let result = Phase3.Flow.run ~config d in
-  Alcotest.(check int) "no retime span" 0 (Obs.calls_of "flow.retime");
-  Alcotest.(check int) "no equivalence span" 0 (Obs.calls_of "flow.equivalence");
-  Alcotest.(check int) "smo span still present" 1 (Obs.calls_of "flow.smo");
+  Alcotest.(check int) "no retime span" 0 (calls "flow.retime");
+  Alcotest.(check int) "no equivalence span" 0 (calls "flow.equivalence");
+  Alcotest.(check int) "smo span still present" 1 (calls "flow.smo");
   Alcotest.(check bool) "stage_times skips disabled stages" true
     (not (List.mem_assoc "retime" result.Phase3.Flow.stage_times))
+
+(* all of the flow's work runs under a stage span: the roots of the span
+   tree are exactly the flow.<stage> spans of the stages the run
+   executed, with the default config and with [optimize] on *)
+let test_flow_roots_are_stages () =
+  let d = quickstart_design () in
+  List.iter
+    (fun optimize ->
+      Obs.reset ();
+      let config =
+        { (Phase3.Flow.default_config ~period:1.0) with
+          Phase3.Flow.optimize }
+      in
+      let result = Phase3.Flow.run ~config d in
+      let executed =
+        List.map (fun (s, _) -> "flow." ^ s) result.Phase3.Flow.stage_times
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "optimize=%b ran optimize" optimize)
+        optimize (List.mem "flow.optimize" executed);
+      Alcotest.(check (list string))
+        (Printf.sprintf "optimize=%b roots" optimize)
+        (List.sort String.compare executed)
+        (List.map (fun n -> n.Obs.node_name) (Obs.span_tree ())))
+    [false; true]
 
 let suite =
   [ Alcotest.test_case "span nesting produces ordered B/E pairs" `Quick
@@ -472,9 +567,13 @@ let suite =
       `Quick test_hist_cross_domain_merge;
     Alcotest.test_case "span tree reconstructs nesting with self time" `Quick
       test_span_tree;
+    Alcotest.test_case "chrome trace durations equal the span tree's" `Quick
+      test_chrome_matches_tree;
     Alcotest.test_case "summary table renders histograms" `Quick
       test_summary_table_hists;
     Alcotest.test_case "every enabled flow stage emits exactly one span" `Quick
       test_flow_stage_spans;
     Alcotest.test_case "disabled flow stages emit no span" `Quick
-      test_flow_disabled_stages ]
+      test_flow_disabled_stages;
+    Alcotest.test_case "every flow root span is an executed stage" `Quick
+      test_flow_roots_are_stages ]

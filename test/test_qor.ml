@@ -21,6 +21,8 @@ let check_cls diff name expected =
 
 (* --- diff: exact sections -------------------------------------------- *)
 
+let hist_of l = List.fold_left Obs.Histogram.add Obs.Histogram.empty l
+
 let test_exact_gate () =
   let baseline = mk ~metrics:[("latch.count", 8.0); ("power.total_mw", 2.0)] () in
   (* a lower count is an improvement, but the gate is a ratchet: any
@@ -55,6 +57,49 @@ let test_missing_metric () =
   (* a vanished metric fails the gate; a new one does not *)
   Alcotest.(check (list string)) "gate failures" ["latch.count"]
     d.Qor.Diff.gate_failures
+
+(* Obs records a counter only once an increment is nonzero and a
+   histogram from its first sample, so a counter or histogram that one
+   record lacks reads as 0: absent -> N fails the gate either way
+   round, while a metric new to the baseline still only reports *)
+let test_absent_reads_zero () =
+  let baseline =
+    mk ~metrics:[("ff.count", 5.0)] ~counters:[("sim.kernel.evals", 100)] ()
+  in
+  let current =
+    Qor.Record.make
+      ~metrics:[("cg.coverage", 1.0); ("ff.count", 5.0)]
+      ~counters:[("sta.paths.arcs", 512)]
+      ~hists:[("ilp.component_nodes", hist_of [3.0; 5.0])]
+      (prov ())
+  in
+  let d = Qor.Diff.run ~baseline current in
+  check_cls d "sta.paths.arcs" "REGRESSED";
+  check_cls d "sim.kernel.evals" "improved";
+  check_cls d "ilp.component_nodes.count" "REGRESSED";
+  check_cls d "cg.coverage" "new";
+  (match
+     List.find_opt
+       (fun e -> e.Qor.Diff.name = "sta.paths.arcs")
+       d.Qor.Diff.entries
+   with
+   | Some e ->
+     Alcotest.(check (option (float 0.0))) "absent baseline reads 0"
+       (Some 0.0) e.Qor.Diff.baseline
+   | None -> Alcotest.fail "no entry for sta.paths.arcs");
+  Alcotest.(check (list string)) "gate failures"
+    [ "sim.kernel.evals"; "sta.paths.arcs"; "ilp.component_nodes.count";
+      "ilp.component_nodes.p50"; "ilp.component_nodes.p90";
+      "ilp.component_nodes.p99"; "ilp.component_nodes.max" ]
+    d.Qor.Diff.gate_failures;
+  (* the same counters and histograms on both sides gate clean: only
+     dropped metrics fail, and new metrics alone pass *)
+  let bare = { current with Qor.Record.metrics = [] } in
+  Alcotest.(check (list string)) "dropped metrics gate"
+    ["cg.coverage"; "ff.count"]
+    (Qor.Diff.run ~baseline:current bare).Qor.Diff.gate_failures;
+  Alcotest.(check bool) "new metrics pass" true
+    (Qor.Diff.ok (Qor.Diff.run ~baseline:bare current))
 
 let test_nan_inf () =
   let baseline =
@@ -107,8 +152,6 @@ let test_band_boundary_inclusive () =
   check_cls d_beyond "gc.heap" "improved"
 
 (* --- diff: histogram readouts and attribution ------------------------ *)
-
-let hist_of l = List.fold_left Obs.Histogram.add Obs.Histogram.empty l
 
 let test_hist_gate () =
   let baseline =
@@ -261,7 +304,6 @@ let test_render_roundtrip () =
           ("h.with_underflow", hist_of [0.0; -1.0; 3.0]) ]
       ~wall:[("stage.x", 0.25)]
       ~gauges:[("gc.heap_words", 12345.0)]
-      ~spans:[{ Qor.Record.span_name = "flow.convert"; calls = 1; total_s = 0.1 }]
       ~tree:
         [ { Qor.Record.t_name = "flow.convert";
             t_calls = 1;
@@ -344,7 +386,11 @@ let test_unknown_fields_tolerated () =
   (* graft unknown fields at the top level and inside provenance; a
      same-version reader must ignore them *)
   let body = String.sub text 1 (String.length text - 1) in
-  let with_extras = "{\n  \"future_top_level\": {\"x\": 1}," ^ body in
+  (* an array of objects, like a section an older writer emitted *)
+  let with_extras =
+    "{\n  \"future_top_level\": {\"x\": 1},\n  \
+     \"retired\": [{\"name\": \"flow.convert\", \"calls\": 1}]," ^ body
+  in
   (match Qor.Record.parse with_extras with
    | Ok r ->
      Alcotest.(check (option (float 0.0))) "metric kept" (Some 5.0)
@@ -521,6 +567,8 @@ let suite =
       test_exact_direction;
     Alcotest.test_case "missing metric gates, new metric reports" `Quick
       test_missing_metric;
+    Alcotest.test_case "absent counter or histogram reads as 0" `Quick
+      test_absent_reads_zero;
     Alcotest.test_case "NaN/inf compare structurally" `Quick test_nan_inf;
     Alcotest.test_case "zero baseline uses the absolute floor" `Quick
       test_zero_baseline_abs_floor;
