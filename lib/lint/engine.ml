@@ -1,14 +1,5 @@
 module D = Lint_core.Diagnostic
 
-type config = {
-  setup_margin : float;
-  hold_margin : float;
-  input_delay : float * float;
-}
-
-let default_config =
-  { setup_margin = 0.03; hold_margin = 0.02; input_delay = (0.05, 0.10) }
-
 type report = {
   diagnostics : D.t list;
   errors : int;
@@ -26,7 +17,9 @@ let unclocked d (i, port) =
      specification"
     (Netlist.Design.inst_name d i) port
 
-let run ?(config = default_config) ?(waivers = []) ?(extra = []) d ~clocks =
+(* every pass over [d]; [timing ()] yields the analysis the timing
+   passes read *)
+let lint ~waivers ~extra d ~clocks timing =
   Obs.span "lint.run" @@ fun () ->
   let structural = Netlist.Check.diagnostics d in
   let clock = Clock_audit.run d ~clocks in
@@ -35,14 +28,9 @@ let run ?(config = default_config) ?(waivers = []) ?(extra = []) d ~clocks =
     if List.exists (fun (dg : D.t) -> String.equal dg.D.rule "NET-002") structural
     then []
     else begin
-      let g = Sta.Graph.create d in
-      let views, no_waveform = Sta.Smo.views g ~clocks in
-      let paths = Sta.Paths.compute g in
-      List.map (unclocked d) no_waveform
-      @ Phase_audit.run ~setup_margin:config.setup_margin
-          ~input_delay:config.input_delay d ~clocks ~views ~paths
-      @ Hold_audit.run ~hold_margin:config.hold_margin
-          ~input_delay:config.input_delay d ~clocks ~views ~paths
+      let a = timing () in
+      List.map (unclocked d) a.Sta.Smo.unclocked
+      @ Phase_audit.run a @ Hold_audit.run a
     end
   in
   let reset = Reset_audit.run d in
@@ -66,5 +54,12 @@ let run ?(config = default_config) ?(waivers = []) ?(extra = []) d ~clocks =
     (List.sort String.compare
        (Hashtbl.fold (fun k _ acc -> k :: acc) by_rule []));
   { diagnostics; errors; warnings; infos }
+
+let run ?(waivers = []) ?(extra = []) d ~clocks =
+  lint ~waivers ~extra d ~clocks (fun () -> Sta.Smo.analyse d ~clocks)
+
+let audit (a : Sta.Smo.t) =
+  lint ~waivers:[] ~extra:[] a.graph.Sta.Graph.design ~clocks:a.clocks
+    (fun () -> a)
 
 let pp ppf r = Lint_core.Emit.text ~show_waived:true ppf r.diagnostics

@@ -4,15 +4,8 @@
     before the destination's previous capture is safely closed — the
     short path races through a transparent window.
 
-    Per-arc mirror of [Sta.Smo]'s hold inequality using exact
-    [Sta.Paths] minimum delays; [Sta.Hold_fix] buffering makes a design
-    pass this audit at the same margin. *)
+    Reports every arc of the {!Sta.Smo} analysis whose hold slack is
+    negative; [Sta.Hold_fix] buffers until that analysis passes, so a
+    design it fixed at a margin passes this audit at the same margin. *)
 
-val run :
-  ?hold_margin:float ->
-  ?input_delay:float * float ->
-  Netlist.Design.t ->
-  clocks:Sim.Clock_spec.t ->
-  views:Sta.Smo.reg_view list ->
-  paths:Sta.Paths.path list ->
-  Lint_core.Diagnostic.t list
+val run : Sta.Smo.t -> Lint_core.Diagnostic.t list

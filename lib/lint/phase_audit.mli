@@ -1,6 +1,6 @@
-(** The independent phase-legality auditor.
+(** The phase-legality auditor.
 
-    Recomputes, per register-to-register arc, whether the phase sequence
+    Reads, per register-to-register arc, whether the phase sequence
     implied by the netlist and the clock specification is legal:
 
     - [PHASE-001] (error): a latch-to-latch arc where both ends close on
@@ -18,18 +18,13 @@
       (the paper's C2: the cycle boundary must pass through the middle
       phase), flagged even when its timing closes.
 
-    The analysis mirrors the SMO formulation used by [Sta.Smo] but is
-    computed per exact arc from [Sta.Paths] — strictly less pessimistic
-    than the class-based checker, and sharing none of the phase
-    assignment's solution construction. *)
+    The arcs, their setup slacks and the convergence flag are those of
+    the {!Sta.Smo} analysis the flow signs off with; nothing here is
+    computed from the phase assignment's solution. *)
 
 val endpoint_name : Netlist.Design.t -> Sta.Paths.endpoint -> string
 
-val run :
-  ?setup_margin:float ->
-  ?input_delay:float * float ->
-  Netlist.Design.t ->
-  clocks:Sim.Clock_spec.t ->
-  views:Sta.Smo.reg_view list ->
-  paths:Sta.Paths.path list ->
-  Lint_core.Diagnostic.t list
+(** ["src -> dst"]: where an arc's diagnostics point. *)
+val arc_obj : Netlist.Design.t -> Sta.Smo.arc -> Lint_core.Diagnostic.location
+
+val run : Sta.Smo.t -> Lint_core.Diagnostic.t list

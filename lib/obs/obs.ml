@@ -78,10 +78,12 @@ let hist ?(n = 1) name value =
 
 let gc_span name f =
   let before = Gc.quick_stat () in
+  (* [quick_stat]'s minor_words advances only at a minor collection *)
+  let minor_before = Gc.minor_words () in
   let record_delta () =
+    let minor = Gc.minor_words () -. minor_before in
     let after = Gc.quick_stat () in
-    gauge (name ^ ".gc.minor_words")
-      (after.Gc.minor_words -. before.Gc.minor_words);
+    gauge (name ^ ".gc.minor_words") minor;
     gauge (name ^ ".gc.major_words")
       (after.Gc.major_words -. before.Gc.major_words);
     gauge (name ^ ".gc.promoted_words")

@@ -136,11 +136,13 @@ module Histogram : sig
 end
 
 (** [gc_span name f] is {!span}[ name f] plus allocation-pressure
-    gauges for [f] itself: the {!Gc.quick_stat} deltas across the call
-    are recorded as [<name>.gc.minor_words], [<name>.gc.major_words]
-    and [<name>.gc.promoted_words] (recorded even when [f] raises,
-    like the span's [End]).  Deltas are per-call; the max-merge keeps
-    the worst call per name.  The flow brackets every pipeline stage
+    gauges for [f] itself, recorded even when [f] raises, like the
+    span's [End]: [<name>.gc.minor_words], the {!Gc.minor_words} delta
+    across the call — every word [f] allocates on the minor heap, plus
+    the span's own few — and [<name>.gc.major_words] and
+    [<name>.gc.promoted_words], the {!Gc.quick_stat} deltas, which
+    advance only at collections.  Deltas are per-call; the max-merge
+    keeps the worst call per name.  The flow brackets every pipeline stage
     with this, so run records capture per-stage allocation pressure. *)
 val gc_span : string -> (unit -> 'a) -> 'a
 

@@ -90,9 +90,9 @@ let run ~config d =
           least 1" config.activity_cycles;
   let times = ref [] in
   (* every enabled stage records exactly one "flow.<stage>" Obs span,
-     allocation-pressure gauges at its boundary (gc_span samples
-     Gc.quick_stat around the call), and one entry of [stage_times],
-     in execution order; all of the flow's work runs inside a stage *)
+     allocation-pressure gauges at its boundary (Obs.gc_span), and one
+     entry of [stage_times], in execution order; all of the flow's work
+     runs inside a stage *)
   let stage name f =
     let t0 = Unix.gettimeofday () in
     let r = Obs.gc_span ("flow." ^ name) f in
@@ -164,21 +164,21 @@ let run ~config d =
       stage "optimize" (fun () -> fst (Netlist.Optimize.run final))
     else final
   in
-  let timing =
+  let analysis =
     stage "smo" (fun () ->
         (* timing reads the final design: check its structure first *)
         (match Netlist.Check.validate final with
          | Ok () -> ()
          | Error errors ->
            fail "final design invalid: %s" (String.concat "; " errors));
-        Sta.Smo.check final ~clocks)
+        Sta.Smo.analyse final ~clocks)
   in
   let lint_report =
     if config.lint then
       stage "lint" (fun () ->
-          (* the independent auditor: recomputes phase legality from the
-             netlist and clock spec without consulting the assignment *)
-          let report = Lint.Engine.run final ~clocks in
+          (* the independent auditor: reads the analysis above and the
+             netlist, never the assignment *)
+          let report = Lint.Engine.audit analysis in
           if not (Lint.Engine.ok report) then begin
             let firsts =
               List.filteri
@@ -211,5 +211,5 @@ let run ~config d =
     else None
   in
   { config; original = d; assignment; converted; retimed; final;
-    retime_stats; cg_stats; timing; lint = lint_report; equivalence;
-    stage_times = List.rev !times }
+    retime_stats; cg_stats; timing = analysis.Sta.Smo.report;
+    lint = lint_report; equivalence; stage_times = List.rev !times }

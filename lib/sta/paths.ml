@@ -11,13 +11,21 @@ type path = {
   min_delay : float;
 }
 
-let sources d =
-  List.filter_map
-    (fun i -> Option.map (fun q -> (Reg i, q)) (Design.q_net_of d i))
-    (Design.sequential_insts d)
-  @ List.filter_map
-      (fun (p, net) -> if Design.is_clock_port d p then None else Some (Port p, net))
-      d.Design.primary_inputs
+(* each register's output (its first output net, in instance order),
+   then each non-clock input port *)
+let sources (g : Graph.t) =
+  let d = g.design in
+  let acc =
+    ref
+      (List.filter_map
+         (fun (p, net) -> if Design.is_clock_port d p then None else Some (Port p, net))
+         d.Design.primary_inputs)
+  in
+  for i = Design.num_insts d - 1 downto 0 do
+    if Cell_lib.Cell.is_sequential (Design.cell d i) && g.outputs.(i) <> [||] then
+      acc := (Reg i, g.outputs.(i).(0)) :: !acc
+  done;
+  !acc
 
 let sinks d =
   List.filter_map
@@ -47,61 +55,63 @@ let compute g =
   let hits = Array.make (Array.length dst) 0 and n_hits = ref 0 in
   let net_seen = Array.make n_nets (-1) in
   let inst_seen = Array.make (Design.num_insts d) (-1) in
-  let touch s net =
-    if net_seen.(net) <> s then begin
-      net_seen.(net) <- s;
+  (* the source being walked, read by walk steps allocated once *)
+  let s = ref 0 in
+  let touch net =
+    if net_seen.(net) <> !s then begin
+      net_seen.(net) <- !s;
       touched.(!n_touched) <- net;
       incr n_touched
     end
   in
+  let enter (i, _) =
+    if rank.(i) >= 0 && inst_seen.(i) <> !s then begin
+      inst_seen.(i) <- !s;
+      cone.(!n_cone) <- rank.(i);
+      incr n_cone;
+      Array.iter touch g.Graph.outputs.(i)
+    end
+  in
+  let hit k = hits.(!n_hits) <- k; incr n_hits in
   let relaxations = ref 0 and paths = ref [] in
-  List.iteri
-    (fun s (src, src_net) ->
+  List.iter
+    (fun (src, src_net) ->
       n_touched := 0;
       n_cone := 0;
       n_hits := 0;
-      touch s src_net;
+      touch src_net;
       let head = ref 0 in
       while !head < !n_touched do
         let net = touched.(!head) in
         incr head;
-        List.iter
-          (fun (i, _) ->
-            if rank.(i) >= 0 && inst_seen.(i) <> s then begin
-              inst_seen.(i) <- s;
-              cone.(!n_cone) <- rank.(i);
-              incr n_cone;
-              Array.iter (touch s) g.Graph.outputs.(i)
-            end)
-          d.Design.net_sinks.(net);
-        List.iter (fun k -> hits.(!n_hits) <- k; incr n_hits) dst_at.(net)
+        List.iter enter d.Design.net_sinks.(net);
+        List.iter hit dst_at.(net)
       done;
       amax.(src_net) <- 0.0;
       amin.(src_net) <- 0.0;
       let ranks = Array.sub cone 0 !n_cone in
       Array.sort Int.compare ranks;
-      Array.iter (fun r -> Graph.relax g amax amin order.(r)) ranks;
+      for r = 0 to !n_cone - 1 do Graph.relax g amax amin order.(ranks.(r)) done;
       relaxations := !relaxations + !n_cone;
       (* sinks in [sinks] order, each prepended: the list a sink scan
          per source builds *)
       let ks = Array.sub hits 0 !n_hits in
       Array.sort Int.compare ks;
-      Array.iter
-        (fun k ->
-          let dst, net = dst.(k) in
-          if amax.(net) > Float.neg_infinity then
-            paths :=
-              { src; dst; max_delay = amax.(net); min_delay = amin.(net) }
-              :: !paths)
-        ks;
+      for h = 0 to !n_hits - 1 do
+        let dst, net = dst.(ks.(h)) in
+        if amax.(net) > Float.neg_infinity then
+          paths :=
+            { src; dst; max_delay = amax.(net); min_delay = amin.(net) }
+            :: !paths
+      done;
       for t = 0 to !n_touched - 1 do
         amax.(touched.(t)) <- Float.neg_infinity;
         amin.(touched.(t)) <- Float.infinity
-      done)
-    (sources d);
+      done;
+      incr s)
+    (sources g);
   Obs.count "sta.paths.relaxations" !relaxations;
   Obs.count "sta.paths.arcs" (List.length !paths);
   !paths
 
-let forward_arrivals g =
-  fst (Graph.forward g (List.map snd (sources g.Graph.design)))
+let forward_arrivals g = fst (Graph.forward g (List.map snd (sources g)))

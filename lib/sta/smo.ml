@@ -1,10 +1,10 @@
 module Design = Netlist.Design
 
 type violation = {
+  src : Paths.endpoint;
   dst : Design.inst;
   kind : [ `Setup | `Hold ];
   slack : float;
-  src_class : string;
 }
 
 type report = {
@@ -59,22 +59,28 @@ let forward_shift period e_from e_to =
   let diff = Float.rem (e_to -. e_from) period in
   if diff <= 1e-12 then diff +. period else diff
 
-(* A launch class: registers launching together, or the primary inputs
-   ([port = None]), with their path relaxation. *)
-type launch = {
-  name : string;
-  port : string option;
-  close : float;
-  amax : float array;
-  amin : float array;
-  mutable late : float;  (* max over members of departure + late clk->q *)
-  early : float;         (* min over members of the opening, -width *)
-  clk2q_min : float;
+type arc = {
+  src : Paths.endpoint;
+  launch : reg_view option;
+  capture : reg_view;
+  arrival : float;
+  setup_slack : float;
+  early : float;
+  hold_margin : float;
+  hold_slack : float;
 }
 
-let pi_class = "input"
+type t = {
+  graph : Graph.t;
+  clocks : Sim.Clock_spec.t;
+  views : reg_view list;
+  unclocked : (Design.inst * string) list;
+  arcs : arc list Lazy.t;
+  converged : bool;
+  report : report;
+}
 
-let check ?(exact = false) ?(setup_margin = 0.03) ?(hold_margin = 0.02)
+let analyse ?(setup_margin = 0.03) ?(hold_margin = 0.02)
     ?(input_delay = (0.05, 0.10)) ?(clock_skew = 0.0) ?(derate = (1.0, 1.0))
     d ~clocks =
   Obs.span "sta.smo.check" @@ fun () ->
@@ -85,165 +91,157 @@ let check ?(exact = false) ?(setup_margin = 0.03) ?(hold_margin = 0.02)
   let hold_margin = hold_margin +. clock_skew in
   let period = clocks.Sim.Clock_spec.period in
   let g = Graph.create d in
-  let views = Array.of_list (fst (views g ~clocks)) in
-  let data_nets = Array.map (fun v -> Design.data_net_of d v.inst) views in
-  (* classes: one per (clock port, closing time) — a master-slave pair
-     shares the port but launches from different edges — plus the
-     primary-input class.  [exact] puts every register in its own launch
-     class (one path relaxation per register): no worst-departure/
-     worst-path pairing pessimism, at O(registers) relaxations instead
-     of O(ports). *)
-  let module SM = Map.Make (String) in
-  let view_key (v : reg_view) =
-    if exact then Printf.sprintf "%s#%d" v.port v.inst
-    else Printf.sprintf "%s@%.4f" v.port v.close
+  let views, unclocked = views g ~clocks in
+  let vs = Array.of_list views in
+  let nv = Array.length vs in
+  let index = Array.make (Design.num_insts d) (-1) in
+  Array.iteri (fun k v -> index.(v.inst) <- k) vs;
+  (* the arcs timed, into a viewed register from a viewed register or an
+     input port (launch -1), grouped by capture in view order *)
+  let launch_of (p : Paths.path) =
+    match p.src with Paths.Reg j -> index.(j) | Paths.Port _ -> -1
   in
-  let members = ref SM.empty in
-  Array.iteri
-    (fun k v ->
-      members :=
-        SM.update (view_key v)
-          (fun ks -> Some (k :: Option.value ~default:[] ks)) !members)
-    views;
-  let view_class = Array.make (Array.length views) 0 in
-  let reg_classes =
-    List.rev (SM.bindings !members)
-    |> List.mapi (fun c (name, ks) ->
-        List.iter (fun k -> view_class.(k) <- c) ks;
-        let vs = List.map (Array.get views) ks in
-        (* classes are homogeneous per port: FFs and latches on one port
-           share their closing time *)
-        let rep = List.hd vs in
-        let amax, amin =
-          Graph.forward g (List.filter_map (fun v -> Design.q_net_of d v.inst) vs)
-        in
-        let fold f init = List.fold_left f init vs in
-        { name; port = Some rep.port; close = rep.close; amax; amin;
-          late =
-            fold
-              (fun acc v ->
-                Float.max acc (-.v.width +. (v.clk2q_max *. derate_late)))
-              Float.neg_infinity;
-          early = fold (fun acc v -> Float.min acc (-.v.width)) Float.infinity;
-          clk2q_min =
-            fold (fun acc v -> Float.min acc v.clk2q_min) Float.infinity })
+  let capture_of (p : Paths.path) =
+    match (p.src, p.dst) with
+    | Paths.Reg j, _ when index.(j) < 0 -> -1
+    | _, Paths.Reg i -> index.(i)
+    | _, Paths.Port _ -> -1
   in
-  let pi_nets =
-    List.filter_map
-      (fun (p, net) -> if Design.is_clock_port d p then None else Some net)
-      d.Design.primary_inputs
+  (* counting sort: register k's arcs are [first.(k)] to [first.(k + 1) - 1] *)
+  let all = Paths.compute g in
+  let first = Array.make (nv + 1) 0 in
+  List.iter
+    (fun p ->
+      let k = capture_of p in
+      if k >= 0 then first.(k + 1) <- first.(k + 1) + 1)
+    all;
+  for k = 1 to nv do first.(k) <- first.(k) + first.(k - 1) done;
+  let n = first.(nv) and next = Array.sub first 0 nv in
+  let paths = if n = 0 then [||] else Array.make n (List.hd all) in
+  let capture = Array.make n 0 and launch = Array.make n (-1) in
+  let shift = Array.make n 0.0 in
+  List.iter
+    (fun p ->
+      let k = capture_of p in
+      if k >= 0 then begin
+        let a = next.(k) and j = launch_of p in
+        next.(k) <- a + 1;
+        paths.(a) <- p;
+        capture.(a) <- k;
+        launch.(a) <- j;
+        (* inputs launch at cycle start *)
+        shift.(a) <-
+          forward_shift period (if j < 0 then 0.0 else vs.(j).close) vs.(k).close
+      end)
+    all;
+  (* departure fixpoint: D_k relative to register k's closing edge, at
+     least its opening; an arc's arrival is its latest launch (departure
+     plus late clk->q, or the input delay) plus its delay, shifted to the
+     capturing edge *)
+  let departure = Array.map (fun v -> -.v.width) vs in
+  let arrival = Array.make n Float.neg_infinity in
+  let arrive k =
+    for a = first.(k) to first.(k + 1) - 1 do
+      let j = launch.(a) in
+      let late =
+        if j < 0 then input_delay_max
+        else departure.(j) +. (vs.(j).clk2q_max *. derate_late)
+      in
+      arrival.(a) <- late +. (paths.(a).max_delay *. derate_late) -. shift.(a)
+    done
   in
-  let classes =
-    Array.of_list
-      (if pi_nets = [] then reg_classes
-       else
-         let amax, amin = Graph.forward g pi_nets in
-         (* inputs depart at the external input delay *)
-         reg_classes
-         @ [ { name = pi_class; port = None; close = 0.0; amax; amin;
-               late = input_delay_max; early = input_delay_min;
-               clk2q_min = 0.0 } ])
-  in
-  (* the latest arrival at a register's data pin, relative to its
-     closing edge *)
-  let arrival_of k =
-    match data_nets.(k) with
-    | None -> Float.neg_infinity
-    | Some dn ->
-      Array.fold_left
-        (fun acc c ->
-          if c.amax.(dn) > Float.neg_infinity then
-            let shift = forward_shift period c.close views.(k).close in
-            Float.max acc (c.late +. (c.amax.(dn) *. derate_late) -. shift)
-          else acc)
-        Float.neg_infinity classes
-  in
-  (* departure iteration: D_j relative to the register's closing edge.
-     Departures only rise, so raising each class's [late] with them keeps
-     it equal to the maximum over its members. *)
-  let departures = Array.map (fun v -> -.v.width) views in
-  let iterations = ref 0 in
-  let changed = ref true in
-  let failed_to_converge = ref false in
-  while !changed && not !failed_to_converge do
-    incr iterations;
-    if !iterations > Array.length views + 8 then failed_to_converge := true
+  (* Gauss-Seidel sweeps in view order until no departure rises *)
+  let rec settle iterations =
+    if iterations > nv + 8 then (iterations, false)
     else begin
-      changed := false;
-      Array.iteri
-        (fun k (v : reg_view) ->
-          let dep = Float.max (-.v.width) (arrival_of k) in
-          if dep > departures.(k) +. 1e-9 then begin
-            departures.(k) <- dep;
-            let c = classes.(view_class.(k)) in
-            c.late <- Float.max c.late (dep +. (v.clk2q_max *. derate_late));
-            changed := true
-          end)
-        views
+      let changed = ref false in
+      for k = 0 to nv - 1 do
+        arrive k;
+        let dep = ref (-.vs.(k).width) in
+        for a = first.(k) to first.(k + 1) - 1 do
+          dep := Float.max !dep arrival.(a)
+        done;
+        if !dep > departure.(k) +. 1e-9 then begin
+          departure.(k) <- !dep;
+          changed := true
+        end
+      done;
+      if !changed then settle (iterations + 1) else (iterations, true)
     end
-  done;
-  (* constraint evaluation *)
+  in
+  let iterations, converged = settle 1 in
+  (* without convergence the last sweep's arrivals may predate a
+     departure it raised *)
+  if not converged then for k = 0 to nv - 1 do arrive k done;
+  (* hold: the earliest arrival after the previous closing edge,
+     launched at the source's opening.  Complementary latches on the
+     same clock port (a master-slave pair) share their clock leaf, so no
+     inter-corner skew applies between them. *)
+  let early = Array.make n 0.0 and margin = Array.make n hold_margin in
   let violations = ref [] in
   let worst_setup = ref Float.infinity and worst_hold = ref Float.infinity in
+  for a = n - 1 downto 0 do
+    let j = launch.(a) and v = vs.(capture.(a)) and p = paths.(a) in
+    if j < 0 then
+      early.(a) <-
+        input_delay_min +. (p.min_delay *. derate_early) -. shift.(a) +. period
+    else begin
+      let u = vs.(j) in
+      early.(a) <-
+        -.u.width +. ((u.clk2q_min +. p.min_delay) *. derate_early) -. shift.(a)
+        +. period;
+      if String.equal u.port v.port && Float.abs (u.close -. v.close) > 1e-9
+      then margin.(a) <- base_hold_margin
+    end;
+    let setup = -.arrival.(a) -. setup_margin and hold = early.(a) -. margin.(a) in
+    if setup < !worst_setup then worst_setup := setup;
+    if hold < !worst_hold then worst_hold := hold;
+    if hold < 0.0 then
+      violations :=
+        { src = p.src; dst = v.inst; kind = `Hold; slack = hold } :: !violations;
+    if setup < 0.0 then
+      violations :=
+        { src = p.src; dst = v.inst; kind = `Setup; slack = setup } :: !violations
+  done;
+  let arc a =
+    let j = launch.(a) in
+    { src = paths.(a).src;
+      launch = (if j < 0 then None else Some vs.(j));
+      capture = vs.(capture.(a));
+      arrival = arrival.(a);
+      setup_slack = -.arrival.(a) -. setup_margin;
+      early = early.(a);
+      hold_margin = margin.(a);
+      hold_slack = early.(a) -. margin.(a) }
+  in
+  (* time borrowed: how far into the transparency window the data
+     arrives (0 when it is ready before the latch opens) *)
   let max_borrow = ref 0.0 in
   Array.iteri
-    (fun k (v : reg_view) ->
-      (match data_nets.(k) with
-       | None -> ()
-       | Some dn ->
-         Array.iter
-           (fun c ->
-             if c.amax.(dn) > Float.neg_infinity then begin
-               let shift = forward_shift period c.close v.close in
-               (* setup: arrival relative to closing + margin <= 0 *)
-               let arr = c.late +. (c.amax.(dn) *. derate_late) -. shift in
-               let setup_slack = -.arr -. setup_margin in
-               if setup_slack < !worst_setup then worst_setup := setup_slack;
-               if setup_slack < 0.0 then
-                 violations := { dst = v.inst; kind = `Setup;
-                                 slack = setup_slack; src_class = c.name } :: !violations;
-               (* hold: earliest arrival after the previous closing edge.
-                  Earliest departure of the class is at its opening. *)
-               let early_arrival =
-                 c.early +. ((c.clk2q_min +. c.amin.(dn)) *. derate_early)
-                 -. shift +. period
-               in
-               (* complementary latches on the same clock port (a
-                  master-slave pair) share their clock leaf, so no
-                  inter-corner skew applies between them *)
-               let margin =
-                 match c.port with
-                 | Some port
-                   when String.equal port v.port
-                        && Float.abs (c.close -. v.close) > 1e-9 ->
-                   base_hold_margin
-                 | Some _ | None -> hold_margin
-               in
-               let hold_slack = early_arrival -. margin in
-               if hold_slack < !worst_hold then worst_hold := hold_slack;
-               if hold_slack < 0.0 then
-                 violations := { dst = v.inst; kind = `Hold;
-                                 slack = hold_slack; src_class = c.name } :: !violations
-             end)
-           classes);
-      (* time borrowed: how far into the transparency window the data
-         arrives (0 when it is ready before the latch opens) *)
-      let borrow = departures.(k) +. v.width in
+    (fun k v ->
+      let borrow = departure.(k) +. v.width in
       if v.width > 0.0 && borrow > !max_borrow then max_borrow := borrow)
-    views;
-  let worst_setup =
-    if !failed_to_converge then Float.neg_infinity
-    else if !worst_setup = Float.infinity then period
-    else !worst_setup
-  in
-  let worst_hold = if !worst_hold = Float.infinity then period else !worst_hold in
-  Obs.count "sta.smo.iterations" !iterations;
-  Obs.count "sta.smo.registers_checked" (Array.length views);
-  { worst_setup_slack = worst_setup;
-    worst_hold_slack = worst_hold;
-    violations = List.rev !violations;
-    max_borrow = !max_borrow;
-    iterations = !iterations }
+    vs;
+  Obs.count "sta.smo.iterations" iterations;
+  Obs.count "sta.smo.registers_checked" nv;
+  { graph = g; clocks; views; unclocked;
+    arcs = lazy (List.init n arc);
+    converged;
+    report =
+      { worst_setup_slack =
+          (if not converged then Float.neg_infinity
+           else if !worst_setup = Float.infinity then period
+           else !worst_setup);
+        worst_hold_slack =
+          (if !worst_hold = Float.infinity then period else !worst_hold);
+        violations = !violations;
+        max_borrow = !max_borrow;
+        iterations } }
+
+let check ?setup_margin ?hold_margin ?input_delay ?clock_skew ?derate d
+    ~clocks =
+  (analyse ?setup_margin ?hold_margin ?input_delay ?clock_skew ?derate d
+     ~clocks).report
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -11,24 +11,22 @@
     setup:  arrival at latch [i] (relative to its closing edge) + setup <= 0
     hold:   earliest arrival after the previous closing edge >= hold
 
-    Launch points are grouped into per-clock-port classes (one path
-    relaxation per class), which scales to large designs at the cost of
-    slight pessimism: the worst departure of a class is combined with the
-    worst path delay of the class.  [~exact:true] makes every register its
-    own launch class, removing that pairing pessimism at O(registers)
-    relaxations — use it on small designs or for sign-off spot checks. *)
+    Every register launches on its own: the recurrence runs over the
+    register-to-register and input-to-register arcs of {!Paths.compute},
+    and each arc is timed with its own source's departure and path
+    delays. *)
 
 type violation = {
+  src : Paths.endpoint;        (** the launching register or input port *)
   dst : Netlist.Design.inst;
   kind : [ `Setup | `Hold ];
   slack : float;               (** negative = violated *)
-  src_class : string;          (** launching clock port or "input" *)
 }
 
 type report = {
   worst_setup_slack : float;
   worst_hold_slack : float;
-  violations : violation list;
+  violations : violation list;  (** one per violated arc and check *)
   max_borrow : float;          (** worst positive departure (time borrowed) *)
   iterations : int;
 }
@@ -46,28 +44,54 @@ type reg_view = {
   clk2q_min : float;
 }
 
-(** [views g ~clocks] — the view of every register, in instance order,
-    and apart from them the registers (with their root port) whose root
-    port has no waveform in [clocks].  A register whose clock does not
-    trace to a port is in neither list ([NET-003] reports it).  Runs
-    inside the Obs span [sta.smo.views]. *)
-val views :
-  Graph.t -> clocks:Sim.Clock_spec.t ->
-  reg_view list * (Netlist.Design.inst * string) list
+(** One timed arc at the fixed point: a {!Paths} arc into a viewed
+    register, from a viewed register or an input port. *)
+type arc = {
+  src : Paths.endpoint;
+  launch : reg_view option;  (** [src]'s view; [None] for an input port *)
+  capture : reg_view;
+  arrival : float;           (** latest, from [capture]'s closing edge, ns *)
+  setup_slack : float;       (** [-. arrival -.] the setup margin *)
+  early : float;             (** earliest, after the previous closing edge *)
+  hold_margin : float;
+  hold_slack : float;        (** [early -. hold_margin] *)
+}
 
-(** The SMO phase shift: time from closing edge [e_from] to the next
-    occurrence of closing edge [e_to], in (0, period]. *)
-val forward_shift : float -> float -> float -> float
+(** One analysis of a design: its report, and what lint reads per arc. *)
+type t = {
+  graph : Graph.t;
+  clocks : Sim.Clock_spec.t;
+  views : reg_view list;  (** every register whose clock port has a waveform *)
+  unclocked : (Netlist.Design.inst * string) list;  (** root port has none *)
+  arcs : arc list Lazy.t;
+  (** every timed arc, grouped by capturing register in [views] order *)
+  converged : bool;
+  (** the departure fixed point settled within [registers + 8] sweeps;
+      when it did not, the report's worst setup slack is [neg_infinity] *)
+  report : report;
+}
 
-(** [check d ~clocks] — [setup_margin]/[hold_margin] default to 0.03/0.02
-    ns.  [input_delay] = (min, max) ns after the cycle start at which
-    primary inputs change, the usual external timing constraint; defaults
-    to (0.05, 0.10).  [clock_skew] (default 0) tightens both checks by
-    the given uncertainty.  [derate] = (early, late) scales minimum and
-    maximum path delays for process/voltage/temperature corner analysis
-    (e.g. [(0.8, 1.25)]).  Compiles its own {!Graph}. *)
+(** [analyse d ~clocks] compiles a {!Graph} of [d], derives the
+    register views (Obs span [sta.smo.views]) and walks its {!Paths},
+    inside the Obs span [sta.smo.check].  [setup_margin] /
+    [hold_margin] default to 0.03/0.02 ns.  [input_delay] = (min, max)
+    ns after the cycle start at which primary inputs change, the usual
+    external timing constraint; defaults to (0.05, 0.10).  [clock_skew]
+    (default 0) tightens both checks by the given uncertainty, except
+    the hold check between complementary latches on one clock port (a
+    master-slave pair), which share their clock leaf.  [derate] =
+    (early, late) scales minimum and maximum path delays for
+    process/voltage/temperature corner analysis (e.g. [(0.8, 1.25)]). *)
+val analyse :
+  ?setup_margin:float ->
+  ?hold_margin:float ->
+  ?input_delay:float * float ->
+  ?clock_skew:float ->
+  ?derate:float * float ->
+  Netlist.Design.t -> clocks:Sim.Clock_spec.t -> t
+
+(** [check d ~clocks] is the {!report} of {!analyse}. *)
 val check :
-  ?exact:bool ->
   ?setup_margin:float ->
   ?hold_margin:float ->
   ?input_delay:float * float ->

@@ -515,6 +515,60 @@ let test_flow_disabled_stages () =
   Alcotest.(check bool) "stage_times skips disabled stages" true
     (not (List.mem_assoc "retime" result.Phase3.Flow.stage_times))
 
+(* completed calls of span [name] below every span named [root] *)
+let calls_under root name =
+  List.fold_left
+    (fun acc n ->
+      if String.equal n.Obs.node_name root then
+        List.fold_left
+          (fun acc c ->
+            if String.equal c.Obs.node_name name then acc + c.Obs.n_calls
+            else acc)
+          acc (flatten n.Obs.n_children)
+      else acc)
+    0
+    (flatten (Obs.span_tree ()))
+
+(* the smo stage analyses the final design once and the lint stage
+   reads that analysis: one timing graph and one path walk per run *)
+let test_flow_one_timing_analysis () =
+  let d = quickstart_design () in
+  let timing_spans = ["sta.graph.create"; "sta.paths.compute"] in
+  Obs.reset ();
+  ignore (Phase3.Flow.run ~config:(Phase3.Flow.default_config ~period:1.0) d);
+  List.iter
+    (fun span ->
+      Alcotest.(check int) (span ^ " once under smo and lint") 1
+        (calls_under "flow.smo" span + calls_under "flow.lint" span);
+      Alcotest.(check int) (span ^ " not under lint") 0
+        (calls_under "flow.lint" span))
+    timing_spans;
+  Obs.reset ();
+  ignore
+    (Phase3.Flow.run
+       ~config:{ (Phase3.Flow.default_config ~period:1.0) with Phase3.Flow.lint = false }
+       d);
+  List.iter
+    (fun span ->
+      Alcotest.(check int) (span ^ " once under smo without lint") 1
+        (calls_under "flow.smo" span))
+    timing_spans
+
+(* the minor-words gauge counts the words allocated inside the span:
+   3 per cons cell, plus the span's own few *)
+let test_gc_span_minor_words () =
+  Obs.reset ();
+  (* a first span allocates the domain's event buffer *)
+  Obs.gc_span "warm-up" ignore;
+  let n = 2000 in
+  let rec build k acc = if k = 0 then acc else build (k - 1) (k :: acc) in
+  ignore (Sys.opaque_identity (Obs.gc_span "probe" (fun () -> build n [])));
+  let words = List.assoc "probe.gc.minor_words" (Obs.gauges ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "3N <= %g <= 3N + 64" words)
+    true
+    (words >= float_of_int (3 * n) && words <= float_of_int ((3 * n) + 64))
+
 (* all of the flow's work runs under a stage span: the roots of the span
    tree are exactly the flow.<stage> spans of the stages the run
    executed, with the default config and with [optimize] on *)
@@ -576,4 +630,8 @@ let suite =
     Alcotest.test_case "disabled flow stages emit no span" `Quick
       test_flow_disabled_stages;
     Alcotest.test_case "every flow root span is an executed stage" `Quick
-      test_flow_roots_are_stages ]
+      test_flow_roots_are_stages;
+    Alcotest.test_case "one timing analysis per flow run" `Quick
+      test_flow_one_timing_analysis;
+    Alcotest.test_case "gc span counts minor words" `Quick
+      test_gc_span_minor_words ]
