@@ -17,11 +17,11 @@ let unclocked d (i, port) =
      specification"
     (Netlist.Design.inst_name d i) port
 
-(* every pass over [d]; [timing ()] yields the analysis the timing
-   passes read *)
-let lint ~waivers ~extra d ~clocks timing =
+(* every pass over [d]; [structural ()] yields its structural findings
+   and [timing ()] the analysis the timing passes read *)
+let lint ~waivers ~extra d ~clocks ~structural timing =
   Obs.span "lint.run" @@ fun () ->
-  let structural = Netlist.Check.diagnostics d in
+  let structural = structural () in
   let clock = Clock_audit.run d ~clocks in
   (* timing needs an acyclic network: on a loop NET-002 stands alone *)
   let timing =
@@ -56,10 +56,13 @@ let lint ~waivers ~extra d ~clocks timing =
   { diagnostics; errors; warnings; infos }
 
 let run ?(waivers = []) ?(extra = []) d ~clocks =
-  lint ~waivers ~extra d ~clocks (fun () -> Sta.Smo.analyse d ~clocks)
+  lint ~waivers ~extra d ~clocks
+    ~structural:(fun () -> Netlist.Check.diagnostics d)
+    (fun () -> Sta.Smo.analyse d ~clocks)
 
-let audit (a : Sta.Smo.t) =
+let audit ~structural (a : Sta.Smo.t) =
   lint ~waivers:[] ~extra:[] a.graph.Sta.Graph.design ~clocks:a.clocks
+    ~structural:(fun () -> structural)
     (fun () -> a)
 
 let pp ppf r = Lint_core.Emit.text ~show_waived:true ppf r.diagnostics

@@ -43,9 +43,11 @@ val run :
   clocks:Sim.Clock_spec.t ->
   report
 
-(** [audit a] is {!run} of [a]'s design and clocks, reading the timing
-    passes off the analysis [a] instead of analysing again. *)
-val audit : Sta.Smo.t -> report
+(** [audit ~structural a] is {!run} of [a]'s design and clocks, reading
+    the structural findings from [structural], which must be
+    {!Netlist.Check.diagnostics} of that design, and the timing passes
+    off the analysis [a], instead of checking and analysing again. *)
+val audit : structural:Lint_core.Diagnostic.t list -> Sta.Smo.t -> report
 
 (** Render the report with {!Lint_core.Emit}. *)
 val pp : Format.formatter -> report -> unit

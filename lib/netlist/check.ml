@@ -102,10 +102,10 @@ let diagnostics d =
   |> check_dangling d
   |> List.rev
 
+let errors diagnostics =
+  List.filter_map
+    (fun dg -> if D.is_error dg then Some dg.D.message else None)
+    diagnostics
+
 let validate d =
-  let errors =
-    List.filter_map
-      (fun dg -> if D.is_error dg then Some dg.D.message else None)
-      (diagnostics d)
-  in
-  if errors = [] then Ok () else Error errors
+  match errors (diagnostics d) with [] -> Ok () | e -> Error e

@@ -17,6 +17,11 @@
     [lint.structural]. *)
 val diagnostics : Design.t -> Lint_core.Diagnostic.t list
 
+(** The messages of the error-severity findings among [diagnostics],
+    in order. *)
+val errors : Lint_core.Diagnostic.t list -> string list
+
 (** [validate d] returns [Ok ()] when {!diagnostics} finds no
-    error-severity finding, otherwise [Error messages]. *)
+    error-severity finding, otherwise [Error messages], the {!errors}
+    of its findings. *)
 val validate : Design.t -> (unit, string list) result

@@ -83,11 +83,20 @@ let chunk max_n l =
   in
   go [] [] 0 l
 
-let run ?(options = default_options) ?(ports = Convert.default_ports)
-    ~activity:(toggles, cycles) d =
-  let lib = d.Design.library in
-  let icgp3 = Cell_lib.Library.clock_gate lib ~style:Cell_lib.Cell.Icg_m1_p3 in
-  let icgnl = Cell_lib.Library.clock_gate lib ~style:Cell_lib.Cell.Icg_m2_latchless in
+(* Every decision that does not read activity, taken once: the
+   common-enable groups, the DDCG pool with its data nets, and the M2
+   replacements. *)
+type plan = {
+  design : Design.t;
+  options : options;
+  ports : Convert.clock_ports;
+  n_p2 : int;
+  gated_by_enable : (int, int list) Hashtbl.t;  (* EN net -> latch list *)
+  pool : (int * int) list;  (* DDCG candidate latch, its data net *)
+  m2_replace : (int, unit) Hashtbl.t;
+}
+
+let plan ?(options = default_options) ?(ports = Convert.default_ports) d =
   let p2_latches =
     List.filter (fun i -> Convert.is_inserted_p2 d i) (Design.sequential_insts d)
   in
@@ -144,8 +153,7 @@ let run ?(options = default_options) ?(ports = Convert.default_ports)
             | (Some _ | None), (Some _ | None) -> ()
           end)
       direct_p2;
-  (* --- step 3 selection: DDCG groups -------------------------------- *)
-  let rate net = float_of_int toggles.(net) /. float_of_int (max 1 cycles) in
+  (* --- step 3 pool: DDCG candidates -------------------------------- *)
   (* DDCG samples XOR(D,Q) at the e3 boundary before the p2 window, so the
      data cone must have settled by then: only latches fed exclusively by
      p3 first latches qualify (p1 latches and input ports change after
@@ -161,24 +169,15 @@ let run ?(options = default_options) ?(ports = Convert.default_ports)
            (fun s -> Option.equal String.equal (phase_port d s) (Some ports.Convert.p3))
            sources
   in
-  let ddcg_candidates =
+  let pool =
     if options.ddcg then
       List.filter_map
         (fun l ->
           if Hashtbl.mem gated_set l || not (ddcg_safe l) || not (init_safe l)
           then None
-          else
-            match Design.data_net_of d l with
-            | Some dn when rate dn < options.ddcg_threshold -> Some (l, rate dn)
-            | Some _ | None -> None)
+          else Option.map (fun dn -> (l, dn)) (Design.data_net_of d l))
         direct_p2
     else []
-  in
-  let ddcg_groups =
-    ddcg_candidates
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-    |> List.map fst
-    |> chunk options.max_fanout
   in
   (* --- step 2 selection: M2 latch removal --------------------------- *)
   let m2_replace = Hashtbl.create 16 in
@@ -207,6 +206,28 @@ let run ?(options = default_options) ?(ports = Convert.default_ports)
         | Cell_lib.Cell.Clock_gate _ | Cell_lib.Cell.Combinational
         | Cell_lib.Cell.Flip_flop _ | Cell_lib.Cell.Latch _ -> ())
       (Design.clock_gate_insts d);
+  { design = d; options; ports; n_p2 = List.length p2_latches;
+    gated_by_enable; pool; m2_replace }
+
+let observed p = Array.of_list (List.map snd p.pool)
+
+let apply p ~activity:(toggles, cycles) =
+  let d = p.design and options = p.options and ports = p.ports in
+  let gated_by_enable = p.gated_by_enable and m2_replace = p.m2_replace in
+  let lib = d.Design.library in
+  let icgp3 = Cell_lib.Library.clock_gate lib ~style:Cell_lib.Cell.Icg_m1_p3 in
+  let icgnl = Cell_lib.Library.clock_gate lib ~style:Cell_lib.Cell.Icg_m2_latchless in
+  (* --- step 3 selection: DDCG groups -------------------------------- *)
+  let rate net = float_of_int toggles.(net) /. float_of_int (max 1 cycles) in
+  let ddcg_groups =
+    List.filter_map
+      (fun (l, dn) ->
+        if rate dn < options.ddcg_threshold then Some (l, rate dn) else None)
+      p.pool
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
+    |> List.map fst
+    |> chunk options.max_fanout
+  in
   (* --- rebuild ------------------------------------------------------ *)
   let rw = Netlist.Rewrite.start d in
   let b = Netlist.Rewrite.builder rw in
@@ -300,9 +321,11 @@ let run ?(options = default_options) ?(ports = Convert.default_ports)
     Hashtbl.fold (fun _ ls acc -> acc + List.length ls) gated_by_enable 0
   in
   (d',
-   { p2_latches = List.length p2_latches;
+   { p2_latches = p.n_p2;
      gated_common_enable = gated_common;
      ddcg_gated = !ddcg_gated;
      ddcg_groups = List.length ddcg_groups;
      m2_replaced = Hashtbl.length m2_replace;
      cg_cells_added = !cg_added })
+
+let run ?options ?ports ~activity d = apply (plan ?options ?ports d) ~activity

@@ -17,7 +17,10 @@
        XOR(D,Q) comparators ORed into the enable of a shared M1-style CG.
 
     Activity (per-net toggle counts and the cycle count they were gathered
-    over) comes from a simulation of the design being gated. *)
+    over) comes from a simulation of the design being gated.  Only step
+    3 reads it, and only at the data nets of its pool ({!observed}), so
+    a caller can simulate just their fan-in
+    ([Sim.Kernel.create ~observe]). *)
 
 type options = {
   common_enable : bool;
@@ -38,6 +41,29 @@ type stats = {
   cg_cells_added : int;
 }
 
+(** Every decision that reads no activity, taken once: the
+    common-enable groups (step 1), the M2 replacements (step 2) and the
+    DDCG pool (step 3): the ungated [p2] latches that pass the
+    DDCG-safe and initialisation-safe filters, each with its data
+    net. *)
+type plan
+
+val plan :
+  ?options:options -> ?ports:Convert.clock_ports -> Netlist.Design.t -> plan
+
+(** The data nets of the DDCG pool, in the pool's order: the only nets
+    whose activity {!apply} reads.  Empty when DDCG is off or no [p2]
+    latch qualifies. *)
+val observed : plan -> Netlist.Design.net array
+
+(** [apply p ~activity:(toggles, cycles)] groups the pool's latches
+    whose data nets toggle below the threshold, reading [toggles] only
+    at {!observed}, and rebuilds the design with every gate. *)
+val apply :
+  plan -> activity:int array * int -> Netlist.Design.t * stats
+
+(** [run ?options ?ports ~activity d] is [apply (plan ?options ?ports d)
+    ~activity]. *)
 val run :
   ?options:options ->
   ?ports:Convert.clock_ports ->

@@ -134,28 +134,34 @@ let run ~config d =
   let final, cg_stats =
     if cg_on then
       stage "clock_gating" (fun () ->
+          let plan =
+            Clock_gating.plan ~options:config.clock_gating ~ports:config.ports
+              retimed
+          in
           (* profile activity on the pre-gating design: the bit-parallel
              kernel runs one independently seeded stimulus stream per lane,
              so the DDCG decisions see Monte-Carlo toggle statistics rather
-             than a single random trace *)
+             than a single random trace.  DDCG reads only its pool's data
+             nets, so the kernel simulates their fan-in, and nothing when
+             the pool is empty *)
+          let observe = Clock_gating.observed plan in
           let activity =
-            Obs.span "flow.clock_gating.activity" (fun () ->
-                let kernel = Sim.Kernel.create retimed ~clocks in
-                let stimulus =
-                  Sim.Stimulus.draw
-                    ~seeds:
-                      (Array.init (Sim.Kernel.lanes kernel) (fun l ->
-                           config.activity_seed + l))
-                    ~cycles:config.activity_cycles (Sim.Stimulus.Uniform 0.25)
-                    (Sim.Stimulus.inputs_of retimed)
-                in
-                Sim.Kernel.run kernel stimulus;
-                (Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel))
+            if Array.length observe = 0 then ([||], 0)
+            else
+              Obs.span "flow.clock_gating.activity" (fun () ->
+                  let kernel = Sim.Kernel.create ~observe retimed ~clocks in
+                  let stimulus =
+                    Sim.Stimulus.draw
+                      ~seeds:
+                        (Array.init (Sim.Kernel.lanes kernel) (fun l ->
+                             config.activity_seed + l))
+                      ~cycles:config.activity_cycles (Sim.Stimulus.Uniform 0.25)
+                      (Sim.Stimulus.inputs_of retimed)
+                  in
+                  Sim.Kernel.run kernel stimulus;
+                  (Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel))
           in
-          let d', s =
-            Clock_gating.run ~options:config.clock_gating ~ports:config.ports
-              ~activity retimed
-          in
+          let d', s = Clock_gating.apply plan ~activity in
           (d', Some s))
     else (retimed, None)
   in
@@ -164,21 +170,23 @@ let run ~config d =
       stage "optimize" (fun () -> fst (Netlist.Optimize.run final))
     else final
   in
-  let analysis =
+  let structural, analysis =
     stage "smo" (fun () ->
-        (* timing reads the final design: check its structure first *)
-        (match Netlist.Check.validate final with
-         | Ok () -> ()
-         | Error errors ->
+        (* timing reads the final design: check its structure first; the
+           lint stage reads the same findings *)
+        let structural = Netlist.Check.diagnostics final in
+        (match Netlist.Check.errors structural with
+         | [] -> ()
+         | errors ->
            fail "final design invalid: %s" (String.concat "; " errors));
-        Sta.Smo.analyse final ~clocks)
+        (structural, Sta.Smo.analyse final ~clocks))
   in
   let lint_report =
     if config.lint then
       stage "lint" (fun () ->
           (* the independent auditor: reads the analysis above and the
              netlist, never the assignment *)
-          let report = Lint.Engine.audit analysis in
+          let report = Lint.Engine.audit ~structural analysis in
           if not (Lint.Engine.ok report) then begin
             let firsts =
               List.filteri

@@ -14,8 +14,11 @@
     entry in {!result.stage_times}, so traces, per-stage tables and
     QoR run records come for free — see docs/FLOW.md for the stage
     catalogue and docs/QOR.md for the record schema.  All of the
-    flow's work runs inside a stage span: the final design's
-    structural check runs in [smo]. *)
+    flow's work runs inside a stage span: the final design's one
+    structural check runs in [smo], and [lint] reads its findings.
+    The [clock_gating] stage simulates only the fan-in of the DDCG
+    pool's data nets ({!Clock_gating.observed}), and nothing when the
+    pool is empty. *)
 
 type config = {
   solver : Assignment.solver;

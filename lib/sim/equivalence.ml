@@ -106,10 +106,14 @@ let logic_at v x lane =
 let rec lowest_lane w lane = if w land 1 <> 0 then lane else lowest_lane (w lsr 1) (lane + 1)
 
 (* Both designs run on kernels from the one draw, sampling the
-   reference's output nets and the dut's nets of the same names; a
-   cycle pair then compares one value word and one unknown word per
-   port, all lanes at once.  A port the dut lacks reads X on every lane
-   and mismatches on every lane, as in [sample_mismatch]. *)
+   reference's output nets and the dut's nets of the same names; each
+   kernel simulates only the fan-in of the nets it samples.  A cycle
+   pair then compares one value word and one unknown word per port,
+   all lanes at once.  A port the dut lacks reads X on every lane and
+   mismatches on every lane, as in [sample_mismatch]. *)
+let run_observing d ~clocks stimulus nets =
+  Kernel.run_sampled (Kernel.create ~observe:nets d ~clocks) stimulus nets
+
 let check_packed ~reference ~dut ~reference_clocks ~dut_clocks
     ~(stimulus : Stimulus.packed) () =
   let warmup = default_warmup and max_shift = default_max_shift in
@@ -118,9 +122,8 @@ let check_packed ~reference ~dut ~reference_clocks ~dut_clocks
   let ports = Array.of_list reference.Netlist.Design.primary_outputs in
   let m = Array.length ports in
   let ref_v, ref_x =
-    Kernel.run_sampled
-      (Kernel.create reference ~clocks:reference_clocks)
-      stimulus (Array.map snd ports)
+    run_observing reference ~clocks:reference_clocks stimulus
+      (Array.map snd ports)
   in
   (* column of each port among the dut's sampled nets, -1 if it lacks it *)
   let dut_nets = ref [] and width = ref 0 in
@@ -137,9 +140,8 @@ let check_packed ~reference ~dut ~reference_clocks ~dut_clocks
   in
   let width = !width in
   let dut_v, dut_x =
-    Kernel.run_sampled
-      (Kernel.create dut ~clocks:dut_clocks)
-      stimulus (Array.of_list (List.rev !dut_nets))
+    run_observing dut ~clocks:dut_clocks stimulus
+      (Array.of_list (List.rev !dut_nets))
   in
   let compared = ref 0 in
   let first_diff cycle shift =

@@ -29,6 +29,25 @@ let popcount n =
   + Char.code (Bytes.unsafe_get pop16 ((n lsr 32) land 0xffff))
   + Char.code (Bytes.unsafe_get pop16 (n lsr 48))
 
+(* the indices [i < n] with [keep i], ascending *)
+let indices_where n keep =
+  let count = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then incr count
+  done;
+  let a = Array.make !count 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then begin
+      a.(!k) <- i;
+      incr k
+    end
+  done;
+  a
+
+(* the elements of [a] with [keep], in order *)
+let filter keep a =
+  Array.map (fun k -> a.(k)) (indices_where (Array.length a) (fun k -> keep a.(k)))
+
 (* --- Instruction set -------------------------------------------------
 
    Every instance compiles to one opcode over a CSR operand slice.
@@ -151,6 +170,8 @@ type t = {
   (* registers whose state changed at the current event, ascending *)
   changed : int array;
   mutable n_changed : int;
+  (* nets in the cone of the observed nets: ['\001'] in, ['\000'] out *)
+  net_live : Bytes.t;
   (* non-clock primary inputs, in the design's order, and by name *)
   input_nets : (string * int) list;
   input_index : (string, int) Hashtbl.t;
@@ -820,6 +841,8 @@ let input_net t ~caller port =
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "%s: unknown input %s" caller port)
 
+let in_cone t n = Bytes.get t.net_live n <> '\000'
+
 (* Primary inputs change right after the first rising clock event of the
    cycle, exactly like Engine.run_cycle; the event lists are pre-split
    around that edge at compile time.  [commit_inputs] commits the
@@ -835,13 +858,15 @@ let run_cycle t commit_inputs =
 
 let run_cycle_broadcast t inputs =
   let planes =
-    List.map
+    List.filter_map
       (fun (port, value) ->
         let n = input_net t ~caller:"Kernel.run_cycle_broadcast" port in
-        match value with
-        | Logic.L0 -> (n, 0, 0)
-        | Logic.L1 -> (n, t.mask, 0)
-        | Logic.LX -> (n, 0, t.mask))
+        if not (in_cone t n) then None
+        else
+          match value with
+          | Logic.L0 -> Some (n, 0, 0)
+          | Logic.L1 -> Some (n, t.mask, 0)
+          | Logic.LX -> Some (n, 0, t.mask))
       inputs
   in
   run_cycle t (fun () ->
@@ -866,22 +891,33 @@ let observe_run t ~cycles_run ~toggles_before (before : stats) =
 (* The one loop that drives lanes apart: the draw's input names resolve
    to nets once, then each cycle commits each input's word as it is —
    the word already holds every lane's value, and a draw never carries
-   X, so the unknown plane is 0.  After each cycle the planes of
-   [sampled] are copied out, cycle-major. *)
+   X, so the unknown plane is 0.  Inputs outside the cone are not
+   committed: no instance of the cone reads them.  After each cycle the
+   planes of [sampled] are copied out, cycle-major. *)
 let run_sampled t (p : Stimulus.packed) sampled =
   if p.lanes <> t.lanes then
     invalid_arg
       (Printf.sprintf "Kernel.run: a draw of %d lanes, the kernel has %d"
          p.lanes t.lanes);
   let nets = Array.map (input_net t ~caller:"Kernel.run") p.inputs in
+  Array.iter
+    (fun n ->
+      if not (in_cone t n) then
+        invalid_arg
+          (Printf.sprintf "Kernel.run_sampled: net %s is outside the cone"
+             (Design.net_name t.design n)))
+    sampled;
   let n = Array.length nets and m = Array.length sampled in
+  (* positions in [p.inputs] of the inputs the cone reads *)
+  let driven = indices_where n (fun k -> in_cone t nets.(k)) in
   let sv = Array.make (p.cycles * m) 0 and sx = Array.make (p.cycles * m) 0 in
   let toggles_before = sum_toggles t and before = stats t in
   Obs.span "sim.kernel.run" (fun () ->
       for c = 0 to p.cycles - 1 do
         let base = c * n in
         run_cycle t (fun () ->
-            for k = 0 to n - 1 do
+            for j = 0 to Array.length driven - 1 do
+              let k = driven.(j) in
               commit t nets.(k) p.words.(base + k) 0 cm_wake
             done);
         let at = c * m in
@@ -899,7 +935,8 @@ let run_streams t streams = run t (Stimulus.pack streams)
 
 (* --- Creation --------------------------------------------------------- *)
 
-let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
+let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
+    ~clocks =
   Obs.span "sim.kernel.create" @@ fun () ->
   let n_nets = Design.num_nets design in
   let n_insts = Design.num_insts design in
@@ -929,14 +966,6 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
   let lv = Levelize.compute design in
   let levels = lv.Levelize.level in
   let clock_insts = Levelize.clock_network_order design in
-  let clock_outs = Array.map (fun i -> compiled.(i).c_out) clock_insts in
-  let seq_insts =
-    let l = ref [] in
-    for i = n_insts - 1 downto 0 do
-      if is_seq_op compiled.(i).c_op then l := i :: !l
-    done;
-    Array.of_list !l
-  in
   (* --- gate fusion: collapse maximal single-fanout combinational trees
      into straight-line units.  An instance can be absorbed when it is
      combinational, outside the clock network, not parked on a
@@ -1007,6 +1036,57 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     u_level.(u) <- levels.(u_mem.(u_off.(u + 1) - 1))
   done;
   let n_fused = n_insts - n_units in
+  (* --- the cone: with [observe], the fan-in closure of those nets over
+     whole units.  A unit is live when it drives an observed net or a
+     net that a live unit reads through any pin (data, clock, enable,
+     reset, P3); every member of a live unit is live.  A dead unit then
+     writes no net that a live unit reads, so dropping it keeps every
+     live evaluation, in order.  [net_live] marks the nets the live
+     units read or write and the observed nets. *)
+  let live_unit = Bytes.make (max 1 n_units) '\001' in
+  let net_live = Bytes.make (max 1 n_nets) '\001' in
+  (match observe with
+   | None -> ()
+   | Some nets ->
+     Bytes.fill live_unit 0 (Bytes.length live_unit) '\000';
+     Bytes.fill net_live 0 (Bytes.length net_live) '\000';
+     let stack = Array.make (max 1 n_units) 0 and top = ref 0 in
+     let reach n =
+       Bytes.set net_live n '\001';
+       match design.Design.net_driver.(n) with
+       | Design.Driven_by (i, _) ->
+         let u = unit_of.(i) in
+         if Bytes.get live_unit u = '\000' then begin
+           Bytes.set live_unit u '\001';
+           stack.(!top) <- u;
+           incr top
+         end
+       | Design.Driven_by_input _ | Design.Driven_const _ | Design.Undriven -> ()
+     in
+     Array.iter
+       (fun n ->
+         if n < 0 || n >= n_nets then
+           invalid_arg
+             (Printf.sprintf "Kernel.create: observes net %d of a design of %d"
+                n n_nets);
+         reach n)
+       nets;
+     while !top > 0 do
+       decr top;
+       let u = stack.(!top) in
+       for k = u_off.(u) to u_off.(u + 1) - 1 do
+         let i = u_mem.(k) in
+         Bytes.set net_live out_net.(i) '\001';
+         for p = ins_off.(i) to ins_off.(i + 1) - 1 do
+           reach ins.(p)
+         done
+       done
+     done);
+  let unit_live u = Bytes.get live_unit u <> '\000' in
+  let live i = unit_live unit_of.(i) in
+  let clock_insts = filter live clock_insts in
+  let clock_outs = Array.map (fun i -> out_net.(i)) clock_insts in
+  let seq_insts = indices_where n_insts (fun i -> is_seq_op opcode.(i) && live i) in
   (* --- wake rules (on with [gating]).  Event-only nets change only at
      a clock event's steps 1-2: the design's clock ports (a run commits
      only non-clock inputs), the output of a clock-network buffer or
@@ -1057,25 +1137,28 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     | _ -> -1
   in
   let rule = Array.init n_insts wake_rule in
-  (* CSR fanout, net -> sink units (duplicates preserved, like Engine's
-     fanout_insts; wake's in_queue check dedups) *)
-  let kept = List.filter (fun (i, _) -> rule.(i) <> -2) in
+  (* CSR fanout, net -> live sink units (duplicates preserved, like
+     Engine's fanout_insts; wake's in_queue check dedups) *)
+  let kept (i, _) = live i && rule.(i) <> -2 in
   let fo_off = Array.make (n_nets + 1) 0 in
   Array.iteri
-    (fun n sinks -> fo_off.(n + 1) <- List.length (kept sinks))
+    (fun n sinks ->
+      fo_off.(n + 1) <-
+        fo_off.(n) + List.fold_left (fun c s -> if kept s then c + 1 else c) 0 sinks)
     design.Design.net_sinks;
-  for n = 1 to n_nets do
-    fo_off.(n) <- fo_off.(n) + fo_off.(n - 1)
-  done;
   let fo = Array.make (max 1 fo_off.(n_nets)) 0 in
   let fo_en = Array.make (max 1 fo_off.(n_nets)) (-1) in
   Array.iteri
     (fun n sinks ->
-      List.iteri
-        (fun k (i, _) ->
-          fo.(fo_off.(n) + k) <- unit_of.(i);
-          fo_en.(fo_off.(n) + k) <- rule.(i))
-        (kept sinks))
+      let k = ref fo_off.(n) in
+      List.iter
+        (fun ((i, _) as s) ->
+          if kept s then begin
+            fo.(!k) <- unit_of.(i);
+            fo_en.(!k) <- rule.(i);
+            incr k
+          end)
+        sinks)
     design.Design.net_sinks;
   let input_nets =
     List.filter_map
@@ -1102,8 +1185,8 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
       (List.filter_map
          (fun (port, level) ->
            match Design.find_input design port with
-           | Some net -> Some (net, level)
-           | None -> None)
+           | Some net when Bytes.get net_live net <> '\000' -> Some (net, level)
+           | Some _ | None -> None)
          changes)
   in
   (* statically plan each event's reachable clock cone: a fixpoint over
@@ -1128,12 +1211,11 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
             end)
         clock_insts
     done;
-    let keep pred arr = Array.of_list (List.filter pred (Array.to_list arr)) in
-    let ev_insts = keep (fun i -> in_ev.(i)) clock_insts in
+    let ev_insts = filter (fun i -> in_ev.(i)) clock_insts in
     { ev_changes = changes;
       ev_insts;
-      ev_outs = Array.map (fun i -> compiled.(i).c_out) ev_insts;
-      ev_seq = keep (fun i -> hot.(List.hd compiled.(i).c_ins)) seq_insts }
+      ev_outs = Array.map (fun i -> out_net.(i)) ev_insts;
+      ev_seq = filter (fun i -> hot.(ins.(ins_off.(i)))) seq_insts }
   in
   let ev_pre =
     List.filter_map
@@ -1194,6 +1276,7 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     dirty = [];
     changed = Array.make (max 1 (Array.length seq_insts)) 0;
     n_changed = 0;
+    net_live;
     input_nets;
     input_index;
     cycle_count = 0;
@@ -1228,26 +1311,24 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
    | `Zero -> List.iter (fun (_, net) -> set_planes net 0 0) t.input_nets
    | `X -> ());
   propagate_clock_network t ~gated:false t.clock_insts;
-  Array.iteri
-    (fun i op ->
-      if is_seq_op op then begin
-        let clk = t.ins.(t.ins_off.(i)) in
-        let q = t.out_net.(i) in
-        t.pv_v.(i) <- t.v.(clk);
-        t.pv_x.(i) <- t.x.(clk);
-        t.v.(q) <- t.st_v.(i);
-        t.x.(q) <- t.st_x.(i)
-      end)
-    t.opcode;
+  Array.iter
+    (fun i ->
+      let clk = t.ins.(t.ins_off.(i)) in
+      let q = t.out_net.(i) in
+      t.pv_v.(i) <- t.v.(clk);
+      t.pv_x.(i) <- t.x.(clk);
+      t.v.(q) <- t.st_v.(i);
+      t.x.(q) <- t.st_x.(i))
+    t.seq_insts;
   for u = 0 to n_units - 1 do
-    if t.opcode.(t.u_mem.(t.u_off.(u))) <= op_prog then wake t u
+    if unit_live u && t.opcode.(t.u_mem.(t.u_off.(u))) <= op_prog then wake t u
   done;
   settle t;
   (* clock-gate enable latches behave as if the clocks had always been
      running (see Engine.create) *)
   Array.iteri
     (fun i op ->
-      if is_icg_op op then begin
+      if is_icg_op op && live i then begin
         match init with
         | `Zero ->
           let en = t.ins.(t.ins_off.(i) + 1) in
@@ -1258,7 +1339,7 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) design ~clocks =
     t.opcode;
   propagate_clock_network t ~gated:false t.clock_insts;
   for u = 0 to n_units - 1 do
-    wake t u
+    if unit_live u then wake t u
   done;
   settle t;
   clear_dirty t;

@@ -67,7 +67,24 @@
     glitch depends on the order in which registers re-evaluate within
     one settle, a register woken for another lane's change can move it,
     so with different stimulus on other lanes only lane 0's values stay
-    the engine's on every design. *)
+    the engine's on every design.
+
+    {b Cones.}  A caller that reads only some nets passes them to
+    {!create} as [~observe], and the kernel simulates only their
+    fan-in: the closure of the observed nets' drivers over every pin
+    the kernel reads (data, clock, enable, reset and an ICG's P3), taken
+    over whole fused units.  Instances outside the cone are never
+    woken, evaluated, updated, released or scanned, and inputs outside
+    it are not committed.  This is exact.  An instance outside the
+    closure never writes a net inside it, and every net an instance
+    inside it reads is inside it.  So an evaluation outside the cone
+    never changes a value, a wake or the [in_queue] state of one
+    inside it, and removing those evaluations from the level-bucketed
+    FIFO worklist keeps the remaining ones in the same order.  Every
+    value and every glitch toggle of a net in the cone is therefore
+    that of the whole-design kernel, on every lane, and lane 0 stays
+    equal to {!Engine}.  The values and toggles of nets outside the
+    cone are unspecified. *)
 
 exception Oscillation of string
 
@@ -84,13 +101,20 @@ val max_lanes : int
     clock-event activity gating; both exist for differential testing
     and default to on.  [gating] also switches the wake rules and the
     release of changed registers only, so [~gating:false] evaluates
-    every wake and releases every register.  Records a
+    every wake and releases every register.  [observe] (default: every
+    net) restricts the kernel to the cone of those nets (see "Cones"
+    above): the cone's nets keep the whole-design values and toggles,
+    the rest are unspecified, and {!run_sampled} refuses them.  Fusion
+    is decided on the whole design, so {!stats}' [units] and
+    [fused_ops] do not depend on [observe].  Records a
     [sim.kernel.create] span and the sizes of its settle waves in the
-    [sim.kernel.wave.units] histogram. *)
+    [sim.kernel.wave.units] histogram.  Raises [Invalid_argument] when
+    [observe] names a net the design does not have. *)
 val create :
   ?init:[ `Zero | `X ] ->
   ?fuse:bool ->
   ?gating:bool ->
+  ?observe:Netlist.Design.net array ->
   Netlist.Design.t ->
   clocks:Clock_spec.t ->
   t
@@ -111,8 +135,10 @@ val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
     [sim.kernel.run] span and the [sim.kernel.*] run counters.  Raises
     [Invalid_argument] unless [p] has {!max_lanes} lanes, or when it
     names an input the design does not have.  The counters are
-    [sim.kernel.cycles], [lane_cycles], [toggles], [waves_skipped],
-    [cones_skipped] and [evals]; the run's settle-wave sizes go to the
+    [sim.kernel.cycles], [lane_cycles], [toggles] (the toggles of the
+    nets in the cone, since no other net is updated), [waves_skipped],
+    [cones_skipped] (registers in the cone that a clock event did not
+    update) and [evals]; the run's settle-wave sizes go to the
     [sim.kernel.wave.units] histogram at its end, one weighted sample
     per size. *)
 val run : t -> Stimulus.packed -> unit
@@ -121,7 +147,9 @@ val run : t -> Stimulus.packed -> unit
     returns the value and unknown planes of [nets] at the end of every
     cycle, cycle-major: element [c * Array.length nets + j] of each
     array is net [nets.(j)] after cycle [c] of [p], bit [l] for lane
-    [l].  {!run} is this loop with no nets.  Raises as {!run} does. *)
+    [l].  {!run} is this loop with no nets.  Raises as {!run} does,
+    and [Invalid_argument] when a net of [nets] is outside the cone of
+    the kernel's observed nets. *)
 val run_sampled :
   t -> Stimulus.packed -> Netlist.Design.net array -> int array * int array
 
@@ -143,18 +171,21 @@ val cycles : t -> int
 (** [cycles t * lanes t] — the denominator for per-lane activity rates. *)
 val lane_cycles : t -> int
 
-(** Per-net toggle counts summed over all lanes. *)
+(** Per-net toggle counts summed over all lanes.  With [observe], only
+    the entries of nets in the cone are specified. *)
 val toggles : t -> int array
 
-(** Per-net toggle counts of lane 0 alone (the scalar-oracle view). *)
+(** Per-net toggle counts of lane 0 alone (the scalar-oracle view),
+    specified as {!toggles} is. *)
 val toggles_lane0 : t -> int array
 
 (** Compile-time and runtime effectiveness counters: execution units
     after fusion, instances absorbed as fused members, settle waves that
     had nothing to evaluate (the wake rules empty some), sequential
-    cones skipped at clock events because their clock net did not move
-    (equivalently: did not capture), and units the settle loop
-    evaluated.  The runtime ones count from the end of {!create}. *)
+    cones in the cone of the observed nets skipped at clock events
+    because their clock net did not move (equivalently: did not
+    capture), and units the settle loop evaluated.  The runtime ones
+    count from the end of {!create}. *)
 type stats = {
   units : int;
   fused_ops : int;

@@ -92,12 +92,62 @@ let count_icgs d style =
          | _ -> false)
        (Netlist.Design.insts d))
 
+(* nets the kernel's fusion hides inside a unit: a combinational output
+   off the clock network whose one reader is combinational and off it
+   too *)
+let fused_internal d =
+  let clock = Sim.Levelize.clock_network_order d in
+  let comb i =
+    (not (Array.mem i clock))
+    && (Netlist.Design.cell d i).Cell_lib.Cell.kind = Cell_lib.Cell.Combinational
+  in
+  List.filter
+    (fun n ->
+      match d.Netlist.Design.net_driver.(n), d.Netlist.Design.net_sinks.(n) with
+      | Netlist.Design.Driven_by (i, _), [ (j, _) ] -> j <> i && comb i && comb j
+      | _ -> false)
+    (List.init (Netlist.Design.num_nets d) Fun.id)
+
+(* the nets driven by instances of a kind *)
+let outputs_of_kind d is_kind =
+  List.concat_map
+    (fun i ->
+      if is_kind (Netlist.Design.cell d i).Cell_lib.Cell.kind then
+        Netlist.Design.output_nets d i
+      else [])
+    (Netlist.Design.insts d)
+
+(* the kinds of net an observed subset holds one of: fused-internal
+   nets, latch Qs, ICG GCKs and outputs *)
+let net_kinds d =
+  [ fused_internal d;
+    outputs_of_kind d (function Cell_lib.Cell.Latch _ -> true | _ -> false);
+    outputs_of_kind d (function Cell_lib.Cell.Clock_gate _ -> true | _ -> false);
+    List.map snd d.Netlist.Design.primary_outputs ]
+
+(* a random subset of [d]'s nets holding a net of each kind the design
+   has *)
+let observe_subset rng d =
+  let pick = function
+    | [] -> []
+    | l -> [ List.nth l (Random.State.int rng (List.length l)) ]
+  in
+  let some =
+    List.filter
+      (fun _ -> Random.State.int rng 8 = 0)
+      (List.init (Netlist.Design.num_nets d) Fun.id)
+  in
+  Array.of_list
+    (List.sort_uniq compare (List.concat_map pick (net_kinds d) @ some))
+
 (* fusion, activity gating and the wake rules (on with gating) are pure
    optimisations: switching either off must not change a sampled value
-   or a toggle count on any lane.  Each seed checks a flip-flop design
-   with standard ICGs, its 3-phase conversion and the flow's
-   clock-gated result, which adds M1 and M2 ICGs, on 63 lanes of one
-   draw *)
+   or a toggle count on any lane.  Nor does a cone: a kernel that
+   observes a random subset of nets, with fusion and gating on or off,
+   samples and counts on those nets what the whole-design kernel does.
+   Each seed checks a flip-flop design with standard ICGs, its 3-phase
+   conversion and the flow's clock-gated result, which adds M1 and M2
+   ICGs, on 63 lanes of one draw *)
 let prop_fusion_gating_equivalence =
   QCheck.Test.make ~name:"fusion/gating on-off equivalence" ~count:10
     QCheck.(int_range 0 1000)
@@ -143,9 +193,151 @@ let prop_fusion_gating_equivalence =
           let off_stats = Sim.Kernel.stats (List.assoc "fuse-off" variants) in
           if off_stats.Sim.Kernel.fused_ops <> 0 then
             Alcotest.failf "fuse-off kernel reports %d fused ops"
-              off_stats.Sim.Kernel.fused_ops)
+              off_stats.Sim.Kernel.fused_ops;
+          if style = "gated" && List.mem [] (net_kinds d) then
+            Alcotest.failf "seed %d: the gated design lacks a net kind" seed;
+          let rng = Random.State.make [| seed; String.length style |] in
+          let subset = observe_subset rng d in
+          let on_subset k =
+            let planes = Sim.Kernel.run_sampled k stimulus subset in
+            let at a = Array.map (fun n -> a.(n)) subset in
+            (planes, at (Sim.Kernel.toggles k), at (Sim.Kernel.toggles_lane0 k))
+          in
+          let whole = on_subset (Sim.Kernel.create d ~clocks) in
+          List.iter
+            (fun (label, fuse, gating) ->
+              let k = Sim.Kernel.create ~fuse ~gating ~observe:subset d ~clocks in
+              if on_subset k <> whole then
+                Alcotest.failf "seed %d %s/observe-%s: samples or toggles diverge"
+                  seed style label)
+            [ ("on", true, true); ("fuse-off", false, true);
+              ("gating-off", true, false) ])
         designs;
       true)
+
+(* a kernel samples only nets of its cone: a net outside the fan-in of
+   the observed nets is refused, not read stale *)
+let test_observe_refuses_outside () =
+  let b = B.create ~name:"two" ~library:lib in
+  let clk = B.add_input ~clock:true b "clk" in
+  let a = B.add_input b "a" and c = B.add_input b "c" in
+  let qa = B.fresh_net b "qa" and qc = B.fresh_net b "qc" in
+  ignore (B.add_cell b "ra" "DFF_X1" [("CK", clk); ("D", a); ("Q", qa)]);
+  ignore (B.add_cell b "rc" "DFF_X1" [("CK", clk); ("D", c); ("Q", qc)]);
+  B.add_output b "ya" qa;
+  B.add_output b "yc" qc;
+  let d = B.freeze b in
+  let clocks = Sim.Clock_spec.single ~period:1.0 ~port:"clk" in
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 80 + l))
+      ~cycles:4 (Sim.Stimulus.Uniform 0.5) (Sim.Stimulus.inputs_of d)
+  in
+  let k = Sim.Kernel.create ~observe:[| qa |] d ~clocks in
+  (match Sim.Kernel.run_sampled k stimulus [| qa; qc |] with
+   | _ -> Alcotest.fail "sampled a net outside the cone"
+   | exception Invalid_argument _ -> ());
+  (* the cone itself samples *)
+  ignore (Sim.Kernel.run_sampled k stimulus [| qa; a; clk |])
+
+(* [copy_into b ~prefix ~clocks d] adds [d]'s instances to [b] under
+   [prefix], its clock ports wired to the nets [clocks] names and its
+   other ports prefixed; returns the net map *)
+let copy_into b ~prefix ~clocks d =
+  let map = Array.make (Netlist.Design.num_nets d) (-1) in
+  List.iter
+    (fun (port, n) ->
+      map.(n) <-
+        (match List.assoc_opt port clocks with
+         | Some shared -> shared
+         | None -> B.add_input b (prefix ^ port)))
+    d.Netlist.Design.primary_inputs;
+  Array.iteri
+    (fun n drv ->
+      if map.(n) < 0 then
+        map.(n) <-
+          (match drv with
+           | Netlist.Design.Driven_const v -> B.const b v
+           | _ -> B.fresh_net b (prefix ^ Netlist.Design.net_name d n)))
+    d.Netlist.Design.net_driver;
+  List.iter
+    (fun i ->
+      ignore
+        (B.add_instance b
+           (prefix ^ Netlist.Design.inst_name d i)
+           (Netlist.Design.cell d i)
+           (Array.to_list
+              (Array.map (fun (pin, n) -> (pin, map.(n)))
+                 d.Netlist.Design.inst_conns.(i)))))
+    (Netlist.Design.insts d);
+  List.iter
+    (fun (port, n) -> B.add_output b (prefix ^ port) map.(n))
+    d.Netlist.Design.primary_outputs;
+  map
+
+(* a cone does the work of the cone alone: two clock-gated 3-phase
+   designs share their clock ports in one netlist, and a kernel
+   observing every net of the first half samples, counts toggles and
+   counts evaluations, skipped waves and skipped register cones
+   exactly as the whole-design kernel of the first half built alone,
+   while no net of the second half toggles *)
+let test_observe_one_half () =
+  let config =
+    { (Phase3.Flow.default_config ~period:1.0) with
+      Phase3.Flow.verify_equivalence = false;
+      activity_cycles = 64;
+      lint = false }
+  in
+  let final seed =
+    (Phase3.Flow.run ~config (Circuits.Generator.synthesize (gen_spec seed)))
+      .Phase3.Flow.final
+  in
+  let first = final 21 and second = final 22 in
+  let build halves =
+    let b = B.create ~name:"halves" ~library:lib in
+    let clocks =
+      List.map (fun p -> (p, B.add_input ~clock:true b p)) [ "p1"; "p2"; "p3" ]
+    in
+    let maps =
+      List.map (fun (prefix, d) -> copy_into b ~prefix ~clocks d) halves
+    in
+    (B.freeze b, List.hd maps)
+  in
+  let alone, map_alone = build [ ("a_", first) ] in
+  let both, map = build [ ("a_", first); ("b_", second) ] in
+  let clocks = Phase3.Flow.clocks_of config in
+  let stimulus =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 900 + l))
+      ~cycles:24 (Sim.Stimulus.Uniform 0.4) (Sim.Stimulus.inputs_of alone)
+  in
+  let n_alone = Netlist.Design.num_nets alone in
+  let nets = Array.init n_alone Fun.id in
+  (* the first half keeps its net numbers in [both] *)
+  check Alcotest.(array int) "first half's nets" map_alone map;
+  let ka = Sim.Kernel.create alone ~clocks in
+  let kb = Sim.Kernel.create ~observe:nets both ~clocks in
+  let sa = Sim.Kernel.run_sampled ka stimulus nets in
+  let sb = Sim.Kernel.run_sampled kb stimulus nets in
+  check Alcotest.bool "samples" true (sa = sb);
+  let ta = Sim.Kernel.toggles ka and tb = Sim.Kernel.toggles kb in
+  check Alcotest.(array int) "toggles of the first half" ta
+    (Array.sub tb 0 n_alone);
+  check Alcotest.(array int) "lane-0 toggles of the first half"
+    (Sim.Kernel.toggles_lane0 ka)
+    (Array.sub (Sim.Kernel.toggles_lane0 kb) 0 n_alone);
+  Array.iteri
+    (fun n c ->
+      if n >= n_alone && c <> 0 then
+        Alcotest.failf "net %s of the second half toggled %d times"
+          (Netlist.Design.net_name both n) c)
+    tb;
+  let a = Sim.Kernel.stats ka and b = Sim.Kernel.stats kb in
+  check Alcotest.int "evals" a.Sim.Kernel.stat_evals b.Sim.Kernel.stat_evals;
+  check Alcotest.int "waves skipped" a.Sim.Kernel.stat_waves_skipped
+    b.Sim.Kernel.stat_waves_skipped;
+  check Alcotest.int "cones skipped" a.Sim.Kernel.stat_cones_skipped
+    b.Sim.Kernel.stat_cones_skipped
 
 (* different stimulus on every lane: each lane reproduces its dedicated
    scalar run, lane 0's toggles match that run's, and the kernel's
@@ -631,6 +823,10 @@ let test_wide_wave_shared_fanout () =
 let suite =
   [ QCheck_alcotest.to_alcotest prop_kernel_matches_engine;
     QCheck_alcotest.to_alcotest prop_fusion_gating_equivalence;
+    Alcotest.test_case "observe: run_sampled refuses a net outside the cone"
+      `Quick test_observe_refuses_outside;
+    Alcotest.test_case "observe: one half's cone works as that half alone"
+      `Quick test_observe_one_half;
     Alcotest.test_case "heterogeneous lanes" `Quick test_heterogeneous_lanes;
     QCheck_alcotest.to_alcotest prop_packed_run_matches_engine;
     Alcotest.test_case "run_streams adapter = packed run" `Quick

@@ -793,3 +793,83 @@ let suite =
         `Quick test_flow_equivalence_lane0;
       Alcotest.test_case "packed check catches a mutant lane 0 misses" `Quick
         test_packed_check_catches_more ]
+
+(* --- the clock-gating stage's activity run --- *)
+
+(* [retimed] gated from the activity of a whole-design kernel on the
+   stage's draw *)
+let gate_on_whole_design config retimed =
+  let kernel =
+    Sim.Kernel.create retimed ~clocks:(Phase3.Flow.clocks_of config)
+  in
+  Sim.Kernel.run kernel
+    (Sim.Stimulus.draw
+       ~seeds:
+         (Array.init Sim.Kernel.max_lanes (fun l ->
+              config.Phase3.Flow.activity_seed + l))
+       ~cycles:config.Phase3.Flow.activity_cycles (Sim.Stimulus.Uniform 0.25)
+       (Sim.Stimulus.inputs_of retimed));
+  fst
+    (Phase3.Clock_gating.run ~options:config.Phase3.Flow.clock_gating
+       ~ports:config.Phase3.Flow.ports
+       ~activity:(Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel)
+       retimed)
+
+let rec has_span name nodes =
+  List.exists
+    (fun (n : Obs.span_node) ->
+      String.equal n.Obs.node_name name || has_span name n.Obs.n_children)
+    nodes
+
+(* the stage's kernel simulates only the fan-in of the DDCG pool's data
+   nets, and the flow writes the netlist that a whole-design kernel's
+   activity gives *)
+let test_cone_activity_same_netlist () =
+  let gated =
+    List.fold_left
+      (fun gated name ->
+        let bench = Option.get (Circuits.Suite.find name) in
+        let config =
+          { (Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns)
+            with Phase3.Flow.verify_equivalence = false; lint = false }
+        in
+        let r = Phase3.Flow.run ~config (bench.Circuits.Suite.build ()) in
+        check Alcotest.string name
+          (Netlist_io.Verilog.write
+             (gate_on_whole_design config r.Phase3.Flow.retimed))
+          (Netlist_io.Verilog.write r.Phase3.Flow.final);
+        gated + (Option.get r.Phase3.Flow.cg_stats).Phase3.Clock_gating.ddcg_gated)
+      0 [ "s1196"; "s5378"; "s13207" ]
+  in
+  if gated = 0 then Alcotest.fail "no DDCG latch: the comparison is empty"
+
+(* with DDCG off nothing reads activity: the flow creates no kernel and
+   draws no stimulus, and gates as with a whole-design activity run *)
+let test_no_activity_run_without_ddcg () =
+  let d = Circuits.Generator.synthesize (gen_spec 54) in
+  let config =
+    { (Phase3.Flow.default_config ~period:1.0) with
+      Phase3.Flow.clock_gating =
+        { Phase3.Clock_gating.default_options with
+          Phase3.Clock_gating.ddcg = false };
+      verify_equivalence = false }
+  in
+  Obs.reset ();
+  let r = Phase3.Flow.run ~config d in
+  let tree = Obs.span_tree () in
+  List.iter
+    (fun span ->
+      if has_span span tree then Alcotest.failf "the flow recorded %s" span)
+    [ "sim.kernel.create"; "sim.kernel.run"; "flow.clock_gating.activity" ];
+  check Alcotest.int "stimulus words" 0 (Obs.counter_of "sim.stimulus.words");
+  Obs.reset ();
+  check Alcotest.string "netlist"
+    (Netlist_io.Verilog.write (gate_on_whole_design config r.Phase3.Flow.retimed))
+    (Netlist_io.Verilog.write r.Phase3.Flow.final)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "cone activity run writes the same netlist" `Quick
+        test_cone_activity_same_netlist;
+      Alcotest.test_case "no activity run without DDCG" `Quick
+        test_no_activity_run_without_ddcg ]
