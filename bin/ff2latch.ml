@@ -298,14 +298,16 @@ let convert_cmd =
        | None -> ());
       (match vcd with
        | Some path ->
-         let engine =
-           Sim.Engine.create final ~clocks:(Phase3.Flow.clocks_of config)
+         let kernel =
+           Sim.Kernel.create final ~clocks:(Phase3.Flow.clocks_of config)
          in
-         let stim =
-           Sim.Stimulus.random ~seed:42 ~cycles:64 ~toggle_probability:0.3
+         let draw =
+           Sim.Stimulus.draw
+             ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 42 + l))
+             ~cycles:64 (Sim.Stimulus.Uniform 0.3)
              (Sim.Stimulus.inputs_of final)
          in
-         write_file path (Sim.Vcd.run_and_dump engine stim);
+         write_file path (Sim.Vcd.dump kernel draw);
          say "wrote %s" path
        | None -> ());
       (match result.Phase3.Flow.stage_times with
@@ -392,32 +394,33 @@ let power_cmd =
     match
       let d, suite_period = resolve_input input in
       validate_input d;
-      (d, resolve_period ~constraints:None period suite_period)
+      let period = resolve_period ~constraints:None period suite_period in
+      (d, period, clocks_of_design d ~period)
     with
     | exception Failure msg -> `Error (false, msg)
-    | d, period ->
-    let clocks = clocks_of_design d ~period in
-    let impl = Physical.Implement.run d in
-    let engine = Sim.Engine.create d ~clocks in
-    let stim =
-      Sim.Stimulus.random ~seed:1 ~cycles:512 ~toggle_probability:0.3
-        (Sim.Stimulus.inputs_of d)
+    | d, period, clocks ->
+    (* the run record's measurement, so a netlist that convert -o wrote
+       prints that conversion's record power *)
+    let padded, _, m =
+      Qor.Collect.record_power d ~clocks
+        ~seed:(Phase3.Flow.default_config ~period).Phase3.Flow.activity_seed
     in
-    ignore (Sim.Engine.run_stream engine stim);
-    let activity = Sim.Activity.capture engine in
-    let detail =
-      Power.Estimate.run impl ~activity:(Sim.Activity.counts activity) ~period
-    in
-    Format.printf "%a@." Power.Estimate.pp_breakdown detail.Power.Estimate.overall;
+    Format.printf "%a@." Power.Estimate.pp_breakdown
+      m.Qor.Collect.detail.Power.Estimate.overall;
     refusing @@ fun () ->
     (match saif with
      | Some path ->
-       write_file path (Sim.Activity.render activity);
+       write_file path
+         (Sim.Saif.render padded ~toggles:m.Qor.Collect.toggles
+            ~duration:m.Qor.Collect.lane_cycles);
        Printf.printf "wrote %s\n" path
      | None -> ());
     `Ok ()
   in
-  Cmd.v (Cmd.info "power" ~doc:"Place, simulate and estimate power.")
+  Cmd.v
+    (Cmd.info "power"
+       ~doc:"Hold-fix, place, simulate and estimate power, as the run \
+             record measures it.")
     Term.(ret (const run $ input_arg $ period_arg $ saif_arg))
 
 let timing_cmd =

@@ -46,19 +46,22 @@ let () =
   (* 2. clock constraints *)
   write (p "handoff_3p.sdc") (Netlist_io.Sdc.write final ~clocks);
 
-  (* 3. waveforms of a short run *)
-  let engine = Sim.Engine.create final ~clocks in
-  let stim =
-    Sim.Stimulus.random ~seed:7 ~cycles:48 ~toggle_probability:0.4
-      (Sim.Stimulus.inputs_of final)
+  (* 3. waveforms of a short run: lane 0 of a 63-lane kernel *)
+  let kernel = Sim.Kernel.create final ~clocks in
+  let draw =
+    Sim.Stimulus.draw
+      ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 7 + l))
+      ~cycles:48 (Sim.Stimulus.Uniform 0.4) (Sim.Stimulus.inputs_of final)
   in
-  write (p "handoff_3p.vcd") (Sim.Vcd.run_and_dump engine stim);
+  write (p "handoff_3p.vcd") (Sim.Vcd.dump kernel draw);
 
-  (* 4. switching activity of the same run *)
-  let activity = Sim.Activity.capture engine in
-  write (p "handoff_3p.saif") (Sim.Activity.render activity);
-  Printf.printf "  mean toggle rate %.3f/cycle over %d cycles\n"
-    (Sim.Activity.mean_rate activity) activity.Sim.Activity.cycles;
+  (* 4. switching activity of the same run, over all its lanes *)
+  let toggles = Sim.Kernel.toggles kernel in
+  let lane_cycles = Sim.Kernel.lane_cycles kernel in
+  write (p "handoff_3p.saif")
+    (Sim.Saif.render final ~toggles ~duration:lane_cycles);
+  Printf.printf "  %d toggles over %d lane-cycles\n"
+    (Array.fold_left ( + ) 0 toggles) lane_cycles;
 
   (* 5. timing: critical paths and corner sign-off *)
   print_newline ();

@@ -101,46 +101,7 @@ let part1 () =
 
 let part2 () =
   print_endline "\n-- Fig. 3: the p2 clock gate (M1 style) under simulation --";
-  let b = Netlist.Builder.create ~name:"fig3" ~library in
-  let _p1 = Netlist.Builder.add_input ~clock:true b "p1" in
-  let p2 = Netlist.Builder.add_input ~clock:true b "p2" in
-  let p3 = Netlist.Builder.add_input ~clock:true b "p3" in
-  let en = Netlist.Builder.add_input b "en" in
-  let din = Netlist.Builder.add_input b "din" in
-  (* gated p3 first latch + p2 latch gated by an M1-style cell sharing EN *)
-  let gck3 = Netlist.Builder.fresh_net b "gck3" in
-  ignore (Netlist.Builder.add_cell b "cg3" "ICG_X1"
-            [("CK", p3); ("EN", en); ("GCK", gck3)]);
-  let mid = Netlist.Builder.fresh_net b "mid" in
-  ignore (Netlist.Builder.add_cell b "lat3" "LATH_X1"
-            [("E", gck3); ("D", din); ("Q", mid)]);
-  let gck2 = Netlist.Builder.fresh_net b "gck2" in
-  ignore (Netlist.Builder.add_cell b "cg2" "ICGP3_X1"
-            [("CK", p2); ("P3", p3); ("EN", en); ("GCK", gck2)]);
-  let q = Netlist.Builder.fresh_net b "q" in
-  ignore (Netlist.Builder.add_cell b "lat2" "LATH_X1"
-            [("E", gck2); ("D", mid); ("Q", q)]);
-  Netlist.Builder.add_output b "q" q;
-  let d = Netlist.Builder.freeze b in
-  let clocks = Sim.Clock_spec.three_phase ~period:1.0 ~p1:"p1" ~p2:"p2" ~p3:"p3" () in
-  let engine = Sim.Engine.create d ~clocks in
-  Printf.printf "%5s %3s %4s %9s %9s %2s\n" "cycle" "en" "din" "gck3 tgl" "gck2 tgl" "q";
-  let prev3 = ref 0 and prev2 = ref 0 in
-  List.iteri
-    (fun cycle (env, dv) ->
-      let out =
-        Sim.Engine.run_cycle engine
-          [("en", Sim.Logic.of_bool env); ("din", Sim.Logic.of_bool dv)]
-      in
-      let toggles = Sim.Engine.toggles engine in
-      Printf.printf "%5d %3d %4d %9d %9d  %c\n" cycle
-        (if env then 1 else 0) (if dv then 1 else 0)
-        (toggles.(gck3) - !prev3) (toggles.(gck2) - !prev2)
-        (Sim.Logic.to_char (List.assoc "q" out));
-      prev3 := toggles.(gck3);
-      prev2 := toggles.(gck2))
-    [ (true, true); (true, false); (false, true); (false, false);
-      (true, true); (false, false); (true, false); (true, true) ]
+  print_string (Report.Table.render (Experiments.Tables.fig3 ()))
 
 let () =
   part1 ();

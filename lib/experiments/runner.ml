@@ -28,29 +28,27 @@ let now () = Unix.gettimeofday ()
    normalised per lane-cycle, keeping the power model's rates comparable
    to a scalar run. *)
 let evaluate design ~clocks ~workload ~cycles ~seed =
-  let impl, hold, detail, kstats =
-    Qor.Collect.implement_and_power design ~clocks
-      ~shape:(Circuits.Workload.shape workload) ~cycles ~seed
-  in
-  (impl, hold, detail.Power.Estimate.overall, kstats)
+  Qor.Collect.implement_and_power design ~clocks
+    ~shape:(Circuits.Workload.shape workload) ~cycles ~seed
 
 let power_of design ~clocks ~workload ~cycles ~seed =
-  let _, _, power, _ = evaluate design ~clocks ~workload ~cycles ~seed in
-  power
+  let _, _, m = evaluate design ~clocks ~workload ~cycles ~seed in
+  m.Qor.Collect.detail.Power.Estimate.overall
 
 let variant_of design ~clocks ~workload ~cycles ~seed ~t0 =
-  let impl, hold, power, kstats = evaluate design ~clocks ~workload ~cycles ~seed in
+  let _, hold, m = evaluate design ~clocks ~workload ~cycles ~seed in
+  let impl = m.Qor.Collect.impl in
   let stats = Netlist.Stats.compute design in
   { design;
     regs = stats.Netlist.Stats.registers;
     cell_area = impl.Physical.Implement.total_area;
-    power;
+    power = m.Qor.Collect.detail.Power.Estimate.overall;
     wirelength = impl.Physical.Implement.total_wirelength;
     clock_buffers =
       impl.Physical.Implement.clock_tree.Physical.Clock_tree.total_buffers;
     hold_buffers = hold.Sta.Hold_fix.buffers_added;
     runtime_s = now () -. t0;
-    kernel = kstats }
+    kernel = m.Qor.Collect.kernel }
 
 type variant_result =
   | R_ff of variant

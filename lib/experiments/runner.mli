@@ -34,7 +34,8 @@ type t = {
 val run : ?cycles:int -> Circuits.Suite.benchmark -> t
 
 (** Power of an arbitrary design/clocks/workload combination (used by the
-    Fig. 4 experiment which sweeps workloads). *)
+    Fig. 4 experiment which sweeps workloads): the design is hold-fixed,
+    then measured ({!Qor.Collect.implement_and_power}). *)
 val power_of :
   Netlist.Design.t -> clocks:Sim.Clock_spec.t -> workload:Circuits.Workload.t ->
   cycles:int -> seed:int -> Power.Estimate.breakdown

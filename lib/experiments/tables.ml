@@ -273,31 +273,29 @@ let fig3 () =
   Netlist.Builder.add_output b "q" q;
   let d = Netlist.Builder.freeze b in
   let clocks = Sim.Clock_spec.three_phase ~period:1.0 ~p1:"p1" ~p2:"p2" ~p3:"p3" () in
-  let engine = Sim.Engine.create d ~clocks in
+  let kernel = Sim.Kernel.create d ~clocks in
   let t =
     T.create ~title:"Fig. 3: p2 clock gate (M1) trace — GCK2 pulses follow EN"
       [ ("cycle", T.Right); ("en", T.Right); ("din", T.Right);
         ("gck3 tgl", T.Right); ("gck2 tgl", T.Right); ("q", T.Right) ]
   in
-  let gck3_net = gck3 and gck2_net = gck2 in
   let prev3 = ref 0 and prev2 = ref 0 in
   List.iteri
     (fun cycle (env, dinv) ->
-      let out =
-        Sim.Engine.run_cycle engine
-          [("en", Sim.Logic.of_bool env); ("din", Sim.Logic.of_bool dinv)]
-      in
-      let toggles = Sim.Engine.toggles engine in
-      let t3 = toggles.(gck3_net) - !prev3 and t2 = toggles.(gck2_net) - !prev2 in
-      prev3 := toggles.(gck3_net);
-      prev2 := toggles.(gck2_net);
+      Sim.Kernel.run_cycle_broadcast kernel
+        [("en", Sim.Logic.of_bool env); ("din", Sim.Logic.of_bool dinv)];
+      let toggles = Sim.Kernel.toggles_lane0 kernel in
+      let t3 = toggles.(gck3) - !prev3 and t2 = toggles.(gck2) - !prev2 in
+      prev3 := toggles.(gck3);
+      prev2 := toggles.(gck2);
+      let q_out = List.assoc "q" (Sim.Kernel.output_sample kernel ~lane:0) in
       T.add_row t
         [ string_of_int cycle;
           (if env then "1" else "0");
           (if dinv then "1" else "0");
           string_of_int t3;
           string_of_int t2;
-          String.make 1 (Sim.Logic.to_char (List.assoc "q" out)) ])
+          String.make 1 (Sim.Logic.to_char q_out) ])
     [ (true, true); (true, false); (false, true); (false, false);
       (true, true); (false, false); (true, false) ];
   t
@@ -429,6 +427,13 @@ let runtime_stages (results : Runner.t list) =
 
 (* --- register-style baseline comparison ---------------------------- *)
 
+(* the power of a design its caller has already hold-fixed, measured
+   without a second hold fix *)
+let power_of_padded padded ~clocks ~workload ~cycles ~seed =
+  (Qor.Collect.measure padded ~clocks
+     ~shape:(Circuits.Workload.shape workload) ~cycles ~seed)
+    .Qor.Collect.detail.Power.Estimate.overall
+
 let baselines () =
   let b = Option.get (Circuits.Suite.find "plasma") in
   let period = b.Circuits.Suite.period_ns in
@@ -447,7 +452,7 @@ let baselines () =
   let row label design clocks ~hold_margin =
     let padded, hold = Sta.Hold_fix.run ~skew:0.05 ~hold_margin design ~clocks in
     let power =
-      Runner.power_of padded ~clocks ~workload:b.Circuits.Suite.workload
+      power_of_padded padded ~clocks ~workload:b.Circuits.Suite.workload
         ~cycles:256 ~seed:21
     in
     let stats = Netlist.Stats.compute padded in
@@ -488,7 +493,7 @@ let frequency_sweep () =
       let flow = Phase3.Flow.run ~config d in
       let measure design clocks =
         let padded, _ = Sta.Hold_fix.run design ~clocks in
-        Runner.power_of padded ~clocks ~workload:b.Circuits.Suite.workload
+        power_of_padded padded ~clocks ~workload:b.Circuits.Suite.workload
           ~cycles:256 ~seed:31
       in
       let pf = measure d ff_clocks in

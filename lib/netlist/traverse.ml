@@ -94,30 +94,3 @@ let net_levels d =
       List.iter (fun net -> levels.(net) <- in_level + 1) (Design.output_nets d i))
     order;
   levels
-
-let reachable_seq_inputs d ~from =
-  let n_nets = Design.num_nets d in
-  let visited = Array.make n_nets false in
-  let found = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec walk net =
-    if not visited.(net) then begin
-      visited.(net) <- true;
-      List.iter
-        (fun (i, pin) ->
-          let c = Design.cell d i in
-          match c.Cell_lib.Cell.kind with
-          | Cell_lib.Cell.Combinational ->
-            List.iter walk (Design.output_nets d i)
-          | Cell_lib.Cell.Flip_flop { data_pin; _ }
-          | Cell_lib.Cell.Latch { data_pin; _ } ->
-            if String.equal pin data_pin && not (Hashtbl.mem found i) then begin
-              Hashtbl.add found i ();
-              order := i :: !order
-            end
-          | Cell_lib.Cell.Clock_gate _ -> ())
-        d.Design.net_sinks.(net)
-    end
-  in
-  walk from;
-  List.rev !order

@@ -16,9 +16,3 @@ val comb_topo_exn : Design.t -> Design.inst list
     a combinational instance is 1 + max of its input levels.  Outputs of
     sequential/ICG cells are level 0.  Raises on combinational cycles. *)
 val net_levels : Design.t -> int array
-
-(** [reachable_seq_inputs d ~from] walks forward from net [from] through
-    combinational instances only and returns the sequential instances whose
-    data pin is reached, together with a flag per instance marking whether
-    the path also reaches an ICG enable pin. *)
-val reachable_seq_inputs : Design.t -> from:Design.net -> Design.inst list

@@ -178,25 +178,34 @@ let solve ?(solver = `Auto) ?(node_budget = 2_000_000) d =
   let plans, pi_latches, optimal =
     match strategy with
     | `Ilp ->
-      let model = build_model g in
+      let model = Obs.span "assign.build_model" (fun () -> build_model g) in
       (match Ilp.Branch_bound.solve ~node_budget:(min node_budget 20_000) model with
        | Some (sol, _) ->
-         let plans, pi = decode_ilp g sol in
+         let plans, pi = Obs.span "assign.decode" (fun () -> decode_ilp g sol) in
          (plans, pi, sol.Ilp.Model.optimal)
        | None ->
          (* The formulation is always feasible (all pairs); cannot happen. *)
          assert false)
     | `Mis ->
-      let graph, eligible = build_augmented g in
+      let graph, eligible =
+        Obs.span "assign.build_augmented" (fun () -> build_augmented g)
+      in
       let r = Obs.span "mis.solve" (fun () -> Ilp.Indep_set.solve ~node_budget graph) in
       Obs.count "mis.components" r.Ilp.Indep_set.components;
       Obs.count "mis.nodes" r.Ilp.Indep_set.nodes_explored;
-      let plans, pi = decode_mis g r.Ilp.Indep_set.chosen eligible in
+      let plans, pi =
+        Obs.span "assign.decode" (fun () ->
+            decode_mis g r.Ilp.Indep_set.chosen eligible)
+      in
       (plans, pi, r.Ilp.Indep_set.optimal)
     | `Greedy ->
-      let graph, eligible = build_augmented g in
+      let graph, eligible =
+        Obs.span "assign.build_augmented" (fun () -> build_augmented g)
+      in
       let chosen = Ilp.Indep_set.greedy graph in
-      let plans, pi = decode_mis g chosen eligible in
+      let plans, pi =
+        Obs.span "assign.decode" (fun () -> decode_mis g chosen eligible)
+      in
       (plans, pi, false)
   in
   let solve_time_s = now () -. t0 in
@@ -211,6 +220,7 @@ let solve ?(solver = `Auto) ?(node_budget = 2_000_000) d =
     solve_time_s }
 
 let validate d t =
+  Obs.span "assign.validate" @@ fun () ->
   ignore d;
   let g = t.graph in
   let issues = ref [] in

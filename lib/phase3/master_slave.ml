@@ -1,40 +1,23 @@
 module Design = Netlist.Design
 module Builder = Netlist.Builder
+module Rewrite = Netlist.Rewrite
 
 let convert d =
   let lib = d.Design.library in
-  let b = Builder.create ~name:(d.Design.design_name ^ "_ms") ~library:lib in
+  let rw = Rewrite.start ~name:(d.Design.design_name ^ "_ms") d in
+  let b = Rewrite.builder rw in
+  let map_net = Rewrite.map_net rw in
   let lat_hi = Cell_lib.Library.latch lib ~transparent:Cell_lib.Cell.Active_high in
   let lat_hi_r = Cell_lib.Library.latch_with_reset lib ~transparent:Cell_lib.Cell.Active_high in
   let lat_lo = Cell_lib.Library.latch lib ~transparent:Cell_lib.Cell.Active_low in
   let lat_lo_r =
     Cell_lib.Library.latch_with_reset lib ~transparent:Cell_lib.Cell.Active_low
   in
-  let net_map = Array.make (Design.num_nets d) (-1) in
-  List.iter
-    (fun (port, net) ->
-      net_map.(net) <- Builder.add_input ~clock:(Design.is_clock_port d port) b port)
-    d.Design.primary_inputs;
-  Array.iteri
-    (fun n drv ->
-      match drv with
-      | Design.Driven_const v -> net_map.(n) <- Builder.const b v
-      | Design.Driven_by _ | Design.Driven_by_input _ | Design.Undriven -> ())
-    d.Design.net_driver;
-  let map_net old =
-    if net_map.(old) < 0 then net_map.(old) <- Builder.fresh_net b (Design.net_name d old);
-    net_map.(old)
-  in
   Design.fold_insts
     (fun i () ->
-      let c = Design.cell d i in
-      let mapped_conns () =
-        Array.to_list d.Design.inst_conns.(i)
-        |> List.map (fun (pin, n) -> (pin, map_net n))
-      in
-      match c.Cell_lib.Cell.kind with
+      match (Design.cell d i).Cell_lib.Cell.kind with
       | Cell_lib.Cell.Combinational | Cell_lib.Cell.Clock_gate _ ->
-        ignore (Builder.add_instance b (Design.inst_name d i) c (mapped_conns ()))
+        Rewrite.copy_inst rw i
       | Cell_lib.Cell.Latch _ ->
         invalid_arg
           (Printf.sprintf "Master_slave: design already contains latch %s"
@@ -67,7 +50,4 @@ let convert d =
              (Builder.add_instance b (Design.inst_name d i ^ "_slave") lat_hi_r
                 [("E", ck); ("D", mid); ("Q", q); ("RN", rn)])))
     d ();
-  List.iter
-    (fun (port, net) -> Builder.add_output b port (map_net net))
-    d.Design.primary_outputs;
-  Builder.freeze b
+  Rewrite.finish rw

@@ -24,8 +24,8 @@ type detail = {
 }
 
 (** [run impl ~activity:(toggles, cycles) ~period] — [period] in ns.
-    [toggles] must cover every net of the implemented design (simulator
-    counters or [Sim.Activity.counts] both qualify); [cycles] is the
+    [toggles] must cover every net of the implemented design (a
+    simulator's per-net toggle counters); [cycles] is the
     per-lane denominator, so multi-lane kernel runs pass
     [Kernel.lane_cycles].  Raises [Invalid_argument] if the activity
     array is shorter than the design's net count. *)

@@ -55,8 +55,15 @@ let rec tree_of_span_node (n : Obs.span_node) =
     t_self_s = n.Obs.n_self_s;
     t_children = List.map tree_of_span_node n.Obs.n_children }
 
-let implement_and_power design ~clocks ~shape ~cycles ~seed =
-  let design, hold = Sta.Hold_fix.run design ~clocks in
+type measurement = {
+  impl : Physical.Implement.t;
+  detail : Power.Estimate.detail;
+  toggles : int array;
+  lane_cycles : int;
+  kernel : Sim.Kernel.stats;
+}
+
+let measure design ~clocks ~shape ~cycles ~seed =
   let impl = Physical.Implement.run design in
   let kernel = Sim.Kernel.create design ~clocks in
   let stimulus =
@@ -65,12 +72,21 @@ let implement_and_power design ~clocks ~shape ~cycles ~seed =
       ~cycles shape (Sim.Stimulus.inputs_of design)
   in
   Sim.Kernel.run kernel stimulus;
+  let toggles = Sim.Kernel.toggles kernel
+  and lane_cycles = Sim.Kernel.lane_cycles kernel in
   let detail =
-    Power.Estimate.run impl
-      ~activity:(Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel)
+    Power.Estimate.run impl ~activity:(toggles, lane_cycles)
       ~period:clocks.Sim.Clock_spec.period
   in
-  (impl, hold, detail, Sim.Kernel.stats kernel)
+  { impl; detail; toggles; lane_cycles; kernel = Sim.Kernel.stats kernel }
+
+let implement_and_power design ~clocks ~shape ~cycles ~seed =
+  let design, hold = Sta.Hold_fix.run design ~clocks in
+  (design, hold, measure design ~clocks ~shape ~cycles ~seed)
+
+let record_power design ~clocks ~seed =
+  implement_and_power design ~clocks ~shape:(Sim.Stimulus.Uniform 0.3)
+    ~cycles:256 ~seed
 
 (* inserted p2 latches carry Convert.p2_suffix in their instance name;
    retiming preserves the marker, so counting them in the retimed
@@ -152,18 +168,17 @@ let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
   in
   let power_metrics =
     let clocks = Phase3.Flow.clocks_of config in
-    let impl, hold, detail, kstats =
+    let _, hold, m =
       Obs.span "qor.power" (fun () ->
-          implement_and_power result.Phase3.Flow.final ~clocks
-            ~shape:(Sim.Stimulus.Uniform 0.3) ~cycles:256
+          record_power result.Phase3.Flow.final ~clocks
             ~seed:config.Phase3.Flow.activity_seed)
     in
-    let overall = detail.Power.Estimate.overall in
-    let leak = detail.Power.Estimate.leakage in
-    [ ("area.impl_um2", impl.Physical.Implement.total_area);
-      ("wirelength.um", impl.Physical.Implement.total_wirelength);
+    let overall = m.detail.Power.Estimate.overall in
+    let leak = m.detail.Power.Estimate.leakage in
+    [ ("area.impl_um2", m.impl.Physical.Implement.total_area);
+      ("wirelength.um", m.impl.Physical.Implement.total_wirelength);
       ("clock_tree.buffers",
-       f impl.Physical.Implement.clock_tree.Physical.Clock_tree.total_buffers);
+       f m.impl.Physical.Implement.clock_tree.Physical.Clock_tree.total_buffers);
       ("hold.buffers", f hold.Sta.Hold_fix.buffers_added);
       ("hold.fixed", if hold.Sta.Hold_fix.fixed then 1.0 else 0.0);
       ("power.clock_mw", overall.Power.Estimate.clock);
@@ -174,11 +189,11 @@ let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
       (* kernel effectiveness on the activity run; deterministic for a
          fixed circuit/seed/cycle count, so the QoR gate can ratchet
          them like any other metric *)
-      ("kernel.units", f kstats.Sim.Kernel.units);
-      ("kernel.fused_ops", f kstats.Sim.Kernel.fused_ops);
-      ("kernel.waves_skipped", f kstats.Sim.Kernel.stat_waves_skipped);
-      ("kernel.cones_skipped", f kstats.Sim.Kernel.stat_cones_skipped);
-      ("kernel.evals", f kstats.Sim.Kernel.stat_evals) ]
+      ("kernel.units", f m.kernel.Sim.Kernel.units);
+      ("kernel.fused_ops", f m.kernel.Sim.Kernel.fused_ops);
+      ("kernel.waves_skipped", f m.kernel.Sim.Kernel.stat_waves_skipped);
+      ("kernel.cones_skipped", f m.kernel.Sim.Kernel.stat_cones_skipped);
+      ("kernel.evals", f m.kernel.Sim.Kernel.stat_evals) ]
   in
   let wall =
     List.map

@@ -1,10 +1,3 @@
-type t = {
-  engine : Engine.t;
-  nets : (string * Netlist.Design.net) list;
-  ids : string array;                       (* VCD short identifiers *)
-  mutable samples : Logic.t array list;     (* reversed *)
-}
-
 (* VCD identifier characters: printable ASCII 33..126 *)
 let short_id k =
   let base = 94 in
@@ -15,46 +8,6 @@ let short_id k =
   in
   go k ""
 
-let create engine ~nets =
-  let design = Engine.design engine in
-  let clock_nets =
-    List.filter_map
-      (fun port ->
-        Option.map (fun n -> (port, n)) (Netlist.Design.find_input design port))
-      design.Netlist.Design.clock_ports
-  in
-  let all = clock_nets @ nets in
-  { engine;
-    nets = all;
-    ids = Array.of_list (List.mapi (fun k _ -> short_id k) all);
-    samples = [] }
-
-let create_default engine =
-  let design = Engine.design engine in
-  let pis =
-    List.filter_map
-      (fun (p, n) ->
-        if Netlist.Design.is_clock_port design p then None else Some (p, n))
-      design.Netlist.Design.primary_inputs
-  in
-  let pos = design.Netlist.Design.primary_outputs in
-  let regs =
-    List.filter_map
-      (fun i ->
-        Option.map
-          (fun q -> (Netlist.Design.inst_name design i, q))
-          (Netlist.Design.q_net_of design i))
-      (Netlist.Design.sequential_insts design)
-  in
-  create engine ~nets:(pis @ pos @ regs)
-
-let sample t =
-  let values =
-    Array.of_list
-      (List.map (fun (_, n) -> Engine.net_value t.engine n) t.nets)
-  in
-  t.samples <- values :: t.samples
-
 let sanitize name =
   String.map
     (fun c ->
@@ -63,47 +16,55 @@ let sanitize name =
       else '_')
     name
 
-let render t =
+(* clock ports, then the other primary inputs, the primary outputs and
+   the register outputs *)
+let recorded design =
+  let open Netlist.Design in
+  List.filter_map
+    (fun port -> Option.map (fun n -> (port, n)) (find_input design port))
+    design.clock_ports
+  @ List.filter (fun (p, _) -> not (is_clock_port design p)) design.primary_inputs
+  @ design.primary_outputs
+  @ List.filter_map
+      (fun i -> Option.map (fun q -> (inst_name design i, q)) (q_net_of design i))
+      (sequential_insts design)
+
+let dump kernel draw =
+  let design = Kernel.design kernel in
+  let nets = Array.of_list (recorded design) in
+  let n = Array.length nets in
+  let sv, sx = Kernel.run_sampled kernel draw (Array.map snd nets) in
+  (* lane 0 of net [k] after cycle [c] *)
+  let value c k =
+    let at = (c * n) + k in
+    if sx.(at) land 1 <> 0 then Logic.LX
+    else if sv.(at) land 1 <> 0 then Logic.L1
+    else Logic.L0
+  in
+  let ids = Array.init n short_id in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "$date reproduction run $end\n";
   add "$version threephase simulator $end\n";
   add "$timescale 1ns $end\n";
-  add "$scope module %s $end\n"
-    (sanitize (Engine.design t.engine).Netlist.Design.design_name);
-  List.iteri
-    (fun k (name, _) ->
-      add "$var wire 1 %s %s $end\n" t.ids.(k) (sanitize name))
-    t.nets;
-  add "$upscope $end\n$enddefinitions $end\n";
-  let samples = Array.of_list (List.rev t.samples) in
-  let n = List.length t.nets in
-  let prev = Array.make n None in
+  add "$scope module %s $end\n" (sanitize design.Netlist.Design.design_name);
   Array.iteri
-    (fun cycle values ->
-      let changes = ref [] in
-      for k = n - 1 downto 0 do
-        let v = values.(k) in
-        if prev.(k) <> Some v then begin
-          prev.(k) <- Some v;
-          changes := (k, v) :: !changes
-        end
-      done;
-      if !changes <> [] then begin
-        add "#%d\n" (cycle * 10);
-        List.iter
-          (fun (k, v) -> add "%c%s\n" (Logic.to_char v) t.ids.(k))
-          !changes
-      end)
-    samples;
-  add "#%d\n" (Array.length samples * 10);
+    (fun k (name, _) -> add "$var wire 1 %s %s $end\n" ids.(k) (sanitize name))
+    nets;
+  add "$upscope $end\n$enddefinitions $end\n";
+  let prev = Array.make n None in
+  let cycles = draw.Stimulus.cycles in
+  for c = 0 to cycles - 1 do
+    let changed = ref false in
+    for k = 0 to n - 1 do
+      let v = value c k in
+      if prev.(k) <> Some v then begin
+        if not !changed then add "#%d\n" (c * 10);
+        changed := true;
+        prev.(k) <- Some v;
+        add "%c%s\n" (Logic.to_char v) ids.(k)
+      end
+    done
+  done;
+  add "#%d\n" (cycles * 10);
   Buffer.contents buf
-
-let run_and_dump engine stimulus =
-  let t = create_default engine in
-  List.iter
-    (fun cycle ->
-      ignore (Engine.run_cycle engine cycle);
-      sample t)
-    stimulus;
-  render t

@@ -1,27 +1,20 @@
-(** Value-change-dump (VCD) writing: record selected nets of a running
-    {!Engine} and render an IEEE-1364-style VCD file for waveform viewers.
+(** Value-change-dump (VCD) writing: an IEEE-1364-style waveform of one
+    {!Kernel} lane for waveform viewers.
 
-    Sampling is per clock cycle (one timestamp per {!Engine.run_cycle});
-    intra-cycle phase detail is visible through the clock port nets, which
-    are sampled at their end-of-cycle levels. *)
+    Sampling is per clock cycle, at the end of each cycle; intra-cycle
+    phase detail is visible through the clock port nets, which are
+    sampled at their end-of-cycle levels. *)
 
-type t
+(** [dump kernel draw] runs [draw] on [kernel] ({!Kernel.run_sampled})
+    and renders lane 0 of the clock ports, the other primary inputs, the
+    primary outputs and the register outputs, named by port or register
+    instance, at a 1 ns timescale with one cycle per 10 units.  Lane 0
+    of a kernel is the {!Engine} run of lane 0 of the draw, so this is
+    the waveform of that one stream.  The kernel must observe every net
+    (the default of {!Kernel.create}); raises as {!Kernel.run_sampled}
+    does. *)
+val dump : Kernel.t -> Stimulus.packed -> string
 
-(** [create engine ~nets] starts recording the given nets (plus all clock
-    ports).  Net names become VCD wire identifiers. *)
-val create :
-  Engine.t -> nets:(string * Netlist.Design.net) list -> t
-
-(** Convenience: record all primary inputs, outputs and register outputs. *)
-val create_default : Engine.t -> t
-
-(** Sample the current values (call once per simulated cycle, after
-    {!Engine.run_cycle}). *)
-val sample : t -> unit
-
-(** Render the dump at a 1 ns timescale, one cycle per 10 units. *)
-val render : t -> string
-
-(** [run_and_dump engine stimulus] = run the stream, sampling each cycle,
-    and render. *)
-val run_and_dump : Engine.t -> Stimulus.t -> string
+(** [sanitize name] maps every character outside [A-Za-z0-9_] to [_]:
+    the identifier form that VCD and {!Saif} share. *)
+val sanitize : string -> string

@@ -386,3 +386,83 @@ let suite =
   @ [ Alcotest.test_case "optimize folds and sweeps" `Quick test_optimize_folds_and_sweeps;
       Alcotest.test_case "optimize keeps clock buffers" `Quick test_optimize_keeps_clock_buffers;
       QCheck_alcotest.to_alcotest prop_optimize_equivalent ]
+
+(* --- Ff_graph against the per-register walk --- *)
+
+(* The walk [Ff_graph.build] replaced, kept as its oracle: one fresh
+   visited array per source net, the sequential instances whose data
+   pin the walk reaches listed in the order it reaches them. *)
+let reachable_seq_inputs d ~from =
+  let visited = Array.make (D.num_nets d) false in
+  let found = Hashtbl.create 16 in
+  let order = ref [] in
+  let rec walk net =
+    if not visited.(net) then begin
+      visited.(net) <- true;
+      List.iter
+        (fun (i, pin) ->
+          match (D.cell d i).Cell_lib.Cell.kind with
+          | Cell_lib.Cell.Combinational -> List.iter walk (D.output_nets d i)
+          | Cell_lib.Cell.Flip_flop { data_pin; _ }
+          | Cell_lib.Cell.Latch { data_pin; _ } ->
+            if String.equal pin data_pin && not (Hashtbl.mem found i) then begin
+              Hashtbl.add found i ();
+              order := i :: !order
+            end
+          | Cell_lib.Cell.Clock_gate _ -> ())
+        d.D.net_sinks.(net)
+    end
+  in
+  walk from;
+  List.rev !order
+
+let ff_graph_matches_oracle d =
+  let g = Netlist.Ff_graph.build d in
+  let members = Array.of_list (D.sequential_insts d) in
+  let position = Hashtbl.create 16 in
+  Array.iteri (fun pos i -> Hashtbl.add position i pos) members;
+  let reach net =
+    List.filter_map (Hashtbl.find_opt position) (reachable_seq_inputs d ~from:net)
+  in
+  let fanout =
+    Array.map
+      (fun i -> match D.q_net_of d i with None -> [] | Some q -> reach q)
+      members
+  in
+  let fanin = Array.make (Array.length members) [] in
+  Array.iteri
+    (fun u outs -> List.iter (fun v -> fanin.(v) <- u :: fanin.(v)) outs)
+    fanout;
+  let pis =
+    List.filter (fun (p, _) -> not (D.is_clock_port d p)) d.D.primary_inputs
+  in
+  g.Netlist.Ff_graph.members = members
+  && g.Netlist.Ff_graph.fanout = fanout
+  && g.Netlist.Ff_graph.fanin = Array.map List.rev fanin
+  && g.Netlist.Ff_graph.self_loop = Array.mapi List.mem fanout
+  && g.Netlist.Ff_graph.pi_names = Array.of_list (List.map fst pis)
+  && g.Netlist.Ff_graph.pi_fanout
+     = Array.of_list (List.map (fun (_, n) -> reach n) pis)
+
+(* generated designs with reconvergent cones, clock gates and self
+   loops, in flip-flop form and converted (latches, three clocks) *)
+let prop_ff_graph_equals_per_register_walks =
+  QCheck.Test.make ~name:"ff graph equals per-register walks" ~count:30
+    QCheck.(
+      triple (int_bound 1_000_000)
+        (array_of_size (QCheck.Gen.int_range 2 4) (int_range 2 8))
+        (pair (float_range 0.1 0.6) (float_range 0.1 0.5)))
+    (fun (seed, layers, (gated, self_loop)) ->
+      let spec =
+        { Circuits.Generator.name = Printf.sprintf "ffg%d" seed; seed;
+          inputs = 5; outputs = 3; layers; fanin = 3; cone_depth = 4;
+          self_loop_fraction = self_loop; cross_feedback = 0.25; reuse = 0.4;
+          gated_fraction = gated; bank_size = 3; po_cones = 3;
+          frequency_mhz = 1000.0 }
+      in
+      let d = Circuits.Generator.synthesize spec in
+      let d3 = Phase3.Convert.to_three_phase d (Phase3.Assignment.solve d) in
+      ff_graph_matches_oracle d && ff_graph_matches_oracle d3)
+
+let suite =
+  suite @ [ QCheck_alcotest.to_alcotest prop_ff_graph_equals_per_register_walks ]

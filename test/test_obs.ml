@@ -554,6 +554,37 @@ let test_flow_one_timing_analysis () =
         (calls_under "flow.smo" span))
     timing_spans
 
+(* the assign stage's work is named: its children are the FF graph
+   build, the model or augmented-graph build, the solver, the decode and
+   the validation, on each solver path *)
+let test_flow_assign_children () =
+  let d = quickstart_design () in
+  List.iter
+    (fun (solver, expected) ->
+      Obs.reset ();
+      ignore
+        (Phase3.Flow.run
+           ~config:{ (Phase3.Flow.default_config ~period:1.0) with
+                     Phase3.Flow.solver }
+           d);
+      let assign =
+        List.find
+          (fun n -> String.equal n.Obs.node_name "flow.assign")
+          (Obs.span_tree ())
+      in
+      Alcotest.(check (list string))
+        "flow.assign children" expected
+        (List.map (fun n -> n.Obs.node_name) assign.Obs.n_children))
+    [ (`Ilp,
+       [ "assign.build_model"; "assign.decode"; "assign.validate";
+         "ilp.solve"; "netlist.ff_graph.build" ]);
+      (`Mis,
+       [ "assign.build_augmented"; "assign.decode"; "assign.validate";
+         "mis.solve"; "netlist.ff_graph.build" ]);
+      (`Greedy,
+       [ "assign.build_augmented"; "assign.decode"; "assign.validate";
+         "netlist.ff_graph.build" ]) ]
+
 (* the minor-words gauge counts the words allocated inside the span:
    3 per cons cell, plus the span's own few *)
 let test_gc_span_minor_words () =
@@ -634,4 +665,6 @@ let suite =
     Alcotest.test_case "one timing analysis per flow run" `Quick
       test_flow_one_timing_analysis;
     Alcotest.test_case "gc span counts minor words" `Quick
-      test_gc_span_minor_words ]
+      test_gc_span_minor_words;
+    Alcotest.test_case "flow.assign names its parts" `Quick
+      test_flow_assign_children ]

@@ -458,6 +458,49 @@ let quickstart_design () =
   let library = Cell_lib.Default_library.library () in
   Netlist_io.Bench_format.parse ~name:"quickstart" ~library src
 
+(* [ff2latch power] measures through [Qor.Collect.record_power] with the
+   default activity seed.  On the flow's final design, and on that
+   design written to Verilog and read back as [power] reads a [convert
+   -o] netlist (clocks from its three clock ports), it equals the run
+   record's power metrics float for float. *)
+let test_power_equals_record () =
+  let b = Option.get (Circuits.Suite.find "s5378") in
+  let period = 1.0 in
+  let config = Phase3.Flow.default_config ~period in
+  let result = Phase3.Flow.run ~config (b.Circuits.Suite.build ()) in
+  let record = Qor.Collect.of_flow ~circuit:"s5378" result in
+  let same_as_record what design ~clocks =
+    let _, hold, m =
+      Qor.Collect.record_power design ~clocks
+        ~seed:(Phase3.Flow.default_config ~period).Phase3.Flow.activity_seed
+    in
+    let overall = m.Qor.Collect.detail.Power.Estimate.overall in
+    let leak = m.Qor.Collect.detail.Power.Estimate.leakage in
+    List.iter
+      (fun (name, v) ->
+        let r = List.assoc name record.Qor.Record.metrics in
+        if Int64.bits_of_float v <> Int64.bits_of_float r then
+          Alcotest.failf "%s: %s %h, record %h" what name v r)
+      [ ("power.clock_mw", overall.Power.Estimate.clock);
+        ("power.seq_mw", overall.Power.Estimate.seq);
+        ("power.comb_mw", overall.Power.Estimate.comb);
+        ("power.total_mw", Power.Estimate.total overall);
+        ("power.leakage_mw", Power.Estimate.total leak);
+        ("hold.buffers", float_of_int hold.Sta.Hold_fix.buffers_added) ]
+  in
+  same_as_record "final design" result.Phase3.Flow.final
+    ~clocks:(Phase3.Flow.clocks_of config);
+  let reparsed =
+    Netlist_io.Verilog.parse ~library:(Cell_lib.Default_library.library ())
+      (Netlist_io.Verilog.write result.Phase3.Flow.final)
+  in
+  match reparsed.Netlist.Design.clock_ports with
+  | [p1; p2; p3] ->
+    same_as_record "netlist read back" reparsed
+      ~clocks:(Sim.Clock_spec.three_phase ~period ~p1 ~p2 ~p3 ())
+  | ports ->
+    Alcotest.failf "read-back clock ports: %s" (String.concat ", " ports)
+
 let test_flow_record_gate () =
   Obs.reset ();
   let d = quickstart_design () in
@@ -593,4 +636,6 @@ let suite =
     Alcotest.test_case "flow record gates against itself and perturbation"
       `Quick test_flow_record_gate;
     Alcotest.test_case "html report is self-contained and carries suspects"
-      `Quick test_html_report ]
+      `Quick test_html_report;
+    Alcotest.test_case "power command equals the record's power" `Quick
+      test_power_equals_record ]
