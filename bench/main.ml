@@ -119,15 +119,10 @@ let micro ~json ~qor_dir () =
   Report.Table.print t;
   print_newline ();
   if json then begin
-    let contains_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
     let find infix =
       List.find_map
         (fun (name, est) ->
-          if contains_sub name infix then ns_of est else None)
+          if Qor.Diff.contains name infix then ns_of est else None)
         rows
     in
     match find "sim-cycle-s5378", find "kernel-cycle-s5378" with

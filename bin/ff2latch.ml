@@ -428,13 +428,13 @@ let timing_cmd =
     match
       let d, suite_period = resolve_input input in
       validate_input d;
-      (d, resolve_period ~constraints:None period suite_period)
+      let period = resolve_period ~constraints:None period suite_period in
+      (d, clocks_of_design d ~period)
     with
     | exception Failure msg -> `Error (false, msg)
-    | d, period ->
+    | d, clocks ->
     let paths = Sta.Timing_report.worst_paths ~count:5 d in
     Format.printf "%a" (Sta.Timing_report.pp d) paths;
-    let clocks = clocks_of_design d ~period in
     List.iter
       (fun ((c : Sta.Corners.corner), r) ->
         Format.printf "corner %-8s %a@." c.Sta.Corners.corner_name

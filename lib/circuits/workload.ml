@@ -27,10 +27,6 @@ let program_rates = function
   | Dhrystone -> (0.38, 0.30, 0.002)
   | Coremark -> (0.46, 0.36, 0.002)
 
-let has_prefix prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 let shape = function
   | Uniform_random p -> Sim.Stimulus.Uniform p
   | Self_check ->
@@ -40,9 +36,9 @@ let shape = function
     let imem, dmem, irq = program_rates p in
     Sim.Stimulus.Profiled
       (fun input ->
-        if has_prefix "imem" input then imem
-        else if has_prefix "dmem" input then dmem
-        else if has_prefix "irq" input then irq
+        if String.starts_with ~prefix:"imem" input then imem
+        else if String.starts_with ~prefix:"dmem" input then dmem
+        else if String.starts_with ~prefix:"irq" input then irq
         else (imem +. dmem) /. 2.0)
 
 let draw t ~seeds ~cycles design =

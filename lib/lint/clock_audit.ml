@@ -1,17 +1,6 @@
 module Design = Netlist.Design
 module D = Lint_core.Diagnostic
 
-(* all nets of the clock network, across every declared clock port *)
-let network_set d =
-  let set = Hashtbl.create 256 in
-  List.iter
-    (fun port ->
-      List.iter
-        (fun n -> Hashtbl.replace set n ())
-        (Netlist.Clocking.clock_network_nets d ~port))
-    d.Design.clock_ports;
-  set
-
 (* combinational fan-in cone of [net]: every net reached walking drivers
    backwards through combinational cells, stopping at sequential / ICG
    outputs, constants and ports.  Returns the visited net set and the
@@ -40,22 +29,11 @@ let enable_cone d net =
   walk net;
   (visited, List.rev !sources, !has_pi)
 
-let root_port d net =
-  Option.map
-    (fun tr -> tr.Netlist.Clocking.root_port)
-    (Netlist.Clocking.trace_to_root d net)
-
-let root_port_of_seq d i =
-  match Design.clock_net_of d i with
-  | None -> None
-  | Some cn -> root_port d cn
-
 let run d ~clocks =
   Obs.span "lint.clock_audit" @@ fun () ->
   let diags = ref [] in
   let add dg = diags := dg :: !diags in
-  let network = network_set d in
-  let in_network n = Hashtbl.mem network n in
+  let in_network = (Netlist.Clocking.network d).Netlist.Clocking.has_net in
   (* CLK-001: ICG clock pins must be rooted at declared clocks (Check's
      NET-003 covers flip-flops and latches; ICGs are audited here) *)
   List.iter
@@ -71,7 +49,7 @@ let run d ~clocks =
                  "clock gate %s has no net on clock pin %s"
                  (Design.inst_name d icg) pin)
           | Some n ->
-            if root_port d n = None then
+            if Netlist.Clocking.trace_to_root d n = None then
               add
                 (D.makef ~rule:"CLK-001" ~severity:D.Error
                    ~loc:(D.Object (Design.inst_name d icg))
@@ -85,8 +63,8 @@ let run d ~clocks =
       | Cell_lib.Cell.Latch _ -> ())
     (Design.clock_gate_insts d);
   (* CLK-002: clock-network nets stay inside the clock network *)
-  Hashtbl.iter
-    (fun net () ->
+  for net = 0 to Design.num_nets d - 1 do
+    if in_network net then
       List.iter
         (fun (i, pin) ->
           let c = Design.cell d i in
@@ -113,8 +91,8 @@ let run d ~clocks =
                  ~loc:(D.Object (Design.inst_name d i))
                  "clock-network net %s feeds data pin %s of %s"
                  (Design.net_name d net) pin (Design.inst_name d i)))
-        d.Design.net_sinks.(net))
-    network;
+        d.Design.net_sinks.(net)
+  done;
   (* CLK-003 / CLK-004: enable cones of every clock gate *)
   let earliest_port =
     List.fold_left
@@ -131,7 +109,7 @@ let run d ~clocks =
   List.iter
     (fun icg ->
       match (Design.cell d icg).Cell_lib.Cell.kind with
-      | Cell_lib.Cell.Clock_gate { clock_pin; enable_pin; style; _ } ->
+      | Cell_lib.Cell.Clock_gate { enable_pin; style; _ } ->
         (match Design.pin_net_opt d icg enable_pin with
          | None -> ()
          | Some en ->
@@ -159,13 +137,12 @@ let run d ~clocks =
               before its own phase opens *)
            (match style with
             | Cell_lib.Cell.Icg_m2_latchless ->
-              let phase =
-                Option.bind (Design.pin_net_opt d icg clock_pin) (root_port d)
-              in
-              (match phase with
+              (match Netlist.Clocking.root_port d icg with
                | None -> ()  (* CLK-001 already fired *)
                | Some phi ->
-                 let source_ports = List.filter_map (root_port_of_seq d) sources in
+                 let source_ports =
+                   List.filter_map (Netlist.Clocking.root_port d) sources
+                 in
                  let pi_phase = if has_pi then earliest_port else None in
                  let bad =
                    List.exists (String.equal phi) source_ports

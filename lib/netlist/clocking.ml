@@ -44,39 +44,45 @@ let gating_icg d net =
       (fun acc el -> match el with Through_icg i -> Some i | Through_buffer _ -> acc)
       None elements
 
-let clock_network_nets d ~port =
-  match Design.find_input d port with
-  | None -> []
-  | Some root ->
-    let visited = Hashtbl.create 64 in
-    let out = ref [] in
-    let rec walk net =
-      if not (Hashtbl.mem visited net) then begin
-        Hashtbl.add visited net ();
-        out := net :: !out;
-        List.iter
-          (fun (i, pin) ->
-            let c = Design.cell d i in
-            match c.Cell_lib.Cell.kind with
-            | Cell_lib.Cell.Clock_gate { clock_pin; _ } when String.equal pin clock_pin ->
-              List.iter walk (Design.output_nets d i)
-            | Cell_lib.Cell.Combinational when is_buffer_like c ->
-              List.iter walk (Design.output_nets d i)
-            | Cell_lib.Cell.Clock_gate _ | Cell_lib.Cell.Combinational
-            | Cell_lib.Cell.Flip_flop _ | Cell_lib.Cell.Latch _ -> ())
-          d.Design.net_sinks.(net)
-      end
-    in
-    walk root;
-    List.rev !out
+type network = {
+  insts : Design.inst array;
+  has_net : Design.net -> bool;
+}
 
-let sinks_of_port d ~port =
-  let nets = clock_network_nets d ~port in
-  let net_set = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.add net_set n ()) nets;
-  List.filter
-    (fun i ->
-      match Design.clock_net_of d i with
-      | Some n -> Hashtbl.mem net_set n
-      | None -> false)
-    (Design.sequential_insts d)
+let walks_through d i pin =
+  let c = Design.cell d i in
+  match c.Cell_lib.Cell.kind with
+  | Cell_lib.Cell.Clock_gate { clock_pin; _ } -> String.equal pin clock_pin
+  | Cell_lib.Cell.Combinational -> is_buffer_like c
+  | Cell_lib.Cell.Flip_flop _ | Cell_lib.Cell.Latch _ -> false
+
+let network d =
+  let net_seen = Bytes.make (Design.num_nets d) '\000' in
+  (* a cell whose clock pin is connected twice (the Verilog reader
+     accepts [.CK(clk), .CK(clk)]) sits twice in one sink list *)
+  let inst_seen = Bytes.make (Design.num_insts d) '\000' in
+  let order = ref [] in
+  let frontier = Queue.create () in
+  List.iter
+    (fun port -> Option.iter (fun n -> Queue.add n frontier) (Design.find_input d port))
+    d.Design.clock_ports;
+  while not (Queue.is_empty frontier) do
+    let net = Queue.pop frontier in
+    if Bytes.get net_seen net = '\000' then begin
+      Bytes.set net_seen net '\001';
+      List.iter
+        (fun (i, pin) ->
+          if Bytes.get inst_seen i = '\000' && walks_through d i pin then begin
+            Bytes.set inst_seen i '\001';
+            order := i :: !order;
+            List.iter (fun n -> Queue.add n frontier) (Design.output_nets d i)
+          end)
+        d.Design.net_sinks.(net)
+    end
+  done;
+  { insts = Array.of_list (List.rev !order);
+    has_net = (fun n -> Bytes.get net_seen n <> '\000') }
+
+let root_port d i =
+  Option.bind (Design.clock_net_of d i) (fun net ->
+      Option.map (fun t -> t.root_port) (trace_to_root d net))

@@ -19,11 +19,20 @@ val trace_to_root : Design.t -> Design.net -> trace option
     path from the root). *)
 val gating_icg : Design.t -> Design.net -> Design.inst option
 
-(** All nets belonging to the clock network rooted at port [port]:
-    the port net plus every net downstream through buffers/inverters/ICGs,
-    stopping at sequential clock pins. *)
-val clock_network_nets : Design.t -> port:string -> Design.net list
+(** The clock network: every net reached from the declared clock ports
+    through ICG clock pins and single-input cells (buffers and
+    inverters), stopping at register clock pins and every other pin. *)
+type network = {
+  insts : Design.inst array;
+  (** the buffers, inverters and ICGs walked, breadth-first from the
+      clock ports in declaration order: the order both simulators
+      propagate a clock event in *)
+  has_net : Design.net -> bool;  (** membership of the network's nets *)
+}
 
-(** Sequential instances whose clock pin is (transitively) driven from
-    [port]. *)
-val sinks_of_port : Design.t -> port:string -> Design.inst list
+val network : Design.t -> network
+
+(** [root_port d i] is the clock port that the clock pin of register or
+    clock gate [i] traces to ({!trace_to_root}'s [root_port]); [None]
+    when the pin is unconnected or does not trace to a clock port. *)
+val root_port : Design.t -> Design.inst -> string option

@@ -57,19 +57,14 @@ let run d =
       v
   in
   (* clock-network nets: buffers there stay (they model the clock tree) *)
-  let clock_nets = Hashtbl.create 64 in
-  List.iter
-    (fun port ->
-      List.iter (fun m -> Hashtbl.replace clock_nets m ())
-        (Clocking.clock_network_nets d ~port))
-    d.Design.clock_ports;
+  let on_clock = (Clocking.network d).Clocking.has_net in
   (* --- classification ------------------------------------------------ *)
   (* per net: `Keep, `Const of bool, or `Alias of source_net *)
   let folded = ref 0 and collapsed = ref 0 in
   let classify = Array.make n_nets `Keep in
   for net = 0 to n_nets - 1 do
     match d.Design.net_driver.(net) with
-    | Design.Driven_by (i, pin) when not (Hashtbl.mem clock_nets net) ->
+    | Design.Driven_by (i, pin) when not (on_clock net) ->
       let c = Design.cell d i in
       (match c.Cell_lib.Cell.kind with
        | Cell_lib.Cell.Combinational ->
@@ -150,9 +145,9 @@ let run d =
     | Cell_lib.Cell.Clock_gate _ -> true
     | Cell_lib.Cell.Combinational ->
       if inst_obsolete i then false
-      else if Hashtbl.mem clock_nets (match Design.output_nets d i with
-          | out :: _ -> out
-          | [] -> -1)
+      else if (match Design.output_nets d i with
+          | out :: _ -> on_clock out
+          | [] -> false)
       then true
       else
         let alive = List.exists (fun n -> live_net.(n)) (Design.output_nets d i) in

@@ -65,15 +65,6 @@ let gating_enable d i =
         | Cell_lib.Cell.Latch _ -> None)
      | Design.Driven_by_input _ | Design.Driven_const _ | Design.Undriven -> None)
 
-(* Root clock phase port of a sequential element or ICG instance. *)
-let phase_port d i =
-  match Design.clock_net_of d i with
-  | None -> None
-  | Some cn ->
-    Option.map
-      (fun tr -> tr.Netlist.Clocking.root_port)
-      (Netlist.Clocking.trace_to_root d cn)
-
 let chunk max_n l =
   let rec go acc cur k = function
     | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
@@ -138,7 +129,7 @@ let plan ?(options = default_options) ?(ports = Convert.default_ports) d =
                enable and a p3 first latch's same-cycle enable — but a
                mixed group would need both samples at once. *)
             let enables = List.map (gating_enable d) sources in
-            let phases = List.map (phase_port d) sources in
+            let phases = List.map (Netlist.Clocking.root_port d) sources in
             let uniform = function
               | [] -> None
               | Some x :: rest when List.for_all (Option.equal ( = ) (Some x)) rest ->
@@ -166,7 +157,9 @@ let plan ?(options = default_options) ?(ports = Convert.default_ports) d =
       pis = []
       && sources <> []
       && List.for_all
-           (fun s -> Option.equal String.equal (phase_port d s) (Some ports.Convert.p3))
+           (fun s ->
+             Option.equal String.equal (Netlist.Clocking.root_port d s)
+               (Some ports.Convert.p3))
            sources
   in
   let pool =
@@ -196,7 +189,7 @@ let plan ?(options = default_options) ?(ports = Convert.default_ports) d =
              let sources, pis = seq_sources d en_net in
              (* primary inputs behave like p1 start points *)
              let source_phases =
-               List.filter_map (phase_port d) sources
+               List.filter_map (Netlist.Clocking.root_port d) sources
                @ (if pis <> [] then [ports.Convert.p1] else [])
              in
              if not (List.exists (String.equal phase) source_phases) then

@@ -11,21 +11,7 @@ let default_ports = { p1 = "p1"; p2 = "p2"; p3 = "p3" }
 
 let p2_suffix = "__p2ins"
 
-let is_inserted_p2 d i =
-  let name = Design.inst_name d i in
-  let suffix = p2_suffix in
-  let nl = String.length name and sl = String.length suffix in
-  nl >= sl && String.equal (String.sub name (nl - sl) sl) suffix
-
-(* Nets that belong to the original clock network (they are not copied). *)
-let clock_net_set d =
-  let set = Hashtbl.create 64 in
-  List.iter
-    (fun port ->
-      List.iter (fun n -> Hashtbl.replace set n ())
-        (Netlist.Clocking.clock_network_nets d ~port))
-    d.Design.clock_ports;
-  set
+let is_inserted_p2 d i = String.ends_with ~suffix:p2_suffix (Design.inst_name d i)
 
 let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
   let lib = d.Design.library in
@@ -33,7 +19,8 @@ let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
   let latch_cell = (Cell_lib.Library.latch lib ~transparent:Cell_lib.Cell.Active_high).Cell_lib.Cell.name in
   let latch_r_cell = (Cell_lib.Library.latch_with_reset lib ~transparent:Cell_lib.Cell.Active_high).Cell_lib.Cell.name in
   let icg_cell = (Cell_lib.Library.clock_gate lib ~style:Cell_lib.Cell.Icg_standard).Cell_lib.Cell.name in
-  let clock_nets = clock_net_set d in
+  (* the original clock network is not copied *)
+  let clock = Netlist.Clocking.network d in
   (* new clock ports *)
   let p1 = Builder.add_input ~clock:true b ports.p1 in
   let p2 = Builder.add_input ~clock:true b ports.p2 in
@@ -67,7 +54,7 @@ let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
       end)
     d.Design.primary_inputs;
   let map_net old =
-    if Hashtbl.mem clock_nets old then
+    if clock.Netlist.Clocking.has_net old then
       invalid_arg
         (Printf.sprintf "Convert: data logic reads clock net %s" (Design.net_name d old))
     else begin
@@ -129,18 +116,16 @@ let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
            elements)
   in
   (* copy combinational instances (clock buffers excluded) *)
-  let on_clock_path = Hashtbl.create 64 in
-  Array.iteri
-    (fun i _ ->
-      let outputs = Design.output_nets d i in
-      if outputs <> [] && List.for_all (fun n -> Hashtbl.mem clock_nets n) outputs then
-        Hashtbl.replace on_clock_path i ())
-    d.Design.inst_names;
+  let on_clock_path i =
+    match Design.output_nets d i with
+    | [] -> false
+    | outputs -> List.for_all clock.Netlist.Clocking.has_net outputs
+  in
   Design.fold_insts
     (fun i () ->
       let c = Design.cell d i in
       match c.Cell_lib.Cell.kind with
-      | Cell_lib.Cell.Combinational when not (Hashtbl.mem on_clock_path i) ->
+      | Cell_lib.Cell.Combinational when not (on_clock_path i) ->
         let conns =
           Array.to_list d.Design.inst_conns.(i)
           |> List.map (fun (pin, n) -> (pin, map_net n))

@@ -84,13 +84,7 @@ let run (impl : Physical.Implement.t) ~activity:(toggles, cycles) ~period =
            | Cell_lib.Cell.Clock_gate _ -> false)
         | [] | _ :: _ :: _ -> false)
   in
-  let clock_nets = Hashtbl.create 256 in
-  List.iter
-    (fun port ->
-      List.iter
-        (fun n -> Hashtbl.replace clock_nets n ())
-        (Netlist.Clocking.clock_network_nets d ~port))
-    d.Design.clock_ports;
+  let on_clock = (Netlist.Clocking.network d).Netlist.Clocking.has_net in
   let pin_cap net =
     List.fold_left
       (fun acc (i, pin) ->
@@ -100,7 +94,7 @@ let run (impl : Physical.Implement.t) ~activity:(toggles, cycles) ~period =
       0.0 d.Design.net_sinks.(net)
   in
   let group_of_net net =
-    if Hashtbl.mem clock_nets net then Clock
+    if on_clock net then Clock
     else
       match d.Design.net_driver.(net) with
       | Design.Driven_by (i, _) ->
@@ -144,7 +138,7 @@ let run (impl : Physical.Implement.t) ~activity:(toggles, cycles) ~period =
              the clock group *)
           let g =
             match Design.output_nets d i with
-            | n :: _ when Hashtbl.mem clock_nets n -> Clock
+            | n :: _ when on_clock n -> Clock
             | _ :: _ | [] -> Comb
           in
           dynamic := add !dynamic g (e *. t)
@@ -183,7 +177,7 @@ let run (impl : Physical.Implement.t) ~activity:(toggles, cycles) ~period =
         | Cell_lib.Cell.Clock_gate _ -> Clock
         | Cell_lib.Cell.Combinational ->
           (match Design.output_nets d i with
-           | n :: _ when Hashtbl.mem clock_nets n -> Clock
+           | n :: _ when on_clock n -> Clock
            | _ :: _ | [] -> Comb)
       in
       leakage := add !leakage g (c.Cell_lib.Cell.leakage /. 1.0e6))

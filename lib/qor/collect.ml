@@ -88,23 +88,14 @@ let record_power design ~clocks ~seed =
   implement_and_power design ~clocks ~shape:(Sim.Stimulus.Uniform 0.3)
     ~cycles:256 ~seed
 
-(* inserted p2 latches carry Convert.p2_suffix in their instance name;
-   retiming preserves the marker, so counting them in the retimed
-   design gives the post-retime inserted count (moves can merge a
-   latch group into one latch, so it may be below the ILP objective) *)
+(* inserted p2 latches keep Convert's marker (Convert.is_inserted_p2)
+   through retiming, so counting them in the retimed design gives the
+   post-retime inserted count (moves can merge a latch group into one
+   latch, so it may be below the ILP objective) *)
 let inserted_p2_count d =
-  let suffix = Phase3.Convert.p2_suffix in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   List.length
-    (List.filter
-       (fun i ->
-         Cell_lib.Cell.is_latch (Netlist.Design.cell d i)
-         && contains (Netlist.Design.inst_name d i) suffix)
-       (Netlist.Design.insts d))
+    (List.filter (Phase3.Convert.is_inserted_p2 d)
+       (Netlist.Design.sequential_insts d))
 
 let of_flow ?(extra_wall = []) ~circuit (result : Phase3.Flow.result) =
   let config = result.Phase3.Flow.config in

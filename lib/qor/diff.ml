@@ -91,33 +91,29 @@ let classify_noisy ~noise_band ~abs_floor name b c =
 
 (* --- regression attribution ----------------------------------------- *)
 
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 (* Which flow stage owns a gated metric.  The mapping follows the
    metric vocabulary of Collect.of_flow (docs/QOR.md): register counts
    and cell-level area come out of conversion, power/area/hold come out
    of the physical+power measurement, and so on.  Unknown names (bench
    headline metrics, experiment extras) get no attribution. *)
 let stage_of_metric name =
-  if starts_with "assign." name then Some "assign"
-  else if starts_with "retime." name
-          || String.equal name "inserted_p2.after_retime"
+  let under prefix = String.starts_with ~prefix name in
+  if under "assign." then Some "assign"
+  else if under "retime." || String.equal name "inserted_p2.after_retime"
   then Some "retime"
-  else if starts_with "cg." name || String.equal name "clock_gate.count" then
+  else if under "cg." || String.equal name "clock_gate.count" then
     Some "clock_gating"
-  else if starts_with "timing." name then Some "smo"
-  else if starts_with "lint." name then Some "lint"
-  else if starts_with "equivalence." name then Some "equivalence"
+  else if under "timing." then Some "smo"
+  else if under "lint." then Some "lint"
+  else if under "equivalence." then Some "equivalence"
   else if
-    starts_with "power." name || starts_with "kernel." name
-    || starts_with "clock_tree." name || starts_with "hold." name
+    under "power." || under "kernel." || under "clock_tree." || under "hold."
     || String.equal name "area.impl_um2" || String.equal name "wirelength.um"
   then Some "power"
   else if
-    starts_with "area." name || starts_with "leakage." name
-    || starts_with "inserted_p2." name || String.equal name "ff.count"
-    || String.equal name "latch.count" || String.equal name "register.count"
+    under "area." || under "leakage." || under "inserted_p2."
+    || String.equal name "ff.count" || String.equal name "latch.count"
+    || String.equal name "register.count"
   then Some "convert"
   else None
 
@@ -157,7 +153,8 @@ let attribute entries e =
            | Metric | Wall -> false)
           && s.cls <> Unchanged
           && (not (String.equal s.name e.name))
-          && List.exists (fun p -> starts_with p s.name) prefixes)
+          && List.exists (fun prefix -> String.starts_with ~prefix s.name)
+               prefixes)
         entries
     in
     let suspects =

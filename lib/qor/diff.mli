@@ -95,6 +95,10 @@ type t = {
   (** one per changed [Metric] entry with at least one suspect *)
 }
 
+(** [contains name sub]: [sub] occurs in [name] (how metric names are
+    matched to a direction here and to a filter in {!Trend}). *)
+val contains : string -> string -> bool
+
 (** The flow stage owning a gated metric name, when known — the same
     mapping {!run} uses to pick suspects. *)
 val stage_of_metric : string -> string option

@@ -80,11 +80,6 @@ let record_values (r : Record.t) =
   @ List.map (fun (k, v) -> (k, v, false)) r.Record.wall
   @ List.map (fun (k, v) -> (k, v, false)) r.Record.gauges
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let series_of_records records =
   let tbl : (string * string * string, (string * float) list ref * bool) Hashtbl.t =
     Hashtbl.create 64
@@ -129,7 +124,7 @@ let of_store ~dir ?kind ?circuit ?metric ?limit () =
          keep kind s.sr_kind && keep circuit s.sr_circuit
          && (match metric with
              | None -> true
-             | Some m -> contains s.sr_name m))
+             | Some m -> Diff.contains s.sr_name m))
   |> List.map (fun s ->
          match limit with
          | None -> s

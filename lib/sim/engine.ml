@@ -162,7 +162,7 @@ let make_raw ~init design ~clocks =
     prev_clk;
     compiled;
     fanout_insts;
-    clock_insts = Levelize.clock_network_order design;
+    clock_insts = (Netlist.Clocking.network design).Netlist.Clocking.insts;
     toggle_count = Array.make n_nets 0;
     cycle_count = 0;
     period_events = Clock_spec.events clocks;

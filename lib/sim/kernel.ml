@@ -965,7 +965,7 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
     compiled;
   let lv = Levelize.compute design in
   let levels = lv.Levelize.level in
-  let clock_insts = Levelize.clock_network_order design in
+  let clock_insts = (Netlist.Clocking.network design).Netlist.Clocking.insts in
   (* --- gate fusion: collapse maximal single-fanout combinational trees
      into straight-line units.  An instance can be absorbed when it is
      combinational, outside the clock network, not parked on a

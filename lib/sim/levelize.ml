@@ -71,39 +71,3 @@ let compute d =
   done;
   { level; seq_level; n_buckets = seq_level + 1;
     cyclic_level = (if !any_cyclic then Some cyc else None) }
-
-let clock_network_order d =
-  (* BFS from all clock ports through buffers and ICGs *)
-  let order = ref [] in
-  let seen_inst = Hashtbl.create 64 in
-  let seen_net = Hashtbl.create 64 in
-  let frontier = Queue.create () in
-  List.iter
-    (fun port ->
-      match Design.find_input d port with
-      | Some n -> Queue.add n frontier
-      | None -> ())
-    d.Design.clock_ports;
-  while not (Queue.is_empty frontier) do
-    let net = Queue.pop frontier in
-    if not (Hashtbl.mem seen_net net) then begin
-      Hashtbl.add seen_net net ();
-      List.iter
-        (fun (i, pin) ->
-          let c = Design.cell d i in
-          let continue_through =
-            match c.Cell_lib.Cell.kind with
-            | Cell_lib.Cell.Clock_gate { clock_pin; _ } -> String.equal pin clock_pin
-            | Cell_lib.Cell.Combinational ->
-              List.length (Cell_lib.Cell.input_pins c) = 1
-            | Cell_lib.Cell.Flip_flop _ | Cell_lib.Cell.Latch _ -> false
-          in
-          if continue_through && not (Hashtbl.mem seen_inst i) then begin
-            Hashtbl.add seen_inst i ();
-            order := i :: !order;
-            List.iter (fun n -> Queue.add n frontier) (Design.output_nets d i)
-          end)
-        d.Design.net_sinks.(net)
-    end
-  done;
-  Array.of_list (List.rev !order)

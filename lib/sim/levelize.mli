@@ -23,8 +23,3 @@ type t = {
 }
 
 val compute : Netlist.Design.t -> t
-
-(** Clock-network instances (buffers and ICGs reachable from the clock
-    ports) in BFS order — the explicit propagation order for scheduled
-    clock events. *)
-val clock_network_order : Netlist.Design.t -> int array

@@ -48,8 +48,7 @@ let views (g : Graph.t) ~(clocks : Sim.Clock_spec.t) =
   in
   Design.sequential_insts d
   |> List.filter_map (fun i ->
-      Option.bind (Design.clock_net_of d i) (Netlist.Clocking.trace_to_root d)
-      |> Option.map (fun (t : Netlist.Clocking.trace) -> (i, t.root_port)))
+      Option.map (fun port -> (i, port)) (Netlist.Clocking.root_port d i))
   |> List.partition_map (fun (i, port) ->
       match List.assoc_opt port clocks.ports with
       | Some w -> Either.Left (view i port w)
@@ -80,12 +79,15 @@ type t = {
   report : report;
 }
 
-let analyse ?(setup_margin = 0.03) ?(hold_margin = 0.02)
-    ?(input_delay = (0.05, 0.10)) ?(clock_skew = 0.0) ?(derate = (1.0, 1.0))
+(* ns: the setup margin, and the (min, max) delay after the cycle start
+   at which primary inputs change *)
+let setup_margin = 0.03
+let input_delay_min, input_delay_max = (0.05, 0.10)
+
+let analyse ?(hold_margin = 0.02) ?(clock_skew = 0.0) ?(derate = (1.0, 1.0))
     d ~clocks =
   Obs.span "sta.smo.check" @@ fun () ->
   let derate_early, derate_late = derate in
-  let input_delay_min, input_delay_max = input_delay in
   let base_hold_margin = hold_margin in
   let setup_margin = setup_margin +. clock_skew in
   let hold_margin = hold_margin +. clock_skew in
@@ -238,10 +240,8 @@ let analyse ?(setup_margin = 0.03) ?(hold_margin = 0.02)
         max_borrow = !max_borrow;
         iterations } }
 
-let check ?setup_margin ?hold_margin ?input_delay ?clock_skew ?derate d
-    ~clocks =
-  (analyse ?setup_margin ?hold_margin ?input_delay ?clock_skew ?derate d
-     ~clocks).report
+let check ?hold_margin ?clock_skew ?derate d ~clocks =
+  (analyse ?hold_margin ?clock_skew ?derate d ~clocks).report
 
 let pp_report ppf r =
   Format.fprintf ppf

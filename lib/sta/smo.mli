@@ -73,28 +73,23 @@ type t = {
 
 (** [analyse d ~clocks] compiles a {!Graph} of [d], derives the
     register views (Obs span [sta.smo.views]) and walks its {!Paths},
-    inside the Obs span [sta.smo.check].  [setup_margin] /
-    [hold_margin] default to 0.03/0.02 ns.  [input_delay] = (min, max)
-    ns after the cycle start at which primary inputs change, the usual
-    external timing constraint; defaults to (0.05, 0.10).  [clock_skew]
+    inside the Obs span [sta.smo.check].  The setup margin is 0.03 ns
+    and primary inputs change (0.05, 0.10) ns (min, max) after the
+    cycle start; [hold_margin] defaults to 0.02 ns.  [clock_skew]
     (default 0) tightens both checks by the given uncertainty, except
     the hold check between complementary latches on one clock port (a
     master-slave pair), which share their clock leaf.  [derate] =
     (early, late) scales minimum and maximum path delays for
     process/voltage/temperature corner analysis (e.g. [(0.8, 1.25)]). *)
 val analyse :
-  ?setup_margin:float ->
   ?hold_margin:float ->
-  ?input_delay:float * float ->
   ?clock_skew:float ->
   ?derate:float * float ->
   Netlist.Design.t -> clocks:Sim.Clock_spec.t -> t
 
 (** [check d ~clocks] is the {!report} of {!analyse}. *)
 val check :
-  ?setup_margin:float ->
   ?hold_margin:float ->
-  ?input_delay:float * float ->
   ?clock_skew:float ->
   ?derate:float * float ->
   Netlist.Design.t -> clocks:Sim.Clock_spec.t -> report

@@ -96,7 +96,7 @@ let count_icgs d style =
    off the clock network whose one reader is combinational and off it
    too *)
 let fused_internal d =
-  let clock = Sim.Levelize.clock_network_order d in
+  let clock = (Netlist.Clocking.network d).Netlist.Clocking.insts in
   let comb i =
     (not (Array.mem i clock))
     && (Netlist.Design.cell d i).Cell_lib.Cell.kind = Cell_lib.Cell.Combinational

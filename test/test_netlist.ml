@@ -163,7 +163,14 @@ let test_clock_trace () =
                | Netlist.Clocking.Through_buffer _ -> false)
              elements))
    | None -> Alcotest.fail "no clock root found");
-  let sinks = Netlist.Clocking.sinks_of_port d ~port:"clk" in
+  let network = Netlist.Clocking.network d in
+  let sinks =
+    List.filter
+      (fun i ->
+        Option.fold ~none:false ~some:network.Netlist.Clocking.has_net
+          (D.clock_net_of d i))
+      (D.sequential_insts d)
+  in
   check Alcotest.int "both registers reachable from clk" 2 (List.length sinks)
 
 let test_gating_icg () =
@@ -466,3 +473,152 @@ let prop_ff_graph_equals_per_register_walks =
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest prop_ff_graph_equals_per_register_walks ]
+
+(* --- Clocking.network against the walks it replaced --- *)
+
+(* The walks [Clocking.network] and [Clocking.root_port] replaced, kept
+   as their oracle: the simulators' breadth-first instance order from
+   every clock port, one depth-first net walk per clock port, and the
+   root of [trace_to_root] from a register's or clock gate's clock net. *)
+let walks_through d i pin =
+  let c = D.cell d i in
+  match c.Cell_lib.Cell.kind with
+  | Cell_lib.Cell.Clock_gate { clock_pin; _ } -> String.equal pin clock_pin
+  | Cell_lib.Cell.Combinational -> List.length (Cell_lib.Cell.input_pins c) = 1
+  | Cell_lib.Cell.Flip_flop _ | Cell_lib.Cell.Latch _ -> false
+
+let bfs_clock_order d =
+  let order = ref [] in
+  let seen_inst = Hashtbl.create 64 and seen_net = Hashtbl.create 64 in
+  let frontier = Queue.create () in
+  List.iter
+    (fun port -> Option.iter (fun n -> Queue.add n frontier) (D.find_input d port))
+    d.D.clock_ports;
+  while not (Queue.is_empty frontier) do
+    let net = Queue.pop frontier in
+    if not (Hashtbl.mem seen_net net) then begin
+      Hashtbl.add seen_net net ();
+      List.iter
+        (fun (i, pin) ->
+          if walks_through d i pin && not (Hashtbl.mem seen_inst i) then begin
+            Hashtbl.add seen_inst i ();
+            order := i :: !order;
+            List.iter (fun n -> Queue.add n frontier) (D.output_nets d i)
+          end)
+        d.D.net_sinks.(net)
+    end
+  done;
+  Array.of_list (List.rev !order)
+
+let port_nets d ~port =
+  let visited = Hashtbl.create 64 in
+  let rec walk net =
+    if not (Hashtbl.mem visited net) then begin
+      Hashtbl.add visited net ();
+      List.iter
+        (fun (i, pin) ->
+          if walks_through d i pin then List.iter walk (D.output_nets d i))
+        d.D.net_sinks.(net)
+    end
+  in
+  Option.iter walk (D.find_input d port);
+  visited
+
+let traced_root d i =
+  Option.bind (D.clock_net_of d i) (fun cn ->
+      Option.map
+        (fun t -> t.Netlist.Clocking.root_port)
+        (Netlist.Clocking.trace_to_root d cn))
+
+let network_matches_oracle d =
+  let network = Netlist.Clocking.network d in
+  let per_port = List.map (fun port -> port_nets d ~port) d.D.clock_ports in
+  network.Netlist.Clocking.insts = bfs_clock_order d
+  && List.for_all
+       (fun n ->
+         network.Netlist.Clocking.has_net n
+         = List.exists (fun nets -> Hashtbl.mem nets n) per_port)
+       (List.init (D.num_nets d) Fun.id)
+  && List.for_all
+       (fun i -> Netlist.Clocking.root_port d i = traced_root d i)
+       (D.sequential_insts d @ D.clock_gate_insts d)
+
+(* every clock network the flow reads: generated flip-flop designs with
+   standard ICGs, their 3-phase conversion, the flow's clock-gated
+   final (M1 and M2 ICGs) and the master-slave design *)
+let prop_network_equals_old_walks =
+  QCheck.Test.make ~name:"clock network equals the old walks" ~count:20
+    QCheck.(pair (int_bound 1_000_000) (float_range 0.1 0.6))
+    (fun (seed, gated) ->
+      let spec =
+        { Circuits.Generator.name = Printf.sprintf "ckn%d" seed; seed;
+          inputs = 5; outputs = 3; layers = [| 5; 5 |]; fanin = 3;
+          cone_depth = 3; self_loop_fraction = 0.2; cross_feedback = 0.2;
+          reuse = 0.2; gated_fraction = gated; bank_size = 3; po_cones = 3;
+          frequency_mhz = 1000.0 }
+      in
+      let d = Circuits.Generator.synthesize spec in
+      let config =
+        { (Phase3.Flow.default_config ~period:1.0) with
+          Phase3.Flow.verify_equivalence = false;
+          activity_cycles = 64;
+          lint = false }
+      in
+      let flow = Phase3.Flow.run ~config d in
+      List.for_all network_matches_oracle
+        [ d; flow.Phase3.Flow.converted; flow.Phase3.Flow.final;
+          Phase3.Master_slave.convert d ])
+
+(* what the generated designs leave out: a buffer and an inverter on
+   the clock path, a buffer after an ICG, two clock ports, and an M1
+   gate whose P3 pin reads the first port's net (not walked: the gate
+   joins the network through its CK pin, after the second port's
+   buffer) *)
+let test_network_hand_built () =
+  let b = B.create ~name:"clocks" ~library:lib in
+  let ck1 = B.add_input ~clock:true b "ck1" in
+  let ck2 = B.add_input ~clock:true b "ck2" in
+  let en = B.add_input b "en" and a = B.add_input b "a" in
+  let net = B.fresh_net b in
+  let n1 = net "n1" and n2 = net "n2" and gck = net "gck" and gckb = net "gckb" in
+  let n3 = net "n3" and g3 = net "g3" in
+  let q1 = net "q1" and q2 = net "q2" and q3 = net "q3" and q4 = net "q4" in
+  let cell name c conns = ignore (B.add_cell b name c conns) in
+  cell "b1" "CLKBUF_X4" [ ("A", ck1); ("Z", n1) ];
+  cell "g1" "ICG_X1" [ ("CK", ck1); ("EN", en); ("GCK", gck) ];
+  cell "m1" "ICGP3_X1" [ ("CK", n3); ("EN", en); ("P3", ck1); ("GCK", g3) ];
+  cell "b3" "BUF_X2" [ ("A", ck2); ("Z", n3) ];
+  cell "i1" "INV_X1" [ ("A", n1); ("ZN", n2) ];
+  cell "b2" "BUF_X2" [ ("A", gck); ("Z", gckb) ];
+  cell "r1" "DFF_X1" [ ("CK", n2); ("D", a); ("Q", q1) ];
+  cell "r2" "DFF_X1" [ ("CK", gckb); ("D", q1); ("Q", q2) ];
+  cell "l3" "LATH_X1" [ ("E", g3); ("D", q2); ("Q", q3) ];
+  cell "r4" "DFF_X1" [ ("CK", a); ("D", q3); ("Q", q4) ];
+  B.add_output b "y" q4;
+  let d = B.freeze b in
+  let network = Netlist.Clocking.network d in
+  let name i = D.inst_name d i and find s = Option.get (D.find_inst d s) in
+  check
+    Alcotest.(list string)
+    "breadth-first from ck1 then ck2" [ "b1"; "g1"; "b3"; "i1"; "b2"; "m1" ]
+    (Array.to_list (Array.map name network.Netlist.Clocking.insts));
+  check
+    Alcotest.(list string)
+    "network nets" [ "ck1"; "ck2"; "n1"; "n2"; "gck"; "gckb"; "n3"; "g3" ]
+    (List.filter_map
+       (fun n ->
+         if network.Netlist.Clocking.has_net n then Some (D.net_name d n) else None)
+       (List.init (D.num_nets d) Fun.id));
+  check
+    Alcotest.(list (option string))
+    "root ports"
+    [ Some "ck1"; Some "ck1"; Some "ck2"; None; Some "ck1"; Some "ck2" ]
+    (List.map
+       (fun s -> Netlist.Clocking.root_port d (find s))
+       [ "r1"; "r2"; "l3"; "r4"; "g1"; "m1" ]);
+  check Alcotest.bool "equals the old walks" true (network_matches_oracle d)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "clock network hand-built" `Quick test_network_hand_built;
+      QCheck_alcotest.to_alcotest prop_network_equals_old_walks ]
