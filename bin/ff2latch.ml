@@ -48,8 +48,9 @@ let refusing f =
    word-level elaborator (parameters, vectors, always_ff/always_comb,
    hierarchy — see docs/RTL.md), anything else is read as the flat
    structural-Verilog exchange subset.  Front-end errors carry
-   file:line:col positions; re-raise them as [Failure] so cmdliner
-   prints them as clean one-liners. *)
+   file:line:col positions (a [.bench] error its line, prefixed here
+   with the path); re-raise them as [Failure] so cmdliner prints them
+   as clean one-liners. *)
 let read_design ?top path =
   let src = read_file path in
   let name = Filename.remove_extension (Filename.basename path) in
@@ -62,6 +63,7 @@ let read_design ?top path =
   with
   | Elab.Diag.Error (_, msg) | Netlist_io.Verilog.Error (_, msg) ->
     failwith msg
+  | Netlist_io.Bench_format.Error msg -> failwith (path ^ ": " ^ msg)
 
 let write_design path d =
   let text =

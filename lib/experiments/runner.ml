@@ -26,17 +26,21 @@ let now () = Unix.gettimeofday ()
    seeded workload stream per lane, so one simulation pass gathers
    [Kernel.max_lanes] workloads' worth of toggle statistics.  Activity is
    normalised per lane-cycle, keeping the power model's rates comparable
-   to a scalar run. *)
-let evaluate design ~clocks ~workload ~cycles ~seed =
-  Qor.Collect.implement_and_power design ~clocks
-    ~shape:(Circuits.Workload.shape workload) ~cycles ~seed
+   to a scalar run.  Lane [l] is seeded [seed + l]. *)
+let workload_draw design ~workload ~cycles ~seed =
+  Circuits.Workload.draw workload
+    ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> seed + l))
+    ~cycles design
 
 let power_of design ~clocks ~workload ~cycles ~seed =
-  let _, _, m = evaluate design ~clocks ~workload ~cycles ~seed in
+  let _, _, m =
+    Qor.Collect.implement_and_power design ~clocks
+      ~stimulus:(workload_draw design ~workload ~cycles ~seed)
+  in
   m.Qor.Collect.detail.Power.Estimate.overall
 
-let variant_of design ~clocks ~workload ~cycles ~seed ~t0 =
-  let _, hold, m = evaluate design ~clocks ~workload ~cycles ~seed in
+let variant_of design ~clocks ~stimulus ~t0 =
+  let _, hold, m = Qor.Collect.implement_and_power design ~clocks ~stimulus in
   let impl = m.Qor.Collect.impl in
   let stats = Netlist.Stats.compute design in
   { design;
@@ -62,33 +66,36 @@ let run ?(cycles = 384) (bench : Circuits.Suite.benchmark) =
   let seed = 2024 in
   let original = bench.Circuits.Suite.build () in
   let ff_clocks = Phase3.Flow.reference_clocks original ~period in
+  (* the three design styles read the original's inputs (conversion,
+     clock gating and hold fixing add none), so one workload draw feeds
+     every power measurement *)
+  let stimulus = workload_draw original ~workload ~cycles ~seed in
   (* the three variants are independent given the original design, so
      they can run on separate domains; force the lazily parsed cell
      library first — Lazy.force is not domain-safe *)
   ignore (Cell_lib.Default_library.library ());
   let build_ff () =
     let t0 = now () in
-    R_ff (variant_of original ~clocks:ff_clocks ~workload ~cycles ~seed ~t0)
+    R_ff (variant_of original ~clocks:ff_clocks ~stimulus ~t0)
   in
   let build_ms () =
     let t0 = now () in
     let ms_design = Phase3.Master_slave.convert original in
     (* 63 lanes; lane 0 is the seed [seed + 1] stream *)
-    let stimulus =
-      Circuits.Workload.draw workload
-        ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> seed + 1 + l))
-        ~cycles:128 original
+    let check_stimulus =
+      workload_draw original ~workload ~cycles:128 ~seed:(seed + 1)
     in
     (match
        Sim.Equivalence.check_packed ~reference:original ~dut:ms_design
-         ~reference_clocks:ff_clocks ~dut_clocks:ff_clocks ~stimulus ()
+         ~reference_clocks:ff_clocks ~dut_clocks:ff_clocks
+         ~stimulus:check_stimulus ()
      with
      | Sim.Equivalence.Equivalent _ -> ()
      | Sim.Equivalence.Mismatch m ->
        failwith
          (Format.asprintf "master-slave conversion of %s not equivalent: %a"
             bench.Circuits.Suite.bench_name Sim.Equivalence.pp_mismatch m));
-    R_ms (variant_of ms_design ~clocks:ff_clocks ~workload ~cycles ~seed ~t0)
+    R_ms (variant_of ms_design ~clocks:ff_clocks ~stimulus ~t0)
   in
   let build_threep () =
     let t0 = now () in
@@ -103,8 +110,7 @@ let run ?(cycles = 384) (bench : Circuits.Suite.benchmark) =
     let flow = Phase3.Flow.run ~config original in
     let threep_clocks = Phase3.Flow.clocks_of config in
     let threep =
-      variant_of flow.Phase3.Flow.final ~clocks:threep_clocks ~workload ~cycles
-        ~seed ~t0
+      variant_of flow.Phase3.Flow.final ~clocks:threep_clocks ~stimulus ~t0
     in
     R_threep (threep, flow)
   in

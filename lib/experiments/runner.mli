@@ -29,13 +29,25 @@ type t = {
 }
 
 (** [run ?cycles bench] — [cycles] of workload simulation feed the power
-    model (default 384); the converted designs are stream-checked against
-    the original. *)
+    model (default 384), one {!workload_draw} seeded 2024 shared by the
+    three styles; the converted designs are stream-checked against the
+    original. *)
 val run : ?cycles:int -> Circuits.Suite.benchmark -> t
+
+(** [workload_draw design ~workload ~cycles ~seed] is the
+    {!Sim.Kernel.max_lanes}-lane draw of [workload] over [design]'s
+    inputs that a power measurement reads, lane [l] seeded [seed + l].
+    {!run} draws once over the original design and measures its three
+    design styles on that draw: conversion, clock gating and hold
+    fixing add no input. *)
+val workload_draw :
+  Netlist.Design.t -> workload:Circuits.Workload.t -> cycles:int -> seed:int ->
+  Sim.Stimulus.packed
 
 (** Power of an arbitrary design/clocks/workload combination (used by the
     Fig. 4 experiment which sweeps workloads): the design is hold-fixed,
-    then measured ({!Qor.Collect.implement_and_power}). *)
+    then measured ({!Qor.Collect.implement_and_power}) on its own
+    {!workload_draw}. *)
 val power_of :
   Netlist.Design.t -> clocks:Sim.Clock_spec.t -> workload:Circuits.Workload.t ->
   cycles:int -> seed:int -> Power.Estimate.breakdown

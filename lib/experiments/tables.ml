@@ -429,9 +429,8 @@ let runtime_stages (results : Runner.t list) =
 
 (* the power of a design its caller has already hold-fixed, measured
    without a second hold fix *)
-let power_of_padded padded ~clocks ~workload ~cycles ~seed =
-  (Qor.Collect.measure padded ~clocks
-     ~shape:(Circuits.Workload.shape workload) ~cycles ~seed)
+let power_of_padded padded ~clocks ~stimulus =
+  (Qor.Collect.measure padded ~clocks ~stimulus)
     .Qor.Collect.detail.Power.Estimate.overall
 
 let baselines () =
@@ -449,12 +448,14 @@ let baselines () =
       [ ("style", T.Left); ("regs", T.Right); ("hold buffers", T.Right);
         ("area", T.Right); ("clock mW", T.Right); ("total mW", T.Right) ]
   in
+  (* one draw for the four styles: they read [d]'s inputs *)
+  let stimulus =
+    Runner.workload_draw d ~workload:b.Circuits.Suite.workload ~cycles:256
+      ~seed:21
+  in
   let row label design clocks ~hold_margin =
     let padded, hold = Sta.Hold_fix.run ~skew:0.05 ~hold_margin design ~clocks in
-    let power =
-      power_of_padded padded ~clocks ~workload:b.Circuits.Suite.workload
-        ~cycles:256 ~seed:21
-    in
+    let power = power_of_padded padded ~clocks ~stimulus in
     let stats = Netlist.Stats.compute padded in
     T.add_row t
       [ label;
@@ -477,6 +478,10 @@ let baselines () =
 let frequency_sweep () =
   let b = Option.get (Circuits.Suite.find "s15850") in
   let d = b.Circuits.Suite.build () in
+  let stimulus =
+    Runner.workload_draw d ~workload:b.Circuits.Suite.workload ~cycles:256
+      ~seed:31
+  in
   let t =
     T.create
       ~title:"Frequency sweep on s15850: total power (mW) and saving"
@@ -493,8 +498,7 @@ let frequency_sweep () =
       let flow = Phase3.Flow.run ~config d in
       let measure design clocks =
         let padded, _ = Sta.Hold_fix.run design ~clocks in
-        power_of_padded padded ~clocks ~workload:b.Circuits.Suite.workload
-          ~cycles:256 ~seed:31
+        power_of_padded padded ~clocks ~stimulus
       in
       let pf = measure d ff_clocks in
       let p3 = measure flow.Phase3.Flow.final (Phase3.Flow.clocks_of config) in

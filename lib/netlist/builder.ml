@@ -66,16 +66,30 @@ let const b v =
     b.consts <- (n, v) :: b.consts;
     n
 
+let rec has_pin pin = function
+  | [] -> false
+  | (p, _) :: rest -> String.equal p pin || has_pin pin rest
+
+let rec cell_has_pin pin = function
+  | [] -> false
+  | (p : Cell_lib.Cell.pin) :: rest ->
+    String.equal p.Cell_lib.Cell.pin_name pin || cell_has_pin pin rest
+
 let add_instance b inst_name cell conns =
-  List.iter
-    (fun (pin, _) ->
-      match Cell_lib.Cell.find_pin cell pin with
-      | Some _ -> ()
-      | None ->
+  let rec check = function
+    | [] -> ()
+    | (pin, _) :: rest ->
+      if not (cell_has_pin pin cell.Cell_lib.Cell.pins) then
         invalid_arg
           (Printf.sprintf "Builder.add_instance %s: cell %s has no pin %s"
-             inst_name cell.Cell_lib.Cell.name pin))
-    conns;
+             inst_name cell.Cell_lib.Cell.name pin);
+      if has_pin pin rest then
+        invalid_arg
+          (Printf.sprintf "Builder.add_instance %s: pin %s connected twice"
+             inst_name pin);
+      check rest
+  in
+  check conns;
   let id = b.n_insts in
   b.n_insts <- id + 1;
   b.insts <- (inst_name, cell, Array.of_list conns) :: b.insts;

@@ -35,8 +35,12 @@ val add_output : t -> string -> Design.net -> unit
 val const : t -> bool -> Design.net
 
 (** [add_cell b inst_name cell_name conns] instantiates a library cell.
-    Raises [Invalid_argument] if the cell or one of its pins is unknown. *)
+    Raises [Invalid_argument] if the cell or one of its pins is unknown,
+    or a pin is connected twice. *)
 val add_cell : t -> string -> string -> (string * Design.net) list -> Design.inst
+
+(** [has_pin pin conns]: [conns] connects [pin]. *)
+val has_pin : string -> (string * Design.net) list -> bool
 
 (** Like {!add_cell} but with an already-resolved cell. *)
 val add_instance : t -> string -> Cell_lib.Cell.t -> (string * Design.net) list -> Design.inst

@@ -74,8 +74,8 @@ let parse ~name ~library source =
   (* declare primary inputs *)
   List.iter
     (function
-      | _, L_input a ->
-        if Hashtbl.mem nets a then error "duplicate INPUT(%s)" a;
+      | k, L_input a ->
+        if Hashtbl.mem nets a then error "line %d: duplicate INPUT(%s)" k a;
         Hashtbl.add nets a (Netlist.Builder.add_input b a)
       | _, (L_output _ | L_gate _) -> ())
     lines;
@@ -108,15 +108,23 @@ let parse ~name ~library source =
         error "line %d: DFF takes one input, got %d" k (List.length args)
       | k, L_gate (target, op, args) ->
         let inputs = List.map (net_of k) args in
-        if inputs = [] then error "line %d: gate %s has no inputs" k target;
-        Netlist.Gates.emit b (op_of_string k op) inputs ~out:(net_of k target)
-          ~prefix:target
+        let gate = op_of_string k op in
+        (match gate, inputs with
+         | _, [] -> error "line %d: gate %s has no inputs" k target
+         | (Netlist.Gates.Not | Netlist.Gates.Buf), _ :: _ :: _ ->
+           error "line %d: %s takes one input, got %d" k op (List.length args)
+         | _, _ :: _ -> ());
+        Netlist.Gates.emit b gate inputs ~out:(net_of k target) ~prefix:target
       | _, (L_input _ | L_output _) -> ())
     lines;
   (* primary outputs *)
+  let outputs = Hashtbl.create 64 in
   List.iter
     (function
-      | k, L_output a -> Netlist.Builder.add_output b a (net_of k a)
+      | k, L_output a ->
+        if Hashtbl.mem outputs a then error "line %d: duplicate OUTPUT(%s)" k a;
+        Hashtbl.add outputs a ();
+        Netlist.Builder.add_output b a (net_of k a)
       | _, (L_input _ | L_gate _) -> ())
     lines;
   Netlist.Builder.freeze b

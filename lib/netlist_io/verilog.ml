@@ -109,12 +109,13 @@ type st = {
 let cur_loc st =
   match st.toks with [] -> st.last_loc | (_, l) :: _ -> l
 
-let error st fmt =
-  let loc = cur_loc st in
+let error_at st loc fmt =
   Format.kasprintf
     (fun msg ->
       raise (Error (Some loc, Srcloc.message ~source:st.src ~loc msg)))
     fmt
+
+let error st fmt = error_at st (cur_loc st) fmt
 
 let peek st = match st.toks with [] -> Eof | (t, _) :: _ -> t
 
@@ -123,21 +124,27 @@ let next st =
   | [] -> Eof
   | (t, l) :: rest -> st.toks <- rest; st.last_loc <- l; t
 
+let token_text = function
+  | Id s -> s
+  | Lit b -> if b then "1'b1" else "1'b0"
+  | Punct p -> String.make 1 p
+  | Eof -> "<eof>"
+
 let expect_punct st c =
   match peek st with
   | Punct p when p = c -> ignore (next st)
-  | t ->
-    error st "expected %C, got %s" c
-      (match t with
-       | Id s -> s
-       | Lit b -> if b then "1'b1" else "1'b0"
-       | Punct p -> String.make 1 p
-       | Eof -> "<eof>")
+  | t -> error st "expected %C, got %s" c (token_text t)
 
 let expect_id st =
   match peek st with
   | Id s -> ignore (next st); s
   | Lit _ | Punct _ | Eof -> error st "expected identifier"
+
+let rec pin_direction pin = function
+  | [] -> raise Not_found
+  | (p : Cell_lib.Cell.pin) :: rest ->
+    if String.equal p.Cell_lib.Cell.pin_name pin then p.Cell_lib.Cell.direction
+    else pin_direction pin rest
 
 let parse ?(file = "<string>") ?clocks ~library src =
   let clock_names =
@@ -172,6 +179,42 @@ let parse ?(file = "<string>") ?clocks ~library src =
   let nets : (string, Netlist.Design.net) Hashtbl.t = Hashtbl.create 1024 in
   let outputs = ref [] in        (* declared output port names, reversed *)
   let aliases = ref [] in        (* assign lhs = rhs pairs, reversed *)
+  (* where each net's driver appears, indexed by net and packed as
+     [line lsl 20 lor col] (ints: no write barrier): 0 until the net has
+     a driver, [constant] for a tie net.  A second driver is refused
+     where it appears and names the first.  Grown to cover every net
+     declared so far, so that the first instance after the
+     declarations sizes it once. *)
+  let constant = -1 in
+  let driver_at = ref [||] in
+  let at (loc : Srcloc.t) =
+    (loc.Srcloc.line lsl 20) lor min loc.Srcloc.col 0xfffff
+  in
+  (* records [where] as [net]'s driver; returns the earlier one *)
+  let claim net where =
+    let a = !driver_at in
+    if net >= Array.length a then begin
+      driver_at := Array.make (max (2 * (net + 1)) (Hashtbl.length nets + 3)) 0;
+      Array.blit a 0 !driver_at 0 (Array.length a)
+    end;
+    let first = !driver_at.(net) in
+    !driver_at.(net) <- where;
+    first
+  in
+  let refuse_second loc first ~name what =
+    if first = constant then
+      error_at st loc "%s drives %s, which is a constant" what name
+    else
+      error_at st loc "%s drives net %s, which is already driven at %s" what
+        name
+        (Srcloc.to_string
+           (Srcloc.make ~file ~line:(first lsr 20) ~col:(first land 0xfffff)))
+  in
+  let const v =
+    let n = Netlist.Builder.const b v in
+    ignore (claim n constant);
+    n
+  in
   let declare_wire name =
     if not (Hashtbl.mem nets name) then
       Hashtbl.add nets name (Netlist.Builder.fresh_net b name)
@@ -189,7 +232,14 @@ let parse ?(file = "<string>") ?clocks ~library src =
     | None -> error st "undeclared signal %s" name
   in
   let parse_instance cell_name =
+    let cell_loc = st.last_loc in
     let inst_name = expect_id st in
+    let cell =
+      match Cell_lib.Library.find library cell_name with
+      | None ->
+        error_at st cell_loc "unknown cell %s (instance %s)" cell_name inst_name
+      | Some cell -> cell
+    in
     expect_punct st '(';
     let conns = ref [] in
     let rec connections () =
@@ -197,14 +247,32 @@ let parse ?(file = "<string>") ?clocks ~library src =
       | Punct ')' -> ()
       | Punct ',' -> connections ()
       | Punct '.' ->
+        let pin_loc = cur_loc st in
         let pin = expect_id st in
+        let output =
+          match pin_direction pin cell.Cell_lib.Cell.pins with
+          | direction -> direction = Cell_lib.Cell.Output
+          | exception Not_found ->
+            error_at st pin_loc "cell %s has no pin %s (instance %s)" cell_name
+              pin inst_name
+        in
+        if Netlist.Builder.has_pin pin !conns then
+          error_at st pin_loc "pin %s of instance %s is connected twice" pin
+            inst_name;
         expect_punct st '(';
+        let tok = next st in
         let net =
-          match next st with
+          match tok with
           | Id sig_name -> net_of sig_name
-          | Lit v -> Netlist.Builder.const b v
+          | Lit v -> const v
           | Punct _ | Eof -> error st "malformed connection for pin %s" pin
         in
+        if output then begin
+          let first = claim net (at pin_loc) in
+          if first <> 0 then
+            refuse_second pin_loc first ~name:(token_text tok)
+              ("pin " ^ pin ^ " of instance " ^ inst_name)
+        end;
         expect_punct st ')';
         conns := (pin, net) :: !conns;
         connections ()
@@ -212,21 +280,20 @@ let parse ?(file = "<string>") ?clocks ~library src =
     in
     connections ();
     expect_punct st ';';
-    (match Cell_lib.Library.find library cell_name with
-     | None -> error st "unknown cell %s (instance %s)" cell_name inst_name
-     | Some cell ->
-       ignore (Netlist.Builder.add_instance b inst_name cell (List.rev !conns)))
+    ignore (Netlist.Builder.add_instance b inst_name cell (List.rev !conns))
   in
   let rec body () =
     match next st with
     | Id "endmodule" -> ()
     | Id "input" ->
+      let loc = st.last_loc in
       let names = id_list [] in
       List.iter
         (fun name ->
           if Hashtbl.mem nets name then error st "duplicate declaration of %s" name;
-          Hashtbl.add nets name
-            (Netlist.Builder.add_input ~clock:(is_clock name) b name))
+          let net = Netlist.Builder.add_input ~clock:(is_clock name) b name in
+          Hashtbl.add nets name net;
+          ignore (claim net (at loc)))
         names;
       body ()
     | Id "output" ->
@@ -241,6 +308,7 @@ let parse ?(file = "<string>") ?clocks ~library src =
       List.iter declare_wire (id_list []);
       body ()
     | Id "assign" ->
+      let loc = cur_loc st in
       let lhs = expect_id st in
       expect_punct st '=';
       (match next st with
@@ -250,10 +318,13 @@ let parse ?(file = "<string>") ?clocks ~library src =
             name directly to the constant net *)
          (match Hashtbl.find_opt nets lhs with
           | Some existing ->
-            Netlist.Gates.emit b Netlist.Gates.Buf [Netlist.Builder.const b v]
+            let first = claim existing (at loc) in
+            if first <> 0 then
+              refuse_second loc first ~name:lhs ("assign " ^ lhs);
+            Netlist.Gates.emit b Netlist.Gates.Buf [const v]
               ~out:existing ~prefix:("tie_" ^ lhs)
-          | None -> Hashtbl.replace nets lhs (Netlist.Builder.const b v))
-       | Id rhs -> aliases := (lhs, rhs) :: !aliases
+          | None -> Hashtbl.replace nets lhs (const v))
+       | Id rhs -> aliases := (lhs, rhs, loc) :: !aliases
        | Punct _ | Eof -> error st "malformed assign");
       expect_punct st ';';
       body ()
@@ -264,7 +335,7 @@ let parse ?(file = "<string>") ?clocks ~library src =
   body ();
   (* resolve aliases: output port -> source net; otherwise insert a buffer *)
   let alias_map = Hashtbl.create 16 in
-  List.iter (fun (lhs, rhs) -> Hashtbl.replace alias_map lhs rhs) !aliases;
+  List.iter (fun (lhs, rhs, _) -> Hashtbl.replace alias_map lhs rhs) !aliases;
   let rec resolve name fuel =
     if fuel = 0 then error st "alias cycle at %s" name
     else
@@ -274,11 +345,16 @@ let parse ?(file = "<string>") ?clocks ~library src =
   in
   let output_names = List.rev !outputs in
   List.iter
-    (fun (lhs, rhs) ->
-      if not (List.exists (String.equal lhs) output_names) then
+    (fun (lhs, rhs, loc) ->
+      if not (List.exists (String.equal lhs) output_names) then begin
         (* plain wire alias: buffer rhs onto lhs *)
-        Netlist.Gates.emit b Netlist.Gates.Buf [net_of rhs] ~out:(net_of lhs)
-          ~prefix:("alias_" ^ lhs))
+        let out = net_of lhs in
+        let first = claim out (at loc) in
+        if first <> 0 then
+          refuse_second loc first ~name:lhs ("assign " ^ lhs);
+        Netlist.Gates.emit b Netlist.Gates.Buf [net_of rhs] ~out
+          ~prefix:("alias_" ^ lhs)
+      end)
     (List.rev !aliases);
   List.iter
     (fun name -> Netlist.Builder.add_output b name (resolve name 1000))

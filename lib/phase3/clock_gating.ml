@@ -204,6 +204,59 @@ let plan ?(options = default_options) ?(ports = Convert.default_ports) d =
 
 let observed p = Array.of_list (List.map snd p.pool)
 
+let partners p d =
+  let g = p.design in
+  let observed = observed p in
+  (* the instances of [d] named like the pool nets' drivers: the first
+     of each name, as [Design.find_inst] finds it *)
+  let named = Hashtbl.create 64 in
+  Array.iter
+    (fun dn ->
+      match g.Design.net_driver.(dn) with
+      | Design.Driven_by (i, _) -> Hashtbl.replace named (Design.inst_name g i) (-1)
+      | Design.Driven_by_input _ | Design.Driven_const _ | Design.Undriven -> ())
+    observed;
+  Design.fold_insts
+    (fun j () ->
+      let name = Design.inst_name d j in
+      match Hashtbl.find_opt named name with
+      | Some -1 -> Hashtbl.replace named name j
+      | Some _ | None -> ())
+    d ();
+  Array.map
+    (fun dn ->
+      match g.Design.net_driver.(dn) with
+      | Design.Driven_by (i, pin) ->
+        (match Hashtbl.find named (Design.inst_name g i) with
+         | -1 -> None
+         | j ->
+           let ci = Design.cell g i and cj = Design.cell d j in
+           (match ci.Cell_lib.Cell.kind, cj.Cell_lib.Cell.kind with
+            | Cell_lib.Cell.Latch _, Cell_lib.Cell.Flip_flop _ -> Design.q_net_of d j
+            | Cell_lib.Cell.Combinational, Cell_lib.Cell.Combinational
+              when String.equal ci.Cell_lib.Cell.name cj.Cell_lib.Cell.name ->
+              Design.pin_net_opt d j pin
+            | _, _ -> None))
+      | Design.Driven_by_input _ | Design.Driven_const _ | Design.Undriven -> None)
+    observed
+
+let reference_activity p d ~lane_cycles ~simulate =
+  if p.pool = [] then ([||], lane_cycles)
+  else begin
+    let partners = partners p d in
+    (* a net with no partner never reads as quiet *)
+    let toggles = Array.make (Design.num_nets p.design) max_int in
+    let nets = Array.of_seq (Seq.filter_map Fun.id (Array.to_seq partners)) in
+    if Array.length nets > 0 then begin
+      let reference = simulate nets in
+      Array.iteri
+        (fun k dn ->
+          Option.iter (fun n -> toggles.(dn) <- reference.(n)) partners.(k))
+        (observed p)
+    end;
+    (toggles, lane_cycles)
+  end
+
 let apply p ~activity:(toggles, cycles) =
   let d = p.design and options = p.options and ports = p.ports in
   let gated_by_enable = p.gated_by_enable and m2_replace = p.m2_replace in

@@ -16,11 +16,16 @@
        group, sorted by toggle rate so groups correlate); each group gets
        XOR(D,Q) comparators ORed into the enable of a shared M1-style CG.
 
-    Activity (per-net toggle counts and the cycle count they were gathered
-    over) comes from a simulation of the design being gated.  Only step
-    3 reads it, and only at the data nets of its pool ({!observed}), so
-    a caller can simulate just their fan-in
-    ([Sim.Kernel.create ~observe]). *)
+    Activity (per-net toggle counts and the lane-cycle count they are
+    rated over) is indexed by the nets of the design being gated.  Only
+    step 3 reads it, and only at the data nets of its pool
+    ({!observed}).  The flow does not simulate the design being gated
+    for it: each pool data net is the output of a [p3] latch, or of a
+    gate that {!Retime} moved a [p2] latch across, and takes the values
+    of its partner in the input flip-flop design one clock edge early
+    ({!partners}).  So {!reference_activity} reads every rate from one
+    run of the flip-flop design, one cycle longer than the profile,
+    that simulates only the partners' fan-in. *)
 
 type options = {
   common_enable : bool;
@@ -55,6 +60,41 @@ val plan :
     whose activity {!apply} reads.  Empty when DDCG is off or no [p2]
     latch qualifies. *)
 val observed : plan -> Netlist.Design.net array
+
+(** [partners p d] pairs each net of {!observed} [p], in order, with
+    its partner in [d], the flip-flop design that [p]'s design was
+    converted from: the net on the same output pin of the same-named
+    instance of [d].  A [p3] latch [<ff>] maps to flip-flop [<ff>]'s
+    [Q]; a gate maps to the gate of the same name and cell.  [None]
+    when [d] has no such instance, or one of another kind.
+
+    Conversion keeps each flip-flop's name, so a pool data net driven
+    by a [p3] latch takes in cycle [c] the value the flip-flop captures
+    at the start of cycle [c + 1]: its toggles over the create-time
+    settle and [N] cycles of a {!Sim.Kernel} run are the partner's over
+    [N + 1] cycles of the same draw.  A retimed gate reads the [p3]
+    latches' outputs where its partner reads the flip-flops' [Q]s, so
+    it inherits the equality, up to a glitch in the 3-phase design's
+    create-time settle. *)
+val partners : plan -> Netlist.Design.t -> Netlist.Design.net option array
+
+(** [reference_activity p d ~lane_cycles ~simulate] is the activity
+    {!apply} reads, taken from a run of [d], the flip-flop design
+    [p]'s design was converted from.  [simulate nets] runs [d] on the
+    profile's draw extended by one cycle, observing at least [nets]
+    (the partners of the pool's data nets), and returns its toggles
+    indexed by [d]'s nets; it is called once, and not at all when no
+    pool net has a partner.  Each pool data net gets its partner's
+    count, and a net with no partner gets [max_int], so it never reads
+    as quiet.  [lane_cycles] is the rate denominator, the lanes times
+    the profile's cycles (not the one cycle more that [simulate] ran).
+    With an empty pool the activity is [([||], lane_cycles)]. *)
+val reference_activity :
+  plan ->
+  Netlist.Design.t ->
+  lane_cycles:int ->
+  simulate:(Netlist.Design.net array -> int array) ->
+  int array * int
 
 (** [apply p ~activity:(toggles, cycles)] groups the pool's latches
     whose data nets toggle below the threshold, reading [toggles] only

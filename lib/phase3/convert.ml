@@ -13,6 +13,46 @@ let p2_suffix = "__p2ins"
 
 let is_inserted_p2 d i = String.ends_with ~suffix:p2_suffix (Design.inst_name d i)
 
+(* a combinational cell whose outputs are all clock nets is a clock
+   buffer or inverter: it is not copied, and its pins read no data *)
+let on_clock_path (clock : Netlist.Clocking.network) d i =
+  match Design.output_nets d i with
+  | [] -> false
+  | outputs -> List.for_all clock.Netlist.Clocking.has_net outputs
+
+(* the first pin (instances in id order, then the outputs) whose net
+   conversion would copy as data although it is a clock net *)
+let first_clock_read (clock : Netlist.Clocking.network) d =
+  let has_net = clock.Netlist.Clocking.has_net in
+  let data_pin i pin =
+    match (Design.cell d i).Cell_lib.Cell.kind with
+    | Cell_lib.Cell.Combinational -> not (on_clock_path clock d i)
+    | Cell_lib.Cell.Flip_flop { clock_pin; _ } -> not (String.equal pin clock_pin)
+    | Cell_lib.Cell.Latch { enable_pin; _ } -> not (String.equal pin enable_pin)
+    | Cell_lib.Cell.Clock_gate { enable_pin; _ } -> String.equal pin enable_pin
+  in
+  let reads net what =
+    Some
+      (Printf.sprintf "data logic reads clock net %s at %s"
+         (Design.net_name d net) what)
+  in
+  let rec scan i k =
+    if i >= Design.num_insts d then
+      List.find_map
+        (fun (port, net) ->
+          if has_net net then reads net ("output port " ^ port) else None)
+        d.Design.primary_outputs
+    else if k >= Array.length d.Design.inst_conns.(i) then scan (i + 1) 0
+    else
+      let pin, net = d.Design.inst_conns.(i).(k) in
+      if has_net net && data_pin i pin then
+        reads net (Printf.sprintf "pin %s of %s" pin (Design.inst_name d i))
+      else scan i (k + 1)
+  in
+  scan 0 0
+
+let clock_read d = first_clock_read (Netlist.Clocking.network d) d
+
 let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
   let lib = d.Design.library in
   let b = Builder.create ~name:(d.Design.design_name ^ "_3p") ~library:lib in
@@ -21,6 +61,9 @@ let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
   let icg_cell = (Cell_lib.Library.clock_gate lib ~style:Cell_lib.Cell.Icg_standard).Cell_lib.Cell.name in
   (* the original clock network is not copied *)
   let clock = Netlist.Clocking.network d in
+  Option.iter
+    (fun msg -> invalid_arg ("Convert: " ^ msg))
+    (first_clock_read clock d);
   (* new clock ports *)
   let p1 = Builder.add_input ~clock:true b ports.p1 in
   let p2 = Builder.add_input ~clock:true b ports.p2 in
@@ -53,15 +96,11 @@ let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
         else net_map.(net) <- port_net
       end)
     d.Design.primary_inputs;
+  (* [clock_read] refused every clock net a data pin reads *)
   let map_net old =
-    if clock.Netlist.Clocking.has_net old then
-      invalid_arg
-        (Printf.sprintf "Convert: data logic reads clock net %s" (Design.net_name d old))
-    else begin
-      if net_map.(old) < 0 then
-        net_map.(old) <- Builder.fresh_net b (Design.net_name d old);
-      net_map.(old)
-    end
+    if net_map.(old) < 0 then
+      net_map.(old) <- Builder.fresh_net b (Design.net_name d old);
+    net_map.(old)
   in
   (* constants *)
   Array.iteri
@@ -116,16 +155,11 @@ let to_three_phase ?(ports = default_ports) d (asg : Assignment.t) =
            elements)
   in
   (* copy combinational instances (clock buffers excluded) *)
-  let on_clock_path i =
-    match Design.output_nets d i with
-    | [] -> false
-    | outputs -> List.for_all clock.Netlist.Clocking.has_net outputs
-  in
   Design.fold_insts
     (fun i () ->
       let c = Design.cell d i in
       match c.Cell_lib.Cell.kind with
-      | Cell_lib.Cell.Combinational when not (on_clock_path i) ->
+      | Cell_lib.Cell.Combinational when not (on_clock_path clock d i) ->
         let conns =
           Array.to_list d.Design.inst_conns.(i)
           |> List.map (fun (pin, n) -> (pin, map_net n))

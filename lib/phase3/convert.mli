@@ -30,5 +30,20 @@ val p2_suffix : string
 
 val is_inserted_p2 : Netlist.Design.t -> Netlist.Design.inst -> bool
 
+(** [clock_read d] names the first place where [d]'s data logic reads a
+    net of its clock network ({!Netlist.Clocking.network}), as a message
+    naming the net and the pin or output port: a pin of a combinational
+    cell whose outputs are not all clock nets (conversion copies such a
+    cell as data logic), a pin of a register other than its clock, an
+    ICG's enable, or a primary output.  Instances are taken in id order
+    and their pins in connection order, then the outputs.  [None] when
+    no data pin reads a clock net.  Conversion drops the clock network,
+    so it cannot convert such a design; the flow's [validate] stage
+    refuses it with this message. *)
+val clock_read : Netlist.Design.t -> string option
+
+(** [to_three_phase ?ports d asg] raises [Invalid_argument] when
+    {!clock_read} finds a clock net read as data, or [d] already holds
+    a latch. *)
 val to_three_phase :
   ?ports:clock_ports -> Netlist.Design.t -> Assignment.t -> Netlist.Design.t

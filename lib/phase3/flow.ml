@@ -100,11 +100,21 @@ let run ~config d =
     r
   in
   stage "validate" (fun () ->
-      match Netlist.Check.validate d with
-      | Ok () -> ()
-      | Error errors ->
-        fail "input design %s is invalid: %s" d.Netlist.Design.design_name
-          (String.concat "; " errors));
+      (match Netlist.Check.validate d with
+       | Ok () -> ()
+       | Error errors ->
+         fail "input design %s is invalid: %s" d.Netlist.Design.design_name
+           (String.concat "; " errors));
+      (* conversion maps one clock onto p1/p2/p3 and drops the clock
+         network, and the equivalence and clock-gating stages simulate
+         the input design under that one clock *)
+      (match d.Netlist.Design.clock_ports with
+       | [] | [_] -> ()
+       | _ :: _ :: _ as ports ->
+         fail "validate stage: design %s has %d clock ports (%s); the flow \
+               converts a single clock" d.Netlist.Design.design_name
+           (List.length ports) (String.concat ", " ports));
+      Option.iter (fail "validate stage: %s") (Convert.clock_read d));
   let assignment =
     stage "assign" (fun () ->
         let assignment = Assignment.solve ~solver:config.solver
@@ -138,28 +148,32 @@ let run ~config d =
             Clock_gating.plan ~options:config.clock_gating ~ports:config.ports
               retimed
           in
-          (* profile activity on the pre-gating design: the bit-parallel
+          (* profile activity on the input design: the bit-parallel
              kernel runs one independently seeded stimulus stream per lane,
              so the DDCG decisions see Monte-Carlo toggle statistics rather
              than a single random trace.  DDCG reads only its pool's data
-             nets, so the kernel simulates their fan-in, and nothing when
-             the pool is empty *)
-          let observe = Clock_gating.observed plan in
+             nets, each of which toggles as its partner in [d] does one
+             clock edge later (Clock_gating.partners): one run of [d], one
+             cycle longer than the profile, simulates only the partners'
+             fan-in, and nothing runs when the pool is empty *)
           let activity =
-            if Array.length observe = 0 then ([||], 0)
-            else
-              Obs.span "flow.clock_gating.activity" (fun () ->
-                  let kernel = Sim.Kernel.create ~observe retimed ~clocks in
-                  let stimulus =
-                    Sim.Stimulus.draw
-                      ~seeds:
-                        (Array.init (Sim.Kernel.lanes kernel) (fun l ->
-                             config.activity_seed + l))
-                      ~cycles:config.activity_cycles (Sim.Stimulus.Uniform 0.25)
-                      (Sim.Stimulus.inputs_of retimed)
-                  in
-                  Sim.Kernel.run kernel stimulus;
-                  (Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel))
+            Clock_gating.reference_activity plan d
+              ~lane_cycles:(Sim.Kernel.max_lanes * config.activity_cycles)
+              ~simulate:(fun observe ->
+                Obs.span "flow.clock_gating.activity" (fun () ->
+                    let kernel =
+                      Sim.Kernel.create ~observe d
+                        ~clocks:(reference_clocks d ~period:config.period)
+                    in
+                    Sim.Kernel.run kernel
+                      (Sim.Stimulus.draw
+                         ~seeds:
+                           (Array.init (Sim.Kernel.lanes kernel) (fun l ->
+                                config.activity_seed + l))
+                         ~cycles:(config.activity_cycles + 1)
+                         (Sim.Stimulus.Uniform 0.25)
+                         (Sim.Stimulus.inputs_of d));
+                    Sim.Kernel.toggles kernel))
           in
           let d', s = Clock_gating.apply plan ~activity in
           (d', Some s))

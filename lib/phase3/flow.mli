@@ -16,9 +16,11 @@
     catalogue and docs/QOR.md for the record schema.  All of the
     flow's work runs inside a stage span: the final design's one
     structural check runs in [smo], and [lint] reads its findings.
-    The [clock_gating] stage simulates only the fan-in of the DDCG
-    pool's data nets ({!Clock_gating.observed}), and nothing when the
-    pool is empty. *)
+    The [clock_gating] stage reads its DDCG activity from one run of
+    the input flip-flop design, one cycle longer than
+    [activity_cycles], that simulates only the fan-in of the partners
+    of the DDCG pool's data nets ({!Clock_gating.reference_activity}),
+    and runs nothing when the pool is empty. *)
 
 type config = {
   solver : Assignment.solver;
@@ -87,5 +89,9 @@ exception Flow_error of string
     validation or the result fails equivalence, and before any stage
     when [period] is not positive and finite, [verify_cycles] is too
     short for the equivalence check, or a clock-gating option is on
-    with [activity_cycles < 1]. *)
+    with [activity_cycles < 1].  Validation refuses, besides
+    {!Netlist.Check}'s errors, a design with more than one clock port
+    and one whose data logic reads a clock net
+    ({!Convert.clock_read}), each with a message naming the
+    [validate] stage. *)
 val run : config:config -> Netlist.Design.t -> result

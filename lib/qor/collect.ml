@@ -63,14 +63,14 @@ type measurement = {
   kernel : Sim.Kernel.stats;
 }
 
-let measure design ~clocks ~shape ~cycles ~seed =
+let measure design ~clocks ~stimulus =
+  if Array.to_list stimulus.Sim.Stimulus.inputs <> Sim.Stimulus.inputs_of design
+  then
+    invalid_arg
+      (Printf.sprintf "Collect.measure: the draw's inputs are not those of %s"
+         design.Netlist.Design.design_name);
   let impl = Physical.Implement.run design in
   let kernel = Sim.Kernel.create design ~clocks in
-  let stimulus =
-    Sim.Stimulus.draw
-      ~seeds:(Array.init (Sim.Kernel.lanes kernel) (fun l -> seed + l))
-      ~cycles shape (Sim.Stimulus.inputs_of design)
-  in
   Sim.Kernel.run kernel stimulus;
   let toggles = Sim.Kernel.toggles kernel
   and lane_cycles = Sim.Kernel.lane_cycles kernel in
@@ -80,13 +80,17 @@ let measure design ~clocks ~shape ~cycles ~seed =
   in
   { impl; detail; toggles; lane_cycles; kernel = Sim.Kernel.stats kernel }
 
-let implement_and_power design ~clocks ~shape ~cycles ~seed =
+let implement_and_power design ~clocks ~stimulus =
   let design, hold = Sta.Hold_fix.run design ~clocks in
-  (design, hold, measure design ~clocks ~shape ~cycles ~seed)
+  (design, hold, measure design ~clocks ~stimulus)
 
 let record_power design ~clocks ~seed =
-  implement_and_power design ~clocks ~shape:(Sim.Stimulus.Uniform 0.3)
-    ~cycles:256 ~seed
+  implement_and_power design ~clocks
+    ~stimulus:
+      (Sim.Stimulus.draw
+         ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> seed + l))
+         ~cycles:256 (Sim.Stimulus.Uniform 0.3)
+         (Sim.Stimulus.inputs_of design))
 
 (* inserted p2 latches keep Convert's marker (Convert.is_inserted_p2)
    through retiming, so counting them in the retimed design gives the

@@ -28,37 +28,37 @@ type measurement = {
       waves and cones, evaluations) *)
 }
 
-(** [measure design ~clocks ~shape ~cycles ~seed] implements [design] as
-    it is (placement + CTS), runs Monte-Carlo activity on one
-    {!Sim.Kernel} (lane [l] a [shape] stream of [cycles] cycles seeded
-    [seed + l]), then {!Power.Estimate.run}.  Deterministic for fixed
-    inputs: the lane count is fixed regardless of [THREEPHASE_JOBS].
-    No hold fix: a caller that has already padded its design measures it
-    here. *)
+(** [measure design ~clocks ~stimulus] implements [design] as it is
+    (placement + CTS), runs Monte-Carlo activity on one {!Sim.Kernel}
+    driven by [stimulus] (one lane per kernel lane), then
+    {!Power.Estimate.run}.  Deterministic for fixed inputs: the lane
+    count is fixed regardless of [THREEPHASE_JOBS].  No hold fix: a
+    caller that has already padded its design measures it here.  Raises
+    [Invalid_argument] unless [stimulus.inputs] are
+    {!Sim.Stimulus.inputs_of}[ design], in order, so one draw can serve
+    every design that reads the same inputs. *)
 val measure :
   Netlist.Design.t ->
   clocks:Sim.Clock_spec.t ->
-  shape:Sim.Stimulus.shape ->
-  cycles:int ->
-  seed:int ->
+  stimulus:Sim.Stimulus.packed ->
   measurement
 
 (** [implement_and_power] hold-fixes the design under [clocks]
-    ({!Sta.Hold_fix.run} at its defaults), then {!measure}s the padded
-    design, which it returns with the hold-fix statistics.  The flow
-    record measures under [Uniform 0.3] ({!record_power});
-    [Experiments.Runner] under each benchmark's workload. *)
+    ({!Sta.Hold_fix.run} at its defaults, which adds no input), then
+    {!measure}s the padded design, which it returns with the hold-fix
+    statistics.  The flow record measures under [Uniform 0.3]
+    ({!record_power}); [Experiments.Runner] under each benchmark's
+    workload, one draw for its three design styles. *)
 val implement_and_power :
   Netlist.Design.t ->
   clocks:Sim.Clock_spec.t ->
-  shape:Sim.Stimulus.shape ->
-  cycles:int ->
-  seed:int ->
+  stimulus:Sim.Stimulus.packed ->
   Netlist.Design.t * Sta.Hold_fix.stats * measurement
 
 (** [record_power design ~clocks ~seed] is the run record's power
-    measurement: {!implement_and_power} under [Uniform 0.3] for 256
-    cycles.  {!of_flow} calls it on the final design with the flow's
+    measurement: {!implement_and_power} on a draw of 256 cycles under
+    [Uniform 0.3] over [design]'s inputs, lane [l] seeded [seed + l].
+    {!of_flow} calls it on the final design with the flow's
     [activity_seed]; [ff2latch power] calls it on its input with the
     default [activity_seed], so on a netlist that [convert -o] wrote
     it prints that conversion's record power. *)

@@ -42,6 +42,53 @@ let test_runner_small_bench () =
     check Alcotest.int "two table-1 views" 2 (List.length t1);
     check Alcotest.int "one table-2 view" 1 (List.length t2)
 
+(* Runner.run draws the workload once and measures its three design
+   styles on that draw: each style's power equals the one its own draw
+   gives (Runner.power_of: hold fix, then a draw over the design's own
+   inputs, lane l seeded 2024 + l) *)
+let test_runner_shares_one_draw () =
+  let b = Option.get (Circuits.Suite.find "s1196") in
+  let cycles = 48 in
+  let r = Experiments.Runner.run ~cycles b in
+  let period = b.Circuits.Suite.period_ns in
+  let ff_clocks =
+    Phase3.Flow.reference_clocks r.Experiments.Runner.ff.Experiments.Runner.design
+      ~period
+  in
+  List.iter
+    (fun (name, (v : Experiments.Runner.variant), clocks) ->
+      let own =
+        Experiments.Runner.power_of v.Experiments.Runner.design ~clocks
+          ~workload:b.Circuits.Suite.workload ~cycles ~seed:2024
+      in
+      if own <> v.Experiments.Runner.power then
+        Alcotest.failf "%s: %g mW on the shared draw, %g on its own" name
+          (Power.Estimate.total v.Experiments.Runner.power)
+          (Power.Estimate.total own))
+    [ ("ff", r.Experiments.Runner.ff, ff_clocks);
+      ("ms", r.Experiments.Runner.ms, ff_clocks);
+      ("3p", r.Experiments.Runner.threep,
+       Phase3.Flow.clocks_of r.Experiments.Runner.flow.Phase3.Flow.config) ]
+
+(* the measurement refuses a draw over other inputs, or over the
+   design's inputs in another order *)
+let test_measure_refuses_other_inputs () =
+  let b = Option.get (Circuits.Suite.find "s1196") in
+  let d = b.Circuits.Suite.build () in
+  let clocks = Phase3.Flow.reference_clocks d ~period:1.0 in
+  let draw inputs =
+    Sim.Stimulus.draw ~seeds:(Array.init Sim.Kernel.max_lanes Fun.id) ~cycles:4
+      (Sim.Stimulus.Uniform 0.25) inputs
+  in
+  let inputs = Sim.Stimulus.inputs_of d in
+  List.iter
+    (fun (what, inputs) ->
+      match Qor.Collect.measure d ~clocks ~stimulus:(draw inputs) with
+      | _ -> Alcotest.failf "measured on a draw of %s" what
+      | exception Invalid_argument _ -> ())
+    [ ("the inputs reversed", List.rev inputs);
+      ("one input fewer", List.tl inputs) ]
+
 let test_report_table_layout () =
   let t = Report.Table.create ~title:"T" [("a", Report.Table.Left); ("b", Report.Table.Right)] in
   Report.Table.add_row t ["x"; "1"];
@@ -57,4 +104,8 @@ let suite =
     Alcotest.test_case "fig2 table" `Slow test_fig2_table;
     Alcotest.test_case "fig3 table" `Quick test_fig3_table;
     Alcotest.test_case "runner on s1196" `Slow test_runner_small_bench;
-    Alcotest.test_case "report table layout" `Quick test_report_table_layout ]
+    Alcotest.test_case "report table layout" `Quick test_report_table_layout;
+    Alcotest.test_case "runner shares one draw" `Quick
+      test_runner_shares_one_draw;
+    Alcotest.test_case "measure refuses another design's draw" `Quick
+      test_measure_refuses_other_inputs ]

@@ -1,6 +1,7 @@
 (* Fuzz/robustness tests: malformed input must raise the module's typed
-   error (never a crash or an unrelated exception), and core pipelines
-   behave deterministically. *)
+   error (never a crash or an unrelated exception, [Invalid_argument]
+   from the netlist builder included), and core pipelines behave
+   deterministically. *)
 
 let check = Alcotest.check
 
@@ -17,7 +18,6 @@ let prop_bench_parser_total =
       match Netlist_io.Bench_format.parse ~name:"f" ~library:lib src with
       | _ -> true
       | exception Netlist_io.Bench_format.Error _ -> true
-      | exception Invalid_argument _ -> true  (* freeze-level rejection *)
       | exception _ -> false)
 
 let prop_verilog_parser_total =
@@ -27,7 +27,6 @@ let prop_verilog_parser_total =
       match Netlist_io.Verilog.parse ~library:lib src with
       | _ -> true
       | exception Netlist_io.Verilog.Error _ -> true
-      | exception Invalid_argument _ -> true
       | exception _ -> false)
 
 let prop_liberty_parser_total =
@@ -66,7 +65,32 @@ let prop_bench_mutations_total =
       match Netlist_io.Bench_format.parse ~name:"m" ~library:lib src with
       | _ -> true
       | exception Netlist_io.Bench_format.Error _ -> true
-      | exception Invalid_argument _ -> true
+      | exception _ -> false)
+
+(* the same for a structural Verilog source: a mutated pin name, a
+   second driver or a repeated pin is a located error *)
+let verilog_mutate_gen =
+  let base =
+    "module m (clk, a, en, y);\n  input clk;\n  input a;\n  input en;\n\
+    \  output y;\n  wire g;\n  wire n;\n\
+    \  ICG_X1 cg (.CK(clk), .EN(en), .GCK(g));\n\
+    \  INV_X1 u (.A(a), .ZN(n));\n  DFF_X1 r (.CK(g), .D(n), .Q(y));\n\
+     endmodule\n"
+  in
+  QCheck.Gen.(
+    map
+      (fun (pos, c) ->
+        let pos = pos mod String.length base in
+        String.mapi (fun i old -> if i = pos then c else old) base)
+      (pair (int_bound 1000) (map Char.chr (int_range 32 126))))
+
+let prop_verilog_mutations_total =
+  QCheck.Test.make ~name:"verilog parser: single-char mutations survive"
+    ~count:400 (QCheck.make verilog_mutate_gen)
+    (fun src ->
+      match Netlist_io.Verilog.parse ~library:lib src with
+      | _ -> true
+      | exception Netlist_io.Verilog.Error _ -> true
       | exception _ -> false)
 
 (* determinism: two engines over the same design and stream agree *)
@@ -155,6 +179,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_liberty_parser_total;
     QCheck_alcotest.to_alcotest prop_expr_parser_total;
     QCheck_alcotest.to_alcotest prop_bench_mutations_total;
+    QCheck_alcotest.to_alcotest prop_verilog_mutations_total;
     QCheck_alcotest.to_alcotest prop_engine_deterministic;
     Alcotest.test_case "hold fix unfixable" `Quick test_hold_fix_unfixable;
     Alcotest.test_case "clock trace through buffer" `Quick test_clock_trace_through_buffer;

@@ -197,3 +197,77 @@ let suite =
   suite
   @ [ Alcotest.test_case "bench wide gate decomposition" `Quick
         test_bench_wide_gate_decomposition ]
+
+(* A malformed netlist is the reader's located error, never an
+   [Invalid_argument] from the builder: an unknown pin, a pin connected
+   twice and a second driver each name the line and column of the
+   offending connection. *)
+let test_verilog_connection_errors () =
+  let expect ~line ~col ~says body =
+    let src =
+      "module m (clk, a, b, en, y);\n  input clk;\n  input a;\n  input b;\n\
+      \  input en;\n  output y;\n  wire n;\n  wire g;\n" ^ body ^ "endmodule\n"
+    in
+    match Netlist_io.Verilog.parse ~file:"m.v" ~library:lib src with
+    | _ -> Alcotest.failf "accepted: %s" body
+    | exception Netlist_io.Verilog.Error (Some loc, msg) ->
+      check Alcotest.(pair int int) ("position of " ^ says) (line, col)
+        (loc.Netlist_io.Srcloc.line, loc.Netlist_io.Srcloc.col);
+      if not (Qor.Diff.contains msg says) then
+        Alcotest.failf "%S does not say %S" msg says
+    | exception Netlist_io.Verilog.Error (None, msg) ->
+      Alcotest.failf "unlocated: %s" msg
+  in
+  expect ~line:9 ~col:25 ~says:"cell ICG_X1 has no pin ZZ"
+    "  ICG_X1 cg (.CK(clk), .ZZ(clk), .EN(en), .GCK(g));\n";
+  expect ~line:9 ~col:25 ~says:"pin CK of instance cg is connected twice"
+    "  ICG_X1 cg (.CK(clk), .CK(clk), .EN(en), .GCK(g));\n";
+  expect ~line:10 ~col:22
+    ~says:"pin ZN of instance u2 drives net n, which is already driven at m.v:9:22"
+    "  INV_X1 u1 (.A(a), .ZN(n));\n  INV_X1 u2 (.A(b), .ZN(n));\n";
+  expect ~line:9 ~col:22
+    ~says:"pin ZN of instance u1 drives net a, which is already driven at m.v:3:3"
+    "  INV_X1 u1 (.A(b), .ZN(a));\n";
+  expect ~line:10 ~col:10
+    ~says:"assign n drives net n, which is already driven at m.v:9:22"
+    "  INV_X1 u1 (.A(a), .ZN(n));\n  assign n = b;\n";
+  expect ~line:10 ~col:22
+    ~says:"pin ZN of instance u1 drives net n, which is already driven at m.v:9:10"
+    "  assign n = 1'b1;\n  INV_X1 u1 (.A(a), .ZN(n));\n";
+  expect ~line:9 ~col:22 ~says:"pin ZN of instance u1 drives 1'b0, which is a constant"
+    "  INV_X1 u1 (.A(a), .ZN(1'b0));\n"
+
+let test_bench_more_errors () =
+  let expect ~says src =
+    match Netlist_io.Bench_format.parse ~name:"x" ~library:lib src with
+    | _ -> Alcotest.failf "accepted: %S" src
+    | exception Netlist_io.Bench_format.Error msg ->
+      check Alcotest.string "message" says msg
+  in
+  expect ~says:"line 1: missing ')' in \"INPUT(a\"" "INPUT(a\n";
+  expect ~says:"line 2: duplicate INPUT(a)" "INPUT(a)\nINPUT(a)\n";
+  expect ~says:"line 4: y multiply defined"
+    "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = AND(a, a)\n";
+  expect ~says:"line 4: NOT takes one input, got 2"
+    "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n";
+  expect ~says:"line 4: duplicate OUTPUT(y)"
+    "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nOUTPUT(y)\n"
+
+let test_builder_repeated_pin () =
+  let b = Netlist.Builder.create ~name:"r" ~library:lib in
+  let a = Netlist.Builder.add_input b "a" in
+  let y = Netlist.Builder.fresh_net b "y" in
+  match Netlist.Builder.add_cell b "u" "INV_X1" [("A", a); ("A", a); ("ZN", y)] with
+  | _ -> Alcotest.fail "a pin connected twice was accepted"
+  | exception Invalid_argument msg ->
+    check Alcotest.string "message"
+      "Builder.add_instance u: pin A connected twice" msg
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "verilog connection errors are located" `Quick
+        test_verilog_connection_errors;
+      Alcotest.test_case "bench errors name their line" `Quick
+        test_bench_more_errors;
+      Alcotest.test_case "builder refuses a repeated pin" `Quick
+        test_builder_repeated_pin ]

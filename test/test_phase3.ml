@@ -796,23 +796,29 @@ let suite =
 
 (* --- the clock-gating stage's activity run --- *)
 
-(* [retimed] gated from the activity of a whole-design kernel on the
-   stage's draw *)
-let gate_on_whole_design config retimed =
-  let kernel =
-    Sim.Kernel.create retimed ~clocks:(Phase3.Flow.clocks_of config)
-  in
+(* per-net toggles of a whole-design kernel of [d] on the clock-gating
+   stage's draw, [cycles] long *)
+let stage_toggles config d ~clocks ~cycles =
+  let kernel = Sim.Kernel.create d ~clocks in
   Sim.Kernel.run kernel
     (Sim.Stimulus.draw
        ~seeds:
          (Array.init Sim.Kernel.max_lanes (fun l ->
               config.Phase3.Flow.activity_seed + l))
-       ~cycles:config.Phase3.Flow.activity_cycles (Sim.Stimulus.Uniform 0.25)
-       (Sim.Stimulus.inputs_of retimed));
+       ~cycles (Sim.Stimulus.Uniform 0.25) (Sim.Stimulus.inputs_of d));
+  Sim.Kernel.toggles kernel
+
+(* [retimed] gated from the activity of a whole-design kernel of it on
+   the stage's draw *)
+let gate_on_whole_design config retimed =
+  let cycles = config.Phase3.Flow.activity_cycles in
   fst
     (Phase3.Clock_gating.run ~options:config.Phase3.Flow.clock_gating
        ~ports:config.Phase3.Flow.ports
-       ~activity:(Sim.Kernel.toggles kernel, Sim.Kernel.lane_cycles kernel)
+       ~activity:
+         ( stage_toggles config retimed ~clocks:(Phase3.Flow.clocks_of config)
+             ~cycles,
+           Sim.Kernel.max_lanes * cycles )
        retimed)
 
 let rec has_span name nodes =
@@ -821,25 +827,41 @@ let rec has_span name nodes =
       String.equal n.Obs.node_name name || has_span name n.Obs.n_children)
     nodes
 
-(* the stage's kernel simulates only the fan-in of the DDCG pool's data
-   nets, and the flow writes the netlist that a whole-design kernel's
-   activity gives *)
+(* the stage reads its activity from a run of the input design that
+   simulates only the partners of the DDCG pool's data nets, and the
+   flow writes the netlist that a whole-design kernel of the retimed
+   design gives.  md5 has a retimed gate in its pool; on the re-seeded
+   md5 (perfbench's flow-mid draw md5-7) an activity run one cycle
+   shorter reorders a DDCG group *)
 let test_cone_activity_same_netlist () =
+  let md5_7 =
+    let spec = Circuits.Cep.md5 in
+    ( "md5-7",
+      1000.0 /. spec.Circuits.Generator.frequency_mhz,
+      Circuits.Generator.synthesize
+        { spec with
+          Circuits.Generator.seed =
+            (spec.Circuits.Generator.seed * 1_000_003) + (7 * 7_919) + 4 } )
+  in
+  let suite name =
+    let bench = Option.get (Circuits.Suite.find name) in
+    (name, bench.Circuits.Suite.period_ns, bench.Circuits.Suite.build ())
+  in
   let gated =
     List.fold_left
-      (fun gated name ->
-        let bench = Option.get (Circuits.Suite.find name) in
+      (fun gated (name, period, d) ->
         let config =
-          { (Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns)
+          { (Phase3.Flow.default_config ~period)
             with Phase3.Flow.verify_equivalence = false; lint = false }
         in
-        let r = Phase3.Flow.run ~config (bench.Circuits.Suite.build ()) in
+        let r = Phase3.Flow.run ~config d in
         check Alcotest.string name
           (Netlist_io.Verilog.write
              (gate_on_whole_design config r.Phase3.Flow.retimed))
           (Netlist_io.Verilog.write r.Phase3.Flow.final);
         gated + (Option.get r.Phase3.Flow.cg_stats).Phase3.Clock_gating.ddcg_gated)
-      0 [ "s1196"; "s5378"; "s13207" ]
+      0
+      (List.map suite [ "s1196"; "s5378"; "s13207"; "md5" ] @ [ md5_7 ])
   in
   if gated = 0 then Alcotest.fail "no DDCG latch: the comparison is empty"
 
@@ -873,3 +895,240 @@ let suite =
         test_cone_activity_same_netlist;
       Alcotest.test_case "no activity run without DDCG" `Quick
         test_no_activity_run_without_ddcg ]
+
+(* --- DDCG activity read from the input design --- *)
+
+(* Over N cycles of the 3-phase design, each pool data net toggles as
+   often as its partner in the flip-flop design over N + 1 cycles of the
+   same draw.  For a p3 latch the equality is exact.  A retimed gate's
+   count may exceed its partner's by one glitch of every lane in the
+   3-phase design's create-time settle (2 toggles per lane): that settle
+   precedes all stimulus, so it reads the same on every lane.  Returns
+   the number of p3-latch and gate partners compared. *)
+let compare_partners config d =
+  let r = Phase3.Flow.run ~config d in
+  let retimed = r.Phase3.Flow.retimed in
+  if Sim.Stimulus.inputs_of retimed <> Sim.Stimulus.inputs_of d then
+    Alcotest.failf "%s: the retimed design reads other inputs"
+      d.D.design_name;
+  let plan =
+    Phase3.Clock_gating.plan ~options:config.Phase3.Flow.clock_gating
+      ~ports:config.Phase3.Flow.ports retimed
+  in
+  let partners = Phase3.Clock_gating.partners plan d in
+  let n = config.Phase3.Flow.activity_cycles in
+  let three_phase =
+    stage_toggles config retimed ~clocks:(Phase3.Flow.clocks_of config)
+      ~cycles:n
+  and flip_flop =
+    stage_toggles config d
+      ~clocks:(Phase3.Flow.reference_clocks d ~period:config.Phase3.Flow.period)
+      ~cycles:(n + 1)
+  in
+  let latches = ref 0 and gates = ref 0 in
+  Array.iteri
+    (fun k dn ->
+      Option.iter
+        (fun pn ->
+          let t3 = three_phase.(dn) and tff = flip_flop.(pn) in
+          let gate =
+            match retimed.D.net_driver.(dn) with
+            | D.Driven_by (i, _) ->
+              (D.cell retimed i).Cell_lib.Cell.kind = Cell_lib.Cell.Combinational
+            | D.Driven_by_input _ | D.Driven_const _ | D.Undriven -> false
+          in
+          incr (if gate then gates else latches);
+          if not (t3 = tff || (gate && t3 = tff + (2 * Sim.Kernel.max_lanes)))
+          then
+            Alcotest.failf "%s: %s toggles %d times, its partner %s %d"
+              d.D.design_name (D.net_name retimed dn) t3 (D.net_name d pn) tff)
+        partners.(k))
+    (Phase3.Clock_gating.observed plan);
+  (!latches, !gates)
+
+let partner_counts = ref (0, 0)
+
+let prop_partner_toggles =
+  QCheck.Test.make ~name:"pool nets toggle as their partners one edge later"
+    ~count:25 QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let d =
+        Circuits.Generator.synthesize
+          (gen_spec ~layers:[| 8; 8; 6 |] ~gated:0.3 seed)
+      in
+      let config =
+        { (Phase3.Flow.default_config ~period:1.0) with
+          Phase3.Flow.activity_cycles = 48; verify_equivalence = false;
+          lint = false }
+      in
+      let l, g = compare_partners config d in
+      let latches, gates = !partner_counts in
+      partner_counts := (latches + l, gates + g);
+      true)
+
+(* the generated designs give p3-latch partners only; md5 has a retimed
+   gate in its pool *)
+let test_partner_toggles () =
+  partner_counts := (0, 0);
+  QCheck.Test.check_exn prop_partner_toggles;
+  if fst !partner_counts = 0 then
+    Alcotest.fail "no pool net: the comparison is empty";
+  let bench = Option.get (Circuits.Suite.find "md5") in
+  let config =
+    { (Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns) with
+      Phase3.Flow.activity_cycles = 64; verify_equivalence = false;
+      lint = false }
+  in
+  let _, gates = compare_partners config (bench.Circuits.Suite.build ()) in
+  if gates = 0 then Alcotest.fail "md5: no gate partner compared"
+
+(* A pool net with no partner in the input design reads as never quiet:
+   with every partner's toggles 0, each pool latch is gated except the
+   one whose flip-flop was renamed out of the input design. *)
+let test_no_partner_never_quiet () =
+  let bench = Option.get (Circuits.Suite.find "s1196") in
+  let d = bench.Circuits.Suite.build () in
+  let config =
+    { (Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns) with
+      Phase3.Flow.verify_equivalence = false; lint = false }
+  in
+  let r = Phase3.Flow.run ~config d in
+  let retimed = r.Phase3.Flow.retimed in
+  let plan =
+    Phase3.Clock_gating.plan ~options:config.Phase3.Flow.clock_gating
+      ~ports:config.Phase3.Flow.ports retimed
+  in
+  let pool = Phase3.Clock_gating.observed plan in
+  if Array.length pool < 2 then Alcotest.fail "s1196's pool is too small";
+  (* the flip-flop behind the first pool net, under another name *)
+  let victim =
+    match retimed.D.net_driver.(pool.(0)) with
+    | D.Driven_by (i, _) -> D.inst_name retimed i
+    | D.Driven_by_input _ | D.Driven_const _ | D.Undriven ->
+      Alcotest.fail "pool net without a driving instance"
+  in
+  let renamed =
+    let rw = Netlist.Rewrite.start d in
+    D.fold_insts
+      (fun i () ->
+        if String.equal (D.inst_name d i) victim then
+          ignore
+            (B.add_instance (Netlist.Rewrite.builder rw) (victim ^ "_renamed")
+               (D.cell d i)
+               (Array.to_list d.D.inst_conns.(i)
+                |> List.map (fun (pin, n) -> (pin, Netlist.Rewrite.map_net rw n))))
+        else Netlist.Rewrite.copy_inst rw i)
+      d ();
+    Netlist.Rewrite.finish rw
+  in
+  let quiet reference =
+    let simulated = ref 0 in
+    let activity =
+      Phase3.Clock_gating.reference_activity plan reference
+        ~lane_cycles:(Sim.Kernel.max_lanes * config.Phase3.Flow.activity_cycles)
+        ~simulate:(fun nets ->
+          simulated := Array.length nets;
+          Array.make (D.num_nets reference) 0)
+    in
+    let gated, stats = Phase3.Clock_gating.apply plan ~activity in
+    (gated, stats.Phase3.Clock_gating.ddcg_gated, !simulated)
+  in
+  let all_quiet, n_all, sim_all = quiet d in
+  check Alcotest.int "every pool latch gated" (Array.length pool) n_all;
+  check Alcotest.int "every partner simulated" (Array.length pool) sim_all;
+  let one_missing, n_missing, sim_missing = quiet renamed in
+  check Alcotest.int "the partnerless latch stays ungated"
+    (Array.length pool - 1) n_missing;
+  check Alcotest.int "its partner is not simulated" (Array.length pool - 1)
+    sim_missing;
+  let p2 = victim ^ Phase3.Convert.p2_suffix in
+  let gck_of g =
+    let i = Option.get (D.find_inst g p2) in
+    D.net_name g (Option.get (D.clock_net_of g i))
+  in
+  check Alcotest.string "gated latch clocked by a DDCG gate" "ddcg0_gck"
+    (String.sub (gck_of all_quiet) 0 9);
+  check Alcotest.string "partnerless latch clocked by p2" "p2"
+    (gck_of one_missing)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "pool nets toggle as their partners one edge later"
+        `Quick test_partner_toggles;
+      Alcotest.test_case "a pool net with no partner is never quiet" `Quick
+        test_no_partner_never_quiet ]
+
+(* --- what the validate stage refuses --- *)
+
+(* a two-register design; [extra] adds cells to the builder *)
+let clocked_design ?(clocks = [ "clk" ]) extra =
+  let b = B.create ~name:"v" ~library:lib in
+  let clk = List.map (fun c -> B.add_input ~clock:true b c) clocks in
+  let a = B.add_input b "a" in
+  let q = B.fresh_net b "q" and y = B.fresh_net b "y" in
+  let n = extra b ~clk:(List.hd clk) ~a in
+  ignore (B.add_cell b "r0" "DFF_X1" [("CK", List.hd clk); ("D", n); ("Q", q)]);
+  ignore
+    (B.add_cell b "r1" "DFF_X1"
+       [("CK", List.nth clk (List.length clk - 1)); ("D", q); ("Q", y)]);
+  B.add_output b "y" y;
+  B.freeze b
+
+let expect_flow_error ~says d =
+  let config =
+    { (Phase3.Flow.default_config ~period:1.0) with
+      Phase3.Flow.verify_equivalence = false }
+  in
+  Obs.reset ();
+  match Phase3.Flow.run ~config d with
+  | _ -> Alcotest.failf "accepted: %s" says
+  | exception Phase3.Flow.Flow_error msg ->
+    check Alcotest.string "message" says msg;
+    (* refused before any stage after validate ran *)
+    check Alcotest.(list string) "executed stages" [ "flow.validate" ]
+      (List.map (fun (n : Obs.span_node) -> n.Obs.node_name) (Obs.span_tree ()));
+    Obs.reset ()
+
+let test_validate_refuses_clocking () =
+  expect_flow_error
+    ~says:"validate stage: design v has 2 clock ports (clka, clkb); the flow \
+           converts a single clock"
+    (clocked_design ~clocks:[ "clka"; "clkb" ] (fun _ ~clk:_ ~a -> a));
+  let and_clk =
+    clocked_design (fun b ~clk ~a ->
+        let n = B.fresh_net b "n" in
+        ignore (B.add_cell b "g" "AND2_X1" [("A1", clk); ("A2", a); ("Z", n)]);
+        n)
+  in
+  let says = "data logic reads clock net clk at pin A1 of g" in
+  expect_flow_error ~says:("validate stage: " ^ says) and_clk;
+  (* conversion refuses it by the same rule *)
+  (match
+     Phase3.Convert.to_three_phase and_clk
+       (Phase3.Assignment.solve ~solver:`Ilp and_clk)
+   with
+   | _ -> Alcotest.fail "Convert accepted a clock read as data"
+   | exception Invalid_argument msg ->
+     check Alcotest.string "Convert's message" ("Convert: " ^ says) msg);
+  expect_flow_error
+    ~says:"validate stage: data logic reads clock net clk at pin A of cb"
+    (clocked_design (fun b ~clk ~a ->
+         ignore (B.add_cell b "cb" "CLKBUF_X4" [("A", clk)]);
+         a));
+  (* a clock buffer that drives a register's clock is no data read *)
+  let buffered =
+    clocked_design (fun b ~clk ~a ->
+        let bck = B.fresh_net b "bck" and q = B.fresh_net b "qb" in
+        ignore (B.add_cell b "cb" "CLKBUF_X4" [("A", clk); ("Z", bck)]);
+        ignore (B.add_cell b "rb" "DFF_X1" [("CK", bck); ("D", a); ("Q", q)]);
+        let n = B.fresh_net b "n" in
+        ignore (B.add_cell b "g" "AND2_X1" [("A1", q); ("A2", a); ("Z", n)]);
+        n)
+  in
+  check Alcotest.(option string) "buffered clock" None
+    (Phase3.Convert.clock_read buffered)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "validate refuses several clocks and clock reads"
+        `Quick test_validate_refuses_clocking ]
