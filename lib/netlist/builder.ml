@@ -7,6 +7,7 @@ type t = {
   mutable insts : (string * Cell_lib.Cell.t * (string * Design.net) array) list;  (* reversed *)
   mutable n_insts : int;
   mutable inputs : (string * Design.net) list;   (* reversed *)
+  input_ports : (string, unit) Hashtbl.t;
   mutable outputs : (string * Design.net) list;  (* reversed *)
   mutable clocks : string list;                  (* reversed *)
   mutable tie0 : Design.net option;
@@ -23,6 +24,7 @@ let create ~name ~library = {
   insts = [];
   n_insts = 0;
   inputs = [];
+  input_ports = Hashtbl.create 64;
   outputs = [];
   clocks = [];
   tie0 = None;
@@ -51,10 +53,15 @@ let fresh_net b base =
 let add_input ?(clock = false) b port =
   let n = fresh_net b port in
   b.inputs <- (port, n) :: b.inputs;
+  Hashtbl.replace b.input_ports port ();
   if clock then b.clocks <- port :: b.clocks;
   n
 
-let add_output b port net = b.outputs <- (port, net) :: b.outputs
+let add_output b port net =
+  if Hashtbl.mem b.input_ports port then
+    invalid_arg
+      (Printf.sprintf "Builder.add_output: %s is already an input port" port);
+  b.outputs <- (port, net) :: b.outputs
 
 let const b v =
   let existing = if v then b.tie1 else b.tie0 in

@@ -28,6 +28,8 @@ val fresh_net : t -> string -> Design.net
     with [~clock:true] are recorded as clock roots. *)
 val add_input : ?clock:bool -> t -> string -> Design.net
 
+(** [add_output b port net] makes [net] the primary output [port].
+    Raises [Invalid_argument] when [port] is already an input port. *)
 val add_output : t -> string -> Design.net -> unit
 
 (** [const b v] returns the net tied to constant [v], creating it on first

@@ -71,14 +71,19 @@ let parse ~name ~library source =
   let clock =
     if has_dff then Some (Netlist.Builder.add_input ~clock:true b "clock") else None
   in
-  (* declare primary inputs *)
+  (* declare primary inputs; in a file with DFFs, INPUT(clock) declares
+     the implicit clock port *)
   List.iter
     (function
       | k, L_input a ->
         if Hashtbl.mem nets a then error "line %d: duplicate INPUT(%s)" k a;
-        Hashtbl.add nets a (Netlist.Builder.add_input b a)
+        Hashtbl.add nets a
+          (match clock with
+           | Some ck when String.equal a "clock" -> ck
+           | Some _ | None -> Netlist.Builder.add_input b a)
       | _, (L_output _ | L_gate _) -> ())
     lines;
+  let inputs = Hashtbl.copy nets in
   (* declare gate targets *)
   List.iter
     (function
@@ -123,6 +128,8 @@ let parse ~name ~library source =
     (function
       | k, L_output a ->
         if Hashtbl.mem outputs a then error "line %d: duplicate OUTPUT(%s)" k a;
+        if Hashtbl.mem inputs a then
+          error "line %d: %s is both an INPUT and an OUTPUT" k a;
         Hashtbl.add outputs a ();
         Netlist.Builder.add_output b a (net_of k a)
       | _, (L_input _ | L_gate _) -> ())

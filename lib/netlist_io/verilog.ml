@@ -215,6 +215,7 @@ let parse ?(file = "<string>") ?clocks ~library src =
     ignore (claim n constant);
     n
   in
+  let inputs = Hashtbl.create 64 in
   let declare_wire name =
     if not (Hashtbl.mem nets name) then
       Hashtbl.add nets name (Netlist.Builder.fresh_net b name)
@@ -293,13 +294,17 @@ let parse ?(file = "<string>") ?clocks ~library src =
           if Hashtbl.mem nets name then error st "duplicate declaration of %s" name;
           let net = Netlist.Builder.add_input ~clock:(is_clock name) b name in
           Hashtbl.add nets name net;
+          Hashtbl.add inputs name ();
           ignore (claim net (at loc)))
         names;
       body ()
     | Id "output" ->
+      let loc = st.last_loc in
       let names = id_list [] in
       List.iter
         (fun name ->
+          if Hashtbl.mem inputs name then
+            error_at st loc "%s is declared both input and output" name;
           declare_wire name;
           outputs := name :: !outputs)
         names;

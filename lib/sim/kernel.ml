@@ -68,6 +68,8 @@ let op_mux = 10     (* ins = [s; b; a], out = s ? b : a *)
 let op_aoi21 = 11   (* !((i0 & i1) | i2) *)
 let op_oai21 = 12   (* !((i0 | i1) & i2) *)
 let op_prog = 13
+let op_ff_ev = 15   (* ins = [clk; d (; rn)]: a flip-flop on an event-only
+                       clock that needs no previous-clock planes *)
 let op_ff = 16      (* ins = [clk; d (; rn)] *)
 let op_latch_h = 17 (* ins = [en; d (; rn)] *)
 let op_latch_l = 18
@@ -101,12 +103,20 @@ let cm_clock = 2
    from inside that cone can capture.  The plan is a sound superset of
    any cycle's actual dirty set (runtime [net_dirty] checks keep the
    skips exact), so predicted-cold sequential cones are never even
-   scanned. *)
+   scanned.  With gating, [ev_seq] also leaves out the registers whose
+   update at this event cannot write, and step 4 wakes the readers of
+   the event's clock nets from [ev_wake]: the fanout of [ev_nets.(w)]
+   is [ev_wake_off.(w)] to [ev_wake_off.(w + 1) - 1], with the wake
+   tests of [fo_en], less the registers step 3 handled that no net
+   moving in the event's settle can make write (see [plan_events]). *)
 type clock_event = {
   ev_changes : (int * bool) array; (* port net, level *)
   ev_insts : int array;   (* reachable clock insts, BFS-order subsequence *)
-  ev_outs : int array;    (* their output nets, same order *)
-  ev_seq : int array;     (* seq insts clocked from the cone, ascending *)
+  ev_seq : int array;     (* seq insts step 3 tests, ascending *)
+  ev_nets : int array;    (* port nets, then ev_insts' outputs *)
+  ev_wake_off : int array;
+  ev_wake : int array;    (* units *)
+  ev_wake_en : int array; (* their wake tests, as fo_en *)
 }
 
 type t = {
@@ -127,7 +137,10 @@ type t = {
   out_net : int array;
   st_v : int array;           (* FF/latch state; ICG enable-latch state *)
   st_x : int array;
-  pv_v : int array;           (* previous clock/enable pin planes *)
+  (* previous clock planes of the [op_ff] flip-flops, at [pv_at.(i)];
+     empty when the kernel has none *)
+  pv_at : int array;
+  pv_v : int array;
   pv_x : int array;
   prog_off : int array;       (* CSR into prog (op_prog instances only) *)
   prog : int array;
@@ -348,7 +361,7 @@ let compile_inst d i =
        { c_op = op_prog; c_ins = List.map conn pin_names; c_out = conn out_pin;
          c_prog = prog; c_depth = depth })
 
-let is_seq_op op = op = op_ff || op = op_latch_h || op = op_latch_l
+let is_seq_op op = op >= op_ff_ev && op <= op_latch_l
 
 let is_icg_op op = op >= op_icg_std
 
@@ -587,47 +600,56 @@ let reset_mask t i =
   end
   else 0
 
-(* update FF state: capture data on lanes with a known 0->1 clock edge,
-   clear lanes under reset; advance the previous-clock planes *)
-let ff_update t i =
-  let off = t.ins_off.(i) in
-  let clk = t.ins.(off) and dn = t.ins.(off + 1) in
-  let cv = t.v.(clk) and cx = t.x.(clk) in
-  let r = reset_mask t i in
-  (* canonical planes: cv already implies "known 1" *)
-  let rise = lnot t.pv_v.(i) land lnot t.pv_x.(i) land cv in
-  let cap = rise land lnot r land t.mask in
+(* capture [cap]'s lanes of D and clear the reset-asserted lanes [r] *)
+let seq_write t i cap r =
   if cap <> 0 then begin
+    let dn = t.ins.(t.ins_off.(i) + 1) in
     t.st_v.(i) <- (t.st_v.(i) land lnot cap) lor (t.v.(dn) land cap);
     t.st_x.(i) <- (t.st_x.(i) land lnot cap) lor (t.x.(dn) land cap)
   end;
   if r <> 0 then begin
     t.st_v.(i) <- t.st_v.(i) land lnot r;
     t.st_x.(i) <- t.st_x.(i) land lnot r
-  end;
-  t.pv_v.(i) <- cv;
-  t.pv_x.(i) <- cx
+  end
+
+(* update FF state: capture data on lanes with a known 0->1 clock edge,
+   clear lanes under reset; advance the previous-clock planes *)
+let ff_update t i =
+  let clk = t.ins.(t.ins_off.(i)) and s = t.pv_at.(i) in
+  let cv = t.v.(clk) and cx = t.x.(clk) in
+  let r = reset_mask t i in
+  (* canonical planes: cv already implies "known 1" *)
+  let rise = lnot t.pv_v.(s) land lnot t.pv_x.(s) land cv in
+  seq_write t i (rise land lnot r land t.mask) r;
+  t.pv_v.(s) <- cv;
+  t.pv_x.(s) <- cx
+
+(* update an [op_ff_ev] flip-flop: its clock moves only at clock events,
+   and every event that raises it does so from a known 0 on every lane,
+   so step 3 of that event captures on the clock's known-1 lanes
+   ([edge]) and no other update sees an edge *)
+let ff_event_update t i ~edge =
+  let r = reset_mask t i in
+  seq_write t i
+    (if edge then t.v.(t.ins.(t.ins_off.(i))) land lnot r land t.mask else 0)
+    r
 
 (* update latch state: follow data on transparent lanes *)
 let latch_update t i op =
-  let off = t.ins_off.(i) in
-  let en = t.ins.(off) and dn = t.ins.(off + 1) in
+  let en = t.ins.(t.ins_off.(i)) in
   let ev = t.v.(en) and ex = t.x.(en) in
   let r = reset_mask t i in
   let trans =
     if op = op_latch_h then ev else t.mask land lnot (ev lor ex)
   in
-  let cap = trans land lnot r land t.mask in
-  if cap <> 0 then begin
-    t.st_v.(i) <- (t.st_v.(i) land lnot cap) lor (t.v.(dn) land cap);
-    t.st_x.(i) <- (t.st_x.(i) land lnot cap) lor (t.x.(dn) land cap)
-  end;
-  if r <> 0 then begin
-    t.st_v.(i) <- t.st_v.(i) land lnot r;
-    t.st_x.(i) <- t.st_x.(i) land lnot r
-  end;
-  t.pv_v.(i) <- ev;
-  t.pv_x.(i) <- ex
+  seq_write t i (trans land lnot r land t.mask) r
+
+(* a register's update at step 3 of a clock event *)
+let seq_update_at_event t i =
+  let op = t.opcode.(i) in
+  if op = op_ff_ev then ff_event_update t i ~edge:true
+  else if op = op_ff then ff_update t i
+  else latch_update t i op
 
 (* release a sequential element's state onto its output net *)
 let release_seq t i mode = commit t t.out_net.(i) t.st_v.(i) t.st_x.(i) mode
@@ -645,7 +667,9 @@ let release_seq t i mode = commit t t.out_net.(i) t.st_v.(i) t.st_x.(i) mode
    only via later buckets. *)
 
 let eval_inst_seq t i op =
-  if op = op_ff then ff_update t i else latch_update t i op;
+  if op = op_ff_ev then ff_event_update t i ~edge:false
+  else if op = op_ff then ff_update t i
+  else latch_update t i op;
   release_seq t i cm_wake
 
 let eval_unit t u =
@@ -742,9 +766,10 @@ let propagate_clock_network t ~gated insts =
    cone ([ev_insts]/[ev_seq]) instead of the whole clock network:
    instances outside the cone cannot have a dirty input this event, so
    skipping them without even checking is exact, and [cones_skipped]
-   keeps its meaning (sequential elements that did not capture).  The
-   release scan keeps the engine's descending instance order so glitch
-   toggle counts stay identical. *)
+   keeps its meaning (sequential elements that did not capture, or that
+   the plan left out because they cannot).  The release scan keeps the
+   engine's descending instance order so glitch toggle counts stay
+   identical. *)
 let apply_clock_event t ev =
   clear_dirty t;
   (* 1. apply clock port levels *)
@@ -765,8 +790,7 @@ let apply_clock_event t ev =
       if (not t.gating) || t.net_dirty.(cn) then begin
         incr updated;
         let sv = t.st_v.(i) and sx = t.st_x.(i) in
-        let op = t.opcode.(i) in
-        if op = op_ff then ff_update t i else latch_update t i op;
+        seq_update_at_event t i;
         if t.st_v.(i) <> sv || t.st_x.(i) <> sx then begin
           t.changed.(t.n_changed) <- i;
           t.n_changed <- t.n_changed + 1
@@ -782,23 +806,28 @@ let apply_clock_event t ev =
      order — and so glitch toggle counts — identical.  A register's
      output equals its state after its last evaluation, so releasing an
      element whose state did not change is a no-op; with gating on only
-     the changed ones are released, in the same relative order. *)
-  if t.gating then
+     the changed ones are released, in the same relative order, and the
+     wakes come from the event's planned lists. *)
+  if t.gating then begin
     for k = t.n_changed - 1 downto 0 do
       release_seq t t.changed.(k) cm_wake
-    done
-  else if !updated > 0 then
-    for k = Array.length t.seq_insts - 1 downto 0 do
-      release_seq t t.seq_insts.(k) cm_wake
     done;
-  Array.iter
-    (fun (net, _) ->
-      if (not t.gating) || t.net_dirty.(net) then wake_net_readers t net)
-    ev.ev_changes;
-  Array.iter
-    (fun out ->
-      if (not t.gating) || t.net_dirty.(out) then wake_net_readers t out)
-    (if t.gating then ev.ev_outs else t.clock_outs);
+    for w = 0 to Array.length ev.ev_nets - 1 do
+      if t.net_dirty.(ev.ev_nets.(w)) then
+        for k = ev.ev_wake_off.(w) to ev.ev_wake_off.(w + 1) - 1 do
+          let g = ev.ev_wake_en.(k) in
+          if g < 0 || transparent t g then wake t ev.ev_wake.(k)
+        done
+    done
+  end
+  else begin
+    if !updated > 0 then
+      for k = Array.length t.seq_insts - 1 downto 0 do
+        release_seq t t.seq_insts.(k) cm_wake
+      done;
+    Array.iter (fun (net, _) -> wake_net_readers t net) ev.ev_changes;
+    Array.iter (wake_net_readers t) t.clock_outs
+  end;
   settle t
 
 (* --- Accessors -------------------------------------------------------- *)
@@ -891,9 +920,9 @@ let observe_run t ~cycles_run ~toggles_before (before : stats) =
 (* The one loop that drives lanes apart: the draw's input names resolve
    to nets once, then each cycle commits each input's word as it is —
    the word already holds every lane's value, and a draw never carries
-   X, so the unknown plane is 0.  Inputs outside the cone are not
-   committed: no instance of the cone reads them.  After each cycle the
-   planes of [sampled] are copied out, cycle-major. *)
+   X, so the unknown plane is 0.  Inputs outside the cone are neither
+   drawn nor committed: no instance of the cone reads them.  After each
+   cycle the planes of [sampled] are copied out, cycle-major. *)
 let run_sampled t (p : Stimulus.packed) sampled =
   if p.lanes <> t.lanes then
     invalid_arg
@@ -907,18 +936,19 @@ let run_sampled t (p : Stimulus.packed) sampled =
           (Printf.sprintf "Kernel.run_sampled: net %s is outside the cone"
              (Design.net_name t.design n)))
     sampled;
-  let n = Array.length nets and m = Array.length sampled in
-  (* positions in [p.inputs] of the inputs the cone reads *)
-  let driven = indices_where n (fun k -> in_cone t nets.(k)) in
+  let m = Array.length sampled in
+  (* positions in [p.inputs] of the inputs the cone reads, their nets
+     and their words *)
+  let driven = indices_where (Array.length nets) (fun k -> in_cone t nets.(k)) in
+  let driven_nets = Array.map (fun k -> nets.(k)) driven in
+  let words = Stimulus.columns p driven in
   let sv = Array.make (p.cycles * m) 0 and sx = Array.make (p.cycles * m) 0 in
   let toggles_before = sum_toggles t and before = stats t in
   Obs.span "sim.kernel.run" (fun () ->
       for c = 0 to p.cycles - 1 do
-        let base = c * n in
         run_cycle t (fun () ->
-            for j = 0 to Array.length driven - 1 do
-              let k = driven.(j) in
-              commit t nets.(k) p.words.(base + k) 0 cm_wake
+            for j = 0 to Array.length driven_nets - 1 do
+              commit t driven_nets.(j) words.(j).(c) 0 cm_wake
             done);
         let at = c * m in
         for j = 0 to m - 1 do
@@ -932,6 +962,300 @@ let run_sampled t (p : Stimulus.packed) sampled =
 let run t p = ignore (run_sampled t p [||] : int array * int array)
 
 let run_streams t streams = run t (Stimulus.pack streams)
+
+(* --- Event plans ------------------------------------------------------
+
+   Clock levels are bytes: a known 0, a known 1, or unknown. *)
+
+let lv_0 = '\000'
+let lv_1 = '\001'
+let lv_x = '\002'
+
+(* [walk lv ~ports ~clock_insts ...] writes into [lv] the level every
+   clock-network net holds after steps 1-2 of an event that leaves the
+   clock port nets at [ports]: a buffer passes its input's level, an
+   inverter negates it, an ICG's GCK is 0 where its CK is 0 (whatever
+   its enable latch holds) and unknown elsewhere, and any other cell
+   gives unknown.  [clock_insts] is in BFS order, so each walked input
+   is set before its reader; nets off the network keep their byte. *)
+let walk lv ~ports ~clock_insts ~opcode ~ins_off ~ins ~out_net =
+  Array.iter (fun (net, level) -> Bytes.set lv net (if level then lv_1 else lv_0)) ports;
+  Array.iter
+    (fun i ->
+      let op = opcode.(i) in
+      Bytes.set lv out_net.(i)
+        (if op = op_buf then Bytes.get lv ins.(ins_off.(i))
+         else if op = op_inv then
+           (let l = Bytes.get lv ins.(ins_off.(i)) in
+            if l = lv_0 then lv_1 else if l = lv_1 then lv_0 else lv_x)
+         else if is_icg_op op && Bytes.get lv ins.(ins_off.(i)) = lv_0 then lv_0
+         else lv_x))
+    clock_insts
+
+(* Plan every event of the period, in order ([changes.(j)] are event
+   [j]'s port nets and levels).  Each plan holds the event's reach: a
+   fixpoint over the clock network marks every instance transitively fed
+   (through any input pin — a sound superset) by the event's port nets,
+   and every register clocked from inside that cone.
+
+   With [gating] it also holds what the event's clock levels ([walk])
+   allow.  A register's update at step 3 writes only on the lanes where
+   it captures (a reset-asserted lane was cleared when its reset came
+   on, through the settle's wake), so:
+   - a latch whose enable the event leaves opaque, and a flip-flop on
+     an event-only clock left at 0, are left out of [ev_seq] (unless
+     they have a reset pin, which could be a clock net);
+   - a flip-flop on an event-only clock needs no previous-clock planes
+     when every event that can move its clock leaves it at 0 or raises
+     it from a known 0 (the level the previous event, cyclically, left;
+     the first event of a run follows [create]'s pre-time-0 state, and
+     both are checked): its opcode becomes [op_ff_ev].
+   Then the nets that can still move during the event's settle: the
+   forward closure from the outputs of the registers that can capture,
+   of logic reading a clock net and of clock-network instances that
+   step 2 evaluated before one of their inputs' drivers, through logic,
+   through ICGs by style (standard: if CK moves; M1: if CK or P3 moves,
+   or EN moves while P3 can be 1; M2: if CK moves, or EN moves while CK
+   can be 1), through latches whose enable or reset moves or whose D
+   moves while they can be transparent, and through flip-flops whose
+   CK or reset moves.  Step 4's wake list leaves out a register woken
+   through its clock or enable pin when no pin it reacts to can move:
+   step 3 updated it (or left it out exactly) whenever that pin's net
+   moved, so each of its evaluations in the settle would write nothing,
+   and an evaluation that writes nothing changes no value and no other
+   unit's place in the worklist. *)
+let plan_events ~gating ~(design : Design.t) ~compiled ~opcode ~ins_off ~ins
+    ~out_net ~live ~net_live ~in_clock ~clock_insts ~seq_insts ~event_only
+    ~rule ~unit_of ~clocks ~just_before_zero changes =
+  let n_nets = max 1 (Design.num_nets design) in
+  let pin i k = ins.(ins_off.(i) + k) in
+  (* a register's reset pin, an M1 ICG's P3 pin *)
+  let has_pin3 i = ins_off.(i + 1) - ins_off.(i) > 2 in
+  (* one mark buffer for every walk below, cleared after each *)
+  let marks = Bytes.make n_nets '\000' in
+  let marked n = Bytes.get marks n <> '\000' in
+  let mark n = Bytes.set marks n '\001' and unmark n = Bytes.set marks n '\000' in
+  let reads_marked i =
+    let hit = ref false in
+    for k = ins_off.(i) to ins_off.(i + 1) - 1 do
+      if marked ins.(k) then hit := true
+    done;
+    !hit
+  in
+  let reach ch =
+    Array.iter (fun (net, _) -> mark net) ch;
+    let grew = ref true in
+    while !grew do
+      grew := false;
+      Array.iter
+        (fun i ->
+          if (not (marked out_net.(i))) && reads_marked i then begin
+            mark out_net.(i);
+            grew := true
+          end)
+        clock_insts
+    done;
+    let ev_insts = filter (fun i -> marked out_net.(i)) clock_insts in
+    let ev_seq = filter (fun i -> marked (pin i 0)) seq_insts in
+    Array.iter (fun (net, _) -> unmark net) ch;
+    Array.iter (fun i -> unmark out_net.(i)) ev_insts;
+    (ev_insts, ev_seq)
+  in
+  let plan ch (ev_insts, ev_seq) ~ev_nets ~ev_wake_off ~ev_wake ~ev_wake_en =
+    { ev_changes = ch; ev_insts; ev_seq; ev_nets; ev_wake_off; ev_wake;
+      ev_wake_en }
+  in
+  (* without gating, an event scans the whole clock network and every
+     register, and wakes every reader of a clock net *)
+  if not gating then
+    Array.map
+      (fun ch ->
+        plan ch ([||], [||]) ~ev_nets:[||] ~ev_wake_off:[||] ~ev_wake:[||]
+          ~ev_wake_en:[||])
+      changes
+  else begin
+    let reaches = Array.map reach changes in
+    let n_events = Array.length changes in
+    (* the live clock ports, and their levels before the first event and
+       after each event *)
+    let ports =
+      Array.of_list
+        (List.filter_map
+           (fun (port, _) ->
+             match Design.find_input design port,
+                   Clock_spec.level_at clocks port just_before_zero with
+             | Some net, Some level
+               when Design.is_clock_port design port
+                    && Bytes.get net_live net <> '\000' ->
+               Some (net, level)
+             | (Some _ | None), _ -> None)
+           clocks.Clock_spec.ports)
+    in
+    let after = Array.make (n_events + 1) ports in
+    Array.iteri
+      (fun j ch ->
+        after.(j + 1) <-
+          Array.map
+            (fun (net, level) ->
+              match Array.find_opt (fun (n, _) -> n = net) ch with
+              | Some (_, l) -> (net, l)
+              | None -> (net, level))
+            after.(j))
+      changes;
+    (* [after.(0)] is the pre-time-0 state; event [j] leaves
+       [after.(j + 1)] *)
+    let walk_to lv j =
+      walk lv ~ports:after.(j) ~clock_insts ~opcode ~ins_off ~ins ~out_net
+    in
+    let lv = Bytes.make n_nets lv_x and prev = Bytes.make n_nets lv_x in
+    (* flip-flops on event-only clocks that some event raises from a
+       level other than a known 0 keep their previous-clock planes *)
+    let keeps_planes = Bytes.make (max 1 (Array.length opcode)) '\000' in
+    let check j ~before =
+      walk_to prev before;
+      walk_to lv (j + 1);
+      Array.iter
+        (fun i ->
+          let ck = pin i 0 in
+          if Bytes.get lv ck <> lv_0 && Bytes.get prev ck <> lv_0 then
+            Bytes.set keeps_planes i '\001')
+        (snd reaches.(j))
+    in
+    for j = 0 to n_events - 1 do
+      check j ~before:j
+    done;
+    if n_events > 0 then check 0 ~before:n_events;
+    Array.iter
+      (fun i ->
+        if opcode.(i) = op_ff && event_only.(pin i 0)
+           && Bytes.get keeps_planes i = '\000'
+        then opcode.(i) <- op_ff_ev)
+      seq_insts;
+    (* which clock-network instances step 2 may evaluate before one of
+       their inputs' drivers *)
+    let early = Bytes.make (max 1 (Array.length opcode)) '\000' in
+    Array.iter
+      (fun i ->
+        for k = ins_off.(i) to ins_off.(i + 1) - 1 do
+          match design.Design.net_driver.(ins.(k)) with
+          | Design.Driven_by (j, _) when in_clock.(j) && not (marked out_net.(j)) ->
+            Bytes.set early i '\001'
+          | Design.Driven_by _ | Design.Driven_by_input _ | Design.Driven_const _
+          | Design.Undriven -> ()
+        done;
+        mark out_net.(i))
+      clock_insts;
+    Array.iter (fun i -> unmark out_net.(i)) clock_insts;
+    let queue = Array.make n_nets 0 and tail = ref 0 in
+    let push n =
+      if not (marked n) then begin
+        mark n;
+        queue.(!tail) <- n;
+        incr tail
+      end
+    in
+    (* the functions below read the levels [lv] of the event planned *)
+    let level n = Bytes.get lv n in
+    (* the register can pass data on some lane after the event *)
+    let can_open i =
+      let l = level (pin i 0) in
+      if compiled.(i).c_op = op_latch_l then l <> lv_1 else l <> lv_0
+    in
+    let can_write i = has_pin3 i || can_open i in
+    (* a move of net [n] can move instance [i]'s output: any input of
+       logic; the clock or enable pin, a register's reset and an M1
+       ICG's P3 always; an M1 ICG's EN while P3 can be 1, an M2 ICG's EN
+       while CK can be 1 and a latch's D while it can be transparent *)
+    let moves i n =
+      let op = compiled.(i).c_op and off = ins_off.(i) in
+      op <= op_prog || n = ins.(off)
+      || (has_pin3 i && n = ins.(off + 2))
+      || n = ins.(off + 1)
+         && (if op = op_icg_m1 then (not (has_pin3 i)) || level ins.(off + 2) <> lv_0
+             else if op = op_icg_m2 then level ins.(off) <> lv_0
+             else (op = op_latch_h || op = op_latch_l) && can_open i)
+    in
+    let rec spread n = function
+      | [] -> ()
+      | (i, _) :: rest ->
+        if live i && moves i n then push out_net.(i);
+        spread n rest
+    in
+    (* a reader of clock net [w] whose output can move in the settle
+       whatever step 3 did: logic, a register reading [w] through
+       another pin, and a clock-network instance step 2 may evaluate
+       early *)
+    let rec seed w = function
+      | [] -> ()
+      | (i, _) :: rest ->
+        if live i then
+          if is_seq_op compiled.(i).c_op then begin
+            if pin i 0 <> w then push out_net.(i)
+          end
+          else if (not in_clock.(i)) || Bytes.get early i <> '\000' then
+            push out_net.(i);
+        seed w rest
+    in
+    let writes_in_settle i =
+      let hit = ref false in
+      for k = ins_off.(i) to ins_off.(i + 1) - 1 do
+        if marked ins.(k) && moves i ins.(k) then hit := true
+      done;
+      !hit
+    in
+    (* [fo]'s entries of clock net [net], less the registers woken
+       through their clock pin that no moving net can make write *)
+    let rec wakes f w net = function
+      | [] -> ()
+      | (i, _) :: rest ->
+        if live i && rule.(i) <> -2
+           && not (is_seq_op compiled.(i).c_op && pin i 0 = net
+                   && not (writes_in_settle i))
+        then f w i;
+        wakes f w net rest
+    in
+    Array.mapi
+      (fun j ch ->
+        let ev_insts, ev_seq = reaches.(j) in
+        walk_to lv (j + 1);
+        let ev_nets =
+          Array.append (Array.map fst ch) (Array.map (fun i -> out_net.(i)) ev_insts)
+        in
+        (* the settle's moving nets: the forward closure of the outputs
+           of the registers that can capture and of [seed]'s readers *)
+        tail := 0;
+        Array.iter (fun i -> if can_write i then push out_net.(i)) ev_seq;
+        Array.iter (fun w -> seed w design.Design.net_sinks.(w)) ev_nets;
+        let head = ref 0 in
+        while !head < !tail do
+          let n = queue.(!head) in
+          incr head;
+          spread n design.Design.net_sinks.(n)
+        done;
+        (* step 4's wake list, in [fo]'s order *)
+        let entries f =
+          Array.iteri (fun w net -> wakes f w net design.Design.net_sinks.(net)) ev_nets
+        in
+        let ev_wake_off = Array.make (Array.length ev_nets + 1) 0 in
+        entries (fun w _ -> ev_wake_off.(w + 1) <- ev_wake_off.(w + 1) + 1);
+        for w = 1 to Array.length ev_nets do
+          ev_wake_off.(w) <- ev_wake_off.(w) + ev_wake_off.(w - 1)
+        done;
+        let n_wake = ev_wake_off.(Array.length ev_nets) in
+        let ev_wake = Array.make n_wake 0 and ev_wake_en = Array.make n_wake 0 in
+        let k = ref 0 in
+        entries (fun _ i ->
+            ev_wake.(!k) <- unit_of.(i);
+            ev_wake_en.(!k) <- rule.(i);
+            incr k);
+        for q = 0 to !tail - 1 do
+          unmark queue.(q)
+        done;
+        (* an [op_ff] flip-flop still syncs its previous clock *)
+        let ev_seq = filter (fun i -> can_write i || opcode.(i) = op_ff) ev_seq in
+        plan ch (ev_insts, ev_seq) ~ev_nets ~ev_wake_off ~ev_wake ~ev_wake_en)
+      changes
+  end
 
 (* --- Creation --------------------------------------------------------- *)
 
@@ -1168,18 +1492,8 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
   in
   let input_index = Hashtbl.create (List.length input_nets) in
   List.iter (fun (p, n) -> Hashtbl.replace input_index p n) input_nets;
-  (* resolve the period's clock events to nets and split them around the
-     first rising edge once, instead of per cycle *)
-  let period_events = Clock_spec.events clocks in
-  let first_rise =
-    List.fold_left
-      (fun acc (time, changes) ->
-        match acc with
-        | Some _ -> acc
-        | None -> if List.exists snd changes then Some time else None)
-      None period_events
-  in
-  let threshold = Option.value ~default:(-1.0) first_rise in
+  (* resolve the period's clock events to nets once, instead of per
+     cycle *)
   let resolve changes =
     Array.of_list
       (List.filter_map
@@ -1189,47 +1503,48 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
            | Some _ | None -> None)
          changes)
   in
-  (* statically plan each event's reachable clock cone: a fixpoint over
-     the clock network marks every instance transitively fed (through
-     any input pin — a sound superset) by the event's port nets, and
-     every sequential element clocked from inside that cone.  Everything
-     else is predicted cold and never scanned at runtime. *)
-  let plan_event changes =
-    let hot = Array.make (max 1 n_nets) false in
-    Array.iter (fun (net, _) -> hot.(net) <- true) changes;
-    let in_ev = Array.make (max 1 n_insts) false in
-    let grew = ref true in
-    while !grew do
-      grew := false;
+  let period_events = Clock_spec.events clocks in
+  let events =
+    Array.of_list (List.map (fun (time, ch) -> (time, resolve ch)) period_events)
+  in
+  let just_before_zero = clocks.Clock_spec.period *. (1.0 -. 1e-7) in
+  let plans =
+    plan_events ~gating ~design ~compiled ~opcode ~ins_off ~ins ~out_net ~live
+      ~net_live ~in_clock ~clock_insts ~seq_insts ~event_only ~rule ~unit_of
+      ~clocks ~just_before_zero (Array.map snd events)
+  in
+  (* split the events around the period's first rising edge, of any
+     clock port, in the cone or not *)
+  let first_rise =
+    List.fold_left
+      (fun acc (time, changes) ->
+        match acc with
+        | Some _ -> acc
+        | None -> if List.exists snd changes then Some time else None)
+      None period_events
+  in
+  let threshold = Option.value ~default:(-1.0) first_rise in
+  let split pre =
+    List.filteri
+      (fun j _ -> (fst events.(j) <= threshold +. 1e-9) = pre)
+      (Array.to_list plans)
+  in
+  let ev_pre = split true and ev_post = split false in
+  (* previous clock planes for the flip-flops that kept [op_ff] *)
+  let n_pv = ref 0 in
+  let pv_at =
+    if Array.exists (fun i -> opcode.(i) = op_ff) seq_insts then begin
+      let a = Array.make n_insts (-1) in
       Array.iter
         (fun i ->
-          if (not in_ev.(i)) && not (is_seq_op compiled.(i).c_op) then
-            if List.exists (fun n -> hot.(n)) compiled.(i).c_ins then begin
-              in_ev.(i) <- true;
-              hot.(compiled.(i).c_out) <- true;
-              grew := true
-            end)
-        clock_insts
-    done;
-    let ev_insts = filter (fun i -> in_ev.(i)) clock_insts in
-    { ev_changes = changes;
-      ev_insts;
-      ev_outs = Array.map (fun i -> out_net.(i)) ev_insts;
-      ev_seq = filter (fun i -> hot.(ins.(ins_off.(i)))) seq_insts }
-  in
-  let ev_pre =
-    List.filter_map
-      (fun (time, ch) ->
-        if time <= threshold +. 1e-9 then Some (plan_event (resolve ch))
-        else None)
-      period_events
-  in
-  let ev_post =
-    List.filter_map
-      (fun (time, ch) ->
-        if time > threshold +. 1e-9 then Some (plan_event (resolve ch))
-        else None)
-      period_events
+          if opcode.(i) = op_ff then begin
+            a.(i) <- !n_pv;
+            incr n_pv
+          end)
+        seq_insts;
+      a
+    end
+    else [||]
   in
   let t = {
     design;
@@ -1247,8 +1562,9 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
     out_net;
     st_v = Array.make (max 1 n_insts) 0;
     st_x = Array.make (max 1 n_insts) (match init with `Zero -> 0 | `X -> mask);
-    pv_v = Array.make (max 1 n_insts) 0;
-    pv_x = Array.make (max 1 n_insts) mask;
+    pv_at;
+    pv_v = Array.make !n_pv 0;
+    pv_x = Array.make !n_pv mask;
     prog_off;
     prog;
     prog_sv = Array.make (!max_depth + 1) 0;
@@ -1298,7 +1614,6 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
     design.Design.net_driver;
   (* establish the pre-time-0 state, mirroring Engine.create step for
      step so lane 0's toggle counters stay bit-exact with the engine *)
-  let just_before_zero = clocks.Clock_spec.period *. (1.0 -. 1e-7) in
   List.iter
     (fun (port, _) ->
       match Design.find_input design port,
@@ -1315,8 +1630,10 @@ let create ?(init = `Zero) ?(fuse = true) ?(gating = true) ?observe design
     (fun i ->
       let clk = t.ins.(t.ins_off.(i)) in
       let q = t.out_net.(i) in
-      t.pv_v.(i) <- t.v.(clk);
-      t.pv_x.(i) <- t.x.(clk);
+      if t.opcode.(i) = op_ff then begin
+        t.pv_v.(t.pv_at.(i)) <- t.v.(clk);
+        t.pv_x.(t.pv_at.(i)) <- t.x.(clk)
+      end;
       t.v.(q) <- t.st_v.(i);
       t.x.(q) <- t.st_x.(i))
     t.seq_insts;

@@ -22,7 +22,7 @@
     [popcount ((prev lxor next) land known)]; lane 0 keeps a separate
     scalar counter so it can be cross-checked against the engine.
 
-    Four compile-time/runtime optimisations keep the kernel faster than
+    Five compile-time/runtime optimisations keep the kernel faster than
     the scalar engine per full cycle, not just per lane-cycle:
 
     - {b gate fusion}: maximal single-fanout trees of combinational
@@ -34,10 +34,12 @@
       elements and fanout cones hanging off idle clock branches; each
       event additionally carries a statically planned reachable cone,
       so predicted-cold sequential cones are never even scanned;
-    - {b packed stimulus}: a {!Stimulus.draw} already holds one word
-      per cycle and input with every lane's value, so a cycle commits
-      each input's word as it is, with the input names resolved to
-      nets once per run;
+    - {b packed stimulus}: a {!Stimulus.draw} holds one word per cycle
+      and input with every lane's value, so a cycle commits each
+      input's word as it is, with the input names resolved to nets once
+      per run; a run draws only the columns of the inputs its cone
+      reads ({!Stimulus.columns}), and a draw read by several kernels
+      draws each column once;
     - {b wake rules}: a register is not woken for a pin change it
       cannot react to.  An event-only net changes only at a clock
       event: a design clock port, the output of a clock buffer or
@@ -57,7 +59,34 @@
       outputs, glitches and toggle counts are those of every wake.
       Registers with a reset pin keep every wake, since a reset
       asserted later in a settle would re-queue them at another
-      position.
+      position;
+    - {b event plans}: {!create} walks the clock network once per
+      clock event of the period, from the clock spec's port levels,
+      3-valued: a buffer passes its input's level, an inverter negates
+      it, and an ICG's GCK is 0 where its CK is 0 and unknown elsewhere.
+      That gives the levels the event leaves.  A register's update at
+      step 3 writes only on the lanes where it captures (a lane under
+      reset was cleared when the reset came on), so step 3 skips a
+      latch the event leaves opaque and a flip-flop on an event-only
+      clock left at 0 (a register with a reset pin, which could be a
+      clock net, is always updated).  When every event that can move
+      such a flip-flop's clock leaves it at 0 or raises it from a known
+      0, the flip-flop keeps no previous-clock planes: it captures at a rising
+      event on its clock's known-1 lanes, and never in a settle.  The
+      plan also holds the nets that can still move during the event's
+      settle: the forward closure from the outputs of the registers that
+      can capture (and of logic reading a clock net), through logic,
+      through ICGs by style (standard: if CK moves; M1: if CK or P3
+      moves, or EN moves while P3 can be 1; M2: if CK moves, or EN
+      moves while CK can be 1), through latches that can be transparent
+      after the event, and through flip-flops whose CK or reset moves.
+      Step 4 wakes the event's clock-net readers from a precomputed
+      list that leaves out a register step 3 handled when no pin it
+      reacts to can move in that settle.  Each dropped update or
+      evaluation would write nothing, and a dropped register cannot be
+      made to write later in the settle, so no evaluation that writes
+      changes its place in the worklist: every value, glitch and toggle
+      is that of every update and every wake, on every lane.
 
     Lane values are fully independent: with identical stimulus, lane 0
     is bit-exact against {!Engine} — same outputs and same per-net
@@ -99,9 +128,11 @@ val max_lanes : int
     the engine: [`Zero] resets all state and inputs to 0, [`X] starts
     everything unknown.  [fuse] and [gating] disable gate fusion and
     clock-event activity gating; both exist for differential testing
-    and default to on.  [gating] also switches the wake rules and the
-    release of changed registers only, so [~gating:false] evaluates
-    every wake and releases every register.  [observe] (default: every
+    and default to on.  [gating] also switches the wake rules, the
+    event plans and the release of changed registers only, so
+    [~gating:false] is the reference path: every event updates every
+    register and wakes every reader of a clock net, every wake is
+    evaluated and every register is released.  [observe] (default: every
     net) restricts the kernel to the cone of those nets (see "Cones"
     above): the cone's nets keep the whole-design values and toggles,
     the rest are unspecified, and {!run_sampled} refuses them.  Fusion
@@ -129,16 +160,18 @@ val run_cycle_broadcast : t -> (string * Logic.t) list -> unit
 
 (** [run t p] drives one lane of [p] per kernel lane, one cycle per
     cycle of [p] as in {!run_cycle_broadcast}.  [p.inputs] resolve to
-    nets once; each cycle then commits each input's word as it is, in
-    [p.inputs] order ({!Stimulus.inputs_of} gives the design's input
-    order).  Inputs [p] does not list keep their values.  Records a
+    nets once, and the columns of the inputs in the cone are drawn
+    ({!Stimulus.columns}); each cycle then commits each of those
+    inputs' word as it is, in [p.inputs] order ({!Stimulus.inputs_of}
+    gives the design's input order).  Inputs [p] does not list keep their values.  Records a
     [sim.kernel.run] span and the [sim.kernel.*] run counters.  Raises
     [Invalid_argument] unless [p] has {!max_lanes} lanes, or when it
     names an input the design does not have.  The counters are
     [sim.kernel.cycles], [lane_cycles], [toggles] (the toggles of the
     nets in the cone, since no other net is updated), [waves_skipped],
     [cones_skipped] (registers in the cone that a clock event did not
-    update) and [evals]; the run's settle-wave sizes go to the
+    update, whether their clock did not move or the event's plan left
+    them out) and [evals]; the run's settle-wave sizes go to the
     [sim.kernel.wave.units] histogram at its end, one weighted sample
     per size. *)
 val run : t -> Stimulus.packed -> unit
@@ -181,10 +214,11 @@ val toggles_lane0 : t -> int array
 
 (** Compile-time and runtime effectiveness counters: execution units
     after fusion, instances absorbed as fused members, settle waves that
-    had nothing to evaluate (the wake rules empty some), sequential
-    cones in the cone of the observed nets skipped at clock events
-    because their clock net did not move (equivalently: did not
-    capture), and units the settle loop evaluated.  The runtime ones
+    had nothing to evaluate (the wake rules and event plans empty some),
+    registers in the cone of the observed nets that a clock event did
+    not update, because their clock net did not move or because the
+    event's plan shows the update cannot write, and units the settle
+    loop evaluated.  The runtime ones
     count from the end of {!create}. *)
 type stats = {
   units : int;

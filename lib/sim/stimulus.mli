@@ -3,9 +3,12 @@
     programs).
 
     A stream comes in two forms.  {!draw} is the lane-packed one: for up
-    to {!max_lanes} seeds it fills one [int] word per cycle and input,
+    to {!max_lanes} seeds it holds one [int] word per cycle and input,
     bit [l] holding lane [l]'s value, and {!Kernel.run} commits those
-    words as they are.  The list form {!t} is what {!Engine} reads; the
+    words as they are.  Its words are drawn one input column at a time,
+    on demand: a kernel draws only the inputs its cone reads, and a
+    draw shared by several kernels, on one domain or several, draws
+    each column once.  The list form {!t} is what {!Engine} reads; the
     generators {!random}, {!profiled} and {!bursty} return lane 0 of a
     one-seed draw, so there is one draw order for both forms: lane [l]
     of a draw equals the list stream of its seed. *)
@@ -25,14 +28,18 @@ type shape =
           then [idle_len] idle cycles where an input toggles with
           probability 0.01 — the shape of the CEP self-check programs *)
 
-(** A lane-packed draw.  [words.(c * Array.length inputs + k)] holds
-    input [inputs.(k)] in cycle [c], bit [l] for lane [l] ([lanes]
-    lanes; higher bits are 0).  Values are 0 or 1, never X. *)
+(** The words of a draw, one column per input, each filled once, on
+    first use; read them with {!columns} and {!words}. *)
+type columns
+
+(** A lane-packed draw of [lanes] lanes over [cycles] cycles of
+    [inputs].  Input [inputs.(k)]'s word in cycle [c] holds lane [l]'s
+    value in bit [l] (higher bits are 0); values are 0 or 1, never X. *)
 type packed = private {
   inputs : string array;
   lanes : int;
   cycles : int;
-  words : int array;
+  columns : columns;
 }
 
 (** Most lanes one draw holds: 63, one bit of an OCaml immediate int
@@ -43,11 +50,30 @@ val max_lanes : int
     lane starts every input at a random value and from the second cycle
     on toggles it with the probability [shape] gives, from its own
     generator seeded by [seeds.(l)], in [inputs] order.  Deterministic in
-    the seeds.  Records a [sim.stimulus.build] span and adds
-    [cycles * List.length inputs] to the [sim.stimulus.words] counter.
+    the seeds.
+
+    The generator is counter-based (splitmix64): a lane's [j]-th draw is
+    [mix (s0 + (j + 1) * gamma)], [s0] its seed's state, and input [k]'s
+    word in cycle [c] takes each lane's draw [c * n + k] of [n] inputs.
+    So [draw] itself draws nothing: each input's column is drawn on its
+    own the first time {!columns}, {!words} or {!lane} reads it,
+    bit-identical to a draw of every column, and once per draw,
+    whichever kernels or domains read it (a lock guards the fill).
     Raises [Invalid_argument] for more than {!max_lanes} seeds or a
     negative [cycles]; [cycles = 0] gives an empty draw. *)
 val draw : seeds:int array -> cycles:int -> shape -> string list -> packed
+
+(** [columns p ks] is, for each [k] of [ks], input [p.inputs.(k)]'s word
+    in every cycle ([cycles] words).  The columns not yet filled are
+    drawn now, under one [sim.stimulus.build] span, adding [cycles] per
+    column to the [sim.stimulus.words] counter: the counter counts the
+    words actually drawn.  The arrays are the draw's own; do not write
+    them.  Safe to call from several domains at once. *)
+val columns : packed -> int array -> int array array
+
+(** Every word of [p], cycle-major: element [c * Array.length p.inputs
+    + k] is input [k]'s word in cycle [c].  Fills every column. *)
+val words : packed -> int array
 
 (** [lane p l] is lane [l] of [p] as a list stream: every input of
     [p.inputs], in order, in every cycle. *)

@@ -70,6 +70,31 @@ let test_runner_shares_one_draw () =
       ("3p", r.Experiments.Runner.threep,
        Phase3.Flow.clocks_of r.Experiments.Runner.flow.Phase3.Flow.config) ]
 
+(* the runner's variants may run on two domains and share one draw:
+   the tables and the words drawn do not depend on the domain count *)
+let test_runner_jobs_determinism () =
+  let b = Option.get (Circuits.Suite.find "s1196") in
+  let saved = Sys.getenv_opt "THREEPHASE_JOBS" in
+  let run jobs =
+    Unix.putenv "THREEPHASE_JOBS" jobs;
+    Obs.reset ();
+    let r = Experiments.Runner.run ~cycles:48 b in
+    let tables =
+      List.map Report.Table.render
+        (Experiments.Tables.table1 [r] @ Experiments.Tables.table2 [r])
+    in
+    (tables, Obs.counter_of "sim.stimulus.words")
+  in
+  let one = run "1" and two = run "2" in
+  Unix.putenv "THREEPHASE_JOBS"
+    (match saved with
+     | Some v -> v
+     | None -> string_of_int (Domain.recommended_domain_count ()));
+  Obs.reset ();
+  check Alcotest.(list string) "tables" (fst one) (fst two);
+  check Alcotest.int "stimulus words" (snd one) (snd two);
+  if snd one = 0 then Alcotest.fail "the runner drew no stimulus"
+
 (* the measurement refuses a draw over other inputs, or over the
    design's inputs in another order *)
 let test_measure_refuses_other_inputs () =
@@ -107,5 +132,7 @@ let suite =
     Alcotest.test_case "report table layout" `Quick test_report_table_layout;
     Alcotest.test_case "runner shares one draw" `Quick
       test_runner_shares_one_draw;
+    Alcotest.test_case "runner tables and draws do not depend on jobs" `Quick
+      test_runner_jobs_determinism;
     Alcotest.test_case "measure refuses another design's draw" `Quick
       test_measure_refuses_other_inputs ]

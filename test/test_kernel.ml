@@ -145,9 +145,12 @@ let observe_subset rng d =
    or a toggle count on any lane.  Nor does a cone: a kernel that
    observes a random subset of nets, with fusion and gating on or off,
    samples and counts on those nets what the whole-design kernel does.
-   Each seed checks a flip-flop design with standard ICGs, its 3-phase
-   conversion and the flow's clock-gated result, which adds M1 and M2
-   ICGs, on 63 lanes of one draw *)
+   Gating also switches the event plans, so this holds every plan to
+   the reference path.  Each seed checks a flip-flop design with
+   standard ICGs, its master-slave and 3-phase conversions and the
+   flow's clock-gated result, which adds M1 and M2 ICGs (both on 999
+   of the 1001 seeds the property draws from), on 63 lanes of one
+   draw *)
 let prop_fusion_gating_equivalence =
   QCheck.Test.make ~name:"fusion/gating on-off equivalence" ~count:10
     QCheck.(int_range 0 1000)
@@ -161,11 +164,14 @@ let prop_fusion_gating_equivalence =
       in
       let flow = Phase3.Flow.run ~config d in
       let three_phase = Phase3.Flow.clocks_of config in
+      let ff_clocks = Phase3.Flow.reference_clocks d ~period:1.0 in
       let designs =
-        [ ("ff", d, Phase3.Flow.reference_clocks d ~period:1.0);
+        [ ("ff", d, ff_clocks);
+          ("ms", Phase3.Master_slave.convert d, ff_clocks);
           ("3p", flow.Phase3.Flow.converted, three_phase);
           ("gated", flow.Phase3.Flow.final, three_phase) ]
       in
+
       List.iter
         (fun (style, d, clocks) ->
           let stimulus =
@@ -338,6 +344,58 @@ let test_observe_one_half () =
     b.Sim.Kernel.stat_waves_skipped;
   check Alcotest.int "cones skipped" a.Sim.Kernel.stat_cones_skipped
     b.Sim.Kernel.stat_cones_skipped
+
+(* Inputs commit after the period's first rising edge of any clock
+   port, in the cone or not.  A kernel observing one output, whose cone
+   may not read [p1] (the cones of converted mulpipe's outputs read
+   [p2] and [p3] only), samples that output and counts every net it
+   updates as the whole-design kernel does *)
+let test_observe_one_output () =
+  let config period =
+    { (Phase3.Flow.default_config ~period) with
+      Phase3.Flow.verify_equivalence = false;
+      activity_cycles = 64;
+      lint = false }
+  in
+  let converted period d = (Phase3.Flow.run ~config:(config period) d).Phase3.Flow.final in
+  let mulpipe =
+    let ic = open_in "../examples/rtl/mulpipe.sv" in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Elab.Elaborate.read ~file:"mulpipe.sv" ~library:lib src
+  in
+  List.iter
+    (fun (label, d, period) ->
+      let clocks = Phase3.Flow.clocks_of (config period) in
+      let stimulus =
+        Sim.Stimulus.draw
+          ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> 300 + l))
+          ~cycles:16 (Sim.Stimulus.Uniform 0.4) (Sim.Stimulus.inputs_of d)
+      in
+      let outs = Array.of_list (List.map snd d.Netlist.Design.primary_outputs) in
+      let whole = Sim.Kernel.create d ~clocks in
+      let sv, sx = Sim.Kernel.run_sampled whole stimulus outs in
+      let m = Array.length outs in
+      Array.iteri
+        (fun j n ->
+          let k = Sim.Kernel.create ~observe:[| n |] d ~clocks in
+          let ov, ox = Sim.Kernel.run_sampled k stimulus [| n |] in
+          Array.iteri
+            (fun c v ->
+              if v <> sv.((c * m) + j) || ox.(c) <> sx.((c * m) + j) then
+                Alcotest.failf "%s output %s cycle %d: cone and whole differ"
+                  label (Netlist.Design.net_name d n) c)
+            ov;
+          Array.iteri
+            (fun net t ->
+              if t <> 0 && t <> (Sim.Kernel.toggles whole).(net) then
+                Alcotest.failf "%s output %s: net %s toggles %d in the cone, %d whole"
+                  label (Netlist.Design.net_name d n) (Netlist.Design.net_name d net)
+                  t (Sim.Kernel.toggles whole).(net))
+            (Sim.Kernel.toggles k))
+        outs)
+    [ ("mulpipe", converted 2.0 mulpipe, 2.0);
+      ("gen-1", converted 1.0 (Circuits.Generator.synthesize (gen_spec 1)), 1.0) ]
 
 (* different stimulus on every lane: each lane reproduces its dedicated
    scalar run, lane 0's toggles match that run's, and the kernel's
@@ -647,6 +705,34 @@ let test_latch_on_logic_clock () =
       B.add_output b "y" q;
       B.add_output b "y2" q2)
 
+(* A same-phase path re-wakes latches: at p1's rise [la] captures what
+   the p3 latch [c] holds, and its new Q reaches the p1 latches [l1]
+   (through three buffers) and [l2] (through an inverter) within the
+   settle.  Step 4 wakes [l1] and [l2] with the enable: each keeps the
+   worklist slot it takes there, so the AND sees their new Qs in that
+   order.  A kernel that leaves out those wakes evaluates them when
+   their D moves instead, in another order, and counts other glitches
+   on [y]. *)
+let test_same_phase_rewake () =
+  against_engine "rewake" ~clocks:three_phase_clocks (fun b ->
+      let p1, _, p3 = phase_ports b in
+      let a = B.add_input b "a" in
+      let qc = B.fresh_net b "qc" and qa = B.fresh_net b "qa" in
+      let b1 = B.fresh_net b "b1" and b2 = B.fresh_net b "b2" in
+      let b3 = B.fresh_net b "b3" and na = B.fresh_net b "na" in
+      let q1 = B.fresh_net b "q1" and q2 = B.fresh_net b "q2" in
+      let y = B.fresh_net b "y" in
+      cell b "c" "LATH_X1" [("E", p3); ("D", a); ("Q", qc)];
+      cell b "la" "LATH_X1" [("E", p1); ("D", qc); ("Q", qa)];
+      cell b "u1" "BUF_X2" [("A", qa); ("Z", b1)];
+      cell b "u2" "BUF_X2" [("A", b1); ("Z", b2)];
+      cell b "u3" "BUF_X2" [("A", b2); ("Z", b3)];
+      cell b "l1" "LATH_X1" [("E", p1); ("D", b3); ("Q", q1)];
+      cell b "n" "INV_X1" [("A", qa); ("ZN", na)];
+      cell b "l2" "LATH_X1" [("E", p1); ("D", na); ("Q", q2)];
+      cell b "and" "AND2_X1" [("A1", q1); ("A2", q2); ("Z", y)];
+      B.add_output b "y" y)
+
 (* the rules fire: the converted s5378 (standard, M1 and M2 ICGs) runs
    the same lanes with fewer unit evaluations than with every wake *)
 let test_wake_rules_fire () =
@@ -827,6 +913,8 @@ let suite =
       `Quick test_observe_refuses_outside;
     Alcotest.test_case "observe: one half's cone works as that half alone"
       `Quick test_observe_one_half;
+    Alcotest.test_case "observe: one output's cone commits inputs on time"
+      `Quick test_observe_one_output;
     Alcotest.test_case "heterogeneous lanes" `Quick test_heterogeneous_lanes;
     QCheck_alcotest.to_alcotest prop_packed_run_matches_engine;
     Alcotest.test_case "run_streams adapter = packed run" `Quick
@@ -848,6 +936,8 @@ let suite =
     Alcotest.test_case "wake rules: release order" `Quick test_release_order;
     Alcotest.test_case "wake rules: latch on a logic clock" `Quick
       test_latch_on_logic_clock;
+    Alcotest.test_case "event plans: same-phase latches keep their re-wake"
+      `Quick test_same_phase_rewake;
     Alcotest.test_case "wake rules fire on converted s5378" `Quick
       test_wake_rules_fire;
     Alcotest.test_case "settle histogram flushed per run" `Quick

@@ -263,6 +263,54 @@ let test_builder_repeated_pin () =
     check Alcotest.string "message"
       "Builder.add_instance u: pin A connected twice" msg
 
+(* In a file with DFFs, INPUT(clock) declares the implicit clock port:
+   the design converts on one clock, and a DFF reading the clock is the
+   validate stage's refusal *)
+let test_bench_implicit_clock () =
+  let parse src = Netlist_io.Bench_format.parse ~name:"ck" ~library:lib src in
+  let config = Phase3.Flow.default_config ~period:1.0 in
+  let d = parse "INPUT(clock)\nINPUT(a)\nOUTPUT(y)\ny = DFF(a)\n" in
+  check Alcotest.(list string) "clock ports" [ "clock" ] d.Netlist.Design.clock_ports;
+  check Alcotest.(list string) "inputs" [ "clock"; "a" ]
+    (List.map fst d.Netlist.Design.primary_inputs);
+  (match (Phase3.Flow.run ~config d).Phase3.Flow.equivalence with
+   | Some (Sim.Equivalence.Equivalent _) -> ()
+   | Some (Sim.Equivalence.Mismatch _) | None -> Alcotest.fail "not equivalent");
+  match Phase3.Flow.run ~config (parse "INPUT(clock)\nOUTPUT(y)\ny = DFF(clock)\n") with
+  | _ -> Alcotest.fail "a DFF reading the clock converted"
+  | exception Phase3.Flow.Flow_error msg ->
+    if not (Qor.Diff.contains msg "validate stage: data logic reads clock net clock")
+    then Alcotest.failf "refused by another stage: %s" msg
+
+(* a port that is both an input and an output is refused: by each
+   reader with its location, and by the builder *)
+let test_port_both_ways () =
+  (match
+     Netlist_io.Bench_format.parse ~name:"io" ~library:lib "INPUT(a)\nOUTPUT(a)\n"
+   with
+   | _ -> Alcotest.fail ".bench: accepted"
+   | exception Netlist_io.Bench_format.Error msg ->
+     check Alcotest.string ".bench" "line 2: a is both an INPUT and an OUTPUT" msg);
+  (match
+     Netlist_io.Verilog.parse ~file:"io.v" ~library:lib
+       "module io (a);\n  input a;\n  output a;\nendmodule\n"
+   with
+   | _ -> Alcotest.fail "Verilog: accepted"
+   | exception Netlist_io.Verilog.Error (Some loc, msg) ->
+     check Alcotest.(pair int int) "Verilog position" (3, 3)
+       (loc.Netlist_io.Srcloc.line, loc.Netlist_io.Srcloc.col);
+     if not (Qor.Diff.contains msg "a is declared both input and output") then
+       Alcotest.failf "Verilog: %S" msg
+   | exception Netlist_io.Verilog.Error (None, msg) ->
+     Alcotest.failf "Verilog: unlocated: %s" msg);
+  let b = Netlist.Builder.create ~name:"io" ~library:lib in
+  let a = Netlist.Builder.add_input b "a" in
+  match Netlist.Builder.add_output b "a" a with
+  | () -> Alcotest.fail "builder: accepted"
+  | exception Invalid_argument msg ->
+    check Alcotest.string "builder" "Builder.add_output: a is already an input port"
+      msg
+
 let suite =
   suite
   @ [ Alcotest.test_case "verilog connection errors are located" `Quick
@@ -270,4 +318,8 @@ let suite =
       Alcotest.test_case "bench errors name their line" `Quick
         test_bench_more_errors;
       Alcotest.test_case "builder refuses a repeated pin" `Quick
-        test_builder_repeated_pin ]
+        test_builder_repeated_pin;
+      Alcotest.test_case "bench INPUT(clock) is the implicit clock" `Quick
+        test_bench_implicit_clock;
+      Alcotest.test_case "a port both input and output is refused" `Quick
+        test_port_both_ways ]

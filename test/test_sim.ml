@@ -219,7 +219,7 @@ let test_stimulus_negative_cycles () =
     Sim.Stimulus.draw ~seeds:[| 1 |] ~cycles:0 (Sim.Stimulus.Uniform 0.5) ["a"]
   in
   check Alcotest.int "0 cycles" 0 empty.Sim.Stimulus.cycles;
-  check Alcotest.int "no words" 0 (Array.length empty.Sim.Stimulus.words)
+  check Alcotest.int "no words" 0 (Array.length (Sim.Stimulus.words empty))
 
 (* the draw order pinned: each cycle one Logic.to_char per input, cycles
    joined with newlines, MD5 in hex *)
@@ -254,7 +254,7 @@ let test_stimulus_golden () =
          (Digest.string
             (String.concat ","
                (Array.to_list
-                  (Array.map string_of_int p.Sim.Stimulus.words)))))
+                  (Array.map string_of_int (Sim.Stimulus.words p))))))
   in
   words_digest "63 lanes uniform" "c44f4fd12467061fce0443458e921038"
     (Sim.Stimulus.draw ~seeds:(Array.init 63 (fun l -> 1 + l)) ~cycles:512
@@ -264,6 +264,36 @@ let test_stimulus_golden () =
        (Sim.Stimulus.Bursty
           { burst_len = 48; idle_len = 16; toggle_probability = 0.35 })
        inputs)
+
+(* a draw fills each input column on first use, alone, with the words
+   a draw of every column has there; the counter counts each column's
+   words once, and a second read draws nothing *)
+let test_stimulus_columns_on_demand () =
+  let inputs = List.init 9 (Printf.sprintf "in%d") in
+  let seeds = Array.init 63 (fun l -> 1 + l) and cycles = 96 in
+  List.iter
+    (fun shape ->
+      let all = Sim.Stimulus.words (Sim.Stimulus.draw ~seeds ~cycles shape inputs) in
+      List.iter
+        (fun k ->
+          let p = Sim.Stimulus.draw ~seeds ~cycles shape inputs in
+          Obs.reset ();
+          let col = (Sim.Stimulus.columns p [| k; k |]).(0) in
+          check Alcotest.int "one column's words" cycles
+            (Obs.counter_of "sim.stimulus.words");
+          Array.iteri
+            (fun c w ->
+              if w <> all.((c * 9) + k) then
+                Alcotest.failf "input %d cycle %d: %x alone, %x in the full draw"
+                  k c w all.((c * 9) + k))
+            col;
+          ignore (Sim.Stimulus.columns p [| k; k |]);
+          check Alcotest.int "no second fill" cycles
+            (Obs.counter_of "sim.stimulus.words"))
+        [ 0; 4; 8 ])
+    [ Sim.Stimulus.Uniform 0.25;
+      Sim.Stimulus.Bursty { burst_len = 10; idle_len = 6; toggle_probability = 0.4 } ];
+  Obs.reset ()
 
 (* lane l of a packed draw is the list stream of seeds.(l), for every
    shape, including empty streams and designs without inputs *)
@@ -307,15 +337,20 @@ let prop_packed_lanes_match_lists =
             Alcotest.failf "lane %d (seed %d) differs from its list stream" l seed)
         seeds;
       (* bits above the last lane stay clear *)
+      let words = Sim.Stimulus.words p in
       Array.iter
         (fun w ->
           if w lsr lanes <> 0 then
             Alcotest.failf "word %x has bits above lane %d" w lanes)
-        p.Sim.Stimulus.words;
+        words;
       (* packing the lanes back gives the draw (an empty stream has no
          cycle to take the port names from) *)
       cycles = 0 || lanes = 0
-      || Sim.Stimulus.pack (Array.init lanes (Sim.Stimulus.lane p)) = p)
+      ||
+      let q = Sim.Stimulus.pack (Array.init lanes (Sim.Stimulus.lane p)) in
+      q.Sim.Stimulus.inputs = p.Sim.Stimulus.inputs
+      && q.Sim.Stimulus.lanes = lanes && q.Sim.Stimulus.cycles = cycles
+      && Sim.Stimulus.words q = words)
 
 (* --- Equivalence --- *)
 
@@ -619,6 +654,8 @@ let suite =
     Alcotest.test_case "stimulus refuses negative cycles" `Quick
       test_stimulus_negative_cycles;
     QCheck_alcotest.to_alcotest prop_packed_lanes_match_lists;
+    Alcotest.test_case "stimulus columns fill on demand" `Quick
+      test_stimulus_columns_on_demand;
     Alcotest.test_case "equivalence shift" `Quick test_equivalence_shift_detection;
     Alcotest.test_case "equivalence mismatch" `Quick test_equivalence_mismatch_reported;
     Alcotest.test_case "equivalence refuses empty windows" `Quick
