@@ -31,7 +31,15 @@ type t = {
 (** [run ?cycles bench] — [cycles] of workload simulation feed the power
     model (default 384), one {!workload_draw} seeded 2024 shared by the
     three styles; the converted designs are stream-checked against the
-    original. *)
+    original.  The flow checks the 3-phase design itself.  The
+    master-slave check is the {!Sim.Equivalence.verdict} over the
+    outputs that the FF and M-S power runs sampled
+    ({!Qor.Collect.measurement}[.outputs]): it checks the designs as
+    measured (hold fixed), on every lane and cycle of the power draw,
+    and runs no kernel of its own.  Raises [Failure] when the M-S
+    design is not equivalent, and [Invalid_argument] when [cycles] is
+    below {!Sim.Equivalence.min_cycles}[ ()] (from the draw when it is
+    negative). *)
 val run : ?cycles:int -> Circuits.Suite.benchmark -> t
 
 (** [workload_draw design ~workload ~cycles ~seed] is the

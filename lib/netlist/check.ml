@@ -92,15 +92,13 @@ let check_dangling d diags =
   done;
   !diags
 
+(* the error rules, NET-001 to NET-003, in rule order *)
+let check_errors d diags =
+  diags |> check_drivers d |> check_comb_cycles d |> check_clock_roots d
+
 let diagnostics d =
   Obs.span "lint.structural" @@ fun () ->
-  []
-  |> check_drivers d
-  |> check_comb_cycles d
-  |> check_clock_roots d
-  |> check_unique_names d
-  |> check_dangling d
-  |> List.rev
+  [] |> check_errors d |> check_unique_names d |> check_dangling d |> List.rev
 
 let errors diagnostics =
   List.filter_map
@@ -108,4 +106,8 @@ let errors diagnostics =
     diagnostics
 
 let validate d =
-  match errors (diagnostics d) with [] -> Ok () | e -> Error e
+  match
+    errors (Obs.span "lint.structural" (fun () -> List.rev (check_errors d [])))
+  with
+  | [] -> Ok ()
+  | e -> Error e

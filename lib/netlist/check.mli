@@ -21,7 +21,9 @@ val diagnostics : Design.t -> Lint_core.Diagnostic.t list
     in order. *)
 val errors : Lint_core.Diagnostic.t list -> string list
 
-(** [validate d] returns [Ok ()] when {!diagnostics} finds no
+(** [validate d] returns [Ok ()] when {!diagnostics} would find no
     error-severity finding, otherwise [Error messages], the {!errors}
-    of its findings. *)
+    of its findings.  It runs only the error rules (NET-001 to
+    NET-003), under the same [lint.structural] span, and builds no
+    warning. *)
 val validate : Design.t -> (unit, string list) result

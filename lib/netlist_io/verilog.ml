@@ -370,20 +370,35 @@ let parse ?(file = "<string>") ?clocks ~library src =
 
 let write d =
   let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add = Buffer.add_string buf in
+  let add_list sep f l =
+    List.iteri
+      (fun k x ->
+        if k > 0 then add sep;
+        f x)
+      l
+  in
   (match d.Netlist.Design.clock_ports with
    | [] -> ()
-   | cs -> add "// @clocks %s\n" (String.concat " " cs));
+   | cs ->
+     add "// @clocks ";
+     add_list " " add cs;
+     add "\n");
   let pi_names = List.map fst d.Netlist.Design.primary_inputs in
   let po_names = List.map fst d.Netlist.Design.primary_outputs in
-  add "module %s (%s);\n" d.Netlist.Design.design_name
-    (String.concat ", " (pi_names @ po_names));
-  List.iter (fun p -> add "  input %s;\n" p) pi_names;
-  List.iter (fun p -> add "  output %s;\n" p) po_names;
-  (* wires: every net that is not a PI net and not identical to a PO name *)
-  let pi_nets = List.map snd d.Netlist.Design.primary_inputs in
-  let is_pi_net n = List.mem n pi_nets in
-  let port_names = pi_names @ po_names in
+  add "module ";
+  add d.Netlist.Design.design_name;
+  add " (";
+  add_list ", " add (pi_names @ po_names);
+  add ");\n";
+  List.iter (fun p -> add "  input "; add p; add ";\n") pi_names;
+  List.iter (fun p -> add "  output "; add p; add ";\n") po_names;
+  (* wires: every net that is not a PI net and not identical to a port
+     name *)
+  let pi_net = Array.make (Netlist.Design.num_nets d) false in
+  List.iter (fun (_, n) -> pi_net.(n) <- true) d.Netlist.Design.primary_inputs;
+  let port_names = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace port_names p ()) (pi_names @ po_names);
   let consts = ref [] in
   for n = 0 to Netlist.Design.num_nets d - 1 do
     let name = Netlist.Design.net_name d n in
@@ -391,26 +406,34 @@ let write d =
      | Netlist.Design.Driven_const v -> consts := (name, v) :: !consts
      | Netlist.Design.Driven_by _ | Netlist.Design.Driven_by_input _
      | Netlist.Design.Undriven -> ());
-    if (not (is_pi_net n)) && not (List.exists (String.equal name) port_names) then
-      add "  wire %s;\n" name
+    if (not pi_net.(n)) && not (Hashtbl.mem port_names name) then begin
+      add "  wire "; add name; add ";\n"
+    end
   done;
-  List.iter (fun (name, v) -> add "  assign %s = 1'b%d;\n" name (if v then 1 else 0))
+  List.iter
+    (fun (name, v) ->
+      add "  assign "; add name; add (if v then " = 1'b1;\n" else " = 1'b0;\n"))
     (List.rev !consts);
   for i = 0 to Netlist.Design.num_insts d - 1 do
-    let c = Netlist.Design.cell d i in
-    let conns =
-      Array.to_list d.Netlist.Design.inst_conns.(i)
-      |> List.map (fun (pin, n) ->
-          Printf.sprintf ".%s(%s)" pin (Netlist.Design.net_name d n))
-    in
-    add "  %s %s (%s);\n" c.Cell_lib.Cell.name (Netlist.Design.inst_name d i)
-      (String.concat ", " conns)
+    add "  ";
+    add (Netlist.Design.cell d i).Cell_lib.Cell.name;
+    add " ";
+    add (Netlist.Design.inst_name d i);
+    add " (";
+    Array.iteri
+      (fun k (pin, n) ->
+        if k > 0 then add ", ";
+        add "."; add pin; add "("; add (Netlist.Design.net_name d n); add ")")
+      d.Netlist.Design.inst_conns.(i);
+    add ");\n"
   done;
   (* output ports whose net has a different name need an alias *)
   List.iter
     (fun (port, n) ->
       let name = Netlist.Design.net_name d n in
-      if not (String.equal port name) then add "  assign %s = %s;\n" port name)
+      if not (String.equal port name) then begin
+        add "  assign "; add port; add " = "; add name; add ";\n"
+      end)
     d.Netlist.Design.primary_outputs;
   add "endmodule\n";
   Buffer.contents buf

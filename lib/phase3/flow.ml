@@ -64,12 +64,18 @@ let reference_clocks d ~period =
   | _ :: _ :: _ ->
     fail "design %s has several clock ports" d.Netlist.Design.design_name
 
-let equivalence_stimulus config d =
+(* the cycles of the draw that the clock-gating stage's profile reads:
+   only DDCG reads activity *)
+let profile_cycles config =
+  if config.clock_gating.Clock_gating.ddcg then config.activity_cycles + 1 else 0
+
+let draw config d =
   Sim.Stimulus.draw
-    ~seeds:
-      (Array.init Sim.Kernel.max_lanes (fun l -> config.activity_seed + 17 + l))
-    ~cycles:config.verify_cycles (Sim.Stimulus.Uniform 0.35)
-    (Sim.Stimulus.inputs_of d)
+    ~seeds:(Array.init Sim.Kernel.max_lanes (fun l -> config.activity_seed + l))
+    ~cycles:
+      (max (profile_cycles config)
+         (if config.verify_equivalence then config.verify_cycles else 0))
+    (Sim.Stimulus.Uniform 0.25) (Sim.Stimulus.inputs_of d)
 
 let run ~config d =
   if not (Float.is_finite config.period && config.period > 0.0) then
@@ -141,6 +147,13 @@ let run ~config d =
     else (converted, None)
   in
   let clocks = clocks_of config in
+  let reference_clocks = reference_clocks d ~period:config.period in
+  (* one draw feeds both simulations of [d]: the profile reads its first
+     activity_cycles + 1 cycles, the equivalence check its first
+     verify_cycles; a draw's first N cycles are an N-cycle draw *)
+  let draw = draw config d in
+  (* the reference's output samples, when the profile's run took them *)
+  let reference_outputs = ref None in
   let final, cg_stats =
     if cg_on then
       stage "clock_gating" (fun () ->
@@ -155,24 +168,34 @@ let run ~config d =
              nets, each of which toggles as its partner in [d] does one
              clock edge later (Clock_gating.partners): one run of [d], one
              cycle longer than the profile, simulates only the partners'
-             fan-in, and nothing runs when the pool is empty *)
+             fan-in, and nothing runs when the pool is empty.  When the
+             check is no longer than that run, the run also samples [d]'s
+             outputs for the equivalence stage: a kernel's values on a
+             net do not depend on the other nets it observes *)
           let activity =
             Clock_gating.reference_activity plan d
               ~lane_cycles:(Sim.Kernel.max_lanes * config.activity_cycles)
-              ~simulate:(fun observe ->
+              ~simulate:(fun partners ->
                 Obs.span "flow.clock_gating.activity" (fun () ->
-                    let kernel =
-                      Sim.Kernel.create ~observe d
-                        ~clocks:(reference_clocks d ~period:config.period)
+                    let cycles = profile_cycles config in
+                    let shared =
+                      config.verify_equivalence && config.verify_cycles <= cycles
                     in
-                    Sim.Kernel.run kernel
-                      (Sim.Stimulus.draw
-                         ~seeds:
-                           (Array.init (Sim.Kernel.lanes kernel) (fun l ->
-                                config.activity_seed + l))
-                         ~cycles:(config.activity_cycles + 1)
-                         (Sim.Stimulus.Uniform 0.25)
-                         (Sim.Stimulus.inputs_of d));
+                    let ports, outputs =
+                      if shared then Sim.Equivalence.outputs d else ([||], [||])
+                    in
+                    let kernel =
+                      Sim.Kernel.create
+                        ~observe:(Array.append partners outputs) d
+                        ~clocks:reference_clocks
+                    in
+                    let planes =
+                      Sim.Kernel.run_sampled kernel
+                        (Sim.Stimulus.prefix draw ~cycles) outputs
+                    in
+                    if shared then
+                      reference_outputs :=
+                        Some (Sim.Equivalence.samples ~ports ~cycles planes);
                     Sim.Kernel.toggles kernel))
           in
           let d', s = Clock_gating.apply plan ~activity in
@@ -219,10 +242,17 @@ let run ~config d =
   let equivalence =
     if config.verify_equivalence then
       stage "equivalence" (fun () ->
+          let stimulus = Sim.Stimulus.prefix draw ~cycles:config.verify_cycles in
+          let reference =
+            match !reference_outputs with
+            | Some samples -> samples
+            | None -> Sim.Equivalence.sample d ~clocks:reference_clocks stimulus
+          in
           let verdict =
-            Sim.Equivalence.check_packed ~reference:d ~dut:final
-              ~reference_clocks:(reference_clocks d ~period:config.period)
-              ~dut_clocks:clocks ~stimulus:(equivalence_stimulus config d) ()
+            Sim.Equivalence.verdict ~reference
+              ~dut:
+                (Sim.Equivalence.sample ~ports:reference.Sim.Equivalence.ports
+                   final ~clocks stimulus)
           in
           (match verdict with
            | Sim.Equivalence.Equivalent _ -> ()

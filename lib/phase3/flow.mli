@@ -16,11 +16,24 @@
     catalogue and docs/QOR.md for the record schema.  All of the
     flow's work runs inside a stage span: the final design's one
     structural check runs in [smo], and [lint] reads its findings.
-    The [clock_gating] stage reads its DDCG activity from one run of
-    the input flip-flop design, one cycle longer than
+    The input design is simulated on one {!draw}, once when it can
+    be.  The [clock_gating] stage reads its DDCG activity from one run
+    of the input flip-flop design, one cycle longer than
     [activity_cycles], that simulates only the fan-in of the partners
     of the DDCG pool's data nets ({!Clock_gating.reference_activity}),
-    and runs nothing when the pool is empty. *)
+    and runs nothing when the pool is empty.  When verification is on
+    and [verify_cycles <= activity_cycles + 1], that run also observes
+    and samples the primary outputs ({!Sim.Equivalence.samples}).  The
+    [equivalence] stage then runs only the final design, on the draw's
+    first [verify_cycles] cycles, and takes the
+    {!Sim.Equivalence.verdict} of the two samplings, which compares
+    cycles while both last: the first [verify_cycles].  It
+    runs the reference itself, on the same cycles, only when the
+    clock-gating stage took no samples: clock gating or DDCG off, an
+    empty pool, no partner, or a check longer than the profile.  The
+    verdict does not depend on which run sampled the reference: a
+    kernel's values on a net do not depend on the other nets it
+    observes ({!Sim.Kernel}, "Cones"). *)
 
 type config = {
   solver : Assignment.solver;
@@ -36,7 +49,7 @@ type config = {
   activity_seed : int;
   verify_equivalence : bool;
   (** stream-compare against the FF design on {!Sim.Kernel.max_lanes}
-      lanes ({!Sim.Equivalence.check_packed}) *)
+      lanes of {!draw} ({!Sim.Equivalence.verdict}) *)
   verify_cycles : int;
   (** equivalence stream length per lane; with [verify_equivalence] the
       flow refuses fewer than {!Sim.Equivalence.min_cycles} (11) *)
@@ -76,12 +89,15 @@ val clocks_of : config -> Sim.Clock_spec.t
 (** Single-clock spec for the original design at the same period. *)
 val reference_clocks : Netlist.Design.t -> period:float -> Sim.Clock_spec.t
 
-(** The equivalence stage's stimulus for the input design [d]: a
-    {!Sim.Kernel.max_lanes}-lane {!Sim.Stimulus.draw} of
-    [verify_cycles] cycles over [d]'s non-clock inputs at toggle
-    probability 0.35, lane [l] seeded [activity_seed + 17 + l].  Lane 0
-    is [Sim.Stimulus.random ~seed:(activity_seed + 17)]. *)
-val equivalence_stimulus : config -> Netlist.Design.t -> Sim.Stimulus.packed
+(** The flow's one draw for the input design [d]: a
+    {!Sim.Kernel.max_lanes}-lane {!Sim.Stimulus.draw} over [d]'s
+    non-clock inputs at toggle probability 0.25, lane [l] seeded
+    [activity_seed + l], as long as the longer of its two readers: the
+    clock-gating stage's profile, [activity_cycles + 1] cycles when DDCG
+    is on, and the equivalence check, [verify_cycles] cycles when it is
+    on.  Each reads a {!Sim.Stimulus.prefix} of it.  Lane 0 is
+    [Sim.Stimulus.random ~seed:activity_seed ~toggle_probability:0.25]. *)
+val draw : config -> Netlist.Design.t -> Sim.Stimulus.packed
 
 exception Flow_error of string
 

@@ -61,6 +61,7 @@ type measurement = {
   toggles : int array;
   lane_cycles : int;
   kernel : Sim.Kernel.stats;
+  outputs : Sim.Equivalence.samples;
 }
 
 let measure design ~clocks ~stimulus =
@@ -71,14 +72,17 @@ let measure design ~clocks ~stimulus =
          design.Netlist.Design.design_name);
   let impl = Physical.Implement.run design in
   let kernel = Sim.Kernel.create design ~clocks in
-  Sim.Kernel.run kernel stimulus;
+  let ports, nets = Sim.Equivalence.outputs design in
+  let planes = Sim.Kernel.run_sampled kernel stimulus nets in
   let toggles = Sim.Kernel.toggles kernel
   and lane_cycles = Sim.Kernel.lane_cycles kernel in
   let detail =
     Power.Estimate.run impl ~activity:(toggles, lane_cycles)
       ~period:clocks.Sim.Clock_spec.period
   in
-  { impl; detail; toggles; lane_cycles; kernel = Sim.Kernel.stats kernel }
+  { impl; detail; toggles; lane_cycles; kernel = Sim.Kernel.stats kernel;
+    outputs =
+      Sim.Equivalence.samples ~ports ~cycles:stimulus.Sim.Stimulus.cycles planes }
 
 let implement_and_power design ~clocks ~stimulus =
   let design, hold = Sta.Hold_fix.run design ~clocks in

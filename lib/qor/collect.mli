@@ -26,12 +26,17 @@ type measurement = {
   kernel : Sim.Kernel.stats;
   (** the activity run's effectiveness counters (fused ops, skipped
       waves and cones, evaluations) *)
+  outputs : Sim.Equivalence.samples;
+  (** the same run's primary outputs, sampled at the end of every cycle
+      on every lane, for {!Sim.Equivalence.verdict} *)
 }
 
 (** [measure design ~clocks ~stimulus] implements [design] as it is
     (placement + CTS), runs Monte-Carlo activity on one {!Sim.Kernel}
     driven by [stimulus] (one lane per kernel lane), then
-    {!Power.Estimate.run}.  Deterministic for fixed inputs: the lane
+    {!Power.Estimate.run}.  The run also samples every primary output
+    ([outputs]), so two measurements on one draw can be checked
+    against each other without a simulation of their own.  Deterministic for fixed inputs: the lane
     count is fixed regardless of [THREEPHASE_JOBS].  No hold fix: a
     caller that has already padded its design measures it here.  Raises
     [Invalid_argument] unless [stimulus.inputs] are

@@ -105,44 +105,61 @@ let logic_at v x lane =
 
 let rec lowest_lane w lane = if w land 1 <> 0 then lane else lowest_lane (w lsr 1) (lane + 1)
 
-(* Both designs run on kernels from the one draw, sampling the
-   reference's output nets and the dut's nets of the same names; each
-   kernel simulates only the fan-in of the nets it samples.  A cycle
-   pair then compares one value word and one unknown word per port,
+type samples = {
+  ports : string array;
+  cycles : int;
+  values : int array;
+  unknowns : int array;
+}
+
+let outputs ?ports d =
+  let named =
+    match ports with
+    | None -> d.Netlist.Design.primary_outputs
+    | Some ports ->
+      List.filter_map
+        (fun port ->
+          Option.map (fun net -> (port, net))
+            (List.assoc_opt port d.Netlist.Design.primary_outputs))
+        (Array.to_list ports)
+  in
+  (Array.of_list (List.map fst named), Array.of_list (List.map snd named))
+
+let samples ~ports ~cycles (values, unknowns) =
+  let words = cycles * Array.length ports in
+  if cycles < 0 || Array.length values <> words || Array.length unknowns <> words
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Equivalence.samples: %d cycles of %d ports are %d words a plane"
+         cycles (Array.length ports) words);
+  { ports; cycles; values; unknowns }
+
+(* Each kernel simulates only the fan-in of the nets it samples. *)
+let sample ?ports d ~clocks (stimulus : Stimulus.packed) =
+  let ports, nets = outputs ?ports d in
+  samples ~ports ~cycles:stimulus.cycles
+    (Kernel.run_sampled (Kernel.create ~observe:nets d ~clocks) stimulus nets)
+
+(* A cycle pair compares one value word and one unknown word per port,
    all lanes at once.  A port the dut lacks reads X on every lane and
    mismatches on every lane, as in [sample_mismatch]. *)
-let run_observing d ~clocks stimulus nets =
-  Kernel.run_sampled (Kernel.create ~observe:nets d ~clocks) stimulus nets
-
-let check_packed ~reference ~dut ~reference_clocks ~dut_clocks
-    ~(stimulus : Stimulus.packed) () =
+let verdict ~reference ~dut =
   let warmup = default_warmup and max_shift = default_max_shift in
-  require_cycles ~caller:"Equivalence.check_packed" ~warmup ~max_shift
-    stimulus.cycles;
-  let ports = Array.of_list reference.Netlist.Design.primary_outputs in
+  require_cycles ~caller:"Equivalence.verdict" ~warmup ~max_shift
+    (min reference.cycles dut.cycles);
+  let ports = reference.ports and width = Array.length dut.ports in
   let m = Array.length ports in
-  let ref_v, ref_x =
-    run_observing reference ~clocks:reference_clocks stimulus
-      (Array.map snd ports)
-  in
-  (* column of each port among the dut's sampled nets, -1 if it lacks it *)
-  let dut_nets = ref [] and width = ref 0 in
+  (* column of each reference port among the dut's, -1 if it lacks it *)
   let column =
+    let at = Hashtbl.create (max 1 width) in
+    Array.iteri (fun j port -> Hashtbl.replace at port j) dut.ports;
     Array.map
-      (fun (port, _) ->
-        match List.assoc_opt port dut.Netlist.Design.primary_outputs with
-        | None -> -1
-        | Some net ->
-          dut_nets := net :: !dut_nets;
-          incr width;
-          !width - 1)
+      (fun port -> Option.value ~default:(-1) (Hashtbl.find_opt at port))
       ports
   in
-  let width = !width in
-  let dut_v, dut_x =
-    run_observing dut ~clocks:dut_clocks stimulus
-      (Array.of_list (List.rev !dut_nets))
-  in
+  let ref_v = reference.values and ref_x = reference.unknowns in
+  let dut_v = dut.values and dut_x = dut.unknowns in
   let compared = ref 0 in
   let first_diff cycle shift =
     let rec port j =
@@ -158,15 +175,20 @@ let check_packed ~reference ~dut ~reference_clocks ~dut_clocks
         if diff = 0 then port (j + 1)
         else
           let lane = lowest_lane diff 0 in
-          Some { cycle; port = fst ports.(j); lane;
+          Some { cycle; port = ports.(j); lane;
                  expected = logic_at ev ex lane; got = logic_at gv gx lane }
       end
     in
     port 0
   in
   let verdict =
-    search ~caller:"Equivalence.check_packed" ~warmup ~max_shift
-      ~ref_cycles:stimulus.cycles ~dut_cycles:stimulus.cycles first_diff
+    search ~caller:"Equivalence.verdict" ~warmup ~max_shift
+      ~ref_cycles:reference.cycles ~dut_cycles:dut.cycles first_diff
   in
   Obs.count "sim.equivalence.compared" !compared;
   verdict
+
+let check_packed ~reference ~dut ~reference_clocks ~dut_clocks ~stimulus () =
+  let reference = sample reference ~clocks:reference_clocks stimulus in
+  verdict ~reference
+    ~dut:(sample ~ports:reference.ports dut ~clocks:dut_clocks stimulus)

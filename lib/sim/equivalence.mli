@@ -7,11 +7,15 @@
     ignored (X wash-out), and a constant latency shift of up to
     [max_shift] cycles is tolerated (and reported).
 
-    The flow's check is {!check_packed}: both designs run on
-    {!Kernel}s from one 63-lane {!Stimulus.draw}, and one word
-    comparison covers every lane.  {!check} runs one list stream
-    through two {!Engine}s; it is the scalar oracle that tests hold
-    {!check_packed} to.  Both apply the rules of {!compare_streams}. *)
+    The packed check is one {!verdict} over two {!samples}: each
+    design's outputs, sampled on a {!Kernel} from one 63-lane
+    {!Stimulus.draw}, and one word comparison covers every lane.
+    {!check_packed} takes both samplings itself; a caller that already
+    runs a design on the draw, for activity or for power, samples its
+    outputs in that run ({!outputs}, {!samples}) and hands them to
+    {!verdict}.  {!check} runs one list stream through two {!Engine}s;
+    it is the scalar oracle that tests hold the packed check to.  Both
+    apply the rules of {!compare_streams}. *)
 
 type mismatch = {
   cycle : int;
@@ -42,8 +46,8 @@ val compare_streams :
   (string * Logic.t) list list -> (string * Logic.t) list list -> verdict
 
 (** [min_cycles ?warmup ?max_shift ()] is [warmup + max_shift + 1], the
-    fewest stimulus cycles {!check} and {!check_packed} accept (defaults
-    as in {!check}: 11). *)
+    fewest cycles {!check}, {!verdict} and {!check_packed} accept
+    (defaults as in {!check}: 11). *)
 val min_cycles : ?warmup:int -> ?max_shift:int -> unit -> int
 
 (** [check ~reference ~dut ~reference_clocks ~dut_clocks ~stimulus] runs
@@ -57,19 +61,56 @@ val check :
   reference_clocks:Clock_spec.t -> dut_clocks:Clock_spec.t ->
   stimulus:Stimulus.t -> unit -> verdict
 
+(** One design's outputs on every lane of a draw: [values] and
+    [unknowns] are the planes {!Kernel.run_sampled} returns for the
+    nets of [ports], cycle-major (element [c * Array.length ports + j]
+    is port [ports.(j)] after cycle [c], bit [l] for lane [l]). *)
+type samples = private {
+  ports : string array;
+  cycles : int;
+  values : int array;
+  unknowns : int array;
+}
+
+(** [outputs ?ports d] names the ports a sampling of [d] reads and
+    their nets: every primary output of [d], in order, or, with
+    [ports], those of [ports] that [d] has, in [ports]' order. *)
+val outputs :
+  ?ports:string array -> Netlist.Design.t -> string array * Netlist.Design.net array
+
+(** [samples ~ports ~cycles planes] wraps [planes], the planes a
+    {!Kernel.run_sampled} of [cycles] cycles returned for the nets of
+    [ports].  Raises [Invalid_argument] unless each plane holds
+    [cycles * Array.length ports] words. *)
+val samples : ports:string array -> cycles:int -> int array * int array -> samples
+
+(** [sample ?ports d ~clocks stimulus] runs [d] on a {!Kernel} over
+    every lane of [stimulus] that simulates only the fan-in of the
+    {!outputs}[ ?ports d], and samples them.  Raises [Invalid_argument]
+    as {!Kernel.run} does. *)
+val sample :
+  ?ports:string array -> Netlist.Design.t -> clocks:Clock_spec.t ->
+  Stimulus.packed -> samples
+
+(** [verdict ~reference ~dut] compares the reference's ports, in
+    order, with the dut's ports of the same names, as {!check} does
+    lane by lane with its default warmup (8) and largest shift (2);
+    these are fixed here.  Reference cycle [c] meets dut cycle [c + s]
+    while both samplings last.  [Equivalent] names the lowest shift at
+    which every lane matches over a non-empty window.  Otherwise
+    [Mismatch] is the first difference of the lowest shift that had
+    one, ordered by cycle, then port, then lowest lane.  A port the
+    dut lacks differs on every lane, read as X.  Adds the output words
+    compared (one port in one cycle, all lanes at once), summed over
+    the shifts tried, to the [sim.equivalence.compared] counter.
+    Raises [Invalid_argument] when either sampling has fewer than
+    {!min_cycles} cycles. *)
+val verdict : reference:samples -> dut:samples -> verdict
+
 (** [check_packed ~reference ~dut ~reference_clocks ~dut_clocks
-    ~stimulus] runs each design on a {!Kernel} over every lane of
-    [stimulus] ({!Kernel.run_sampled}) and compares the reference's
-    outputs, in order, with the dut's outputs of the same names, as
-    {!check} does lane by lane with its default warmup (8) and
-    largest shift (2); these are fixed here.  [Equivalent]
-    names the lowest shift at which every lane matches over a
-    non-empty window.  Otherwise [Mismatch] is the first difference of
-    the lowest shift that had one, ordered by cycle, then port, then
-    lowest lane.  A port the dut lacks differs on every lane, read as
-    X.  Adds the output words compared (one port in one cycle, all
-    lanes at once), summed over the shifts tried, to the
-    [sim.equivalence.compared] counter.  Raises [Invalid_argument]
+    ~stimulus] is two samplings and their {!verdict}: [sample
+    reference] over [stimulus], then [sample ~ports dut] over the same
+    draw, [ports] the reference's outputs.  Raises [Invalid_argument]
     unless [stimulus] has {!Kernel.max_lanes} lanes, when it names an
     input a design lacks, or when it has fewer than {!min_cycles}
     cycles. *)

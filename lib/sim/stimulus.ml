@@ -6,10 +6,13 @@ type shape =
   | Bursty of { burst_len : int; idle_len : int; toggle_probability : float }
 
 (* A draw's words, column by column: column [k] holds input [k]'s word
-   in every cycle.  [cols.(k)] is [[||]] until [fill] wrote it; [lock]
-   makes each column's fill happen once, whichever domain asks first. *)
+   in each of the draw's [length] cycles.  [cols.(k)] is [[||]] until
+   [fill] wrote it; [lock] makes each column's fill happen once,
+   whichever domain asks first.  A prefix view shares the record, so
+   its columns can be longer than its cycles. *)
 type columns = {
   cols : int array array;
+  length : int;
   fill : int -> int array;
   lock : Mutex.t;
 }
@@ -123,9 +126,16 @@ let draw ~seeds ~cycles shape inputs =
     col
   in
   { inputs; lanes; cycles;
-    columns = { cols = Array.make n [||]; fill; lock = Mutex.create () } }
+    columns =
+      { cols = Array.make n [||]; length = cycles; fill; lock = Mutex.create () } }
 
-(* Fill the columns [ks] that are not yet filled, under one
+let prefix p ~cycles =
+  if cycles < 0 || cycles > p.cycles then
+    invalid_arg
+      (Printf.sprintf "Stimulus.prefix: %d cycles of a draw of %d" cycles p.cycles);
+  { p with cycles }
+
+(* Fill the columns [ks] that are not yet filled, whole, under one
    [sim.stimulus.build] span and adding their words to
    [sim.stimulus.words]; return them, in [ks] order. *)
 let columns p ks =
@@ -139,7 +149,7 @@ let columns p ks =
               (fun k ->
                 if missing k then begin
                   c.cols.(k) <- c.fill k;
-                  drawn := !drawn + p.cycles
+                  drawn := !drawn + c.length
                 end)
               ks);
         Obs.count "sim.stimulus.words" !drawn
@@ -199,7 +209,8 @@ let pack streams =
     streams;
   { inputs; lanes; cycles;
     columns =
-      { cols; fill = (fun _ -> assert false); lock = Mutex.create () } }
+      { cols; length = cycles; fill = (fun _ -> assert false);
+        lock = Mutex.create () } }
 
 let single_lane seed ~cycles shape inputs =
   lane (draw ~seeds:[| seed |] ~cycles shape inputs) 0

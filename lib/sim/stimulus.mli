@@ -63,12 +63,22 @@ val max_lanes : int
     negative [cycles]; [cycles = 0] gives an empty draw. *)
 val draw : seeds:int array -> cycles:int -> shape -> string list -> packed
 
+(** [prefix p ~cycles] is the first [cycles] cycles of [p], a view that
+    copies no word: it shares [p]'s columns, so a column filled through
+    either is filled for both, once, at [p]'s full length.  A draw's
+    first [cycles] cycles equal a [cycles]-cycle draw of the same seeds,
+    shape and inputs.  Raises [Invalid_argument] unless [0 <= cycles <=
+    p.cycles]. *)
+val prefix : packed -> cycles:int -> packed
+
 (** [columns p ks] is, for each [k] of [ks], input [p.inputs.(k)]'s word
-    in every cycle ([cycles] words).  The columns not yet filled are
-    drawn now, under one [sim.stimulus.build] span, adding [cycles] per
-    column to the [sim.stimulus.words] counter: the counter counts the
-    words actually drawn.  The arrays are the draw's own; do not write
-    them.  Safe to call from several domains at once. *)
+    in every cycle: its first [p.cycles] words hold them (a {!prefix}
+    view's columns are its draw's, and can be longer).  The columns not
+    yet filled are drawn now, whole, under one [sim.stimulus.build]
+    span, adding the words drawn to the [sim.stimulus.words] counter:
+    the counter counts the words actually drawn.  The arrays are the
+    draw's own; do not write them.  Safe to call from several domains
+    at once. *)
 val columns : packed -> int array -> int array array
 
 (** Every word of [p], cycle-major: element [c * Array.length p.inputs

@@ -95,6 +95,36 @@ let test_runner_jobs_determinism () =
   check Alcotest.int "stimulus words" (snd one) (snd two);
   if snd one = 0 then Alcotest.fail "the runner drew no stimulus"
 
+(* The master-slave check is the verdict over the FF and M-S power
+   runs' output samples: a run shorter than the check's minimum is
+   refused by that verdict, and the check compares every cycle of the
+   power draw past the warmup, next to the flow's own check *)
+let test_runner_ms_check_reads_power_runs () =
+  let b = Option.get (Circuits.Suite.find "s1196") in
+  let short = Sim.Equivalence.min_cycles () - 1 in
+  (match Experiments.Runner.run ~cycles:short b with
+   | _ -> Alcotest.failf "ran the check on %d cycles" short
+   | exception Invalid_argument msg ->
+     if not (Astring.String.is_prefix ~affix:"Equivalence.verdict:" msg) then
+       Alcotest.failf "refused by another check: %s" msg);
+  let cycles = 48 in
+  Obs.reset ();
+  let r = Experiments.Runner.run ~cycles b in
+  let compared = Obs.counter_of "sim.equivalence.compared" in
+  Obs.reset ();
+  let flow = r.Experiments.Runner.flow in
+  let outputs =
+    List.length flow.Phase3.Flow.original.Netlist.Design.primary_outputs
+  in
+  check Alcotest.bool "the flow's check: shift 0" true
+    (flow.Phase3.Flow.equivalence
+     = Some (Sim.Equivalence.Equivalent { shift = 0 }));
+  (* both match at shift 0: cycles past the warmup times the outputs *)
+  check Alcotest.int "words compared"
+    (((flow.Phase3.Flow.config.Phase3.Flow.verify_cycles - 8)
+      + (cycles - 8)) * outputs)
+    compared
+
 (* the measurement refuses a draw over other inputs, or over the
    design's inputs in another order *)
 let test_measure_refuses_other_inputs () =
@@ -130,6 +160,8 @@ let suite =
     Alcotest.test_case "fig3 table" `Quick test_fig3_table;
     Alcotest.test_case "runner on s1196" `Slow test_runner_small_bench;
     Alcotest.test_case "report table layout" `Quick test_report_table_layout;
+    Alcotest.test_case "runner's master-slave check reads its power runs"
+      `Quick test_runner_ms_check_reads_power_runs;
     Alcotest.test_case "runner shares one draw" `Quick
       test_runner_shares_one_draw;
     Alcotest.test_case "runner tables and draws do not depend on jobs" `Quick

@@ -745,7 +745,11 @@ let test_wake_rules_fire () =
       if count_icgs d style = 0 then Alcotest.fail "an ICG style is missing")
     Cell_lib.Cell.[ Icg_standard; Icg_m1_p3; Icg_m2_latchless ];
   let clocks = Phase3.Flow.clocks_of config in
-  let stimulus = Phase3.Flow.equivalence_stimulus config original in
+  (* the cycles of the flow's draw that its equivalence stage reads *)
+  let stimulus =
+    Sim.Stimulus.prefix (Phase3.Flow.draw config original)
+      ~cycles:config.Phase3.Flow.verify_cycles
+  in
   let run gating =
     let k = Sim.Kernel.create ~gating d ~clocks in
     let planes = Sim.Kernel.run_sampled k stimulus (observed d) in

@@ -622,3 +622,82 @@ let suite =
   suite
   @ [ Alcotest.test_case "clock network hand-built" `Quick test_network_hand_built;
       QCheck_alcotest.to_alcotest prop_network_equals_old_walks ]
+
+(* --- validate runs the error rules only --- *)
+
+(* the verdict validate must give: the errors among every finding *)
+let errors_of_diagnostics d =
+  match Netlist.Check.errors (Netlist.Check.diagnostics d) with
+  | [] -> Ok ()
+  | e -> Error e
+
+let same_verdict label d =
+  check
+    Alcotest.(result unit (list string))
+    label (errors_of_diagnostics d) (Netlist.Check.validate d)
+
+(* a design where [rules] fire, beside NET-005 warnings (the outputs
+   [o] and [dangling] drive nothing) *)
+let broken ~undriven ~loop ~unclocked =
+  let b = B.create ~name:"broken" ~library:lib in
+  let clk = B.add_input ~clock:true b "clk" in
+  let a = B.add_input b "a" in
+  let q = B.fresh_net b "q" in
+  ignore (B.add_cell b "r" "DFF_X1" [("CK", clk); ("D", a); ("Q", q)]);
+  ignore (B.add_cell b "n" "INV_X1" [("A", q); ("ZN", B.fresh_net b "dangling")]);
+  if undriven then begin
+    let floating = B.fresh_net b "floating" in
+    ignore (B.add_cell b "u" "AND2_X1" [("A1", a); ("A2", floating); ("Z", B.fresh_net b "o")]);
+    B.add_output b "z" (B.fresh_net b "unset")
+  end;
+  if loop then begin
+    let n1 = B.fresh_net b "n1" and n2 = B.fresh_net b "n2" in
+    ignore (B.add_cell b "g1" "NAND2_X1" [("A1", a); ("A2", n2); ("ZN", n1)]);
+    ignore (B.add_cell b "g2" "INV_X1" [("A", n1); ("ZN", n2)]);
+    B.add_output b "l" n1
+  end;
+  if unclocked then
+    ignore
+      (B.add_cell b "s" "DFF_X1" [("CK", a); ("D", q); ("Q", B.fresh_net b "s_q")]);
+  B.add_output b "y" q;
+  B.freeze b
+
+let test_validate_error_rules () =
+  List.iter
+    (fun (label, undriven, loop, unclocked, rules) ->
+      let d = broken ~undriven ~loop ~unclocked in
+      let diagnostics = Netlist.Check.diagnostics d in
+      let fired =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun dg ->
+               if Lint_core.Diagnostic.is_error dg then
+                 Some dg.Lint_core.Diagnostic.rule
+               else None)
+             diagnostics)
+      in
+      check Alcotest.(list string) (label ^ ": rules") rules fired;
+      if not
+           (List.exists
+              (fun dg -> String.equal dg.Lint_core.Diagnostic.rule "NET-005")
+              diagnostics)
+      then Alcotest.failf "%s: no warning beside the errors" label;
+      same_verdict label d)
+    [ ("clean", false, false, false, []);
+      ("NET-001", true, false, false, ["NET-001"]);
+      ("NET-002", false, true, false, ["NET-002"]);
+      ("NET-003", false, false, true, ["NET-003"]);
+      ("all three", true, true, true, ["NET-001"; "NET-002"; "NET-003"]) ]
+
+let test_validate_suite () =
+  List.iter
+    (fun bench ->
+      same_verdict bench.Circuits.Suite.bench_name (bench.Circuits.Suite.build ()))
+    (Circuits.Suite.all ())
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "validate = errors of diagnostics, hand-built" `Quick
+        test_validate_error_rules;
+      Alcotest.test_case "validate = errors of diagnostics, suite" `Quick
+        test_validate_suite ]

@@ -323,3 +323,45 @@ let suite =
         test_bench_implicit_clock;
       Alcotest.test_case "a port both input and output is refused" `Quick
         test_port_both_ways ]
+
+(* The writer's bytes on what the RTL goldens lack: an output port
+   whose net has another name (an internal net and an input net), one
+   whose net has its name, and constant nets, read and unread. *)
+let writer_golden = {|// @clocks clk
+module small (clk, a, y, w, pass);
+  input clk;
+  input a;
+  output y;
+  output w;
+  output pass;
+  wire tie1;
+  wire tie0;
+  wire q;
+  assign tie1 = 1'b1;
+  assign tie0 = 1'b0;
+  AND2_X1 g (.A1(a), .A2(tie1), .Z(w));
+  DFF_X1 r (.CK(clk), .D(w), .Q(q));
+  assign y = q;
+  assign pass = a;
+endmodule
+|}
+
+let test_verilog_writer_golden () =
+  let b = Netlist.Builder.create ~name:"small" ~library:lib in
+  let clk = Netlist.Builder.add_input ~clock:true b "clk" in
+  let a = Netlist.Builder.add_input b "a" in
+  let one = Netlist.Builder.const b true in
+  ignore (Netlist.Builder.const b false : Netlist.Design.net);
+  let q = Netlist.Builder.fresh_net b "q" and w = Netlist.Builder.fresh_net b "w" in
+  ignore (Netlist.Builder.add_cell b "g" "AND2_X1" [("A1", a); ("A2", one); ("Z", w)]);
+  ignore (Netlist.Builder.add_cell b "r" "DFF_X1" [("CK", clk); ("D", w); ("Q", q)]);
+  Netlist.Builder.add_output b "y" q;
+  Netlist.Builder.add_output b "w" w;
+  Netlist.Builder.add_output b "pass" a;
+  check Alcotest.string "bytes" writer_golden
+    (Netlist_io.Verilog.write (Netlist.Builder.freeze b))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "verilog writer golden: aliases and constants" `Quick
+        test_verilog_writer_golden ]

@@ -725,26 +725,34 @@ let test_flow_refuses_short_activity () =
        ~config:{ (config (-1)) with Phase3.Flow.clock_gating = no_clock_gating }
        d)
 
-(* lane 0 of the stage's 63-lane draw is the list stream of seed
-   activity_seed + 17 *)
+(* the flow's one draw: 63 lanes, long enough for the profile and the
+   check, lane 0 the list stream of seed activity_seed at rate 0.25 *)
 let test_flow_equivalence_lane0 () =
   let d = Circuits.Generator.synthesize (gen_spec 53) in
   let config = Phase3.Flow.default_config ~period:1.0 in
-  let p = Phase3.Flow.equivalence_stimulus config d in
+  let p = Phase3.Flow.draw config d in
   check Alcotest.int "lanes" Sim.Kernel.max_lanes p.Sim.Stimulus.lanes;
-  check Alcotest.int "cycles" config.Phase3.Flow.verify_cycles
+  check Alcotest.int "cycles" (config.Phase3.Flow.activity_cycles + 1)
     p.Sim.Stimulus.cycles;
-  check Alcotest.bool "lane 0 is the seed activity_seed + 17 stream" true
+  check Alcotest.bool "lane 0 is the seed activity_seed stream" true
     (Sim.Stimulus.lane p 0
-     = Sim.Stimulus.random ~seed:(config.Phase3.Flow.activity_seed + 17)
-         ~cycles:config.Phase3.Flow.verify_cycles ~toggle_probability:0.35
+     = Sim.Stimulus.random ~seed:config.Phase3.Flow.activity_seed
+         ~cycles:p.Sim.Stimulus.cycles ~toggle_probability:0.25
+         (Sim.Stimulus.inputs_of d));
+  (* the equivalence stage's cycles: the draw's prefix *)
+  let check_cycles = config.Phase3.Flow.verify_cycles in
+  check Alcotest.bool "the check's prefix is the seed activity_seed stream"
+    true
+    (Sim.Stimulus.lane (Sim.Stimulus.prefix p ~cycles:check_cycles) 0
+     = Sim.Stimulus.random ~seed:config.Phase3.Flow.activity_seed
+         ~cycles:check_cycles ~toggle_probability:0.25
          (Sim.Stimulus.inputs_of d))
 
-(* A p1 -> p3 swap on s1423 that lane 0 alone misses: the engine check
-   on lane 0 calls it equivalent, the kernel check on the stage's
-   63-lane draw catches it on another lane.  The flow runs without
-   clock gating, lint or its own equivalence stage, so the mutant is
-   checked by hand. *)
+(* p1 -> p3 swaps on s1423, checked on the equivalence stage's cycles
+   of the flow's draw: r_1_21's is caught on lane 0 alone; r_2_11's
+   is missed by the engine check on lane 0 and caught by the kernel
+   check on another lane.  The flow runs without clock gating, lint or
+   its own equivalence stage, so each mutant is checked by hand. *)
 let test_packed_check_catches_more () =
   let bench = Option.get (Circuits.Suite.find "s1423") in
   let d = bench.Circuits.Suite.build () in
@@ -755,20 +763,32 @@ let test_packed_check_catches_more () =
       verify_equivalence = false }
   in
   let final = (Phase3.Flow.run ~config d).Phase3.Flow.final in
-  let victim = "r_1_21" in
-  let i = Option.get (D.find_inst final victim) in
-  check Alcotest.(option string) "victim latch on p1" (Some "p1")
-    (phase_of final i);
-  let mutant = Test_lint.retarget_enable final ~victim ~port:"p3" in
   let reference_clocks =
     Phase3.Flow.reference_clocks d ~period:config.Phase3.Flow.period
   in
   let dut_clocks = Phase3.Flow.clocks_of config in
-  let stimulus = Phase3.Flow.equivalence_stimulus config d in
-  (match
-     Sim.Equivalence.check ~reference:d ~dut:mutant ~reference_clocks
-       ~dut_clocks ~stimulus:(Sim.Stimulus.lane stimulus 0) ()
-   with
+  let stimulus =
+    Sim.Stimulus.prefix
+      (Phase3.Flow.draw
+         { config with Phase3.Flow.verify_equivalence = true } d)
+      ~cycles:config.Phase3.Flow.verify_cycles
+  in
+  let swap victim =
+    let i = Option.get (D.find_inst final victim) in
+    check Alcotest.(option string) (victim ^ " on p1") (Some "p1")
+      (phase_of final i);
+    Test_lint.retarget_enable final ~victim ~port:"p3"
+  in
+  let lane0 mutant =
+    Sim.Equivalence.check ~reference:d ~dut:mutant ~reference_clocks
+      ~dut_clocks ~stimulus:(Sim.Stimulus.lane stimulus 0) ()
+  in
+  (match lane0 (swap "r_1_21") with
+   | Sim.Equivalence.Mismatch _ -> ()
+   | Sim.Equivalence.Equivalent { shift } ->
+     Alcotest.failf "lane 0 misses r_1_21's swap (shift %d)" shift);
+  let mutant = swap "r_2_11" in
+  (match lane0 mutant with
    | Sim.Equivalence.Equivalent { shift } ->
      check Alcotest.int "lane 0 alone: shift" 0 shift
    | Sim.Equivalence.Mismatch m ->
@@ -782,7 +802,7 @@ let test_packed_check_catches_more () =
     Alcotest.failf "63 lanes: equivalent at shift %d" shift
   | Sim.Equivalence.Mismatch m ->
     check Alcotest.string "first difference"
-      "cycle 8 port o2 lane 31: expected 0, got 1"
+      "cycle 17 port o4 lane 42: expected 1, got 0"
       (Format.asprintf "%a" Sim.Equivalence.pp_mismatch m)
 
 let suite =
@@ -1132,3 +1152,280 @@ let suite =
   suite
   @ [ Alcotest.test_case "validate refuses several clocks and clock reads"
         `Quick test_validate_refuses_clocking ]
+
+(* --- the mutation gate of the shared reference run ---
+
+   The flow checks equivalence on a prefix of the draw its clock-gating
+   profile reads (Uniform 0.25, seeds activity_seed + l), where it once
+   drew a draw of its own (Uniform 0.35, seeds activity_seed + 17 + l).
+   DDCG picks latches that are quiet on the profile's draw, so that
+   draw could hide a gating bug.  For each circuit and mutant kind, the
+   check on the flow's draw must catch at least as many single-change
+   mutants of the final design as the check on the old draw. *)
+
+(* [final] with instance [i]'s pins rewired by [override] *)
+let mutate final i override =
+  let rw = Netlist.Rewrite.start final in
+  List.iter
+    (fun j ->
+      if j = i then Netlist.Rewrite.copy_inst ~override:(override rw) rw j
+      else Netlist.Rewrite.copy_inst rw j)
+    (D.insts final);
+  Netlist.Rewrite.finish rw
+
+let enable_pin d i =
+  match (D.cell d i).Cell_lib.Cell.kind with
+  | Cell_lib.Cell.Latch { enable_pin; _ } -> Some enable_pin
+  | Cell_lib.Cell.Combinational | Cell_lib.Cell.Flip_flop _
+  | Cell_lib.Cell.Clock_gate _ -> None
+
+(* the four kinds, each a list of mutants of [final]: an inserted p2
+   latch made transparent (E tied to 1), a latch on the p1 port moved
+   to p3, one on the p3 port moved to p1 (latches behind a clock gate
+   stay), and a DDCG comparator whose first input reads its second
+   (stuck at 0) *)
+let mutants (ports : Phase3.Convert.clock_ports) final =
+  let latches = List.filter (fun i -> enable_pin final i <> None) (D.insts final) in
+  let moved ~from ~port_to =
+    let port = Option.get (D.find_input final port_to) in
+    List.filter_map
+      (fun i ->
+        if D.clock_net_of final i = D.find_input final from
+        then
+          Some
+            (mutate final i (fun rw ->
+                 [(Option.get (enable_pin final i), Netlist.Rewrite.map_net rw port)]))
+        else None)
+      latches
+  in
+  let bypass =
+    List.filter_map
+      (fun i ->
+        if Phase3.Convert.is_inserted_p2 final i then
+          Some
+            (mutate final i (fun rw ->
+                 [ ( Option.get (enable_pin final i),
+                     Netlist.Builder.const (Netlist.Rewrite.builder rw) true ) ]))
+        else None)
+      latches
+  in
+  let comparators =
+    List.filter_map
+      (fun i ->
+        let name = D.inst_name final i in
+        match Cell_lib.Cell.input_pins (D.cell final i) with
+        | first :: second :: _
+          when Astring.String.is_prefix ~affix:"ddcg" name
+               && Astring.String.is_infix ~affix:"_cmp" name ->
+          let reads = D.pin_net final i second.Cell_lib.Cell.pin_name in
+          Some
+            (mutate final i (fun rw ->
+                 [(first.Cell_lib.Cell.pin_name, Netlist.Rewrite.map_net rw reads)]))
+        | _ -> None)
+      (D.insts final)
+  in
+  [ ("p2 bypass", bypass);
+    ("p1->p3", moved ~from:ports.Phase3.Convert.p1 ~port_to:ports.Phase3.Convert.p3);
+    ("p3->p1", moved ~from:ports.Phase3.Convert.p3 ~port_to:ports.Phase3.Convert.p1);
+    ("ddcg comparator", comparators) ]
+
+let test_mutation_gate () =
+  List.iter
+    (fun name ->
+      let bench = Option.get (Circuits.Suite.find name) in
+      let d = bench.Circuits.Suite.build () in
+      let config =
+        Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns
+      in
+      let final = (Phase3.Flow.run ~config d).Phase3.Flow.final in
+      let cycles = config.Phase3.Flow.verify_cycles in
+      let old_draw =
+        Sim.Stimulus.draw
+          ~seeds:
+            (Array.init Sim.Kernel.max_lanes (fun l ->
+                 config.Phase3.Flow.activity_seed + 17 + l))
+          ~cycles (Sim.Stimulus.Uniform 0.35) (Sim.Stimulus.inputs_of d)
+      in
+      let flow_draw = Sim.Stimulus.prefix (Phase3.Flow.draw config d) ~cycles in
+      let reference_clocks =
+        Phase3.Flow.reference_clocks d ~period:config.Phase3.Flow.period
+      in
+      let dut_clocks = Phase3.Flow.clocks_of config in
+      (* check_packed's two samplings and verdict, the reference sampled
+         once per draw; a mutant that does not settle is caught too *)
+      let catches draw =
+        let reference = Sim.Equivalence.sample d ~clocks:reference_clocks draw in
+        fun mutant ->
+          match
+            Sim.Equivalence.verdict ~reference
+              ~dut:
+                (Sim.Equivalence.sample ~ports:reference.Sim.Equivalence.ports
+                   mutant ~clocks:dut_clocks draw)
+          with
+          | Sim.Equivalence.Mismatch _ -> true
+          | Sim.Equivalence.Equivalent _ -> false
+          | exception Sim.Kernel.Oscillation _ -> true
+      in
+      let on_old = catches old_draw and on_flow = catches flow_draw in
+      let caught =
+        List.fold_left
+          (fun caught (kind, ms) ->
+            let count catches = List.length (List.filter catches ms) in
+            let old_n = count on_old and flow_n = count on_flow in
+            if flow_n < old_n then
+              Alcotest.failf
+                "%s, %s: the flow's draw catches %d of %d mutants, the old \
+                 draw %d"
+                name kind flow_n (List.length ms) old_n;
+            caught + flow_n)
+          0
+          (mutants config.Phase3.Flow.ports final)
+      in
+      if caught = 0 then Alcotest.failf "%s: no mutant caught" name)
+    ["s1196"; "s1238"; "s1423"; "s1488"]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "mutation gate: the flow's draw catches no fewer"
+        `Quick test_mutation_gate ]
+
+(* --- one run of the input design serves clock gating and equivalence --- *)
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ()))
+
+let rec span_calls name nodes =
+  List.fold_left
+    (fun acc (n : Obs.span_node) ->
+      acc
+      + (if String.equal n.Obs.node_name name then n.Obs.n_calls else 0)
+      + span_calls name n.Obs.n_children)
+    0 nodes
+
+(* the verdict and the words compared when the reference is an
+   outputs-only kernel of [d] on the equivalence stage's cycles *)
+let outputs_only_verdict config d final =
+  let stimulus =
+    Sim.Stimulus.prefix (Phase3.Flow.draw config d)
+      ~cycles:config.Phase3.Flow.verify_cycles
+  in
+  Obs.reset ();
+  let reference =
+    Sim.Equivalence.sample d
+      ~clocks:(Phase3.Flow.reference_clocks d ~period:config.Phase3.Flow.period)
+      stimulus
+  in
+  let verdict =
+    Sim.Equivalence.verdict ~reference
+      ~dut:
+        (Sim.Equivalence.sample ~ports:reference.Sim.Equivalence.ports final
+           ~clocks:(Phase3.Flow.clocks_of config) stimulus)
+  in
+  let compared = counter "sim.equivalence.compared" in
+  Obs.reset ();
+  (verdict, compared)
+
+(* Flow.run writes the same netlist with verification on and off, on the
+   shared path (activity_cycles + 1 >= verify_cycles: the profile's run
+   samples the reference) and on the other (the equivalence stage runs
+   the reference itself).  The stage runs one kernel when the profile
+   sampled the reference and two otherwise, and its verdict and words
+   compared are those of an outputs-only reference kernel. *)
+let prop_verification_keeps_netlist =
+  QCheck.Test.make ~name:"verification never changes the netlist" ~count:8
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let d = Circuits.Generator.synthesize (gen_spec seed) in
+      List.iter
+        (fun (path, activity_cycles) ->
+          let config =
+            { (Phase3.Flow.default_config ~period:1.0) with
+              Phase3.Flow.activity_cycles; verify_cycles = 24; lint = false }
+          in
+          let unverified =
+            Phase3.Flow.run
+              ~config:{ config with Phase3.Flow.verify_equivalence = false } d
+          in
+          Obs.reset ();
+          let r = Phase3.Flow.run ~config d in
+          let tree = Obs.span_tree () in
+          let compared = counter "sim.equivalence.compared" in
+          Obs.reset ();
+          let label = Printf.sprintf "seed %d, %s path" seed path in
+          check Alcotest.string (label ^ ": netlist")
+            (Netlist_io.Verilog.write unverified.Phase3.Flow.final)
+            (Netlist_io.Verilog.write r.Phase3.Flow.final);
+          let equivalence =
+            List.filter
+              (fun (n : Obs.span_node) -> String.equal n.Obs.node_name "flow.equivalence")
+              tree
+          in
+          let profiled = has_span "flow.clock_gating.activity" tree in
+          check Alcotest.int (label ^ ": kernel runs in the equivalence stage")
+            (if profiled && path = "shared" then 1 else 2)
+            (span_calls "sim.kernel.run" equivalence);
+          let verdict, expected = outputs_only_verdict config d r.Phase3.Flow.final in
+          check Alcotest.bool (label ^ ": verdict") true
+            (r.Phase3.Flow.equivalence = Some verdict);
+          check Alcotest.int (label ^ ": words compared") expected compared)
+        [ ("shared", 40); ("own", 12) ];
+      true)
+
+(* The samples of a kernel that observes more than the outputs, over
+   more cycles (the profile's run), give the verdict, shift and words
+   compared of an outputs-only kernel on the check's cycles, for an
+   equivalent design and for s1423's r_2_11 p1 -> p3 mutant. *)
+let test_profile_samples_same_verdict () =
+  let bench = Option.get (Circuits.Suite.find "s1423") in
+  let d = bench.Circuits.Suite.build () in
+  let config =
+    { (Phase3.Flow.default_config ~period:bench.Circuits.Suite.period_ns) with
+      Phase3.Flow.verify_equivalence = false; lint = false }
+  in
+  let final = (Phase3.Flow.run ~config d).Phase3.Flow.final in
+  let config = { config with Phase3.Flow.verify_equivalence = true } in
+  let mutant = Test_lint.retarget_enable final ~victim:"r_2_11" ~port:"p3" in
+  let draw = Phase3.Flow.draw config d in
+  let profile_samples =
+    let ports, outputs = Sim.Equivalence.outputs d in
+    let registers =
+      Array.of_list (List.filter_map (D.q_net_of d) (D.sequential_insts d))
+    in
+    let kernel =
+      Sim.Kernel.create ~observe:(Array.append registers outputs) d
+        ~clocks:(Phase3.Flow.reference_clocks d ~period:config.Phase3.Flow.period)
+    in
+    Sim.Equivalence.samples ~ports ~cycles:draw.Sim.Stimulus.cycles
+      (Sim.Kernel.run_sampled kernel draw outputs)
+  in
+  check Alcotest.bool "the profile runs longer than the check" true
+    (profile_samples.Sim.Equivalence.cycles > config.Phase3.Flow.verify_cycles);
+  List.iter
+    (fun (label, dut) ->
+      let expected, expected_compared = outputs_only_verdict config d dut in
+      let stimulus =
+        Sim.Stimulus.prefix draw ~cycles:config.Phase3.Flow.verify_cycles
+      in
+      Obs.reset ();
+      let got =
+        Sim.Equivalence.verdict ~reference:profile_samples
+          ~dut:
+            (Sim.Equivalence.sample ~ports:profile_samples.Sim.Equivalence.ports
+               dut ~clocks:(Phase3.Flow.clocks_of config) stimulus)
+      in
+      let compared = counter "sim.equivalence.compared" in
+      Obs.reset ();
+      let show v =
+        match v with
+        | Sim.Equivalence.Equivalent { shift } -> Printf.sprintf "shift %d" shift
+        | Sim.Equivalence.Mismatch m ->
+          Format.asprintf "%a" Sim.Equivalence.pp_mismatch m
+      in
+      check Alcotest.string (label ^ ": verdict") (show expected) (show got);
+      check Alcotest.int (label ^ ": words compared") expected_compared compared)
+    [ ("final", final); ("r_2_11 mutant", mutant) ]
+
+let suite =
+  suite
+  @ [ QCheck_alcotest.to_alcotest prop_verification_keeps_netlist;
+      Alcotest.test_case "profile samples give the outputs-only verdict" `Quick
+        test_profile_samples_same_verdict ]

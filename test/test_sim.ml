@@ -295,6 +295,38 @@ let test_stimulus_columns_on_demand () =
       Sim.Stimulus.Bursty { burst_len = 10; idle_len = 6; toggle_probability = 0.4 } ];
   Obs.reset ()
 
+(* a prefix view is the first cycles of its draw, equal to a shorter
+   draw of the same seeds; it copies no word: a column filled through
+   it is the draw's own, drawn once at the draw's length, and
+   sim.stimulus.words counts those words *)
+let test_stimulus_prefix_view () =
+  let inputs = List.init 5 (Printf.sprintf "in%d") in
+  let seeds = Array.init 63 (fun l -> 7 + l) and shape = Sim.Stimulus.Uniform 0.3 in
+  let p = Sim.Stimulus.draw ~seeds ~cycles:40 shape inputs in
+  let view = Sim.Stimulus.prefix p ~cycles:16 in
+  check Alcotest.int "cycles" 16 view.Sim.Stimulus.cycles;
+  Obs.reset ();
+  let col = (Sim.Stimulus.columns view [| 2 |]).(0) in
+  check Alcotest.int "drawn at the draw's length" 40
+    (Obs.counter_of "sim.stimulus.words");
+  check Alcotest.bool "the draw's own column" true
+    (col == (Sim.Stimulus.columns p [| 2 |]).(0));
+  check Alcotest.int "no second fill" 40 (Obs.counter_of "sim.stimulus.words");
+  Obs.reset ();
+  let shorter = Sim.Stimulus.draw ~seeds ~cycles:16 shape inputs in
+  check Alcotest.(array int) "words of a 16-cycle draw"
+    (Sim.Stimulus.words shorter) (Sim.Stimulus.words view);
+  check Alcotest.bool "lane 5 of a 16-cycle draw" true
+    (Sim.Stimulus.lane view 5 = Sim.Stimulus.lane shorter 5);
+  check Alcotest.int "whole" 40
+    (Sim.Stimulus.prefix p ~cycles:40).Sim.Stimulus.cycles;
+  List.iter
+    (fun cycles ->
+      match Sim.Stimulus.prefix p ~cycles with
+      | _ -> Alcotest.failf "a prefix of %d cycles" cycles
+      | exception Invalid_argument _ -> ())
+    [ -1; 41 ]
+
 (* lane l of a packed draw is the list stream of seeds.(l), for every
    shape, including empty streams and designs without inputs *)
 let prop_packed_lanes_match_lists =
@@ -656,6 +688,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_packed_lanes_match_lists;
     Alcotest.test_case "stimulus columns fill on demand" `Quick
       test_stimulus_columns_on_demand;
+    Alcotest.test_case "stimulus prefix view" `Quick test_stimulus_prefix_view;
     Alcotest.test_case "equivalence shift" `Quick test_equivalence_shift_detection;
     Alcotest.test_case "equivalence mismatch" `Quick test_equivalence_mismatch_reported;
     Alcotest.test_case "equivalence refuses empty windows" `Quick
